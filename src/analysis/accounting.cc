@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 
 namespace jtps::analysis
 {
@@ -95,76 +94,46 @@ collapseToGuestPages(std::vector<FrameRef> &refs)
     return owner;
 }
 
-/** One frame's collapsed reference list plus its owning page index. */
-struct CollapsedFrame
+/**
+ * Collapse every frame's reference list (on a scratch copy) and hand
+ * it to @p fn with its owning page index, in the snapshot's frame
+ * iteration order.
+ */
+template <typename Fn>
+void
+forEachCollapsedFrame(const Snapshot &snap, Fn fn)
 {
     std::vector<FrameRef> pages;
-    std::size_t owner = 0;
-};
-
-/**
- * Copy and collapse every frame's reference list, in the snapshot's
- * frame iteration order. The collapse (sort + dedup per frame) is the
- * hot part of both accountings and is pure per-frame work, so it
- * shards freely; the returned vector preserves snapshot order so the
- * callers' serial accumulation is independent of the thread count.
- */
-std::vector<CollapsedFrame>
-collapseAllFrames(const Snapshot &snap, unsigned threads)
-{
-    std::vector<CollapsedFrame> out(snap.frames.size());
-    std::size_t i = 0;
-    for (const auto &[hfn, raw_refs] : snap.frames) {
+    for (const auto &[hfn, refs] : snap.frames) {
         (void)hfn;
-        jtps_assert(!raw_refs.empty());
-        out[i++].pages = raw_refs;
+        jtps_assert(!refs.empty());
+        pages = refs;
+        const std::size_t owner = collapseToGuestPages(pages);
+        fn(pages, owner);
     }
-
-    auto collapse_range = [&out](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k)
-            out[k].owner = collapseToGuestPages(out[k].pages);
-    };
-    if (threads > 1 && out.size() > 1) {
-        ThreadPool pool(threads);
-        // A few chunks per worker smooths out size imbalance between
-        // frames while keeping per-job overhead negligible.
-        const std::size_t chunks =
-            std::min<std::size_t>(out.size(),
-                                  static_cast<std::size_t>(threads) * 4);
-        const std::size_t step = (out.size() + chunks - 1) / chunks;
-        for (std::size_t lo = 0; lo < out.size(); lo += step) {
-            const std::size_t hi = std::min(out.size(), lo + step);
-            pool.submit([=]() { collapse_range(lo, hi); });
-        }
-        pool.wait();
-    } else {
-        collapse_range(0, out.size());
-    }
-    return out;
 }
 
 } // namespace
 
-OwnerAccounting::OwnerAccounting(const Snapshot &snap, unsigned threads)
+OwnerAccounting::OwnerAccounting(const Snapshot &snap)
 {
     resident_frames_ = snap.totalResidentFrames;
     overhead_frames_ = snap.overheadFrames;
 
-    const std::vector<CollapsedFrame> collapsed =
-        collapseAllFrames(snap, threads);
-    for (const CollapsedFrame &cf : collapsed) {
-        for (std::size_t i = 0; i < cf.pages.size(); ++i) {
-            const FrameRef &ref = cf.pages[i];
+    forEachCollapsedFrame(snap, [this](const std::vector<FrameRef> &pages,
+                                       std::size_t owner) {
+        for (std::size_t i = 0; i < pages.size(); ++i) {
+            const FrameRef &ref = pages[i];
             ProcessUsage &pu = usage_[{ref.vm, ref.pid}];
             pu.isJava = ref.isJava;
             const auto cat = static_cast<std::size_t>(ref.category);
-            if (i == cf.owner)
+            if (i == owner)
                 pu.owned[cat] += pageSize;
             else
                 pu.shared[cat] += pageSize;
         }
         attributed_ += pageSize;
-    }
+    });
 
     for (std::uint64_t count : overhead_frames_)
         attributed_ += pagesToBytes(count);
@@ -207,17 +176,15 @@ OwnerAccounting::vmBreakdown(VmId vm) const
     return bd;
 }
 
-PssAccounting::PssAccounting(const Snapshot &snap, unsigned threads)
+PssAccounting::PssAccounting(const Snapshot &snap)
 {
-    const std::vector<CollapsedFrame> collapsed =
-        collapseAllFrames(snap, threads);
-    for (const CollapsedFrame &cf : collapsed) {
-        const double share =
-            static_cast<double>(pageSize) / cf.pages.size();
-        for (const FrameRef &ref : cf.pages)
+    forEachCollapsedFrame(snap, [this](const std::vector<FrameRef> &pages,
+                                       std::size_t) {
+        const double share = static_cast<double>(pageSize) / pages.size();
+        for (const FrameRef &ref : pages)
             pss_[{ref.vm, ref.pid}] += share;
         total_ += pageSize;
-    }
+    });
     for (std::uint64_t count : snap.overheadFrames)
         total_ += static_cast<double>(pagesToBytes(count));
 }

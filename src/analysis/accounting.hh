@@ -81,17 +81,11 @@ struct VmBreakdown
 
 /**
  * Owner-oriented accounting over one snapshot.
- *
- * With @p threads > 1 the per-frame collapse (sort + dedup of each
- * frame's reference list — the hot part) is sharded across a
- * ThreadPool; the byte totals are then accumulated serially in the
- * snapshot's frame order, so results are bit-identical at any thread
- * count.
  */
 class OwnerAccounting
 {
   public:
-    explicit OwnerAccounting(const Snapshot &snap, unsigned threads = 1);
+    explicit OwnerAccounting(const Snapshot &snap);
 
     /** Usage of one process (must exist in the snapshot). */
     const ProcessUsage &usage(VmId vm, Pid pid) const;
@@ -129,14 +123,13 @@ class OwnerAccounting
 /**
  * Distribution-oriented accounting (PSS) over one snapshot.
  *
- * Same sharding scheme as OwnerAccounting; the floating-point PSS sums
- * are accumulated serially in snapshot order, so they associate in
- * exactly the serial order and stay bit-identical at any thread count.
+ * The floating-point PSS sums accumulate in the snapshot's frame
+ * order, so they are reproducible for a given snapshot.
  */
 class PssAccounting
 {
   public:
-    explicit PssAccounting(const Snapshot &snap, unsigned threads = 1);
+    explicit PssAccounting(const Snapshot &snap);
 
     /** PSS of one process in bytes (fractional pages included). */
     double pss(VmId vm, Pid pid) const;

@@ -1,52 +1,13 @@
 #include "analysis/forensics.hh"
 
-#include <algorithm>
-#include <utility>
-
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 
 namespace jtps::analysis
 {
 
-namespace
-{
-
-/**
- * Walk one guest's processes (layers 1+2): resolve every mapped vpage
- * to a host frame and record the reference. Appending to an ordered
- * vector instead of the shared frames map keeps the shard free of
- * shared mutable state.
- */
-std::vector<std::pair<Hfn, FrameRef>>
-walkGuest(const hv::Hypervisor &hv, const guest::GuestOs &os)
-{
-    std::vector<std::pair<Hfn, FrameRef>> out;
-    const VmId vm_id = os.vmId();
-    for (const auto &proc : os.processes()) {
-        for (const auto &vma : proc->vmas) {
-            for (std::uint64_t i = 0; i < vma->numPages; ++i) {
-                auto pte = proc->pageTable.find(vma->vpnAt(i));
-                if (pte == proc->pageTable.end())
-                    continue; // never touched
-                const Hfn hfn = hv.translate(vm_id, pte->second);
-                if (hfn == invalidFrame)
-                    continue; // swapped out: not physical memory
-                out.emplace_back(hfn,
-                                 FrameRef{vm_id, pte->second, proc->pid,
-                                          proc->isJava, vma->category});
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 Snapshot
 captureSnapshot(const hv::Hypervisor &hv,
-                const std::vector<const guest::GuestOs *> &guests,
-                unsigned threads, StatSet *stats)
+                const std::vector<const guest::GuestOs *> &guests)
 {
     Snapshot snap;
     snap.vmCount = guests.size();
@@ -57,34 +18,27 @@ captureSnapshot(const hv::Hypervisor &hv,
     for (VmId v = 0; v < hv.vmCount(); ++v)
         snap.overheadFrames[v] = hv.vm(v).overheadFrames.size();
 
-    // Layers 1+2: one shard per guest, into pre-assigned slots.
-    std::vector<std::vector<std::pair<Hfn, FrameRef>>> per_guest(
-        guests.size());
-    for (const guest::GuestOs *os : guests)
+    // Layers 1+2: resolve every mapped vpage of every process to a
+    // host frame and record the reference.
+    for (const guest::GuestOs *os : guests) {
         jtps_assert(os != nullptr);
-    if (threads > 1 && guests.size() > 1) {
-        ThreadPool pool(std::min<unsigned>(
-            threads, static_cast<unsigned>(guests.size())));
-        for (std::size_t g = 0; g < guests.size(); ++g) {
-            pool.submit([&hv, &per_guest, &guests, g]() {
-                per_guest[g] = walkGuest(hv, *guests[g]);
-            });
+        const VmId vm_id = os->vmId();
+        for (const auto &proc : os->processes()) {
+            for (const auto &vma : proc->vmas) {
+                for (std::uint64_t i = 0; i < vma->numPages; ++i) {
+                    auto pte = proc->pageTable.find(vma->vpnAt(i));
+                    if (pte == proc->pageTable.end())
+                        continue; // never touched
+                    const Hfn hfn = hv.translate(vm_id, pte->second);
+                    if (hfn == invalidFrame)
+                        continue; // swapped out: not physical memory
+                    snap.frames[hfn].push_back(
+                        FrameRef{vm_id, pte->second, proc->pid,
+                                 proc->isJava, vma->category});
+                }
+            }
         }
-        pool.wait();
-    } else {
-        for (std::size_t g = 0; g < guests.size(); ++g)
-            per_guest[g] = walkGuest(hv, *guests[g]);
     }
-    if (stats)
-        stats->inc("forensics.walk_shards", guests.size());
-
-    // Deterministic reduce: replay the serial walk's insertion sequence
-    // (guests in VM order, pages in walk order), so the unordered_map
-    // ends up structurally identical to a serial capture and every
-    // downstream iteration over it sees the same order.
-    for (std::size_t g = 0; g < per_guest.size(); ++g)
-        for (const auto &[hfn, ref] : per_guest[g])
-            snap.frames[hfn].push_back(ref);
     return snap;
 }
 

@@ -22,7 +22,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/stats.hh"
 #include "base/types.hh"
 #include "guest/guest_os.hh"
 #include "hv/hypervisor.hh"
@@ -62,22 +61,15 @@ struct Snapshot
 /**
  * Walk all translation layers and produce a Snapshot.
  *
- * The walk shards per guest: each VM's vpn → gfn → hfn resolution is
- * an independent read-only task, fanned out across a ThreadPool when
- * @p threads > 1 (the bench::sweep pattern). Every shard records its
- * (frame, reference) pairs in walk order and the main thread reduces
- * them in fixed VM order, so the Snapshot — including the frames map's
- * iteration order, which downstream accounting observes — is
- * byte-identical at any thread count.
+ * Guests are walked in VM order and each guest's pages in walk order;
+ * that insertion sequence fixes the frames map's iteration order,
+ * which downstream accounting observes.
  *
  * @param hv The hypervisor (host layer + EPTs).
  * @param guests One GuestOs per VM, indexed by VmId.
- * @param threads Worker threads for the per-guest walks (1 = serial).
- * @param stats Optional sink for `forensics.walk_shards`.
  */
 Snapshot captureSnapshot(const hv::Hypervisor &hv,
-                         const std::vector<const guest::GuestOs *> &guests,
-                         unsigned threads = 1, StatSet *stats = nullptr);
+                         const std::vector<const guest::GuestOs *> &guests);
 
 } // namespace jtps::analysis
 

@@ -36,18 +36,10 @@ Scenario::build()
     if (cfg_.pmlRingSlots > 0)
         hcfg.pmlRingSlots = cfg_.pmlRingSlots;
     hv_ = std::make_unique<hv::KvmHypervisor>(hcfg, stats_);
-    // Staged guest execution: register the counters at zero (so every
-    // registry carries them regardless of mode) and size the queue's
-    // stage pool. guestThreads == 0 keeps the legacy direct epoch
-    // path; the counters then stay 0.
-    guest_shards_ = &stats_.counter("sim.guest_shards");
-    intent_commits_ = &stats_.counter("sim.intent_commits");
-    stage_fallbacks_ = &stats_.counter("sim.stage_fallbacks");
     // Balloon/WSS counters are registered whether or not the adaptive
     // governor runs, so every registry has the same shape.
     stats_.counter("balloon.wss_resizes");
     stats_.counter("wss.samples");
-    queue_.setStageThreads(cfg_.guestThreads);
     // Wire (but do not enable) tracing: the hypervisor fans the sink
     // out to the swap device, and the scanner/guests reach it through
     // hv().trace(). Events are stamped with simulated time.
@@ -204,97 +196,25 @@ Scenario::scheduleEpochs()
 void
 Scenario::scheduleEpochBlock()
 {
-    // Every event captures the generation it was scheduled under and
-    // cancels itself when it wakes stale (see epoch_gen_). retireVm/
-    // addVm bump the generation and re-call this to reshape the block.
+    // One serial event runs every active VM's epoch straight through
+    // the hypervisor, in VM-id order. It captures the generation it
+    // was scheduled under and cancels itself when it wakes stale (see
+    // epoch_gen_); retireVm/addVm bump the generation and re-call this.
     const std::uint64_t gen = epoch_gen_;
-
-    if (cfg_.guestThreads == 0) {
-        // Legacy direct execution: one serial event runs every VM's
-        // epoch straight through the hypervisor. Reference mode for
-        // the staged-equivalence fuzzes.
-        queue_.schedulePeriodic(cfg_.epochMs, [this, gen]() {
-            if (gen != epoch_gen_)
-                return false;
-            disk_.beginEpoch(cfg_.epochMs);
-            std::vector<workload::ClientDriver::EpochResult> results(
-                drivers_.size());
-            for (std::size_t i = 0; i < drivers_.size(); ++i) {
-                if (active_[i])
-                    results[i] = drivers_[i]->runEpoch(cfg_.epochMs);
-            }
-            disk_.endEpoch();
-            epoch_history_.push_back(std::move(results));
-            return true;
-        });
-        return;
-    }
-
-    // Staged layout: an unowned begin event, one owned stage/commit
-    // event per VM, and an unowned end event. All are scheduled (and
-    // self-rescheduled) in this order within each epoch drain, so
-    // their sequence numbers stay consecutive: any other periodic
-    // event (KSM scan, monitor samples) that lands on the same tick
-    // sorts entirely before or after the epoch block, exactly as it
-    // did relative to the legacy single event.
     queue_.schedulePeriodic(cfg_.epochMs, [this, gen]() {
         if (gen != epoch_gen_)
             return false;
         disk_.beginEpoch(cfg_.epochMs);
-        epoch_current_.assign(drivers_.size(), {});
-        return true;
-    });
-    intent_logs_.resize(drivers_.size());
-    for (std::size_t i = 0; i < drivers_.size(); ++i) {
-        if (active_[i])
-            scheduleStagedVm(i, gen);
-    }
-    queue_.schedulePeriodic(cfg_.epochMs, [this, gen]() {
-        if (gen != epoch_gen_)
-            return false;
+        std::vector<workload::ClientDriver::EpochResult> results(
+            drivers_.size());
+        for (std::size_t i = 0; i < drivers_.size(); ++i) {
+            if (active_[i])
+                results[i] = drivers_[i]->runEpoch(cfg_.epochMs);
+        }
         disk_.endEpoch();
-        epoch_history_.push_back(epoch_current_);
+        epoch_history_.push_back(std::move(results));
         return true;
     });
-}
-
-void
-Scenario::scheduleStagedVm(std::size_t i, std::uint64_t gen)
-{
-    queue_.scheduleOwnedAt(
-        queue_.now() + cfg_.epochMs, i,
-        /*stage=*/
-        [this, i, gen]() {
-            if (gen != epoch_gen_ || !active_[i])
-                return false;
-            return drivers_[i]->stageEpoch(cfg_.epochMs,
-                                           intent_logs_[i]);
-        },
-        /*commit=*/
-        [this, i, gen](bool staged) {
-            if (gen != epoch_gen_ || !active_[i]) {
-                // Stale copy from before a retire/add, or the VM
-                // itself was retired: die without rescheduling (and
-                // without counting a fallback — nothing ran).
-                intent_logs_[i].clear();
-                return;
-            }
-            if (staged) {
-                ++*guest_shards_;
-                *intent_commits_ += intent_logs_[i].size();
-                epoch_current_[i] =
-                    drivers_[i]->commitEpoch(cfg_.epochMs,
-                                             intent_logs_[i]);
-                intent_logs_[i].clear();
-            } else {
-                // Not stageable this tick (guest too close to
-                // internal reclaim): run directly, still at this
-                // VM's canonical slot in the commit order.
-                ++*stage_fallbacks_;
-                epoch_current_[i] = drivers_[i]->runEpoch(cfg_.epochMs);
-            }
-            scheduleStagedVm(i, gen);
-        });
 }
 
 void
@@ -374,15 +294,13 @@ Scenario::snapshot()
     ptrs.reserve(guests_.size());
     for (const auto &g : guests_)
         ptrs.push_back(g.get());
-    return analysis::captureSnapshot(*hv_, ptrs, cfg_.analysisThreads,
-                                     &stats_);
+    return analysis::captureSnapshot(*hv_, ptrs);
 }
 
 analysis::OwnerAccounting
 Scenario::account()
 {
-    analysis::Snapshot snap = snapshot();
-    return analysis::OwnerAccounting(snap, cfg_.analysisThreads);
+    return analysis::OwnerAccounting(snapshot());
 }
 
 std::vector<std::string>

@@ -41,7 +41,6 @@
 #include "base/trace.hh"
 #include "guest/guest_os.hh"
 #include "hv/hypervisor.hh"
-#include "hv/intent_log.hh"
 #include "jvm/java_vm.hh"
 #include "jvm/shared_class_cache.hh"
 #include "ksm/ksm_scanner.hh"
@@ -111,20 +110,11 @@ struct ScenarioConfig
     bool guestThp = false;
 
     /**
-     * Worker threads for the forensics walk and accounting collapse in
-     * snapshot()/account(). Results are byte-identical at any value
-     * (the reduce replays the serial order); 1 keeps analysis fully
-     * serial.
-     */
-    unsigned analysisThreads = 1;
-
-    /**
      * Worker threads for the KSM scan's classify phase (overrides
-     * ksm.scanThreads at build()). Like analysisThreads, a pure
-     * machine-sizing knob: merges, counters and traces are
-     * byte-identical at any value because all scan mutations replay
-     * serially in canonical order (docs/PERF.md); <= 1 keeps the scan
-     * fully serial.
+     * ksm.scanThreads at build()). A pure machine-sizing knob:
+     * merges, counters and traces are byte-identical at any value
+     * because all scan mutations replay serially in canonical order
+     * (docs/PERF.md); <= 1 keeps the scan fully serial.
      */
     unsigned ksmScanThreads = 1;
 
@@ -183,18 +173,6 @@ struct ScenarioConfig
     /** Working-set sampling window (analysis::WssConfig::windowMs). */
     Tick wssWindowMs = 2000;
 
-    /**
-     * Worker threads for the guest-mutator stage phase: each epoch
-     * tick, the per-VM driver work stages concurrently (guest-local
-     * state + a write-intent log per VM) and all hypervisor effects
-     * replay serially in VM-id order, so counters, traces and frame
-     * state are byte-identical at any value >= 1. 1 stages inline
-     * (serial, same stage/commit split). 0 bypasses staging entirely
-     * and runs the legacy direct path — the reference mode the
-     * equivalence fuzzes compare against; the `sim.*` staging
-     * counters stay 0 there.
-     */
-    unsigned guestThreads = 1;
 };
 
 /**
@@ -257,8 +235,7 @@ class Scenario
     // Measurement
     // ------------------------------------------------------------------
 
-    /** Capture the three-layer translation walk (analysisThreads-wide,
-     *  counted in `forensics.walk_shards`). */
+    /** Capture the three-layer translation walk. */
     analysis::Snapshot snapshot();
 
     /** Owner-oriented accounting of a fresh snapshot. */
@@ -345,7 +322,6 @@ class Scenario
   private:
     void scheduleEpochs();
     void scheduleEpochBlock();
-    void scheduleStagedVm(std::size_t i, std::uint64_t gen);
     void prepareVmArtifacts(std::size_t i);
     void buildVm(std::size_t i);
 
@@ -379,28 +355,16 @@ class Scenario
     /** Per-epoch per-VM results, appended as epochs run. */
     std::vector<std::vector<workload::ClientDriver::EpochResult>>
         epoch_history_;
-    /** Results of the epoch currently draining (staged layout). */
-    std::vector<workload::ClientDriver::EpochResult> epoch_current_;
-    /** One write-intent log per VM, reused across epochs. */
-    std::vector<hv::WriteIntentLog> intent_logs_;
-    /** Staging counters (registered at build, bumped in commits). */
-    std::uint64_t *guest_shards_ = nullptr;
-    std::uint64_t *intent_commits_ = nullptr;
-    std::uint64_t *stage_fallbacks_ = nullptr;
     /** Per-VM liveness (retireVm clears; epoch events skip inactive). */
     std::vector<bool> active_;
     /**
      * Epoch-schedule generation. retireVm()/addVm() change the VM
-     * population, which must reshape the per-tick epoch block (begin
-     * event, one owned event per active VM, end event) while copies of
-     * the old block are already queued for the next tick. Instead of
-     * hunting those down, the generation is bumped and a whole new
-     * block scheduled: every epoch event captured its generation at
-     * scheduling and cancels itself (periodic returns false, owned
-     * stage/commit no-op without rescheduling) when it wakes stale.
-     * Stale events carry lower sequence numbers, so within the
-     * switch-over tick they die first and the new block still runs in
-     * canonical begin -> VMs -> end order.
+     * population while the periodic epoch event is already queued for
+     * the next tick. Instead of hunting it down, the generation is
+     * bumped and a new event scheduled: the event captured its
+     * generation at scheduling and cancels itself (returns false)
+     * when it wakes stale. The stale copy carries the lower sequence
+     * number, so within the switch-over tick it dies first.
      */
     std::uint64_t epoch_gen_ = 0;
     bool built_ = false;

@@ -31,80 +31,11 @@ GuestOs::guestPages() const
 }
 
 void
-GuestOs::beginStaging(hv::WriteIntentLog *log)
-{
-    jtps_assert(log != nullptr && stage_log_ == nullptr);
-    stage_log_ = log;
-}
-
-void
-GuestOs::endStaging()
-{
-    jtps_assert(stage_log_ != nullptr);
-    stage_log_ = nullptr;
-}
-
-void
-GuestOs::hvWriteWord(Gfn gfn, unsigned sector, std::uint64_t value)
-{
-    if (stage_log_)
-        stage_log_->writeWord(gfn, sector, value);
-    else
-        hv_.writeWord(vm_id_, gfn, sector, value);
-}
-
-void
-GuestOs::hvWritePage(Gfn gfn, const mem::PageData &data)
-{
-    if (stage_log_)
-        stage_log_->writePage(gfn, data);
-    else
-        hv_.writePage(vm_id_, gfn, data);
-}
-
-void
-GuestOs::hvTouchPage(Gfn gfn)
-{
-    if (stage_log_)
-        stage_log_->touchPage(gfn);
-    else
-        hv_.touchPage(vm_id_, gfn);
-}
-
-void
-GuestOs::hvDiscardPage(Gfn gfn)
-{
-    if (stage_log_)
-        stage_log_->discardPage(gfn);
-    else
-        hv_.discardPage(vm_id_, gfn);
-}
-
-void
-GuestOs::hvSetHugePage(Gfn gfn, bool huge)
-{
-    if (stage_log_)
-        stage_log_->setHugePage(gfn, huge);
-    else
-        hv_.setHugePage(vm_id_, gfn, huge);
-}
-
-void
 GuestOs::traceRecord(TraceEventType type, std::uint64_t arg0,
                      std::uint64_t arg1)
 {
-    TraceBuffer *t = hv_.trace();
-    if (stage_log_) {
-        // Log an intent only if it would record: the replay-side
-        // record() call re-checks, but a disabled buffer must not
-        // cost log slots (and intent counters must not depend on it
-        // either way — they count hypervisor calls, and Trace intents
-        // are only appended when tracing is live in both modes).
-        if (t && t->enabled())
-            stage_log_->trace(type, arg0, arg1);
-    } else if (t) {
+    if (TraceBuffer *t = hv_.trace())
         t->record(type, vm_id_, arg0, arg1);
-    }
 }
 
 Gfn
@@ -204,15 +135,6 @@ GuestOs::reclaimOneGuestPage()
 bool
 GuestOs::swapOutOneAnonPage()
 {
-    if (staging()) {
-        // A guest swap-out must read the page's host-resident content
-        // (peek), which the commit phase may still change — the
-        // stageability predicate is sized so staged work never gets
-        // here.
-        panic("guest '%s': anonymous swap-out during the stage phase "
-              "(stageability predicate violated)",
-              name_.c_str());
-    }
     if (guest_swapped_ >= guest_swap_limit_pages_)
         return false;
 
@@ -239,8 +161,8 @@ GuestOs::swapOutOneAnonPage()
             continue;
 
         proc.swappedOut.emplace(vpn, *data);
-        hvSetHugePage(it->second, false);
-        hvDiscardPage(it->second);
+        hv_.setHugePage(vm_id_, it->second, false);
+        hv_.discardPage(vm_id_, it->second);
         freeGfn(it->second);
         proc.pageTable.erase(it);
         ++guest_swapped_;
@@ -262,7 +184,7 @@ GuestOs::guestSwapIn(GuestProcess &proc, Vpn vpn)
     ++guest_major_faults_;
 
     const Gfn gfn = allocGfn();
-    hvWritePage(gfn, data);
+    hv_.writePage(vm_id_, gfn, data);
     proc.pageTable.emplace(vpn, gfn);
     return gfn;
 }
@@ -400,8 +322,8 @@ GuestOs::munmap(Pid pid, Vma *vma)
         if (it == proc.pageTable.end())
             continue;
         if (!vma->fileBacked) {
-            hvSetHugePage(it->second, false);
-            hvDiscardPage(it->second);
+            hv_.setHugePage(vm_id_, it->second, false);
+            hv_.discardPage(vm_id_, it->second);
             freeGfn(it->second);
         } else {
             dropCacheMapRef(it->second);
@@ -440,7 +362,7 @@ GuestOs::ensureMapped(const Vma *vma, std::uint64_t index)
     } else {
         gfn = allocGfn();
         if (vma->hugeBacked)
-            hvSetHugePage(gfn, true);
+            hv_.setHugePage(vm_id_, gfn, true);
     }
     proc.pageTable.emplace(vpn, gfn);
     return gfn;
@@ -450,14 +372,14 @@ void
 GuestOs::writeWord(const Vma *vma, std::uint64_t index, unsigned sector,
                    std::uint64_t value)
 {
-    hvWriteWord(ensureMapped(vma, index), sector, value);
+    hv_.writeWord(vm_id_, ensureMapped(vma, index), sector, value);
 }
 
 void
 GuestOs::writePage(const Vma *vma, std::uint64_t index,
                    const mem::PageData &data)
 {
-    hvWritePage(ensureMapped(vma, index), data);
+    hv_.writePage(vm_id_, ensureMapped(vma, index), data);
 }
 
 std::uint64_t
@@ -468,12 +390,6 @@ GuestOs::readWord(const Vma *vma, std::uint64_t index, unsigned sector)
         !proc.pageTable.count(vma->vpnAt(index)) &&
         !proc.swappedOut.count(vma->vpnAt(index))) {
         return 0; // untouched anonymous memory reads as zero
-    }
-    if (staging()) {
-        // A host read cannot be reordered past other VMs' pending
-        // commits; no guest model reads on the epoch path today.
-        panic("guest '%s': readWord during the stage phase",
-              name_.c_str());
     }
     return hv_.readWord(vm_id_, ensureMapped(vma, index), sector);
 }
@@ -486,13 +402,13 @@ GuestOs::touch(const Vma *vma, std::uint64_t index)
         auto it = proc.pageTable.find(vma->vpnAt(index));
         if (it == proc.pageTable.end()) {
             if (proc.swappedOut.count(vma->vpnAt(index)))
-                hvTouchPage(guestSwapIn(proc, vma->vpnAt(index)));
+                hv_.touchPage(vm_id_, guestSwapIn(proc, vma->vpnAt(index)));
             return;
         }
-        hvTouchPage(it->second);
+        hv_.touchPage(vm_id_, it->second);
         return;
     }
-    hvTouchPage(ensureMapped(vma, index));
+    hv_.touchPage(vm_id_, ensureMapped(vma, index));
 }
 
 void
@@ -514,8 +430,8 @@ GuestOs::discard(const Vma *vma, std::uint64_t index)
         proc.pageTable.erase(it);
         return;
     }
-    hvSetHugePage(it->second, false);
-    hvDiscardPage(it->second);
+    hv_.setHugePage(vm_id_, it->second, false);
+    hv_.discardPage(vm_id_, it->second);
     freeGfn(it->second);
     proc.pageTable.erase(it);
 }
@@ -529,14 +445,14 @@ GuestOs::pageCacheGet(const FileImage &file, std::uint64_t index)
     auto &file_pages = cache_index_[file.contentTag()];
     auto it = file_pages.find(index);
     if (it != file_pages.end()) {
-        hvTouchPage(it->second);
+        hv_.touchPage(vm_id_, it->second);
         return it->second;
     }
 
     // Cache miss: "read from disk" into a fresh cache page.
     jtps_assert(cache_cursor_ < cache_vma_->numPages);
     Gfn gfn = allocGfn();
-    hvWritePage(gfn, file.pageContent(index));
+    hv_.writePage(vm_id_, gfn, file.pageContent(index));
 
     GuestProcess &kernel = process(0);
     const Vpn cache_vpn = cache_vma_->vpnAt(cache_cursor_);
@@ -566,7 +482,7 @@ GuestOs::touchPageCache(std::uint32_t pages)
     for (std::uint32_t i = 0; i < pages; ++i) {
         const CachePage &cp =
             cache_pages_[rng_.nextBelow(cache_pages_.size())];
-        hvTouchPage(cp.gfn);
+        hv_.touchPage(vm_id_, cp.gfn);
     }
 }
 
@@ -584,7 +500,7 @@ GuestOs::touchFileSpace(std::uint32_t pages)
         const std::uint64_t index = rng_.nextBelow(file.pages());
         auto fit = cache_index_.find(tag);
         if (fit != cache_index_.end() && fit->second.count(index)) {
-            hvTouchPage(fit->second.at(index));
+            hv_.touchPage(vm_id_, fit->second.at(index));
         } else {
             // Cache miss: a real disk read fills the cache.
             pageCacheGet(file, index);
@@ -606,7 +522,7 @@ GuestOs::reclaimPageCache(std::uint64_t pages)
         const CachePage cp = cache_pages_[pick];
         if (cache_mapcount_.count(cp.gfn))
             continue; // mapped by a process: not reclaimable
-        hvDiscardPage(cp.gfn);
+        hv_.discardPage(vm_id_, cp.gfn);
         freeGfn(cp.gfn);
         kernel.pageTable.erase(cp.vpn);
         cache_index_[cp.fileTag].erase(cp.index);

@@ -37,7 +37,6 @@
 #include "guest/file_image.hh"
 #include "guest/mem_category.hh"
 #include "hv/hypervisor.hh"
-#include "hv/intent_log.hh"
 
 namespace jtps::guest
 {
@@ -273,35 +272,9 @@ class GuestOs
     /** Frames currently held by the balloon. */
     std::uint64_t balloonHeldPages() const { return balloon_held_; }
 
-    // ------------------------------------------------------------------
-    // Staged execution (parallel tick batches)
-    // ------------------------------------------------------------------
-    //
-    // While staging, every hypervisor mutation this guest would issue
-    // (write/touch/discard/setHugePage and guest-originated trace
-    // events) is appended to @p log instead of executed; the
-    // scenario's serial commit phase replays the log in canonical VM
-    // order. Guest-local state (page tables, cache index, gfn
-    // accounting, RNG streams) advances normally during staging — it
-    // is private to this VM, so staging it concurrently with other
-    // VMs is safe. Operations that must *read* host state (peek for a
-    // guest swap-out, readWord) panic while staging; callers gate
-    // staging on a predicate that makes them unreachable.
-
-    /** Route hypervisor mutations into @p log until endStaging(). */
-    void beginStaging(hv::WriteIntentLog *log);
-
-    /** Stop routing; subsequent mutations hit the hypervisor again. */
-    void endStaging();
-
-    /** True while a staging log is attached. */
-    bool staging() const { return stage_log_ != nullptr; }
-
     /**
      * Record a guest-originated trace event (GC cycle, balloon move)
-     * against this VM: logged as an intent while staging so it lands
-     * in the trace stream at its canonical position, recorded
-     * directly otherwise.
+     * against this VM in the hypervisor's trace sink, if one is wired.
      */
     void traceRecord(TraceEventType type, std::uint64_t arg0,
                      std::uint64_t arg1);
@@ -328,16 +301,6 @@ class GuestOs
   private:
     Gfn allocGfn();
     void freeGfn(Gfn gfn);
-
-    // Hypervisor-mutation funnels: every hv_ mutation in this class
-    // goes through one of these, which is what makes staging sound —
-    // an intent is logged if a log is attached, the call happens
-    // otherwise.
-    void hvWriteWord(Gfn gfn, unsigned sector, std::uint64_t value);
-    void hvWritePage(Gfn gfn, const mem::PageData &data);
-    void hvTouchPage(Gfn gfn);
-    void hvDiscardPage(Gfn gfn);
-    void hvSetHugePage(Gfn gfn, bool huge);
 
     /** Record a file in the registry (idempotent). */
     void registerFile(const FileImage &file);
@@ -367,9 +330,6 @@ class GuestOs
     std::string name_;
     std::uint64_t seed_;
     Rng rng_;
-
-    /** Attached intent log while staging, nullptr otherwise. */
-    hv::WriteIntentLog *stage_log_ = nullptr;
 
     std::vector<std::unique_ptr<GuestProcess>> processes_;
 

@@ -181,6 +181,9 @@ struct KsmConfig
      * Byte-identical to 1 at any value; only `ksm.commit_shards` and
      * `ksm.shard_imbalance_max` depend on it. Ignored (treated as 1)
      * under usePml, whose ring/queue bookkeeping is inherently serial.
+     * S >= 2 is not a one-thread setting even at scanThreads = 1: it
+     * forces the two-phase pass, and the pool that runs the classify
+     * shards and the S shard commits has max(scanThreads, S) workers.
      */
     unsigned commitShards = 1;
 };

@@ -271,72 +271,3 @@ TEST_F(AnalysisFixture, SwappedPagesAreNotPhysicalUsage)
     OwnerAccounting acct(snap);
     EXPECT_EQ(acct.attributedBytes(), 8 * pageSize);
 }
-
-TEST_F(AnalysisFixture, ParallelWalkIsIdenticalToSerial)
-{
-    // Shared and private content across three guests, with overhead
-    // frames and KSM sharing in play, so the walk exercises every
-    // reference shape.
-    for (int i = 0; i < 3; ++i) {
-        GuestOs &os = addGuest(64 * KiB);
-        Pid java = os.spawn("java", true);
-        Vma *heap = os.mmapAnon(java, 256 * KiB, MemCategory::JavaHeap,
-                                "heap");
-        for (std::uint64_t p = 0; p < heap->numPages; ++p)
-            os.writePage(heap, p, PageData::filled(p % 5, p % 3));
-        Pid d = os.spawn("daemon", false);
-        Vma *w = os.mmapAnon(d, 64 * KiB, MemCategory::JvmWork, "w");
-        for (std::uint64_t p = 0; p < w->numPages; ++p)
-            os.writePage(w, p, PageData::filled(40 + i, p));
-    }
-    hv->collapseIdenticalPages();
-
-    Snapshot serial = capture(); // threads = 1
-    std::vector<const GuestOs *> ptrs;
-    for (const auto &g : guests)
-        ptrs.push_back(g.get());
-    StatSet walk_stats;
-    Snapshot par = analysis::captureSnapshot(*hv, ptrs, 4, &walk_stats);
-    EXPECT_EQ(walk_stats.get("forensics.walk_shards"), 3u);
-
-    ASSERT_EQ(par.totalResidentFrames, serial.totalResidentFrames);
-    ASSERT_EQ(par.overheadFrames, serial.overheadFrames);
-    ASSERT_EQ(par.vmCount, serial.vmCount);
-    ASSERT_EQ(par.frames.size(), serial.frames.size());
-    // The deterministic reduce replays shard results in fixed VM order,
-    // so not only the contents but the frames map's *iteration order*
-    // (which downstream accounting observes) must match the serial walk.
-    auto ps = serial.frames.begin();
-    auto pp = par.frames.begin();
-    for (; ps != serial.frames.end(); ++ps, ++pp) {
-        ASSERT_EQ(pp->first, ps->first);
-        ASSERT_EQ(pp->second, ps->second);
-    }
-}
-
-TEST_F(AnalysisFixture, ParallelAccountingIsBitIdenticalToSerial)
-{
-    for (int i = 0; i < 4; ++i) {
-        GuestOs &os = addGuest(32 * KiB);
-        Pid java = os.spawn("java", true);
-        Vma *heap = os.mmapAnon(java, 128 * KiB, MemCategory::JavaHeap,
-                                "heap");
-        for (std::uint64_t p = 0; p < heap->numPages; ++p)
-            os.writePage(heap, p, PageData::filled(p % 7, p % 2));
-    }
-    hv->collapseIdenticalPages();
-    Snapshot snap = capture();
-
-    OwnerAccounting o1(snap);
-    OwnerAccounting o4(snap, 4);
-    EXPECT_EQ(o4.attributedBytes(), o1.attributedBytes());
-    EXPECT_EQ(o4.residentBytes(), o1.residentBytes());
-    EXPECT_EQ(o4.processes(), o1.processes());
-
-    // PSS sums are floating point; the serial-order accumulation makes
-    // them bit-identical at any thread count, not merely close.
-    PssAccounting p1(snap);
-    PssAccounting p4(snap, 4);
-    EXPECT_EQ(p4.totalBytes(), p1.totalBytes());
-    EXPECT_EQ(p4.processes(), p1.processes());
-}

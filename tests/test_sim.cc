@@ -3,9 +3,8 @@
  * Unit tests for the discrete-event engine.
  */
 
-#include <atomic>
-#include <mutex>
-#include <string>
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,193 +111,72 @@ TEST(EventQueue, PeriodicInterleavesWithOneShots)
     EXPECT_EQ(it->second, 10u);
 }
 
-// ----------------------------------------------------------------------
-// Drain reentrancy and owned (stage/commit) batches. Each behaviour is
-// pinned at 1 and 4 stage threads: the threaded drain path must keep
-// the serial contract exactly.
-// ----------------------------------------------------------------------
-
-namespace
-{
-
-std::vector<unsigned>
-stageWidths()
-{
-    return {1, 4};
-}
-
-} // namespace
-
 TEST(EventQueue, ScheduleAtNowDuringDrainRunsSameTick)
 {
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
+    EventQueue q;
+    std::vector<std::pair<int, Tick>> log;
+    // The first event at tick 10 schedules two more *at now()* while
+    // the tick is draining; a later tick-10 event was already queued.
+    // All four must run at tick 10 in insertion order.
+    q.scheduleAt(10, [&] {
+        log.push_back({0, q.now()});
+        q.scheduleAt(q.now(), [&] { log.push_back({2, q.now()}); });
+        q.scheduleAt(q.now(), [&] { log.push_back({3, q.now()}); });
+    });
+    q.scheduleAt(10, [&] { log.push_back({1, q.now()}); });
+    q.scheduleAt(20, [&] { log.push_back({4, q.now()}); });
+    q.run();
+    ASSERT_EQ(log.size(), 5u);
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(log[i].first, i);
+        EXPECT_EQ(log[i].second, i < 4 ? 10u : 20u);
+    }
+}
+
+TEST(EventQueue, PeriodicRearmsAfterWhatItSchedules)
+{
+    // A periodic wake that schedules a one-shot for exactly one period
+    // later sorts ahead of its own next wake: the chain takes its new
+    // sequence number only after the callback has returned true.
+    EventQueue q;
+    std::vector<char> log;
+    q.schedulePeriodic(10, [&] {
+        log.push_back('p');
+        if (q.now() == 10)
+            q.scheduleAfter(10, [&] { log.push_back('o'); });
+        return q.now() < 20;
+    });
+    q.run();
+    EXPECT_EQ(log, (std::vector<char>{'p', 'o', 'p'}));
+}
+
+TEST(EventQueue, PeriodicCallbackIsReleased)
+{
+    // The queue must own a periodic callback, not a reference cycle:
+    // whatever it captures dies when the chain is cancelled ...
+    auto sentinel = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = sentinel;
+    {
         EventQueue q;
-        q.setStageThreads(width);
-        std::vector<std::pair<int, Tick>> log;
-        // The first event at tick 10 schedules two more *at now()*
-        // while the tick is draining; a later tick-10 event was
-        // already queued. All four must run at tick 10 in insertion
-        // order.
-        q.scheduleAt(10, [&] {
-            log.push_back({0, q.now()});
-            q.scheduleAt(q.now(), [&] { log.push_back({2, q.now()}); });
-            q.scheduleAt(q.now(), [&] { log.push_back({3, q.now()}); });
+        q.schedulePeriodic(5, [s = std::move(sentinel)] {
+            return ++*s < 3;
         });
-        q.scheduleAt(10, [&] { log.push_back({1, q.now()}); });
-        q.scheduleAt(20, [&] { log.push_back({4, q.now()}); });
         q.run();
-        ASSERT_EQ(log.size(), 5u);
-        for (int i = 0; i < 5; ++i) {
-            EXPECT_EQ(log[i].first, i);
-            EXPECT_EQ(log[i].second, i < 4 ? 10u : 20u);
-        }
+        EXPECT_EQ(q.pending(), 0u);
+        EXPECT_TRUE(watch.expired());
     }
-}
 
-TEST(EventQueue, OwnedBatchCommitsInAscendingOwnerOrder)
-{
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
-        EventQueue q;
-        q.setStageThreads(width);
-        std::mutex mu;
-        std::vector<std::string> log;
-        std::atomic<int> stages_done{0};
-        // Insertion order 2, 0, 1; commits must run 0, 1, 2, and only
-        // after every stage in the batch has finished.
-        for (std::uint64_t owner : {2u, 0u, 1u}) {
-            q.scheduleOwnedAt(
-                5, owner,
-                [&, owner] {
-                    std::lock_guard<std::mutex> lock(mu);
-                    log.push_back("s" + std::to_string(owner));
-                    ++stages_done;
-                    return true;
-                },
-                [&, owner](bool staged) {
-                    EXPECT_TRUE(staged);
-                    EXPECT_EQ(stages_done.load(), 3);
-                    log.push_back("c" + std::to_string(owner));
-                });
-        }
-        q.run();
-        ASSERT_EQ(log.size(), 6u);
-        // Stage order across owners is unspecified under a pool; the
-        // serial commit tail is the contract.
-        EXPECT_EQ(log[3], "c0");
-        EXPECT_EQ(log[4], "c1");
-        EXPECT_EQ(log[5], "c2");
-    }
-}
-
-TEST(EventQueue, SameOwnerKeepsInsertionOrderWithinBatch)
-{
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
-        EventQueue q;
-        q.setStageThreads(width);
-        std::vector<int> log;
-        for (int i = 0; i < 3; ++i) {
-            q.scheduleOwnedAt(
-                5, 7, [&log, i] {
-                    log.push_back(i);
-                    return true;
-                },
-                [&log, i](bool) { log.push_back(10 + i); });
-        }
-        q.run();
-        // One owner: stages 0,1,2 then commits 10,11,12.
-        EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 10, 11, 12}));
-    }
-}
-
-TEST(EventQueue, UnownedEventSplitsOwnedBatch)
-{
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
-        EventQueue q;
-        q.setStageThreads(width);
-        std::vector<std::string> log;
-        q.scheduleOwnedAt(
-            5, 1, [&] {
-                log.push_back("s1");
-                return true;
-            },
-            [&](bool) { log.push_back("c1"); });
-        q.scheduleAt(5, [&] { log.push_back("u"); });
-        q.scheduleOwnedAt(
-            5, 0, [&] {
-                log.push_back("s0");
-                return true;
-            },
-            [&](bool) { log.push_back("c0"); });
-        q.run();
-        // The unowned event ends the first batch: owner 1 stages and
-        // commits entirely before it, owner 0 entirely after, exactly
-        // the strict (when, seq) serial order.
-        EXPECT_EQ(log, (std::vector<std::string>{"s1", "c1", "u", "s0",
-                                                 "c0"}));
-    }
-}
-
-TEST(EventQueue, CommitMayRescheduleSameTick)
-{
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
-        EventQueue q;
-        q.setStageThreads(width);
-        Tick fired_at = 0;
-        Tick owned_at = 0;
-        q.scheduleOwnedAt(
-            5, 0, [] { return true; },
-            [&](bool) {
-                owned_at = q.now();
-                q.scheduleAt(q.now(), [&] { fired_at = q.now(); });
-                q.scheduleOwnedAt(
-                    q.now() + 5, 0, [] { return true; }, [](bool) {});
-            });
-        q.run();
-        EXPECT_EQ(owned_at, 5u);
-        EXPECT_EQ(fired_at, 5u);
-        EXPECT_EQ(q.now(), 10u);
-    }
-}
-
-TEST(EventQueue, StageDeclineDeliversFalseToCommit)
-{
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
-        EventQueue q;
-        q.setStageThreads(width);
-        std::vector<std::pair<std::uint64_t, bool>> commits;
-        q.scheduleOwnedAt(
-            5, 0, [] { return false; },
-            [&](bool staged) { commits.push_back({0, staged}); });
-        q.scheduleOwnedAt(
-            5, 1, [] { return true; },
-            [&](bool staged) { commits.push_back({1, staged}); });
-        q.run();
-        ASSERT_EQ(commits.size(), 2u);
-        EXPECT_EQ(commits[0], (std::pair<std::uint64_t, bool>{0, false}));
-        EXPECT_EQ(commits[1], (std::pair<std::uint64_t, bool>{1, true}));
-    }
-}
-
-TEST(EventQueueDeathTest, SchedulingDuringStageIsAPanic)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    auto run = [] {
-        EventQueue q;
-        q.setStageThreads(1); // inline stage still forbids scheduling
-        q.scheduleOwnedAt(
-            5, 0,
-            [&q] {
-                q.scheduleAt(q.now(), [] {});
-                return true;
-            },
-            [](bool) {});
-        q.run();
-    };
-    EXPECT_DEATH(run(), "stage");
+    // ... or dropped by clear() with the chain still pending.
+    sentinel = std::make_shared<int>(0);
+    watch = sentinel;
+    EventQueue q;
+    q.schedulePeriodic(5, [s = std::move(sentinel)] {
+        ++*s;
+        return true;
+    });
+    q.runUntil(12);
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_FALSE(watch.expired());
+    q.clear();
+    EXPECT_TRUE(watch.expired());
 }

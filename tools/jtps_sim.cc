@@ -53,11 +53,9 @@ struct Options
     bool csv = false;
     std::string jsonFile;
     std::string traceFile;
-    unsigned analysisThreads = 1;
     unsigned ksmThreads = 1;
     unsigned ksmCommitShards = 1;
     unsigned ksmBatch = 16;
-    unsigned guestThreads = 1;
     // Cluster mode (--hosts > 0 switches from one Scenario to a fleet).
     int hosts = 0;
     int perHost = 4;
@@ -99,18 +97,15 @@ usage(const char *argv0)
         "  --csv           CSV output where available\n"
         "  --json FILE     write the full run document as JSON\n"
         "  --trace FILE    record a structured event trace, write JSON\n"
-        "  --analysis-threads N  shard the forensics walk/accounting\n"
-        "                  across N threads (same bytes at any N)\n"
         "  --ksm-threads N  classify KSM scan batches on N threads\n"
         "                  (merges/counters identical at any N)\n"
         "  --ksm-commit-shards S  commit KSM batches as S digest\n"
         "                  shards + serial reduce (S divides 64;\n"
-        "                  byte-identical at any S; ignored with PML)\n"
+        "                  byte-identical at any S; ignored with PML;\n"
+        "                  runs max(N, S) KSM workers, N = --ksm-threads)\n"
         "  --ksm-batch N   stage KSM content kernels over N-page\n"
         "                  windows (1 disables; byte-identical at any\n"
         "                  N, only ksm.batch_* counters move)\n"
-        "  --guest-threads N  stage guest-mutator epochs on N threads\n"
-        "                  (counters/traces identical at any N)\n"
         "cluster mode (fleet of independent hosts):\n"
         "  --hosts H       simulate H hosts (0 = single-host mode);\n"
         "                  --workload mix cycles all four workloads\n"
@@ -173,9 +168,6 @@ parse(int argc, char **argv)
             opt.jsonFile = need(i);
         else if (arg == "--trace")
             opt.traceFile = need(i);
-        else if (arg == "--analysis-threads")
-            opt.analysisThreads =
-                static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
         else if (arg == "--ksm-threads")
             opt.ksmThreads =
                 static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
@@ -184,9 +176,6 @@ parse(int argc, char **argv)
                 static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
         else if (arg == "--ksm-batch")
             opt.ksmBatch =
-                static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
-        else if (arg == "--guest-threads")
-            opt.guestThreads =
                 static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
         else if (arg == "--hosts")
             opt.hosts = std::atoi(need(i));
@@ -396,7 +385,7 @@ clusterDocumentJson(const Options &opt, cluster::Cluster &fleet,
     w.field("per_host", opt.perHost);
     w.field("vms", static_cast<std::uint64_t>(opt.hosts) *
                        static_cast<std::uint64_t>(opt.perHost));
-    // Like the guest/ksm/analysis thread knobs, --fleet-threads is a
+    // Like the ksm thread knobs, --fleet-threads is a
     // machine-sizing setting, not part of the run's identity: documents
     // must be byte-identical at any value, so it is not recorded.
     w.field("placement", opt.placement);
@@ -527,12 +516,9 @@ main(int argc, char **argv)
     cfg.warmupMs = opt.warmupMs;
     cfg.steadyMs = opt.steadyMs;
     cfg.seed = opt.seed;
-    cfg.analysisThreads =
-        opt.analysisThreads == 0 ? 1 : opt.analysisThreads;
     cfg.ksmScanThreads = opt.ksmThreads == 0 ? 1 : opt.ksmThreads;
     cfg.ksmCommitShards = opt.ksmCommitShards;
     cfg.ksmBatchPages = opt.ksmBatch;
-    cfg.guestThreads = opt.guestThreads == 0 ? 1 : opt.guestThreads;
     cfg.pmlRingSlots = opt.pmlRingSlots;
     cfg.adaptiveBalloon = opt.adaptiveBalloon;
 
