@@ -1,37 +1,39 @@
 /**
  * @file
- * 256-VM boot storm: cold first-pass convergence wall time with the
- * scanner's lane-parallel content kernels on vs. off (headline bench
- * for the batched classify stage), plus a migration-arrival variant.
+ * 256-VM boot storm: cold first-pass convergence wall time of the
+ * serial walk vs. the sharded pipeline at 2 and 4 commit shards, plus
+ * a migration-arrival variant.
  *
  * A boot storm is the cold-path worst case the dirty-log machinery
  * cannot help: every page is first-touch, so every visit pays the full
- * checksum (and usually digest) chain. The batch stage attacks exactly
- * that cost — the serial hashCombine chain is latency-bound on three
- * dependent multiplies, so interleaving independent pages turns the
- * cold pass throughput-bound.
+ * checksum (and usually digest) chain. The sharded pipeline spreads
+ * that work over S workers — its classify phase runs the lane-parallel
+ * content kernels, which interleave independent pages so the
+ * latency-bound hashCombine chain turns throughput-bound.
  *
  * Three measurements:
  *
  *   1. BM_ColdContentKernels — the kernel microbench: ns/page for the
  *      scalar checksum()+digest() pair vs. checksumBatch()+digestBatch()
- *      over the same pages (the acceptance floor is 2x here);
+ *      over the same pages;
  *   2. cold convergence — build the full host (no warm-up run: all
- *      pages cold) and time runToQuiescence(), batch window 16 vs. 1;
+ *      pages cold) and time runToQuiescence() at commit shards 1, 2, 4;
  *   3. migration arrival — add fresh VMs to the converged host and
  *      time re-convergence (the cluster layer's arrival regime).
  *
- * Identity gate BEFORE any timing is reported: the full stat registry
- * (minus the documented machine-sizing counters) and a hash of the
- * complete trace stream must be byte-identical across the whole
- * batch x scan-thread x commit-shard matrix. argv: [vms] [arrivals]
- * (defaults 256 and 8; CI runs a reduced host).
+ * Each shard count is measured three times, alternating, and the best
+ * run is reported. Identity gate BEFORE any timing is reported: the
+ * full stat registry (minus the documented pipeline counters) and a
+ * hash of the complete trace stream must be byte-identical at every
+ * shard count in every run. argv: [vms] [arrivals] (defaults 256 and
+ * 8; CI runs a reduced host).
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -128,22 +130,12 @@ benchColdContentKernels()
     return kb;
 }
 
-/** One scanner configuration of the identity/timing matrix. */
-struct MatrixPoint
-{
-    std::uint32_t batch;
-    unsigned threads;
-    unsigned shards;
-};
-
 struct StormResult
 {
     double coldMs = 0.0;    //!< cold boot-storm convergence wall time
     double arrivalMs = 0.0; //!< migration-arrival re-convergence
     std::uint64_t pagesSharing = 0;
     std::uint64_t residentPages = 0;
-    std::uint64_t batchKernelPages = 0;
-    std::uint64_t batchFlushes = 0;
     std::string coldSig;  //!< registry+trace after cold convergence
     std::string finalSig; //!< registry+trace after the arrivals
 };
@@ -169,23 +161,20 @@ hostSpecs(std::size_t count)
 }
 
 core::ScenarioConfig
-stormConfig(std::size_t vms, const MatrixPoint &p)
+stormConfig(std::size_t vms, unsigned shards)
 {
     core::ScenarioConfig cfg = bench::paperConfig(true);
     cfg.host.ramBytes = vms * 640ULL * MiB;
-    // The three knobs under test; everything else identical.
-    cfg.ksmBatchPages = p.batch;
-    cfg.ksmScanThreads = p.threads;
-    cfg.ksmCommitShards = p.shards;
+    // The knob under test; everything else identical.
+    cfg.ksmCommitShards = shards;
     return cfg;
 }
 
 /**
  * Full stat registry plus a fold of the entire trace stream, minus the
- * documented machine-sizing counters — the scan-thread, commit-shard
- * and batch-window accounting that follows the pipeline shape
- * (docs/METRICS.md). Everything else must match bytewise across the
- * whole matrix.
+ * documented pipeline counters that follow the shard count
+ * (docs/METRICS.md). Everything else must match bytewise at every
+ * shard count.
  */
 std::string
 identitySignature(core::Scenario &sc)
@@ -193,8 +182,7 @@ identitySignature(core::Scenario &sc)
     static const char *sizing[] = {
         "ksm.commit_shards",       "ksm.shard_imbalance_max",
         "ksm.scan_shards",         "ksm.precheck_candidates",
-        "ksm.commit_replays",      "ksm.batch_kernel_pages",
-        "ksm.batch_flushes",
+        "ksm.commit_replays",
     };
     std::string sig;
     sig.reserve(1 << 14);
@@ -231,9 +219,9 @@ identitySignature(core::Scenario &sc)
 }
 
 StormResult
-measure(std::size_t vms, std::size_t arrivals, const MatrixPoint &p)
+measure(std::size_t vms, std::size_t arrivals, unsigned shards)
 {
-    core::Scenario sc(stormConfig(vms, p), hostSpecs(vms));
+    core::Scenario sc(stormConfig(vms, shards), hostSpecs(vms));
     sc.build();
     // No run(): the host is exactly as the boot storm left it — every
     // resident page cold, never visited. Trace the whole convergence
@@ -265,8 +253,6 @@ measure(std::size_t vms, std::size_t arrivals, const MatrixPoint &p)
     sc.hv().checkConsistency();
     r.pagesSharing = sc.ksm().pagesSharing();
     r.residentPages = sc.stats().get("host.resident_frames");
-    r.batchKernelPages = sc.stats().get("ksm.batch_kernel_pages");
-    r.batchFlushes = sc.stats().get("ksm.batch_flushes");
     return r;
 }
 
@@ -287,85 +273,59 @@ main(int argc, char **argv)
                 kb.scalarNsPerPage, kb.batchNsPerPage, kb.speedup);
 
     std::printf("Boot storm — %zu VMs cold on one %zu MiB host, then "
-                "%zu migration arrivals\n\n",
+                "%zu migration arrivals (best of 3 alternating runs)\n\n",
                 vms, vms * 640, arrivals);
-    std::printf("%-6s %-8s %-7s %12s %12s %12s %12s\n", "batch",
-                "threads", "shards", "cold ms", "arrival ms",
-                "sharing pg", "kernel pg");
-    std::printf("%s\n", std::string(76, '-').c_str());
 
-    // The matrix: batch window on/off at every scan-thread /
-    // commit-shard shape the scanner supports in this sweep. Index 0
-    // is the all-serial unbatched baseline every signature must match.
-    const std::vector<MatrixPoint> points = {
-        {1, 1, 1},  {16, 1, 1}, {1, 4, 1},  {16, 4, 1},
-        {1, 4, 4},  {16, 4, 4}, {1, 1, 4},  {16, 1, 4},
-    };
-    std::vector<StormResult> results(points.size());
-    bool identical = true;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        results[i] = measure(vms, arrivals, points[i]);
-        // The identity gate: a configuration that changed ANY
-        // observable beyond the sizing counters invalidates the bench.
-        if (i > 0 && (results[i].coldSig != results[0].coldSig ||
-                      results[i].finalSig != results[0].finalSig)) {
-            identical = false;
-            std::fprintf(stderr,
-                         "FAIL: registry/trace at batch=%u threads=%u "
-                         "shards=%u diverged from the serial unbatched "
-                         "baseline\n",
-                         points[i].batch, points[i].threads,
-                         points[i].shards);
-            return 1;
-        }
-        std::printf("%-6u %-8u %-7u %12.0f %12.0f %12llu %12llu\n",
-                    points[i].batch, points[i].threads,
-                    points[i].shards, results[i].coldMs,
-                    results[i].arrivalMs,
-                    (unsigned long long)results[i].pagesSharing,
-                    (unsigned long long)results[i].batchKernelPages);
-        std::fflush(stdout);
-    }
-
-    // Headline ratios: serial pair isolates the kernel win; the
-    // parallel pair shows it survives under the two-phase scan. The
-    // serial cold pair is the CI-asserted figure, so re-measure it
-    // best-of-3 (fresh host per rep) to keep scheduler noise on a
-    // loaded runner from drowning the kernel signal.
-    for (int rep = 0; rep < 2; ++rep)
-        for (std::size_t i : {std::size_t{0}, std::size_t{1}}) {
+    // Index 0 is the serial walk every signature must match.
+    const unsigned points[] = {1, 2, 4};
+    constexpr std::size_t npoints = std::size(points);
+    constexpr int reps = 3;
+    StormResult results[npoints];
+    for (int rep = 0; rep < reps; ++rep) {
+        for (std::size_t i = 0; i < npoints; ++i) {
             const StormResult r = measure(vms, arrivals, points[i]);
-            if (r.coldSig != results[0].coldSig ||
-                r.finalSig != results[0].finalSig) {
-                std::fprintf(stderr, "FAIL: best-of rep diverged\n");
+            // The identity gate: a run that changed ANY observable
+            // beyond the pipeline counters invalidates the bench.
+            const StormResult &base = rep == 0 && i == 0 ? r : results[0];
+            if (r.coldSig != base.coldSig || r.finalSig != base.finalSig) {
+                std::fprintf(stderr,
+                             "FAIL: registry/trace at %u commit shards "
+                             "(run %d) diverged from the serial walk\n",
+                             points[i], rep + 1);
                 return 1;
+            }
+            if (rep == 0) {
+                results[i] = r;
+                continue;
             }
             results[i].coldMs = std::min(results[i].coldMs, r.coldMs);
             results[i].arrivalMs =
                 std::min(results[i].arrivalMs, r.arrivalMs);
         }
-    const double coldSerial = results[0].coldMs / results[1].coldMs;
-    const double coldParallel = results[4].coldMs / results[5].coldMs;
-    const double arrivalSerial =
-        results[0].arrivalMs / results[1].arrivalMs;
-    std::printf("\ncold-convergence speedup: x%.2f serial, x%.2f at 4 "
-                "threads / 4 shards; arrival x%.2f "
-                "(byte-identical registries+traces: %s)\n",
-                coldSerial, coldParallel, arrivalSerial,
-                identical ? "yes" : "NO");
+    }
 
-    bench::BenchJson json("bootstorm", "cold-path batch kernels");
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    std::printf("%-14s %12s %12s %12s\n", "commit shards", "cold ms",
+                "arrival ms", "sharing pg");
+    std::printf("%s\n", std::string(53, '-').c_str());
+    for (std::size_t i = 0; i < npoints; ++i)
+        std::printf("%-14u %12.0f %12.0f %12llu\n", points[i],
+                    results[i].coldMs, results[i].arrivalMs,
+                    (unsigned long long)results[i].pagesSharing);
+    const double cold4 = results[0].coldMs / results[2].coldMs;
+    const double arrival4 = results[0].arrivalMs / results[2].arrivalMs;
+    std::printf("\nspeedup over the serial walk at 4 commit shards: "
+                "cold x%.2f, arrival x%.2f (byte-identical "
+                "registries+traces: yes)\n",
+                cold4, arrival4);
+
+    bench::BenchJson json("bootstorm", "cold-path commit shards");
+    for (std::size_t i = 0; i < npoints; ++i) {
         json.beginRow();
-        json.field("batch_pages", points[i].batch);
-        json.field("scan_threads", points[i].threads);
-        json.field("commit_shards", points[i].shards);
+        json.field("commit_shards", points[i]);
         json.field("cold_converge_ms", results[i].coldMs);
         json.field("arrival_converge_ms", results[i].arrivalMs);
         json.field("pages_sharing", results[i].pagesSharing);
         json.field("resident_pages", results[i].residentPages);
-        json.field("batch_kernel_pages", results[i].batchKernelPages);
-        json.field("batch_flushes", results[i].batchFlushes);
         json.endRow();
     }
     json.summaryField("host_vms", static_cast<std::uint64_t>(vms));
@@ -374,11 +334,9 @@ main(int argc, char **argv)
     json.summaryField("scalar_kernel_ns_per_page", kb.scalarNsPerPage);
     json.summaryField("batch_kernel_ns_per_page", kb.batchNsPerPage);
     json.summaryField("cold_kernel_speedup", kb.speedup);
-    json.summaryField("cold_batch_speedup", coldSerial);
-    json.summaryField("cold_batch_speedup_parallel", coldParallel);
-    json.summaryField("arrival_batch_speedup", arrivalSerial);
-    json.summaryField("registry_identical",
-                      static_cast<std::uint64_t>(identical ? 1 : 0));
+    json.summaryField("cold_shard4_speedup", cold4);
+    json.summaryField("arrival_shard4_speedup", arrival4);
+    json.summaryField("registry_identical", std::uint64_t{1});
     json.write();
-    return identical ? 0 : 1;
+    return 0;
 }

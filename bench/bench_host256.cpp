@@ -15,10 +15,12 @@
  * Methodology per shard count S in {1, 2, 4}:
  *
  *   1. build + run the identical seeded scenario (ksm.commitShards is
- *      the ONLY knob that differs; scan threads are pinned to 4);
+ *      the ONLY knob that differs: S = 1 is the serial walk, S >= 2
+ *      the sharded pipeline on S workers);
  *   2. converge KSM (runToQuiescence) and capture the full stat
- *      registry minus the two documented machine-sizing counters
- *      (ksm.commit_shards, ksm.shard_imbalance_max);
+ *      registry minus the documented pipeline counters
+ *      (docs/METRICS.md: ksm.commit_shards, ksm.shard_imbalance_max,
+ *      ksm.scan_shards, ksm.precheck_candidates, ksm.commit_replays);
  *   3. assert the signature is byte-identical to the S=1 baseline —
  *      BEFORE any timing of this configuration is reported;
  *   4. time `timedPasses` converged passes, each preceded by an
@@ -103,26 +105,30 @@ hostConfig(std::size_t vms, unsigned shards)
     cfg.ksm.pagesToScan = 5'000;
     // The only knob that may differ between measured configurations.
     cfg.ksmCommitShards = shards;
-    // Classify parallelism pinned on both sides: S=1 vs S=4 then
-    // differs *only* in the commit phase's structure.
-    cfg.ksmScanThreads = 4;
     return cfg;
 }
 
 /**
- * Full stat registry as one string, minus the two machine-sizing
- * counters that legitimately differ across shard counts
- * (docs/METRICS.md). Everything else — merge totals, stale-node
- * counts, swap traffic, per-VM gauges — must match bytewise.
+ * Full stat registry as one string, minus the pipeline counters that
+ * legitimately differ across shard counts (docs/METRICS.md).
+ * Everything else — merge totals, stale-node counts, swap traffic,
+ * per-VM gauges — must match bytewise.
  */
 std::string
 registrySignature(core::Scenario &sc)
 {
+    static const char *sizing[] = {
+        "ksm.commit_shards",       "ksm.shard_imbalance_max",
+        "ksm.scan_shards",         "ksm.precheck_candidates",
+        "ksm.commit_replays",
+    };
     std::string sig;
     sig.reserve(1 << 14);
     for (const auto &[name, value] : sc.stats().counters()) {
-        if (name == "ksm.commit_shards" ||
-            name == "ksm.shard_imbalance_max")
+        bool skip = false;
+        for (const char *c : sizing)
+            skip = skip || name == c;
+        if (skip)
             continue;
         sig += name;
         sig += '=';
@@ -225,7 +231,7 @@ main(int argc, char **argv)
         argc > 2 ? static_cast<std::uint64_t>(std::atoi(argv[2])) : 3;
 
     std::printf("Host density — %zu VMs on one %zu MiB host, CDS on, "
-                "4 scan threads, commit shards swept 1/2/4\n\n",
+                "commit shards swept 1/2/4 (1 = serial walk)\n\n",
                 vms, vms * 640);
     std::printf("%-14s %14s %14s %12s %12s %12s\n", "commit shards",
                 "pass ms", "quiesce ms", "sharing pg", "candidates",
@@ -238,7 +244,7 @@ main(int argc, char **argv)
     for (int p = 0; p < 3; ++p) {
         results[p] = measure(vms, points[p], timed_passes);
         // The identity gate: a shard count that changed ANY observable
-        // beyond the two sizing counters invalidates its timing row.
+        // beyond the pipeline counters invalidates its timing row.
         if (p > 0 && results[p].signature != results[0].signature) {
             identical = false;
             std::fprintf(stderr,

@@ -421,15 +421,13 @@ convergedScenario()
 }
 
 void
-convergedScanPass(benchmark::State &state, bool incremental,
-                  unsigned scan_threads = 1)
+convergedScanPass(benchmark::State &state, bool incremental)
 {
     core::Scenario &scenario = convergedScenario();
     StatSet stats;
     ksm::KsmConfig cfg;
     cfg.pagesToScan = 1u << 30; // one batch = one pass
     cfg.incrementalScan = incremental;
-    cfg.scanThreads = scan_threads;
     ksm::KsmScanner scanner(scenario.hv(), cfg, stats);
     scanner.scanBatch(); // pass 1: record checksums/generations
     scanner.scanBatch(); // pass 2: calm now; digests + trees built
@@ -452,21 +450,6 @@ BM_ConvergedScanPassIncremental(benchmark::State &state)
     convergedScanPass(state, /*incremental=*/true);
 }
 BENCHMARK(BM_ConvergedScanPassIncremental);
-
-void
-BM_ConvergedScanPassParallel(benchmark::State &state)
-{
-    // The two-phase classify/commit scan at 1/2/4 classify threads
-    // over the same converged image. Arg(1) takes the serial path
-    // (scanThreads <= 1), so the parallel rows read directly against
-    // BM_ConvergedScanPassIncremental. Results are byte-identical at
-    // every width (ParallelScanEquivalenceFuzz); only the wall clock
-    // may differ, and on a single-core host the sharded rows measure
-    // pool handoff overhead rather than speedup.
-    convergedScanPass(state, /*incremental=*/true,
-                      static_cast<unsigned>(state.range(0)));
-}
-BENCHMARK(BM_ConvergedScanPassParallel)->Arg(1)->Arg(2)->Arg(4);
 
 void
 BM_ConvergedForensicsSnapshot(benchmark::State &state)
@@ -502,8 +485,7 @@ constexpr Gfn pmlScanDirty = pmlScanPages / 100; // 1% dirtied per pass
 constexpr std::uint32_t pmlScanRing = 16384;     // > dirty set: no overflow
 
 void
-pmlConvergedDirtyPass(benchmark::State &state, std::uint32_t ring_slots,
-                      unsigned scan_threads)
+pmlConvergedDirtyPass(benchmark::State &state, std::uint32_t ring_slots)
 {
     StatSet stats;
     hv::HostConfig hc = host(6ULL * GiB);
@@ -516,7 +498,6 @@ pmlConvergedDirtyPass(benchmark::State &state, std::uint32_t ring_slots,
     cfg.pagesToScan = 1u << 30; // one batch = one pass
     cfg.incrementalScan = true;
     cfg.usePml = ring_slots > 0;
-    cfg.scanThreads = scan_threads;
     ksm::KsmScanner scanner(hv, cfg, stats);
     // Pass 1 checksums every page (the boot writes overflowed the
     // ring, so the PML side walks it too); pass 2 finds the image
@@ -542,30 +523,16 @@ pmlConvergedDirtyPass(benchmark::State &state, std::uint32_t ring_slots,
 void
 BM_PmlScanPassWalkReference(benchmark::State &state)
 {
-    pmlConvergedDirtyPass(state, /*ring_slots=*/0, /*scan_threads=*/1);
+    pmlConvergedDirtyPass(state, /*ring_slots=*/0);
 }
 BENCHMARK(BM_PmlScanPassWalkReference)->Iterations(16);
 
 void
 BM_PmlScanPass1(benchmark::State &state)
 {
-    pmlConvergedDirtyPass(state, pmlScanRing, 1);
+    pmlConvergedDirtyPass(state, pmlScanRing);
 }
 BENCHMARK(BM_PmlScanPass1)->Iterations(16);
-
-void
-BM_PmlScanPass2(benchmark::State &state)
-{
-    pmlConvergedDirtyPass(state, pmlScanRing, 2);
-}
-BENCHMARK(BM_PmlScanPass2)->Iterations(16);
-
-void
-BM_PmlScanPass4(benchmark::State &state)
-{
-    pmlConvergedDirtyPass(state, pmlScanRing, 4);
-}
-BENCHMARK(BM_PmlScanPass4)->Iterations(16);
 
 void
 BM_AdaptiveBalloon(benchmark::State &state)
@@ -715,22 +682,6 @@ main(int argc, char **argv)
         json.summaryField("converged_scan_speedup",
                           scan_ref / scan_inc);
     }
-    const double sp1 =
-        reporter.realTimeNs("BM_ConvergedScanPassParallel/1");
-    const double sp2 =
-        reporter.realTimeNs("BM_ConvergedScanPassParallel/2");
-    const double sp4 =
-        reporter.realTimeNs("BM_ConvergedScanPassParallel/4");
-    if (sp1 > 0 && sp2 > 0 && sp4 > 0) {
-        json.summaryField("converged_scan_ns_parallel1", sp1);
-        json.summaryField("converged_scan_ns_parallel2", sp2);
-        json.summaryField("converged_scan_ns_parallel4", sp4);
-        // Speedup of the 4-thread two-phase pass over the serial
-        // incremental pass; < 1 on hosts without the cores.
-        if (scan_inc > 0)
-            json.summaryField("converged_scan_parallel4_speedup",
-                              scan_inc / sp4);
-    }
     const double eq16 = reporter.realTimeNs("BM_EventQueueChurn/16");
     const double eq256 = reporter.realTimeNs("BM_EventQueueChurn/256");
     if (eq16 > 0)
@@ -744,18 +695,10 @@ main(int argc, char **argv)
         reporter.realTimeNs("BM_PmlScanPassWalkReference/iterations:16");
     const double pml1 =
         reporter.realTimeNs("BM_PmlScanPass1/iterations:16");
-    const double pml2 =
-        reporter.realTimeNs("BM_PmlScanPass2/iterations:16");
-    const double pml4 =
-        reporter.realTimeNs("BM_PmlScanPass4/iterations:16");
     if (pml_walk > 0)
         json.summaryField("pml_scan_ns_walk_reference", pml_walk);
     if (pml1 > 0)
         json.summaryField("pml_scan_ns_pml1", pml1);
-    if (pml2 > 0)
-        json.summaryField("pml_scan_ns_pml2", pml2);
-    if (pml4 > 0)
-        json.summaryField("pml_scan_ns_pml4", pml4);
     if (pml_walk > 0 && pml1 > 0) {
         // The ISSUE acceptance bar: a converged 1M-page pass with 1%
         // dirty pages must be >= 5x faster log-driven than walked.

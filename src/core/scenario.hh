@@ -110,34 +110,14 @@ struct ScenarioConfig
     bool guestThp = false;
 
     /**
-     * Worker threads for the KSM scan's classify phase (overrides
-     * ksm.scanThreads at build()). A pure machine-sizing knob:
-     * merges, counters and traces are byte-identical at any value
-     * because all scan mutations replay serially in canonical order
-     * (docs/PERF.md); <= 1 keeps the scan fully serial.
-     */
-    unsigned ksmScanThreads = 1;
-
-    /**
      * Digest shards for the KSM commit phase (overrides
-     * ksm.commitShards at build()). >= 2 partitions the merge indexes
-     * by digest and commits each batch as that many independent shard
-     * jobs plus a serial reduce (ksm::KsmConfig::commitShards) —
-     * another machine-sizing knob: results are byte-identical at any
-     * value, only `ksm.commit_shards` / `ksm.shard_imbalance_max`
+     * ksm.commitShards at build()). >= 2 runs every scan batch through
+     * the sharded pipeline on that many workers
+     * (ksm::KsmConfig::commitShards) — a machine-sizing knob: results
+     * are byte-identical at any value, only the pipeline counters
      * move. Must divide 64; ignored under PML mode.
      */
     unsigned ksmCommitShards = 1;
-
-    /**
-     * Kernel window size for the scanner's batched content stage
-     * (overrides ksm.batchPages at build()). Another machine-sizing
-     * knob: merges, counters and traces are byte-identical at any
-     * value — only the `ksm.batch_*` accounting moves. 1 disables the
-     * staging and reproduces the one-page-at-a-time visit exactly;
-     * clamped to [1, 128].
-     */
-    std::uint32_t ksmBatchPages = 16;
 
     /**
      * Per-VM Page-Modification-Log ring size in slots (see

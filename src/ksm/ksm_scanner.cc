@@ -1,9 +1,6 @@
 #include "ksm/ksm_scanner.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 
 #include "base/logging.hh"
 #include "base/units.hh"
@@ -34,14 +31,9 @@ constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
 constexpr std::size_t initialUnstableCapacity = 1024;
 
-/** Monotonic now in ms, for the JTPS_SCAN_PHASE_MS accounting only. */
-inline double
-phaseNowMs()
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
+/** Classify items per content-kernel window: two rounds of the
+ *  kernels' 8 lanes, the width docs/PERF.md §10 measures. */
+constexpr std::size_t kernelWindow = 16;
 
 } // namespace
 
@@ -62,11 +54,8 @@ KsmScanner::KsmScanner(hv::Hypervisor &hv, const KsmConfig &cfg,
       stat_commit_replays_(stats.counter("ksm.commit_replays")),
       stat_pml_skipped_(stats.counter("ksm.pages_pml_skipped")),
       stat_shard_imbalance_(stats.counter("ksm.shard_imbalance_max")),
-      stat_batch_kernel_pages_(stats.counter("ksm.batch_kernel_pages")),
-      stat_batch_flushes_(stats.counter("ksm.batch_flushes")),
       stat_hv_ksm_merges_(hv.stats().counter("hv.ksm_merges"))
 {
-    cfg_.batchPages = std::clamp<std::uint32_t>(cfg_.batchPages, 1, 128);
     // Log-driven passes are only complete if every write has been
     // funneled into a ring since the VMs existed.
     jtps_assert(!cfg_.usePml || hv_.pmlEnabled());
@@ -79,15 +68,14 @@ KsmScanner::KsmScanner(hv::Hypervisor &hv, const KsmConfig &cfg,
     for (ShardState &sh : shards_)
         sh.unstable.assign(initialUnstableCapacity, UnstableSlot{});
     stats_.set("ksm.commit_shards", shards_.size());
-    phase_timing_ = std::getenv("JTPS_SCAN_PHASE_MS") != nullptr;
     hv_.addPageListener(this);
 }
 
 unsigned
 KsmScanner::effectiveCommitShards() const
 {
-    // PML's ring/queue bookkeeping (splices, injected lanes) is
-    // inherently serial: log-driven runs keep the classic commit.
+    // PML's ring/queue bookkeeping (requeues, injected lanes) is
+    // serial: log-driven runs keep the single classic index.
     if (cfg_.usePml || cfg_.commitShards <= 1)
         return 1;
     return cfg_.commitShards;
@@ -124,19 +112,6 @@ KsmScanner::pageDiscarded(VmId vm, Gfn gfn)
     if (gfn >= v.size())
         return;
     v[gfn] = PageScanState{};
-}
-
-KsmScanner::PageScanState &
-KsmScanner::pageState(VmId vm, Gfn gfn)
-{
-    if (vm >= page_state_.size())
-        page_state_.resize(
-            std::max<std::size_t>(hv_.vmCount(), vm + std::size_t{1}));
-    auto &v = page_state_[vm];
-    if (v.empty())
-        v.resize(hv_.vm(vm).ept.size());
-    jtps_assert(gfn < v.size());
-    return v[gfn];
 }
 
 KsmScanner::PageScanState *
@@ -176,9 +151,9 @@ KsmScanner::cachedDigest(Hfn hfn, std::uint64_t gen,
         ++digest_hits;
         return m.digest;
     }
-    // Memo miss: a precomputed value (classify snapshot under its
-    // generation proof, or a content-pure batch-kernel value) stands
-    // in for the recompute; the memo end-state is identical.
+    // Memo miss: a precomputed value (a classify snapshot under its
+    // generation proof) stands in for the recompute; the memo
+    // end-state is identical.
     m.digest = pre ? *pre : data.digest();
     m.hasDigest = true;
     return m.digest;
@@ -212,8 +187,8 @@ KsmScanner::genCalmDigest(mem::FrameTable &ft, Hfn hfn,
     // Generation fast path, non-stable: serve the digest from the
     // per-page cache, falling back to the frame memo (first revisit),
     // and derive the epoch-proved stable-probe skip. Shared verbatim
-    // by the serial visit, the commit replay and the shard commits —
-    // only the counter sinks differ.
+    // by the serial visit and the shard commits — only the counter
+    // sinks differ.
     std::uint64_t digest;
     if (ps.digestValid) {
         ++digest_hits;
@@ -333,8 +308,7 @@ KsmScanner::stableLookup(ShardState &sh, const mem::PageData &data,
 
 bool
 KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
-                    mem::FrameTable &ft, PageScanState *psv,
-                    const BatchPre *pre)
+                    mem::FrameTable &ft, PageScanState *psv)
 {
     const hv::EptEntry &e = v.ept.entry(gfn);
     if (e.state != hv::PageState::Resident)
@@ -373,8 +347,7 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
         ++stat_gen_skipped_;
         if (ps.lastStable)
             return true; // provably still a shared KSM page
-        digest = genCalmDigest(ft, hfn, gen, ps, data,
-                               pre && pre->hasDig ? &pre->dig : nullptr,
+        digest = genCalmDigest(ft, hfn, gen, ps, data, nullptr,
                                stat_digest_cache_hits_,
                                skip_stable_probe);
     } else {
@@ -393,88 +366,52 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
             return true; // already a shared KSM page
         }
         data = &frame.data;
-        if (!slowPathContent(ft, hfn, gen, ps, data,
-                             pre && pre->hasSum ? &pre->sum : nullptr,
-                             pre && pre->hasDig ? &pre->dig : nullptr,
+        if (!slowPathContent(ft, hfn, gen, ps, data, nullptr, nullptr,
                              stat_digest_cache_hits_, digest)) {
             ++stat_not_calm_;
             return true;
         }
     }
 
-    treeStage(vm, gfn, ft, ps, hfn, digest, data, skip_stable_probe,
-              nullptr);
+    treeStage(vm, gfn, ft, ps, hfn, digest, data, skip_stable_probe);
     return true;
 }
 
 void
 KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
                       PageScanState &ps, Hfn hfn, std::uint64_t digest,
-                      const mem::PageData *data, bool skip_stable_probe,
-                      const PageSnap *snap)
+                      const mem::PageData *data, bool skip_stable_probe)
 {
     ShardState &sh = shards_[shardFor(digest)];
 
     // Stable tree first.
     if (!skip_stable_probe) {
-        if (snap && snap->probeCleanMiss &&
-            snap->probeEpoch == ft.ksmStableEpoch(digest)) {
-            // The read-only classify probe walked the whole chain and
-            // met neither a stale node nor an acceptable one, and the
-            // stable epoch has not moved since: no node can have been
-            // added, gone stale or regained capacity without a bump,
-            // so a real lookup would do nothing but miss. Record the
-            // miss exactly as the serial visit would.
-            ps.lastStableEpoch = ft.ksmStableEpoch(digest);
-        } else {
-            if (!data)
-                data = &ft.frame(hfn).data;
-            const Hfn stable =
-                stableLookup(sh, *data, digest, stat_stale_stable_);
-            if (stable != invalidFrame) {
-                if (hv_.ksmMergeInto(stable, vm, gfn)) {
-                    ++merges_this_pass_;
-                    ++merges_total_;
-                    ++stat_stable_merges_;
-                    if (TraceBuffer *t = hv_.trace())
-                        t->record(TraceEventType::KsmStableMerge, vm,
-                                  gfn, stable);
-                }
-                return;
+        if (!data)
+            data = &ft.frame(hfn).data;
+        const Hfn stable =
+            stableLookup(sh, *data, digest, stat_stale_stable_);
+        if (stable != invalidFrame) {
+            if (hv_.ksmMergeInto(stable, vm, gfn)) {
+                ++merges_this_pass_;
+                ++merges_total_;
+                ++stat_stable_merges_;
+                if (TraceBuffer *t = hv_.trace())
+                    t->record(TraceEventType::KsmStableMerge, vm, gfn,
+                              stable);
             }
-            // Record the miss: while the stable epoch stays put,
-            // revisits of this unchanged page may skip the probe (and
-            // the pruning it would do — a missing probe already pruned
-            // its bucket clean).
-            ps.lastStableEpoch = ft.ksmStableEpoch(digest);
+            return;
         }
+        // Record the miss: while the stable epoch stays put, revisits
+        // of this unchanged page may skip the probe (and the pruning
+        // it would do — a missing probe already pruned its bucket
+        // clean).
+        ps.lastStableEpoch = ft.ksmStableEpoch(digest);
     }
 
     // Unstable tree: find another calm page with the same content seen
-    // earlier in this pass. One walk serves both the lookup and, on a
-    // miss, the insert position (the first reusable stale/tombstone
-    // slot in the chain, or its empty terminator).
-    const std::size_t mask = sh.unstable.size() - 1;
-    std::size_t slot = npos;
+    // earlier in this pass.
     std::size_t insert_at = npos;
-    for (std::size_t i = unstableSlotHash(digest) & mask;;
-         i = (i + 1) & mask) {
-        const UnstableSlot &s = sh.unstable[i];
-        if (s.epoch == 0) {
-            if (insert_at == npos)
-                insert_at = i;
-            break; // end of chain: not in this pass's tree
-        }
-        if (s.epoch == pass_epoch_) {
-            if (s.digest == digest) {
-                slot = i;
-                break;
-            }
-        } else if (insert_at == npos) {
-            insert_at = i; // stale/tombstone slot: reusable
-        }
-    }
-
+    const std::size_t slot = unstableFind(sh, digest, insert_at);
     if (slot != npos) {
         UnstableSlot &u = sh.unstable[slot];
         if (u.vm == vm && u.gfn == gfn) {
@@ -546,11 +483,43 @@ KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
         return;
     }
 
-    // Miss: insert. Keep at least ~30% never-used slots so probe
-    // chains terminate quickly; the check runs only when this insert
-    // would consume an empty slot, so a steady-state pass over
-    // unchanged memory re-inserts into the previous pass's (now stale)
-    // slots without ever allocating or rehashing.
+    unstableInsert(sh, insert_at, digest, vm, gfn);
+}
+
+inline std::size_t
+KsmScanner::unstableFind(const ShardState &sh, std::uint64_t digest,
+                         std::size_t &insert_at) const
+{
+    // One walk serves both the lookup and, on a miss, the insert
+    // position (the first reusable stale/tombstone slot in the chain,
+    // or its empty terminator).
+    const std::size_t mask = sh.unstable.size() - 1;
+    for (std::size_t i = unstableSlotHash(digest) & mask;;
+         i = (i + 1) & mask) {
+        const UnstableSlot &s = sh.unstable[i];
+        if (s.epoch == 0) {
+            if (insert_at == npos)
+                insert_at = i;
+            return npos; // end of chain: not in this pass's tree
+        }
+        if (s.epoch == pass_epoch_) {
+            if (s.digest == digest)
+                return i;
+        } else if (insert_at == npos) {
+            insert_at = i; // stale/tombstone slot: reusable
+        }
+    }
+}
+
+inline void
+KsmScanner::unstableInsert(ShardState &sh, std::size_t insert_at,
+                           std::uint64_t digest, VmId vm, Gfn gfn)
+{
+    // Keep at least ~30% never-used slots so probe chains terminate
+    // quickly; the check runs only when this insert would consume an
+    // empty slot, so a steady-state pass over unchanged memory
+    // re-inserts into the previous pass's (now stale) slots without
+    // ever allocating or rehashing.
     if (sh.unstable[insert_at].epoch == 0) {
         if ((sh.occupied + 1) * 10 >= sh.unstable.size() * 7) {
             std::size_t cap = sh.unstable.size();
@@ -594,17 +563,6 @@ KsmScanner::passBoundary()
     cur_gfn_ = 0;
     ++full_scans_;
     stats_.set("ksm.full_scans", full_scans_);
-    if (phase_timing_) {
-        std::fprintf(stderr,
-                     "[scan-phase] pass %llu: collect %.1f classify "
-                     "%.1f kernel %.1f partition %.1f shard %.1f "
-                     "reduce %.1f serial %.1f ms\n",
-                     (unsigned long long)full_scans_, phase_ms_.collect,
-                     phase_ms_.classify, phase_ms_.kernel,
-                     phase_ms_.partition, phase_ms_.shard,
-                     phase_ms_.reduce, phase_ms_.serial);
-        phase_ms_ = PhaseMs{};
-    }
     if (!cfg_.usePml) {
         // Clearing the unstable tree is one epoch bump: last pass's
         // entries go stale in place and their slots are reused by the
@@ -702,22 +660,16 @@ KsmScanner::scanBatch()
 {
     if (hv_.vmCount() == 0)
         return 0;
-    if (cfg_.usePml) {
-        return cfg_.scanThreads >= 2 ? scanBatchParallelPml()
-                                     : scanBatchSerialPml();
-    }
-    // A sharded commit needs the two-phase split even at one scan
-    // thread (the split is byte-identical to the serial loop).
-    if (cfg_.scanThreads >= 2 || shards_.size() > 1)
-        return scanBatchParallel();
+    if (cfg_.usePml)
+        return scanBatchSerialPml();
+    if (shards_.size() > 1)
+        return scanBatchSharded();
     return scanBatchSerial();
 }
 
 std::uint64_t
 KsmScanner::scanBatchSerial()
 {
-    if (cfg_.batchPages > 1)
-        return scanBatchSerialBatched();
     mem::FrameTable &ft = hv_.frames();
     std::uint64_t visited = 0;
     while (visited < cfg_.pagesToScan) {
@@ -747,98 +699,6 @@ KsmScanner::scanBatchSerial()
     return visited;
 }
 
-std::uint64_t
-KsmScanner::scanBatchSerialBatched()
-{
-    // Software-pipelined serial visitor: gather a window of resident
-    // candidates (consuming the cursor and the scan budget exactly as
-    // the per-page loop does), stage the content kernels lane-parallel
-    // over the whole window, then apply the unchanged per-page visits
-    // on the precomputed values. Page content, residency and huge
-    // flags are frozen for the window — no guest runs mid-batch and
-    // the scanner never writes page data — so a precomputed value is
-    // always what the visit would have computed; visits that stop
-    // before needing one (a frame an earlier visit in the window just
-    // promoted, say) simply ignore it, exactly like an unused
-    // classify snapshot.
-    mem::FrameTable &ft = hv_.frames();
-    KernelStage &ks = serial_stage_;
-    std::uint64_t visited = 0;
-    while (visited < cfg_.pagesToScan) {
-        if (!advanceCursor())
-            break; // pass boundary: bounded wake, as in the 1-page loop
-        const hv::Vm &v = hv_.vm(cur_vm_);
-        PageScanState *psv = pageStateRow(cur_vm_, v);
-        const Gfn gfn_end = v.ept.size();
-        while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan) {
-            ks.clearWindow();
-            while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan &&
-                   ks.count() < cfg_.batchPages) {
-                visitLookahead(v, psv, cur_gfn_, gfn_end, ft);
-                const hv::EptEntry &e = v.ept.entry(cur_gfn_);
-                if (e.state == hv::PageState::Resident) {
-                    // Settled revisits bypass the window while it is
-                    // empty: a converged region then costs what the
-                    // scalar visitor costs — same lookahead prefetch,
-                    // same visit, no staging detour. Visit order is
-                    // preserved — the bypass only runs with nothing
-                    // staged ahead of it, and settled pages hit
-                    // mid-gather simply join the window and apply in
-                    // sequence. Generation equality needs the huge
-                    // check first: a THP flip rebacks the page, so a
-                    // stale row could otherwise alias the new frame.
-                    bool direct = false;
-                    if (ks.count() == 0 && cfg_.incrementalScan &&
-                        (v.hugePages.empty() || !v.hugePages[cur_gfn_])) {
-                        const PageScanState &ps = psv[cur_gfn_];
-                        if (ps.lastGen == ft.writeGen(e.backing)) {
-                            if (ps.lastStable) {
-                                // The whole visit (see stageWindow).
-                                ++stat_gen_skipped_;
-                                direct = true;
-                            } else if (ps.digestValid) {
-                                scanOne(cur_vm_, cur_gfn_, v, ft, psv);
-                                direct = true;
-                            }
-                        }
-                    }
-                    if (!direct) {
-                        ks.push(&v, psv, cur_gfn_);
-                        ft.prefetchWriteGen(e.backing);
-                    }
-                    ++visited;
-                }
-                ++cur_gfn_;
-            }
-            if (ks.count() == 0)
-                continue; // ran off the VM (or budget) gathering
-            stageWindow(ft, ks, /*consult_memo=*/true);
-            if (phase_timing_) {
-                // Fold per-window so a pass boundary inside this batch
-                // prints the kernel time of its own pass.
-                phase_ms_.kernel += ks.kernelMs;
-                ks.kernelMs = 0.0;
-            }
-            for (std::size_t k = 0; k < ks.count(); ++k) {
-                if (ks.stableSettled[k]) {
-                    // The staged verdict is the whole visit (see
-                    // stageWindow pass 0): scanOne would re-derive
-                    // lastStable + generation equality and return.
-                    ++stat_gen_skipped_;
-                    continue;
-                }
-                scanOne(cur_vm_, ks.gfns[k], v, ft, psv, &ks.pre[k]);
-            }
-        }
-    }
-    stat_pages_visited_ += visited;
-    stat_batch_kernel_pages_ += ks.kernelPages;
-    stat_batch_flushes_ += ks.flushes;
-    ks.kernelPages = 0;
-    ks.flushes = 0;
-    return visited;
-}
-
 void
 KsmScanner::prefetchUnstableSlot(std::uint64_t digest) const
 {
@@ -849,16 +709,13 @@ KsmScanner::prefetchUnstableSlot(std::uint64_t digest) const
 }
 
 void
-KsmScanner::stageWindow(const mem::FrameTable &ft, KernelStage &ks,
-                        bool consult_memo) const
+KsmScanner::stageWindow(const mem::FrameTable &ft, KernelStage &ks) const
 {
-    const double t0 = phase_timing_ ? phaseNowMs() : 0.0;
     const std::size_t n = ks.count();
     ks.pre.assign(n, BatchPre{});
     ks.data.assign(n, nullptr);
     ks.hfns.resize(n);
     ks.gens.resize(n);
-    ks.stableSettled.assign(n, 0);
     ks.sumPages.clear();
     ks.sumLane.clear();
     ks.digPages.clear();
@@ -887,16 +744,9 @@ KsmScanner::stageWindow(const mem::FrameTable &ft, KernelStage &ks,
         const PageScanState &ps = ks.rows[k][gfn];
         if (cfg_.incrementalScan && ps.lastGen == gen &&
             (ps.lastStable || ps.digestValid)) {
-            // Settled without content. The lastStable subset is the
-            // whole visit — count the generation skip and return — and
-            // its verdict cannot go stale mid-window: only this visit
-            // mutates this row, and a mapped stable frame's generation
-            // never moves during a scan wake (no guest writes, merges
-            // into it only add sharers, transitions happen on
-            // non-stable frames). The serial apply loop may take it on
-            // faith; digestValid items still run their full visit for
-            // the tree work.
-            ks.stableSettled[k] = ps.lastStable ? 1 : 0;
+            // Settled without content: a stable page's visit ends at
+            // the generation check, and a digestValid one only needs
+            // its unstable-table slot for the tree work.
             if (!ps.lastStable)
                 prefetchUnstableSlot(ps.lastDigest);
             continue;
@@ -915,13 +765,6 @@ KsmScanner::stageWindow(const mem::FrameTable &ft, KernelStage &ks,
         const PageScanState &ps = ks.rows[k][ks.gfns[k]];
         if (cfg_.incrementalScan && ps.lastGen == gen) {
             // Gen-calm first revisit: the visit wants the digest.
-            if (consult_memo && hfn < frame_memo_.size()) {
-                const FrameMemo &m = frame_memo_[hfn];
-                if (m.gen == gen && m.hasDigest) {
-                    prefetchUnstableSlot(m.digest);
-                    continue; // the memo will serve it
-                }
-            }
             const mem::PageData *d = &ft.frame(hfn).data;
             ks.data[k] = d;
             if (d->isZero()) {
@@ -940,17 +783,6 @@ KsmScanner::stageWindow(const mem::FrameTable &ft, KernelStage &ks,
             const mem::PageData *d = &frame.data;
             ks.data[k] = d;
             ks.calmIdx.push_back(k);
-            if (consult_memo && cfg_.incrementalScan &&
-                hfn < frame_memo_.size()) {
-                const FrameMemo &m = frame_memo_[hfn];
-                if (m.gen == gen && m.hasChecksum) {
-                    // The memo will serve the visit; copy the value
-                    // for the calm prediction below.
-                    ks.pre[k].sum = m.checksum;
-                    ks.pre[k].hasSum = true;
-                    continue;
-                }
-            }
             if (d->isZero()) {
                 ks.pre[k].sum = mem::zeroPageChecksum;
                 ks.pre[k].hasSum = true;
@@ -979,13 +811,6 @@ KsmScanner::stageWindow(const mem::FrameTable &ft, KernelStage &ks,
         const PageScanState &ps = ks.rows[k][ks.gfns[k]];
         if (!(ps.checksumValid && ps.lastChecksum == ks.pre[k].sum))
             continue; // not calm: the visit stops at the checksum
-        const Hfn hfn = ks.hfns[k];
-        if (consult_memo && cfg_.incrementalScan &&
-            hfn < frame_memo_.size()) {
-            const FrameMemo &m = frame_memo_[hfn];
-            if (m.gen == ks.gens[k] && m.hasDigest)
-                continue;
-        }
         const mem::PageData *d = ks.data[k];
         if (d->isZero()) {
             ks.pre[k].dig = mem::zeroPageDigest;
@@ -1008,22 +833,14 @@ KsmScanner::stageWindow(const mem::FrameTable &ft, KernelStage &ks,
     }
 
     // Pass 5: with the window's actual digests in hand, hint the
-    // unstable-table slots the visits are about to probe. The scalar
-    // visitor's lookahead prefetch only helps revisits (it keys off
-    // the digest recorded last pass); a cold page's first calm visit
-    // gets its slot hinted here, from the value the probe will really
-    // use. Pure hints: an earlier visit growing the table only makes
+    // unstable-table slots the commits are about to probe. A cold
+    // page's first calm visit has no digest recorded from last pass,
+    // so this is the only hint it gets, from the value the probe will
+    // really use. Pure hints: a commit growing the table only makes
     // them stale, never wrong.
     for (std::size_t k = 0; k < n; ++k)
         if (ks.pre[k].hasDig)
             prefetchUnstableSlot(ks.pre[k].dig);
-
-    const std::uint64_t lanes = ks.sumPages.size() + ks.digPages.size();
-    ks.kernelPages += lanes;
-    if (lanes > 0)
-        ++ks.flushes;
-    if (phase_timing_)
-        ks.kernelMs += phaseNowMs() - t0;
 }
 
 bool
@@ -1050,7 +867,7 @@ void
 KsmScanner::classifyOne(Gfn gfn, const hv::Vm &v,
                         const mem::FrameTable &ft,
                         const PageScanState *psv, PageSnap &snap,
-                        const BatchPre *pre) const
+                        const BatchPre &pre) const
 {
     // Residency was established by the collect walk and is frozen for
     // the batch (the scanner never allocates, evicts or discards), so
@@ -1078,8 +895,7 @@ KsmScanner::classifyOne(Gfn gfn, const hv::Vm &v,
         if (ps.digestValid) {
             digest = ps.lastDigest;
         } else {
-            digest = pre && pre->hasDig ? pre->dig
-                                        : ft.frame(hfn).data.digest();
+            digest = pre.hasDig ? pre.dig : ft.frame(hfn).data.digest();
             snap.digest = digest;
             snap.hasDigest = true;
         }
@@ -1095,8 +911,7 @@ KsmScanner::classifyOne(Gfn gfn, const hv::Vm &v,
             return;
         }
         const mem::PageData &data = ft.frame(hfn).data;
-        const std::uint32_t sum =
-            pre && pre->hasSum ? pre->sum : data.checksum();
+        const std::uint32_t sum = pre.hasSum ? pre.sum : data.checksum();
         snap.checksum = sum;
         snap.hasChecksum = true;
         if (!(ps.checksumValid && ps.lastChecksum == sum)) {
@@ -1104,7 +919,7 @@ KsmScanner::classifyOne(Gfn gfn, const hv::Vm &v,
             return;
         }
         snap.kind = PageSnap::Kind::SlowCalm;
-        digest = pre && pre->hasDig ? pre->dig : data.digest();
+        digest = pre.hasDig ? pre.dig : data.digest();
         snap.digest = digest;
         snap.hasDigest = true;
     }
@@ -1121,139 +936,89 @@ void
 KsmScanner::classifyRange(const mem::FrameTable &ft, std::size_t begin,
                           std::size_t end)
 {
+    // Software-pipelined: stage a window of items through the
+    // lane-parallel kernels, then classify each on the precomputed
+    // values. The stage is local: workers run concurrently and snaps_
+    // rows don't overlap.
     VmId last_vm = invalidVm;
     const hv::Vm *v = nullptr;
     const PageScanState *psv = nullptr;
     const hv::Hypervisor &chv = hv_;
-    if (cfg_.batchPages > 1) {
-        // Software-pipelined form: stage a window of items through the
-        // lane-parallel kernels, then classify each on the precomputed
-        // values. Windows restart at the shard span's start, so for a
-        // fixed scanShardPages the window shapes — hence the batch
-        // counters — are thread-count invariant. The stage is local:
-        // workers run concurrently and snaps_ rows don't overlap.
-        KernelStage ks;
-        for (std::size_t i = begin; i < end;) {
-            const std::size_t wend =
-                std::min(end, i + cfg_.batchPages);
-            ks.clearWindow();
-            for (std::size_t j = i; j < wend; ++j) {
-                const WorkItem w = work_[j];
-                if (w.vm != last_vm) {
-                    v = &chv.vm(w.vm);
-                    psv = page_state_[w.vm].data();
-                    last_vm = w.vm;
-                }
-                ks.push(v, psv, w.gfn);
+    KernelStage ks;
+    for (std::size_t i = begin; i < end;) {
+        const std::size_t wend = std::min(end, i + kernelWindow);
+        ks.clearWindow();
+        for (std::size_t j = i; j < wend; ++j) {
+            const WorkItem w = work_[j];
+            if (w.vm != last_vm) {
+                v = &chv.vm(w.vm);
+                psv = page_state_[w.vm].data();
+                last_vm = w.vm;
             }
-            stageWindow(ft, ks, false);
-            for (std::size_t j = i; j < wend; ++j) {
-                const WorkItem w = work_[j];
-                const std::size_t k = j - i;
-                classifyOne(w.gfn, *ks.vms[k], ft, ks.rows[k],
-                            snaps_[j], &ks.pre[k]);
-            }
-            i = wend;
+            ks.push(v, psv, w.gfn);
         }
-        batch_pages_acc_.fetch_add(ks.kernelPages,
-                                   std::memory_order_relaxed);
-        batch_flush_acc_.fetch_add(ks.flushes,
-                                   std::memory_order_relaxed);
-        if (phase_timing_)
-            kernel_ns_acc_.fetch_add(
-                static_cast<std::uint64_t>(ks.kernelMs * 1e6),
-                std::memory_order_relaxed);
-        return;
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-        const WorkItem w = work_[i];
-        if (w.vm != last_vm) {
-            v = &chv.vm(w.vm);
-            psv = page_state_[w.vm].data();
-            last_vm = w.vm;
+        stageWindow(ft, ks);
+        for (std::size_t j = i; j < wend; ++j) {
+            const std::size_t k = j - i;
+            classifyOne(work_[j].gfn, *ks.vms[k], ft, ks.rows[k],
+                        snaps_[j], ks.pre[k]);
         }
-        classifyOne(w.gfn, *v, ft, psv, snaps_[i]);
+        i = wend;
     }
 }
 
 void
-KsmScanner::commitOne(VmId vm, Gfn gfn, const hv::Vm &v,
-                      mem::FrameTable &ft, PageScanState *psv,
-                      const PageSnap &snap, GenCheck gen_check)
+KsmScanner::commitResidual(VmId vm, Gfn gfn, const hv::Vm &v,
+                           mem::FrameTable &ft, PageScanState *psv,
+                           const PageSnap &snap, bool gen_moved)
 {
     if (snap.kind == PageSnap::Kind::Huge) {
         // hugePages flags are frozen for the batch: always valid.
         ++stat_skipped_huge_;
         return;
     }
-
-    const Hfn hfn = v.ept.entry(gfn).backing;
-    const bool gen_moved = gen_check == GenCheck::Live
-                               ? ft.writeGen(hfn) != snap.gen
-                               : gen_check == GenCheck::ForceReplay;
     if (gen_moved) {
-        // The frame moved since classify — an earlier commit promoted
-        // it to stable (the only mid-batch generation source), or the
-        // page was remapped. Nothing recorded in the snap is provable
-        // any more: run the full serial visit.
+        // An earlier promotion moved the frame since classify: nothing
+        // recorded in the snap is provable any more, so run the full
+        // serial visit.
         ++stat_commit_replays_;
         scanOne(vm, gfn, v, ft, psv);
         return;
     }
 
-    // From here on the write generation seen by classify still holds,
-    // so every snap value is exactly what the serial visit would have
-    // computed, and the replay below performs the serial visit's
-    // mutations verbatim (compare scanOne()).
+    // The write generation seen by classify still holds, so the snap
+    // is exactly what the serial visit would have computed, and the
+    // replay below performs its mutations verbatim (compare scanOne()).
     PageScanState &ps = psv[gfn];
-    const std::uint64_t gen = snap.gen;
-    const mem::PageData *data = nullptr;
-    std::uint64_t digest = 0;
-    bool skip_stable_probe = false;
-
-    switch (snap.kind) {
-    case PageSnap::Kind::Huge:
-        return; // handled above
-    case PageSnap::Kind::GenStable:
+    if (snap.kind == PageSnap::Kind::GenStable) {
         ++stat_gen_skipped_;
         return;
-    case PageSnap::Kind::GenCalm:
-        ++stat_gen_skipped_;
-        digest = genCalmDigest(ft, hfn, gen, ps, data,
-                               snap.hasDigest ? &snap.digest : nullptr,
-                               stat_digest_cache_hits_,
-                               skip_stable_probe);
-        break;
-    case PageSnap::Kind::SlowStable:
+    }
+    if (snap.kind == PageSnap::Kind::SlowStable) {
         if (cfg_.incrementalScan) {
-            ps.lastGen = gen;
+            ps.lastGen = snap.gen;
             ps.lastStable = true;
             ps.digestValid = false;
             ps.lastStableEpoch = 0;
         }
         return;
-    case PageSnap::Kind::NotCalm:
-    case PageSnap::Kind::SlowCalm:
-        // slowPathContent re-derives calm from the frozen ps; since
-        // classify computed the same checksum against the same state,
-        // the verdict always matches snap.kind.
-        data = &ft.frame(hfn).data;
-        if (!slowPathContent(ft, hfn, gen, ps, data,
-                             snap.hasChecksum ? &snap.checksum : nullptr,
-                             snap.hasDigest ? &snap.digest : nullptr,
-                             stat_digest_cache_hits_, digest)) {
-            ++stat_not_calm_;
-            return;
-        }
-        break;
     }
-
-    treeStage(vm, gfn, ft, ps, hfn, digest, data, skip_stable_probe,
-              &snap);
+    // Not calm (candidates commit in their shard): slowPathContent
+    // re-derives calm from the frozen ps against the checksum classify
+    // computed from the same state, so the verdict always matches.
+    jtps_assert(snap.kind == PageSnap::Kind::NotCalm);
+    const Hfn hfn = v.ept.entry(gfn).backing;
+    const mem::PageData *data = &ft.frame(hfn).data;
+    std::uint64_t digest = 0;
+    const bool calm =
+        slowPathContent(ft, hfn, snap.gen, ps, data, &snap.checksum,
+                        nullptr, stat_digest_cache_hits_, digest);
+    jtps_assert(!calm);
+    ++stat_not_calm_;
 }
 
 std::uint64_t
-KsmScanner::scanBatchParallel()
+KsmScanner::scanBatchSharded()
 {
     // ---- Collect: replicate the serial cursor walk read-only,
     // building the batch's work list in serial visit order. Like the
@@ -1263,7 +1028,6 @@ KsmScanner::scanBatchParallel()
     work_.clear();
     std::uint64_t visited = 0;
     bool boundary = false;
-    const double t_collect = phase_timing_ ? phaseNowMs() : 0.0;
     while (visited < cfg_.pagesToScan) {
         if (!cursorNext()) {
             boundary = true;
@@ -1282,32 +1046,17 @@ KsmScanner::scanBatchParallel()
             ++cur_gfn_;
         }
     }
-    if (phase_timing_)
-        phase_ms_.collect += phaseNowMs() - t_collect;
-
-    classifyAndCommit();
-    if (boundary)
-        passBoundary();
-    stat_pages_visited_ += visited;
-    return visited;
-}
-
-void
-KsmScanner::classifyAndCommit()
-{
-    mem::FrameTable &ft = hv_.frames();
 
     // ---- Classify: fan fixed-size shards out to the pool. Workers
     // only read (frozen frame table, EPTs, per-page state) and only
     // write their own snaps_ range; determinism needs no ordering
     // here because commit ignores completion order entirely.
-    const double t_classify = phase_timing_ ? phaseNowMs() : 0.0;
+    mem::FrameTable &ft = hv_.frames();
     if (!work_.empty()) {
         snaps_.assign(work_.size(), PageSnap{});
         if (!pool_)
             pool_ = std::make_unique<ThreadPool>(
-                std::max<unsigned>(cfg_.scanThreads,
-                                   static_cast<unsigned>(shards_.size())));
+                static_cast<unsigned>(shards_.size()));
         const std::size_t shard =
             std::max<std::size_t>(1, cfg_.scanShardPages);
         const mem::FrameTable &cft = ft;
@@ -1322,69 +1071,19 @@ KsmScanner::classifyAndCommit()
         }
         pool_->wait();
         stat_scan_shards_ += shards;
-        // Fold the workers' batch-kernel accounting. The folded values
-        // are sums over fixed-shape windows (scanShardPages spans ÷
-        // batchPages), so they are identical at any thread count.
-        stat_batch_kernel_pages_ +=
-            batch_pages_acc_.exchange(0, std::memory_order_relaxed);
-        stat_batch_flushes_ +=
-            batch_flush_acc_.exchange(0, std::memory_order_relaxed);
-        if (phase_timing_)
-            phase_ms_.kernel +=
-                static_cast<double>(kernel_ns_acc_.exchange(
-                    0, std::memory_order_relaxed)) *
-                1e-6;
-    }
-    if (phase_timing_)
-        phase_ms_.classify += phaseNowMs() - t_classify;
-
-    // ---- Commit. With commit sharding active, the candidate work
-    // fans out across the digest shards and the rest reduces serially
-    // in canonical order — byte-identical to the loop below.
-    if (shards_.size() > 1) {
-        commitSharded(ft);
-        return;
     }
 
-    // ---- Commit: replay verdicts serially in collect order. All
-    // mutations happen here, exactly as the serial scanner interleaves
-    // them, so merges, counters and traces are byte-identical.
-    const double t_serial = phase_timing_ ? phaseNowMs() : 0.0;
-    VmId last_vm = invalidVm;
-    const hv::Vm *v = nullptr;
-    PageScanState *psv = nullptr;
-    pml_in_commit_ = true;
-    for (std::size_t i = 0; i < work_.size(); ++i) {
-        const WorkItem w = work_[i];
-        if (w.vm != last_vm) {
-            v = &hv_.vm(w.vm);
-            psv = page_state_[w.vm].data();
-            last_vm = w.vm;
-        }
-        // By value: a commit can splice a cross-pass revisit into the
-        // tail of work_/snaps_, reallocating both vectors.
-        const PageSnap snap = snaps_[i];
-        if (snap.kind == PageSnap::Kind::GenCalm ||
-            snap.kind == PageSnap::Kind::SlowCalm)
-            ++stat_precheck_candidates_;
-        const std::uint64_t nc_before = stat_not_calm_;
-        pml_commit_idx_ = i;
-        commitOne(w.vm, w.gfn, *v, ft, psv, snap);
-        // A not-calm page is still owed the calm protocol's second
-        // visit; log-driven passes only revisit what they queue.
-        if (cfg_.usePml && stat_not_calm_ != nc_before)
-            pmlRequeue(w.vm, w.gfn);
-    }
-    pml_in_commit_ = false;
-    if (phase_timing_)
-        phase_ms_.serial += phaseNowMs() - t_serial;
+    commitSharded(ft);
+    if (boundary)
+        passBoundary();
+    stat_pages_visited_ += visited;
+    return visited;
 }
 
 void
 KsmScanner::commitSharded(mem::FrameTable &ft)
 {
     const unsigned S = static_cast<unsigned>(shards_.size());
-    const double t_partition = phase_timing_ ? phaseNowMs() : 0.0;
     if (shard_work_.size() != S)
         shard_work_.resize(S);
     for (ShardWork &sw : shard_work_) {
@@ -1438,9 +1137,6 @@ KsmScanner::commitSharded(mem::FrameTable &ft)
     // candidates' frames and must never grow the vector concurrently.
     if (have_candidates)
         frameMemo(max_hfn);
-    const double t_shard = phase_timing_ ? phaseNowMs() : 0.0;
-    if (phase_timing_)
-        phase_ms_.partition += t_shard - t_partition;
 
     // ---- Shard jobs: each replays its candidates in ascending work
     // index against its own index slices, epoch stripes and
@@ -1452,13 +1148,10 @@ KsmScanner::commitSharded(mem::FrameTable &ft)
     }
     if (have_candidates)
         pool_->wait();
-    const double t_reduce = phase_timing_ ? phaseNowMs() : 0.0;
-    if (phase_timing_)
-        phase_ms_.shard += t_reduce - t_shard;
 
     // ---- Reduce (serial): interleave the shard op logs with the
     // residual stream by work index and apply in exactly the order
-    // the serial commit would have produced these effects.
+    // the serial walk would have produced these effects.
     merged_ops_.clear();
     for (const ShardWork &sw : shard_work_)
         merged_ops_.insert(merged_ops_.end(), sw.ops.begin(),
@@ -1490,20 +1183,19 @@ KsmScanner::commitSharded(mem::FrameTable &ft)
             last_vm = w.vm;
         }
         const PageSnap &snap = snaps_[i];
-        // The serial commit checks the live write generation at this
+        // The serial walk sees the live write generation at this
         // item's turn. Here every shard promotion has already landed,
         // so decide from the applied-op record instead: only a
         // promotion with a smaller work index (already applied, hence
         // in bumped_) would have been visible serially.
-        GenCheck gc = GenCheck::ForceCommit;
-        if (snap.kind != PageSnap::Kind::Huge &&
-            bumped_.count(v->ept.entry(w.gfn).backing) != 0)
-            gc = GenCheck::ForceReplay;
-        commitOne(w.vm, w.gfn, *v, ft, psv, snap, gc);
+        const bool gen_moved =
+            snap.kind != PageSnap::Kind::Huge &&
+            bumped_.count(v->ept.entry(w.gfn).backing) != 0;
+        commitResidual(w.vm, w.gfn, *v, ft, psv, snap, gen_moved);
     }
 
     // ---- Fold the shard counters into the live stats, in shard
-    // order (the totals are sums, so they match the serial commit).
+    // order (the totals are sums, so they match the serial walk).
     for (const ShardWork &sw : shard_work_) {
         stat_stale_stable_ += sw.counters.staleStable;
         stat_stale_unstable_ += sw.counters.staleUnstable;
@@ -1511,8 +1203,6 @@ KsmScanner::commitSharded(mem::FrameTable &ft)
         stat_digest_cache_hits_ += sw.counters.digestCacheHits;
         stat_commit_replays_ += sw.counters.commitReplays;
     }
-    if (phase_timing_)
-        phase_ms_.reduce += phaseNowMs() - t_reduce;
 }
 
 void
@@ -1616,27 +1306,8 @@ KsmScanner::shardTreeStage(ShardState &sh, ShardWork &sw, unsigned lane,
     }
 
     // Unstable slice: the same one-walk lookup/insert as treeStage().
-    const std::size_t mask = sh.unstable.size() - 1;
-    std::size_t slot = npos;
     std::size_t insert_at = npos;
-    for (std::size_t i = unstableSlotHash(digest) & mask;;
-         i = (i + 1) & mask) {
-        const UnstableSlot &u = sh.unstable[i];
-        if (u.epoch == 0) {
-            if (insert_at == npos)
-                insert_at = i;
-            break;
-        }
-        if (u.epoch == pass_epoch_) {
-            if (u.digest == digest) {
-                slot = i;
-                break;
-            }
-        } else if (insert_at == npos) {
-            insert_at = i;
-        }
-    }
-
+    const std::size_t slot = unstableFind(sh, digest, insert_at);
     if (slot != npos) {
         UnstableSlot &u = sh.unstable[slot];
         if (u.vm == vm && u.gfn == gfn)
@@ -1672,28 +1343,13 @@ KsmScanner::shardTreeStage(ShardState &sh, ShardWork &sw, unsigned lane,
         return;
     }
 
-    // Miss: insert, with the slice-local growth policy.
-    if (sh.unstable[insert_at].epoch == 0) {
-        if ((sh.occupied + 1) * 10 >= sh.unstable.size() * 7) {
-            std::size_t cap = sh.unstable.size();
-            while (cap < 4 * (sh.live + 1))
-                cap *= 2;
-            unstableRehash(sh, cap);
-            const std::size_t m2 = sh.unstable.size() - 1;
-            insert_at = unstableSlotHash(digest) & m2;
-            while (sh.unstable[insert_at].epoch != 0)
-                insert_at = (insert_at + 1) & m2;
-        }
-        ++sh.occupied;
-    }
-    sh.unstable[insert_at] = UnstableSlot{digest, pass_epoch_, vm, gfn};
-    ++sh.live;
+    unstableInsert(sh, insert_at, digest, vm, gfn); // slice-local growth
 }
 
 void
 KsmScanner::applyShardOp(const ShardOp &op, mem::FrameTable &ft)
 {
-    // Effects land in the serial commit's exact order for this item:
+    // Effects land in the serial walk's exact order for this item:
     // the promotion's bookkeeping first (setKsmStable's counters),
     // then the merge's unmap/map/touch/stat/trace sequence.
     if (op.promotion && op.transitioned) {
@@ -1735,45 +1391,14 @@ void
 KsmScanner::pmlScheduleThisPass(VmId vm, Gfn gfn)
 {
     // Called from the unstable tree stage for a page strictly ahead of
-    // the visit being processed: its pairing with the candidate must be
-    // established at the page's own canonical position, like the walk.
+    // the visit being processed — hence ahead of the cursor: its
+    // pairing with the candidate must be established at the page's own
+    // canonical position, like the walk.
     PmlVmQueue &q = pmlQueue(vm);
     if (q.walkThisPass)
         return; // the fallback walk reaches it at its own position
-    const bool ahead_of_cursor =
-        vm > cur_vm_ || (vm == cur_vm_ && gfn >= cur_gfn_);
-    if (pml_in_commit_ && !ahead_of_cursor) {
-        // A parallel batch's collect already passed this position:
-        // splice the visit into the unreplayed tail of the commit
-        // stream at its canonical slot. gen 0 never matches a live
-        // write generation, so the commit runs the full serial visit.
-        const WorkItem item{vm, gfn};
-        const auto cmp = [](const WorkItem &a, const WorkItem &b) {
-            return a.vm < b.vm || (a.vm == b.vm && a.gfn < b.gfn);
-        };
-        const auto it =
-            std::lower_bound(work_.begin() + static_cast<std::ptrdiff_t>(
-                                                 pml_commit_idx_ + 1),
-                             work_.end(), item, cmp);
-        if (it != work_.end() && it->vm == vm && it->gfn == gfn)
-            return; // the batch already visits it
-        const std::size_t pos =
-            static_cast<std::size_t>(it - work_.begin());
-        PageSnap snap{};
-        snap.kind = PageSnap::Kind::NotCalm;
-        snap.gen = 0;
-        work_.insert(it, item);
-        snaps_.insert(snaps_.begin() + static_cast<std::ptrdiff_t>(pos),
-                      snap);
-        // The serial loop counts this visit when it reaches the page;
-        // here the batch's budget accounting is already closed.
-        ++stat_pages_visited_;
-        ++q.visitedThisPass;
-        return;
-    }
-    // Still ahead of the cursor: insert into the VM's injected lane in
-    // cursor order; the pass's remaining batches consume it normally
-    // (outside the pagesToScan budget, like the splice above).
+    // Insert into the VM's injected lane in cursor order; the pass's
+    // remaining batches consume it outside the pagesToScan budget.
     const auto lo =
         q.injected.begin() + static_cast<std::ptrdiff_t>(q.injIdx);
     const auto it = std::lower_bound(lo, q.injected.end(), gfn);
@@ -1898,9 +1523,8 @@ KsmScanner::scanBatchSerialPml()
         }
         while (visited < cfg_.pagesToScan) {
             // Merge-consume the dirty queue and the injected lane in
-            // cursor order. Injected visits are budget-exempt (their
-            // parallel twin only discovers them after the batch's size
-            // is fixed) but count as visits everywhere else.
+            // cursor order. Injected visits are budget-exempt but count
+            // as visits everywhere else.
             const bool has_cur = q.curIdx < q.current.size();
             const bool has_inj = q.injIdx < q.injected.size();
             if (!has_cur && !has_inj)
@@ -1935,93 +1559,6 @@ KsmScanner::scanBatchSerialPml()
             cur_gfn_ = 0;
         }
     }
-    stat_pages_visited_ += visited;
-    return visited;
-}
-
-std::uint64_t
-KsmScanner::scanBatchParallelPml()
-{
-    pmlDrain();
-
-    // Collect replicates scanBatchSerialPml()'s visit schedule
-    // read-only; classify/commit then run exactly as in the walk's
-    // parallel mode, so serial and parallel log-driven batches stay
-    // byte-identical (the requeue happens per page at commit).
-    work_.clear();
-    std::uint64_t visited = 0;
-    bool boundary = false;
-    while (visited < cfg_.pagesToScan) {
-        if (cur_vm_ >= hv_.vmCount()) {
-            boundary = true;
-            break;
-        }
-        const hv::Vm &v = hv_.vm(cur_vm_);
-        if (!v.mergeable) {
-            ++cur_vm_;
-            cur_gfn_ = 0;
-            continue;
-        }
-        PmlVmQueue &q = pmlQueue(cur_vm_);
-        pageStateRow(cur_vm_, v);
-        if (q.walkThisPass) {
-            const Gfn gfn_end = v.ept.size();
-            while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan) {
-                if (v.ept.entry(cur_gfn_).state ==
-                    hv::PageState::Resident) {
-                    work_.push_back(WorkItem{cur_vm_, cur_gfn_});
-                    ++visited;
-                    ++q.visitedThisPass;
-                }
-                ++cur_gfn_;
-            }
-            if (cur_gfn_ >= gfn_end) {
-                ++cur_vm_;
-                cur_gfn_ = 0;
-            }
-            continue;
-        }
-        while (visited < cfg_.pagesToScan) {
-            // Merge-consume the dirty queue and the injected lane in
-            // cursor order, mirroring scanBatchSerialPml(). Injected
-            // visits are budget-exempt so both modes cut the batch at
-            // the same page.
-            const bool has_cur = q.curIdx < q.current.size();
-            const bool has_inj = q.injIdx < q.injected.size();
-            if (!has_cur && !has_inj)
-                break;
-            Gfn g;
-            bool from_injected;
-            if (!has_inj ||
-                (has_cur && q.current[q.curIdx] <= q.injected[q.injIdx])) {
-                g = q.current[q.curIdx++];
-                from_injected = false;
-            } else {
-                g = q.injected[q.injIdx++];
-                from_injected = true;
-            }
-            if (g < cur_gfn_ || g >= v.ept.size())
-                continue;
-            if (v.ept.entry(g).state == hv::PageState::Resident) {
-                work_.push_back(WorkItem{cur_vm_, g});
-                ++q.visitedThisPass;
-                if (from_injected)
-                    ++stat_pages_visited_;
-                else
-                    ++visited;
-            }
-            cur_gfn_ = g + 1;
-        }
-        if (q.curIdx >= q.current.size() &&
-            q.injIdx >= q.injected.size()) {
-            ++cur_vm_;
-            cur_gfn_ = 0;
-        }
-    }
-
-    classifyAndCommit();
-    if (boundary)
-        passBoundary();
     stat_pages_visited_ += visited;
     return visited;
 }

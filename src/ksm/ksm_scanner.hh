@@ -45,45 +45,47 @@
  * (KsmConfig::incrementalScan = false gives that reference mode; the
  * property tests drive both side by side).
  *
- * Parallel scanning (docs/PERF.md): with KsmConfig::scanThreads >= 2 a
- * batch runs in two phases. *Classify* shards the batch's work list
- * across a thread pool; workers do only read-only work against the
- * frozen pre-batch state (generation checks, checksum/digest
- * computation, stable-tree probes) and record a per-page verdict plus
- * the expensive values. *Commit* then replays the verdicts on the
- * calling thread in the exact serial visit order, performing every
- * mutation (merges, unstable-table inserts, per-page state updates,
- * counters, trace records) as the serial scanner would; a snapshot
- * value is substituted only under a write-generation proof that it is
- * what the serial visit would have computed, and any page whose frame
- * moved mid-commit falls back to a full serial visit
- * (`ksm.commit_replays`). Merges, counters and trace streams are
- * therefore byte-identical at any thread count.
+ * Scan loops (docs/ARCHITECTURE.md §3): every batch runs through
+ * exactly one of three loops — the serial walk (scanBatchSerial), the
+ * serial log-driven pass (scanBatchSerialPml, KsmConfig::usePml), or,
+ * with KsmConfig::commitShards = S >= 2, the sharded pipeline
+ * (scanBatchSharded, docs/PERF.md §9):
  *
- * Sharded commit (docs/ARCHITECTURE.md, docs/PERF.md §9): with
- * KsmConfig::commitShards = S >= 2 the stable and unstable indexes are
- * partitioned into S digest-sharded slices (shard = digest mod S), so
- * every merge candidate pair lands in one shard by construction — a
- * candidate and whatever it can merge with hold identical content,
- * hence identical digests. The commit phase then runs as S independent
- * shard commits on the thread pool, each replaying its candidates in
- * canonical page order against its own slice of the trees, its own
- * stable-epoch stripes (mem::FrameTable stripes them by digest, and S
- * divides the stripe count) and its own write-generation lane, with
- * all cross-shard effects — sharing counters, frame frees, touches,
- * hv stats, trace records — captured in a per-shard op log. A serial
- * reduce finally merges the S op logs with the non-candidate residual
- * stream by global work index and applies them in exactly the serial
- * order. Counters, merges, traces and documents are byte-identical to
- * S = 1 at any shard count; only `ksm.commit_shards` and
- * `ksm.shard_imbalance_max` (machine-sizing, like `ksm.scan_shards`)
- * depend on S.
+ *  1. *Collect* walks the cursor and fixes the batch's work list in
+ *     serial visit order.
+ *  2. *Classify* fans that list out to the pool in fixed-size shards;
+ *     workers do only read-only work against the frozen pre-batch
+ *     state (generation checks, checksum/digest computation through
+ *     the lane-parallel content kernels, stable-tree probes) and
+ *     record a per-page verdict plus the expensive values.
+ *  3. *Shard commits*: the stable and unstable indexes are partitioned
+ *     into S digest-sharded slices (shard = digest mod S), so every
+ *     merge candidate pair lands in one shard by construction — a
+ *     candidate and whatever it can merge with hold identical content,
+ *     hence identical digests. S independent jobs replay their
+ *     candidates in canonical page order against their own slice of
+ *     the trees, their own stable-epoch stripes (mem::FrameTable
+ *     stripes them by digest, and S divides the stripe count) and
+ *     their own write-generation lane, with all cross-shard effects —
+ *     sharing counters, frame frees, touches, hv stats, trace records
+ *     — captured in a per-shard op log.
+ *  4. *Reduce* merges the S op logs with the non-candidate residual
+ *     stream by global work index and applies them in exactly the
+ *     serial order.
+ *
+ * A snapshot value is substituted only under a write-generation proof
+ * that it is what the serial visit would have computed, and any page
+ * whose frame moved mid-commit falls back to a full serial visit
+ * (`ksm.commit_replays`). Merges, traces and documents are therefore
+ * byte-identical to the serial walk at any shard count; only the
+ * pipeline's own counters (`ksm.commit_shards`,
+ * `ksm.shard_imbalance_max`, `ksm.scan_shards`,
+ * `ksm.precheck_candidates`, `ksm.commit_replays`) depend on S.
  */
 
 #ifndef JTPS_KSM_KSM_SCANNER_HH
 #define JTPS_KSM_KSM_SCANNER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -126,36 +128,12 @@ struct KsmConfig
      */
     bool incrementalScan = true;
     /**
-     * Worker threads for the scan's classify phase. <= 1 keeps the
-     * scan fully serial on the calling thread; >= 2 enables the
-     * two-phase classify/commit split. Merges, counters and traces
-     * are byte-identical at any value (docs/PERF.md); only
-     * `ksm.scan_shards` / `ksm.precheck_candidates` /
-     * `ksm.commit_replays` move off zero when the split is active.
-     */
-    unsigned scanThreads = 1;
-    /**
-     * Pages per classify shard. Fixed (not derived from scanThreads)
-     * so the shard boundaries — and with them `ksm.scan_shards` — are
-     * identical at every thread count. Tests shrink it to force
-     * multi-shard batches on tiny memories.
+     * Pages per classify shard of the sharded pipeline. Fixed (not
+     * derived from commitShards) so the shard boundaries — and with
+     * them `ksm.scan_shards` — are identical at every shard count.
+     * Tests shrink it to force multi-shard batches on tiny memories.
      */
     std::uint32_t scanShardPages = 4096;
-    /**
-     * Content-kernel window width for the cold path: the visitor (and
-     * each classify shard) gathers up to this many candidate pages,
-     * decides which checksums/digests their visits will need, computes
-     * them with the lane-parallel batch kernels
-     * (mem::checksumBatch/digestBatch — bit-identical per page to the
-     * scalar members, but the independent multiply-xor chains overlap),
-     * and then applies the unchanged per-page logic on the precomputed
-     * values. 1 disables staging and reproduces today's per-page path
-     * exactly; values are clamped to [1, 128]. Merges, counters and
-     * traces are byte-identical at any width — only
-     * `ksm.batch_kernel_pages` / `ksm.batch_flushes` (machine-sizing)
-     * move.
-     */
-    std::uint32_t batchPages = 16;
     /**
      * Drive passes from the hypervisor's PML rings instead of walking
      * every resident page: each batch drains the rings into per-VM
@@ -173,17 +151,17 @@ struct KsmConfig
     bool usePml = false;
     /**
      * Digest shards for the commit phase. With S >= 2 the stable and
-     * unstable indexes are partitioned by digest mod S and a batch's
-     * merge candidates commit as S independent shard jobs on the
-     * thread pool, followed by a serial order-preserving reduce (see
-     * the file comment). Must divide mem::FrameTable::kStripes (64) so
-     * every stable-epoch stripe is owned by exactly one shard.
-     * Byte-identical to 1 at any value; only `ksm.commit_shards` and
-     * `ksm.shard_imbalance_max` depend on it. Ignored (treated as 1)
-     * under usePml, whose ring/queue bookkeeping is inherently serial.
-     * S >= 2 is not a one-thread setting even at scanThreads = 1: it
-     * forces the two-phase pass, and the pool that runs the classify
-     * shards and the S shard commits has max(scanThreads, S) workers.
+     * unstable indexes are partitioned by digest mod S and every batch
+     * runs the sharded pipeline (see the file comment) on a pool of S
+     * workers: classify shards, then S independent shard commits, then
+     * a serial order-preserving reduce. Must divide
+     * mem::FrameTable::kStripes (64) so every stable-epoch stripe is
+     * owned by exactly one shard. Byte-identical to 1 at any value;
+     * only the pipeline counters (`ksm.commit_shards`,
+     * `ksm.shard_imbalance_max`, `ksm.scan_shards`,
+     * `ksm.precheck_candidates`, `ksm.commit_replays`) depend on it.
+     * Ignored (treated as 1) under usePml, whose ring/queue
+     * bookkeeping is serial.
      */
     unsigned commitShards = 1;
 };
@@ -321,7 +299,7 @@ class KsmScanner : public hv::PageEventListener
         Gfn gfn = invalidFrame;
     };
 
-    /** One entry of a parallel batch's work list: a resident page the
+    /** One entry of a sharded batch's work list: a resident page the
      *  serial scan would have visited, in serial cursor order. */
     struct WorkItem
     {
@@ -350,7 +328,7 @@ class KsmScanner : public hv::PageEventListener
      * merge into a stable frame and/or a stable promotion. The serial
      * reduce replays these in global work-index order, so sharing
      * counters, the frame free list, LRU touches, hv stats and trace
-     * records land exactly as the serial commit would have placed them.
+     * records land exactly as the serial walk would have placed them.
      */
     struct ShardOp
     {
@@ -387,27 +365,11 @@ class KsmScanner : public hv::PageEventListener
     };
 
     /**
-     * How commitOne() treats the live write-generation check. The
-     * serial commit uses Live; the sharded reduce replays residual
-     * (non-candidate) items after *all* shard promotions have landed,
-     * so it decides from the applied-op record instead: ForceReplay
-     * when a promotion with a smaller work index moved the frame's
-     * generation (the serial commit would have seen the mismatch),
-     * ForceCommit otherwise (a later promotion must not be seen).
-     */
-    enum class GenCheck : std::uint8_t
-    {
-        Live,
-        ForceReplay,
-        ForceCommit,
-    };
-
-    /**
      * Classify-phase verdict for one work item, produced read-only by
-     * a worker thread and consumed by the serial commit. `gen` is the
-     * proof token: commit uses the recorded values only while the
-     * frame's write generation still equals it, and falls back to a
-     * full serial visit otherwise.
+     * a worker thread and consumed by the shard commits and the
+     * reduce. `gen` is the proof token: commit uses the recorded
+     * values only while the frame's write generation still equals it,
+     * and falls back to a full serial visit otherwise.
      */
     struct PageSnap
     {
@@ -440,13 +402,11 @@ class KsmScanner : public hv::PageEventListener
     };
 
     /**
-     * Content-kernel values precomputed for one staged visit. The
-     * values are pure functions of the page content, and content is
-     * frozen for the whole window (no guest runs during a batch; the
+     * Content-kernel values precomputed for one staged classify item.
+     * The values are pure functions of the page content, and content
+     * is frozen for the whole batch (no guest runs during a batch; the
      * scanner never writes page data), so a present value is *always*
-     * what the visit would have computed — same "use if present, else
-     * recompute" contract as a classify snapshot, minus the generation
-     * proof, which content-purity makes unnecessary.
+     * what the visit would have computed.
      */
     struct BatchPre
     {
@@ -457,16 +417,13 @@ class KsmScanner : public hv::PageEventListener
     };
 
     /**
-     * Structure-of-arrays staging for one content-kernel window
-     * (KsmConfig::batchPages). The gather loop pushes (vm, page-state
-     * row, gfn) items; stageWindow() then mirrors the visit's decision
-     * tree read-only to find which kernels each visit will need, runs
-     * the lane-parallel batch kernels over the needy pages, and leaves
-     * the per-item results in `pre` for the apply loop to hand to
-     * scanOne()/classifyOne(). Accounting fields accumulate across
-     * windows and are folded into the live counters by the owner (the
-     * serial visitor directly, classify workers via the relaxed
-     * atomics — sums, so order-free and deterministic).
+     * Structure-of-arrays staging for one content-kernel window of
+     * kernelWindow classify items. The classify worker pushes (vm,
+     * page-state row, gfn) items; stageWindow() then mirrors the
+     * visit's decision tree read-only to find which kernels each visit
+     * will need, runs the lane-parallel batch kernels over the needy
+     * pages, and leaves the per-item results in `pre` for
+     * classifyOne().
      */
     struct KernelStage
     {
@@ -488,11 +445,6 @@ class KsmScanner : public hv::PageEventListener
         std::vector<std::uint64_t> digs;
         std::vector<std::uint32_t> calmIdx;  //!< slow-path items
         std::vector<std::uint32_t> needyIdx; //!< items needing content
-        std::vector<std::uint8_t> stableSettled; //!< gen-settled stable
-        // Accounting, folded by the owner.
-        std::uint64_t kernelPages = 0;
-        std::uint64_t flushes = 0;
-        double kernelMs = 0.0;
 
         void
         clearWindow()
@@ -519,12 +471,8 @@ class KsmScanner : public hv::PageEventListener
      * zero-page fast path serves the compile-time constants ahead of
      * any kernel work), prefetch the frames, run the batch kernels,
      * and fill `ks.pre`. Read-only against scanner and host state.
-     * @p consult_memo additionally skips kernel lanes the per-frame
-     * memo would serve anyway — valid only on the serial path (the
-     * memo is commit-side state; classifyOne() never reads it).
      */
-    void stageWindow(const mem::FrameTable &ft, KernelStage &ks,
-                     bool consult_memo) const;
+    void stageWindow(const mem::FrameTable &ft, KernelStage &ks) const;
 
     /**
      * Hint the unstable-table slot (two lines: chains average a couple
@@ -534,7 +482,7 @@ class KsmScanner : public hv::PageEventListener
     void prefetchUnstableSlot(std::uint64_t digest) const;
 
     /**
-     * The serial visitors' lookahead: prefetch the write-generation
+     * The serial walk's lookahead: prefetch the write-generation
      * and unstable-slot lines of the visit `prefetchDist` pages ahead,
      * hiding their miss latency behind the visits in between.
      */
@@ -544,26 +492,20 @@ class KsmScanner : public hv::PageEventListener
 
     /**
      * Visit one candidate page. @p v, @p ft and @p psv are hoisted by
-     * scanBatch() (the VM, frame table, and this VM's page-state row)
-     * so the per-page path re-derives nothing. @p pre, when non-null,
-     * carries batch-kernel values for this visit (see BatchPre).
+     * the caller (the VM, frame table, and this VM's page-state row)
+     * so the per-page path re-derives nothing.
      * @return true if the page was resident.
      */
     bool scanOne(VmId vm, Gfn gfn, const hv::Vm &v, mem::FrameTable &ft,
-                 PageScanState *psv, const BatchPre *pre = nullptr);
+                 PageScanState *psv);
 
-    /** The serial scan loop (scanThreads <= 1, and the reference the
-     *  parallel path must be byte-identical to). Dispatches to the
-     *  software-pipelined window loop unless batchPages == 1. */
+    /** The serial walk (S = 1, and the reference the sharded pipeline
+     *  must be byte-identical to). */
     std::uint64_t scanBatchSerial();
 
-    /** scanBatchSerial(), gather/stage/apply flavour (batchPages >= 2):
-     *  same visits in the same order, with the content kernels hoisted
-     *  into lane-parallel windows. */
-    std::uint64_t scanBatchSerialBatched();
-
-    /** The two-phase collect/classify/commit scan loop. */
-    std::uint64_t scanBatchParallel();
+    /** The sharded pipeline (S >= 2): collect, classify, shard
+     *  commits, reduce. */
+    std::uint64_t scanBatchSharded();
 
     /**
      * Per-VM dirty-queue state for log-driven passes (usePml). A pass
@@ -582,10 +524,8 @@ class KsmScanner : public hv::PageEventListener
          * Cross-pass-match revisits owed *this* pass (sorted): pages a
          * candidate met as a persistent unstable entry ahead of the
          * cursor. Kept apart from `current` because they are exempt
-         * from the batch's pagesToScan budget — serial and parallel
-         * batches must segment identically, and a parallel batch can
-         * only discover them after its collect already fixed the
-         * batch's size.
+         * from the batch's pagesToScan budget, which fixes where every
+         * batch of a log-driven pass ends.
          */
         std::vector<Gfn> injected;
         std::size_t curIdx = 0;
@@ -614,40 +554,37 @@ class KsmScanner : public hv::PageEventListener
      * the *current* pass: the page holds a live persistent unstable
      * entry that a candidate earlier in cursor order just matched, and
      * the walk would promote at this page's own visit. Inserts into
-     * the VM's `injected` lane, or — when a parallel batch's collect
-     * has already passed the position — splices a full-replay item
-     * into the unreplayed commit stream.
+     * the VM's `injected` lane.
      */
     void pmlScheduleThisPass(VmId vm, Gfn gfn);
 
-    /** Log-driven serial scan loop (usePml && scanThreads <= 1). */
+    /** Log-driven serial scan loop (usePml). */
     std::uint64_t scanBatchSerialPml();
-
-    /** Log-driven collect feeding the shared classify/commit split. */
-    std::uint64_t scanBatchParallelPml();
-
-    /** Classify+commit work_[0, n) exactly as scanBatchParallel()
-     *  does (shared tail of both parallel collects). */
-    void classifyAndCommit();
 
     /** Classify work_[begin, end) into snaps_ (worker thread;
      *  read-only — no counters, no memo, no per-page state writes). */
     void classifyRange(const mem::FrameTable &ft, std::size_t begin,
                        std::size_t end);
 
-    /** Classify one work item into @p snap. @p pre, when non-null,
-     *  carries batch-kernel values for this item (see BatchPre). */
+    /** Classify one work item into @p snap, using the batch-kernel
+     *  values in @p pre (see BatchPre). */
     void classifyOne(Gfn gfn, const hv::Vm &v,
                      const mem::FrameTable &ft,
                      const PageScanState *psv, PageSnap &snap,
-                     const BatchPre *pre = nullptr) const;
+                     const BatchPre &pre) const;
 
-    /** Replay one classified page on the calling thread, mutating
-     *  exactly as the serial visit would. */
-    void commitOne(VmId vm, Gfn gfn, const hv::Vm &v,
-                   mem::FrameTable &ft, PageScanState *psv,
-                   const PageSnap &snap,
-                   GenCheck gen_check = GenCheck::Live);
+    /**
+     * Replay one classified residual (non-candidate: huge, stable or
+     * not calm) page at the reduce, mutating exactly as the serial
+     * visit would. The reduce runs after *all* shard promotions have
+     * landed, so it cannot read the live write generation; @p gen_moved
+     * says whether a promotion with a smaller work index moved the
+     * frame (the serial walk would have seen the mismatch), and then
+     * the page takes a full serial visit.
+     */
+    void commitResidual(VmId vm, Gfn gfn, const hv::Vm &v,
+                        mem::FrameTable &ft, PageScanState *psv,
+                        const PageSnap &snap, bool gen_moved);
 
     /** Effective commit shard count: cfg_.commitShards, collapsed to 1
      *  under usePml or when <= 1. */
@@ -662,7 +599,7 @@ class KsmScanner : public hv::PageEventListener
 
     /** Sharded commit phase: partition the classified batch, run the
      *  S shard jobs on the pool, then reduce serially (see file
-     *  comment). Replaces the serial commit loop when S >= 2. */
+     *  comment). */
     void commitSharded(mem::FrameTable &ft);
 
     /** One shard's commit job (pool thread): replay the shard's
@@ -683,15 +620,12 @@ class KsmScanner : public hv::PageEventListener
     void applyShardOp(const ShardOp &op, mem::FrameTable &ft);
 
     /**
-     * Stable-probe + unstable-table stage shared by the serial visit
-     * and the commit replay. @p data may be null (loaded lazily);
-     * @p snap, when non-null, may let the stable probe be settled as
-     * a clean miss under the epoch proof.
+     * Stable-probe + unstable-table stage of the serial visit. @p data
+     * may be null (loaded lazily).
      */
     void treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
                    PageScanState &ps, Hfn hfn, std::uint64_t digest,
-                   const mem::PageData *data, bool skip_stable_probe,
-                   const PageSnap *snap);
+                   const mem::PageData *data, bool skip_stable_probe);
 
     /** True iff a stableLookup of (@p data, @p digest) would miss
      *  without pruning anything. Read-only (worker-safe). */
@@ -702,14 +636,12 @@ class KsmScanner : public hv::PageEventListener
     /**
      * Digest of @p data via the per-frame memo — THE "use a
      * precomputed value if present, else recompute" point, shared by
-     * the serial visit, the commit replay and the shard commits. On a
-     * memo hit the cached value is served and counted into
-     * @p digest_hits (the live counter serially, a shard's private
-     * accumulator from a shard commit); on a miss, @p pre — a
-     * classify-snapshot value under its generation proof, or a
-     * batch-kernel value (content-pure, so always valid) — stands in
-     * for the recompute, and the memo end-state is byte-identical
-     * either way.
+     * the serial visit and the shard commits. On a memo hit the cached
+     * value is served and counted into @p digest_hits (the live
+     * counter serially, a shard's private accumulator from a shard
+     * commit); on a miss, @p pre — a classify-snapshot value under its
+     * generation proof — stands in for the recompute, and the memo
+     * end-state is byte-identical either way.
      */
     std::uint64_t cachedDigest(Hfn hfn, std::uint64_t gen,
                                const mem::PageData &data,
@@ -724,8 +656,8 @@ class KsmScanner : public hv::PageEventListener
 
     /**
      * The generation-fast-path digest resolution shared by the serial
-     * visit (scanOne), the commit replay (commitOne) and the shard
-     * commits: serve the per-page cache, else cachedDigest(), install
+     * visit (scanOne) and the shard commits: serve the per-page cache,
+     * else cachedDigest(), install
      * the result into @p ps, and derive the epoch-proved stable-probe
      * skip. The caller has already counted the gen skip.
      */
@@ -737,7 +669,8 @@ class KsmScanner : public hv::PageEventListener
                                 bool &skip_stable_probe);
 
     /**
-     * The slow-path content stage shared by the same three callers:
+     * The slow-path content stage shared by the serial visit, the
+     * residual replay and the shard commits:
      * resolve the checksum (cachedChecksum() under incrementalScan,
      * direct otherwise), decide calmness against @p ps, update the
      * per-page state exactly as the serial visit always has, and — for
@@ -774,9 +707,6 @@ class KsmScanner : public hv::PageEventListener
     Hfn stableLookup(ShardState &sh, const mem::PageData &data,
                      std::uint64_t digest, std::uint64_t &stale_counter);
 
-    /** Lazily-sized per-page state for (vm, gfn). */
-    PageScanState &pageState(VmId vm, Gfn gfn);
-
     /** The whole page-state row of @p vm, sized to its EPT. */
     PageScanState *pageStateRow(VmId vm, const hv::Vm &v);
 
@@ -785,6 +715,16 @@ class KsmScanner : public hv::PageEventListener
 
     /** Grow/compact @p sh's flat unstable table (drops stale slots). */
     void unstableRehash(ShardState &sh, std::size_t new_capacity);
+
+    /** Live slot of @p sh's unstable table holding @p digest, or npos;
+     *  on a miss @p insert_at (initially npos) is where it goes. */
+    std::size_t unstableFind(const ShardState &sh, std::uint64_t digest,
+                             std::size_t &insert_at) const;
+
+    /** Insert (@p digest, @p vm, @p gfn) at @p insert_at from
+     *  unstableFind(), growing the table first when it runs full. */
+    void unstableInsert(ShardState &sh, std::size_t insert_at,
+                        std::uint64_t digest, VmId vm, Gfn gfn);
 
     hv::Hypervisor &hv_;
     KsmConfig cfg_;
@@ -811,7 +751,7 @@ class KsmScanner : public hv::PageEventListener
     /** Reduce scratch: all shards' ops merged by work index. */
     std::vector<ShardOp> merged_ops_;
     /** Frames whose generation an *applied* promotion moved, for the
-     *  residual GenCheck decision. */
+     *  residual gen_moved decision. */
     std::unordered_set<Hfn> bumped_;
     /** Running max of per-batch shard imbalance (see METRICS.md). */
     std::uint64_t shard_imbalance_max_ = 0;
@@ -823,30 +763,12 @@ class KsmScanner : public hv::PageEventListener
     std::vector<PmlVmQueue> pml_;
     /** Scratch for sorting freshly drained ring entries. */
     std::vector<Gfn> pml_pending_;
-    /** True while classifyAndCommit() replays commits: a cross-pass
-     *  revisit behind the collect cursor must splice into the commit
-     *  stream (at work_[pml_commit_idx_+1, …)) instead of a queue. */
-    bool pml_in_commit_ = false;
-    std::size_t pml_commit_idx_ = 0;
 
-    /** Classify workers (created on the first parallel batch). */
+    /** The S pipeline workers (created on the first sharded batch). */
     std::unique_ptr<ThreadPool> pool_;
-    /** Parallel batch buffers, reused across batches. */
+    /** Sharded batch buffers, reused across batches. */
     std::vector<WorkItem> work_;
     std::vector<PageSnap> snaps_;
-
-    /** Serial visitor's staging buffers, reused across windows. */
-    KernelStage serial_stage_;
-    /**
-     * Batch-kernel accounting from classify workers, folded into the
-     * live counters after the pool barrier. Relaxed atomics: the folded
-     * values are sums over all windows, so they are independent of
-     * worker interleaving — deterministic at any thread count (for a
-     * fixed scanShardPages, the windows themselves are too).
-     */
-    std::atomic<std::uint64_t> batch_pages_acc_{0};
-    std::atomic<std::uint64_t> batch_flush_acc_{0};
-    std::atomic<std::uint64_t> kernel_ns_acc_{0};
 
     // Cached counter handles: scanOne() runs per visited page, so the
     // string-keyed StatSet lookups are hoisted out of the hot loop.
@@ -864,31 +786,9 @@ class KsmScanner : public hv::PageEventListener
     std::uint64_t &stat_commit_replays_;
     std::uint64_t &stat_pml_skipped_;
     std::uint64_t &stat_shard_imbalance_;
-    std::uint64_t &stat_batch_kernel_pages_;
-    std::uint64_t &stat_batch_flushes_;
     /** hv's own merge counter, cached so the sharded reduce can apply
      *  deferred merges without a per-merge string lookup. */
     std::uint64_t &stat_hv_ksm_merges_;
-
-    /**
-     * Wall-clock phase accounting for the two-phase scan, enabled by
-     * setting the JTPS_SCAN_PHASE_MS environment variable: one stderr
-     * line per completed pass, then reset. Measurement only — no
-     * behavioural effect — and the source of the serial-fraction
-     * numbers in docs/PERF.md §9.
-     */
-    struct PhaseMs
-    {
-        double collect = 0;   //!< serial cursor walk
-        double classify = 0;  //!< parallel read-only snapshotting
-        double partition = 0; //!< serial candidate/residual split
-        double shard = 0;     //!< parallel shard commits (wall)
-        double reduce = 0;    //!< serial op/residual interleave
-        double serial = 0;    //!< unsharded commit loop (S == 1)
-        double kernel = 0;    //!< batched content kernels (staging)
-    };
-    bool phase_timing_ = false;
-    PhaseMs phase_ms_;
 };
 
 } // namespace jtps::ksm

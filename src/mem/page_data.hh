@@ -162,19 +162,6 @@ digestLanes(const PageData *const *pages, std::uint64_t *out)
         out[l] = h[l];
 }
 
-/** Branch-free equality of L page pairs (OR-reduce of xors per pair). */
-template <unsigned L>
-inline void
-equalLanes(const PageData *const *a, const PageData *const *b, bool *out)
-{
-    for (unsigned l = 0; l < L; ++l) {
-        std::uint64_t diff = 0;
-        for (unsigned s = 0; s < sectorsPerPage; ++s)
-            diff |= a[l]->word[s] ^ b[l]->word[s];
-        out[l] = diff == 0;
-    }
-}
-
 } // namespace detail
 
 /** Lane width of the batch kernels; tails < this run the 1-lane form. */
@@ -208,19 +195,6 @@ digestBatch(const PageData *const *pages, std::uint64_t *out, std::size_t n)
         detail::digestLanes<kernelLanes>(pages + i, out + i);
     for (std::size_t k = 0; k < tail; ++k)
         detail::digestLanes<1>(pages + i + k, out + i + k);
-}
-
-/** out[i] = (*a[i] == *b[i]) for i in [0, n), branch-free per pair. */
-inline void
-compareBatch(const PageData *const *a, const PageData *const *b, bool *out,
-             std::size_t n)
-{
-    const std::size_t tail = n % kernelLanes;
-    std::size_t i = 0;
-    for (; i + kernelLanes <= n; i += kernelLanes)
-        detail::equalLanes<kernelLanes>(a + i, b + i, out + i);
-    for (std::size_t k = 0; k < tail; ++k)
-        detail::equalLanes<1>(a + i + k, b + i + k, out + i + k);
 }
 
 } // namespace jtps::mem

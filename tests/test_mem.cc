@@ -146,29 +146,6 @@ TEST(PageDataBatch, MatchesScalarAtEveryWidth)
     }
 }
 
-TEST(PageDataBatch, CompareMatchesScalarEquality)
-{
-    Rng rng(0xc0159a5e);
-    const std::vector<PageData> pool = adversarialPages(rng, 48);
-    for (std::size_t n = 0; n <= 24; ++n) {
-        std::vector<const PageData *> a(n), b(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            a[i] = &pool[rng.nextBelow(pool.size())];
-            // Bias towards equal pairs so both outcomes are common.
-            b[i] = rng.bernoulli(0.5)
-                       ? a[i]
-                       : &pool[rng.nextBelow(pool.size())];
-        }
-        // std::vector<bool> has no data(); stage through a char buffer.
-        std::vector<char> raw(n);
-        mem::compareBatch(a.data(), b.data(),
-                          reinterpret_cast<bool *>(raw.data()), n);
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(raw[i] != 0, *a[i] == *b[i])
-                << "n=" << n << " i=" << i;
-    }
-}
-
 TEST(PageDataBatch, ZeroPageConstantsMatchScalar)
 {
     // The scanner's zero fast path serves these constants in place of

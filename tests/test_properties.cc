@@ -13,7 +13,6 @@
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -438,7 +437,7 @@ struct TwinStacks
     }
 
     /** Generalized twins: any two scanner configurations expected to
-     *  behave byte-identically (e.g. parallel vs. serial scan). */
+     *  behave byte-identically. */
     TwinStacks(Bytes ram, const KsmConfig &inc_cfg,
                const KsmConfig &ref_cfg)
         : TwinStacks(hostCfg(ram), hostCfg(ram), inc_cfg, ref_cfg)
@@ -646,265 +645,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalencePagingFuzz,
 namespace
 {
 
-/** Scanner config for the parallel twin tests: incremental scanning at
- *  @p threads classify workers, with shards shrunk so even these tiny
- *  memories (3 VMs x 48 pages) fan out across several shards. */
-KsmConfig
-parallelKsmCfg(unsigned threads)
-{
-    KsmConfig c;
-    c.pagesToScan = 500;
-    c.incrementalScan = true;
-    c.scanThreads = threads;
-    c.scanShardPages = 16;
-    return c;
-}
-
-/**
- * Thread counts to fuzz: {1, 2, 4}, plus JTPS_BENCH_THREADS when CI
- * sets it (the same env knob the bench sweeps honor), so the
- * determinism tests exercise whatever parallelism the host offers.
- */
-std::vector<unsigned>
-parallelThreadCounts()
-{
-    std::vector<unsigned> t{1, 2, 4};
-    if (const char *env = std::getenv("JTPS_BENCH_THREADS")) {
-        const unsigned n =
-            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-        if (n >= 1 && n <= 64 &&
-            std::find(t.begin(), t.end(), n) == t.end())
-            t.push_back(n);
-    }
-    return t;
-}
-
-/** The three counters only the two-phase (parallel) scan path moves;
- *  identically zero in any serial scanner. */
-const std::vector<std::string> parallelOnlyCounters = {
-    "ksm.scan_shards",
-    "ksm.precheck_candidates",
-    "ksm.commit_replays",
-};
-
-/**
- * Batch-kernel accounting follows the *window shapes*, which differ
- * between the serial visitor (per-VM, budget-bounded windows) and the
- * classify shards (windows restarting per shard span), and are zero in
- * the unbatched PML-serial pass. Exempt wherever the compared scanners
- * take different pipeline shapes — every value, merge, translation and
- * trace event must still match bit for bit. (Between two *parallel*
- * scanners the windows are fixed by scanShardPages, so these counters
- * are thread-count invariant and stay under the exact comparison.)
- */
-const std::vector<std::string> batchShapeCounters = {
-    "ksm.batch_kernel_pages",
-    "ksm.batch_flushes",
-};
-
-std::vector<std::string>
-plusBatchShape(std::vector<std::string> v)
-{
-    v.insert(v.end(), batchShapeCounters.begin(),
-             batchShapeCounters.end());
-    return v;
-}
-
-class ParallelScanEquivalenceFuzz
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, unsigned>>
-{
-};
-
-} // namespace
-
-TEST_P(ParallelScanEquivalenceFuzz, MatchesSerialScanner)
-{
-    const std::uint64_t seed = std::get<0>(GetParam());
-    const unsigned threads = std::get<1>(GetParam());
-    // inc side: parallel classify/commit scan; ref side: the serial
-    // incremental scanner it must be byte-identical to.
-    TwinStacks t(2 * MiB, parallelKsmCfg(threads),
-                 TwinStacks::ksmCfg(true));
-    ASSERT_NO_FATAL_FAILURE(driveTwins(t, seed, 2500));
-    ASSERT_NO_FATAL_FAILURE(t.expectRegistriesEqual(
-        plusBatchShape(parallelOnlyCounters), seed));
-    for (const auto &c : parallelOnlyCounters)
-        EXPECT_EQ(t.ref_stats.get(c), 0u) << c;
-    if (threads >= 2) {
-        // Not vacuous: batches really were sharded out, and the
-        // classify phase really fed the commit replay.
-        EXPECT_GT(t.inc_stats.get("ksm.scan_shards"), 0u);
-        EXPECT_GT(t.inc_stats.get("ksm.precheck_candidates"), 0u);
-    } else {
-        // scanThreads <= 1 must take the serial path bit for bit.
-        for (const auto &c : parallelOnlyCounters)
-            EXPECT_EQ(t.inc_stats.get(c), 0u) << c;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByThreads, ParallelScanEquivalenceFuzz,
-    ::testing::Combine(::testing::Values(6, 256, 8128),
-                       ::testing::ValuesIn(parallelThreadCounts())));
-
-namespace
-{
-
-class ParallelScanPagingFuzz
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, unsigned>>
-{
-};
-
-} // namespace
-
-TEST_P(ParallelScanPagingFuzz, MatchesSerialUnderHostPaging)
-{
-    const std::uint64_t seed = std::get<0>(GetParam());
-    const unsigned threads = std::get<1>(GetParam());
-    // Host RAM below the guests' combined footprint: evictions
-    // constantly retire and reincarnate frames between batches, the
-    // regime where a stale classify verdict would be most tempting to
-    // trust — the write-generation proof has to reject every one.
-    TwinStacks t(100 * pageSize, parallelKsmCfg(threads),
-                 TwinStacks::ksmCfg(true));
-    ASSERT_NO_FATAL_FAILURE(driveTwins(t, seed, 2000));
-    ASSERT_NO_FATAL_FAILURE(t.expectRegistriesEqual(
-        plusBatchShape(parallelOnlyCounters), seed));
-    if (threads >= 2) {
-        EXPECT_GT(t.inc_stats.get("ksm.scan_shards"), 0u);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByThreads, ParallelScanPagingFuzz,
-    ::testing::Combine(::testing::Values(17, 129),
-                       ::testing::ValuesIn(parallelThreadCounts())));
-
-namespace
-{
-
-class ParallelScanThreadInvarianceFuzz
-    : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-} // namespace
-
-TEST_P(ParallelScanThreadInvarianceFuzz, TwoAndFourThreadsFullyIdentical)
-{
-    const std::uint64_t seed = GetParam();
-    // Both sides take the two-phase path, at different widths. Here
-    // nothing at all may differ — including the shard/candidate/replay
-    // counters, whose values depend only on the (fixed) shard size and
-    // the classified state, never on the thread count.
-    TwinStacks t(2 * MiB, parallelKsmCfg(2), parallelKsmCfg(4));
-    ASSERT_NO_FATAL_FAILURE(driveTwins(t, seed, 2500));
-    ASSERT_NO_FATAL_FAILURE(t.expectRegistriesEqual({}, seed));
-    EXPECT_GT(t.inc_stats.get("ksm.scan_shards"), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelScanThreadInvarianceFuzz,
-                         ::testing::Values(11, 77, 505));
-
-namespace
-{
-
-/** Boot-storm-shaped prefill: every page written once from a small
- *  content pool (some left zero), so the scanners face a wall of
- *  cold, highly shareable pages — the regime the batch kernels
- *  target, with the zero fast path exercised alongside them. */
-void
-bootStormPrefill(TwinStacks &t, Rng &rng)
-{
-    for (int v = 0; v < TwinStacks::numVms; ++v) {
-        for (Gfn g = 0; g < TwinStacks::pagesPerVm; ++g) {
-            if (rng.bernoulli(0.15))
-                continue; // leave zero
-            PageData d = PageData::filled(rng.nextBelow(6), 0);
-            t.inc_hv.writePage(v, g, d);
-            t.ref_hv.writePage(v, g, d);
-        }
-    }
-}
-
-/** parallelKsmCfg() with an explicit kernel window size. */
-KsmConfig
-batchedKsmCfg(unsigned threads, std::uint32_t batch)
-{
-    KsmConfig c = parallelKsmCfg(threads);
-    c.batchPages = batch;
-    return c;
-}
-
-class BatchScanEquivalenceFuzz
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, unsigned>>
-{
-};
-
-} // namespace
-
-TEST_P(BatchScanEquivalenceFuzz, BatchedMatchesUnbatched)
-{
-    const std::uint64_t seed = std::get<0>(GetParam());
-    const unsigned threads = std::get<1>(GetParam());
-    // inc side: software-pipelined 16-page kernel windows; ref side:
-    // the same scanner with staging disabled (batchPages == 1). Same
-    // thread count both sides, so *only* the batch accounting — the
-    // inc side's windows against the ref side's zeros — may differ:
-    // every other counter, merge, translation, page content and trace
-    // event must be bit-identical.
-    TwinStacks t(2 * MiB, batchedKsmCfg(threads, 16),
-                 batchedKsmCfg(threads, 1));
-    Rng prefill(seed ^ 0xb0075708ull);
-    bootStormPrefill(t, prefill);
-    ASSERT_NO_FATAL_FAILURE(driveTwins(t, seed, 2500));
-    ASSERT_NO_FATAL_FAILURE(
-        t.expectRegistriesEqual(batchShapeCounters, seed));
-    // Not vacuous: the batched side really ran kernel windows, and
-    // the unbatched side never staged anything.
-    EXPECT_GT(t.inc_stats.get("ksm.batch_kernel_pages"), 0u);
-    EXPECT_GT(t.inc_stats.get("ksm.batch_flushes"), 0u);
-    EXPECT_EQ(t.ref_stats.get("ksm.batch_kernel_pages"), 0u);
-    EXPECT_EQ(t.ref_stats.get("ksm.batch_flushes"), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByThreads, BatchScanEquivalenceFuzz,
-    ::testing::Combine(::testing::Values(42, 8128),
-                       ::testing::ValuesIn(parallelThreadCounts())));
-
-namespace
-{
-
-class BatchWidthInvarianceFuzz
-    : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-} // namespace
-
-TEST_P(BatchWidthInvarianceFuzz, RaggedWidthsFullyEquivalent)
-{
-    const std::uint64_t seed = GetParam();
-    // Two serial scanners at ragged, co-prime window sizes: window
-    // boundaries fall everywhere relative to VM ends and the scan
-    // budget, so every tail width of the staging loop is exercised.
-    TwinStacks t(2 * MiB, batchedKsmCfg(1, 7), batchedKsmCfg(1, 5));
-    Rng prefill(seed ^ 0xb0075708ull);
-    bootStormPrefill(t, prefill);
-    ASSERT_NO_FATAL_FAILURE(driveTwins(t, seed, 2500));
-    ASSERT_NO_FATAL_FAILURE(
-        t.expectRegistriesEqual(batchShapeCounters, seed));
-    EXPECT_GT(t.inc_stats.get("ksm.batch_kernel_pages"), 0u);
-    EXPECT_GT(t.ref_stats.get("ksm.batch_kernel_pages"), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchWidthInvarianceFuzz,
-                         ::testing::Values(9, 4242));
-
-namespace
-{
-
 /**
  * Build and run a small traced 3-VM scenario. When
  * @p leave_free_pages is nonzero, each guest's balloon is inflated
@@ -1036,16 +776,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GuestEpochTwinRun,
 namespace
 {
 
-/** Log-driven scanner config at @p threads classify workers. */
+/** Log-driven scanner config. */
 KsmConfig
-pmlKsmCfg(unsigned threads, std::uint32_t pages_to_scan = 500)
+pmlKsmCfg()
 {
     KsmConfig c;
-    c.pagesToScan = pages_to_scan;
+    c.pagesToScan = 500;
     c.incrementalScan = true;
     c.usePml = true;
-    c.scanThreads = threads;
-    c.scanShardPages = 16;
     return c;
 }
 
@@ -1066,14 +804,20 @@ pmlHostCfg(Bytes ram, std::uint32_t slots)
  */
 const std::vector<std::string> pmlModeCounters = {
     "ksm.pages_visited",       "ksm.pages_gen_skipped",
-    "ksm.digest_cache_hits",   "ksm.scan_shards",
-    "ksm.precheck_candidates", "ksm.commit_replays",
-    "ksm.stale_stable_nodes",  "ksm.stale_unstable_nodes",
-    "ksm.skipped_huge",        "ksm.pages_pml_skipped",
-    "hv.pml_appends",          "hv.pml_overflows",
-    // Batch windows follow the pass shape too (and the log-driven
-    // serial pass runs unbatched): see batchShapeCounters.
-    "ksm.batch_kernel_pages",  "ksm.batch_flushes",
+    "ksm.digest_cache_hits",   "ksm.stale_stable_nodes",
+    "ksm.stale_unstable_nodes", "ksm.skipped_huge",
+    "ksm.pages_pml_skipped",   "hv.pml_appends",
+    "hv.pml_overflows",
+};
+
+/** The sharded pipeline's own counters: they size the machine (how a
+ *  batch was partitioned), never the workload. The log-driven pass
+ *  never runs the pipeline, so against a sharded walk these move on
+ *  the walking side only. */
+const std::vector<std::string> shardPipelineCounters = {
+    "ksm.commit_shards",       "ksm.shard_imbalance_max",
+    "ksm.scan_shards",         "ksm.precheck_candidates",
+    "ksm.commit_replays",
 };
 
 /** One random guest-side mutation applied identically to both stacks. */
@@ -1171,7 +915,8 @@ expectPmlEqual(TwinStacks &t, std::uint64_t seed, int round)
  * are drained at every batch, so entries never survive a cursor move.
  */
 void
-driveTwinsByPass(TwinStacks &t, std::uint64_t seed, int rounds)
+driveTwinsByPass(TwinStacks &t, std::uint64_t seed, int rounds,
+                 const std::vector<std::string> &exempt = pmlModeCounters)
 {
     Rng rng(seed);
     for (int round = 0; round < rounds; ++round) {
@@ -1191,7 +936,7 @@ driveTwinsByPass(TwinStacks &t, std::uint64_t seed, int rounds)
     t.inc_scanner.runToQuiescence();
     t.ref_scanner.runToQuiescence();
     ASSERT_NO_FATAL_FAILURE(expectPmlEqual(t, seed, -1));
-    ASSERT_NO_FATAL_FAILURE(t.expectRegistriesEqual(pmlModeCounters, seed));
+    ASSERT_NO_FATAL_FAILURE(t.expectRegistriesEqual(exempt, seed));
 }
 
 class PmlScanEquivalenceFuzz
@@ -1206,10 +951,34 @@ TEST_P(PmlScanEquivalenceFuzz, MatchesWalkingScanner)
     const std::uint64_t seed = std::get<0>(GetParam());
     const unsigned threads = std::get<1>(GetParam());
     // inc side: log-driven passes from 4096-slot rings (never
-    // overflows at this scale); ref side: the serial incremental walk.
+    // overflows at this scale); ref side: the incremental walk, run
+    // by the serial loop at threads = 1 and by the sharded pipeline
+    // on that many workers otherwise. Classify shards are shrunk so
+    // these tiny memories fan out across several of them.
+    KsmConfig walk = TwinStacks::ksmCfg(true);
+    walk.commitShards = threads;
+    walk.scanShardPages = 16;
     TwinStacks t(pmlHostCfg(2 * MiB, 4096), pmlHostCfg(2 * MiB, 0),
-                 pmlKsmCfg(threads), TwinStacks::ksmCfg(true));
-    ASSERT_NO_FATAL_FAILURE(driveTwinsByPass(t, seed, 120));
+                 pmlKsmCfg(), walk);
+    std::vector<std::string> exempt = pmlModeCounters;
+    exempt.insert(exempt.end(), shardPipelineCounters.begin(),
+                  shardPipelineCounters.end());
+    ASSERT_NO_FATAL_FAILURE(driveTwinsByPass(t, seed, 120, exempt));
+    // The log-driven pass stays on its serial loop...
+    EXPECT_EQ(t.inc_stats.get("ksm.commit_shards"), 1u);
+    for (const std::string &c : shardPipelineCounters) {
+        if (c != "ksm.commit_shards") {
+            EXPECT_EQ(t.inc_stats.get(c), 0u) << c;
+        }
+    }
+    // ...while the walk really ran the loop its worker count selects.
+    EXPECT_EQ(t.ref_stats.get("ksm.commit_shards"), threads);
+    if (threads >= 2) {
+        EXPECT_GT(t.ref_stats.get("ksm.scan_shards"), 0u);
+        EXPECT_GT(t.ref_stats.get("ksm.precheck_candidates"), 0u);
+    } else {
+        EXPECT_EQ(t.ref_stats.get("ksm.scan_shards"), 0u);
+    }
     // Not vacuous: the log really fed the passes, whole clean VMs were
     // skipped outright, and nothing ever fell back to a walk.
     EXPECT_GT(t.inc_stats.get("hv.pml_appends"), 0u);
@@ -1224,7 +993,7 @@ TEST_P(PmlScanEquivalenceFuzz, MatchesWalkingScanner)
 INSTANTIATE_TEST_SUITE_P(
     SeedsByThreads, PmlScanEquivalenceFuzz,
     ::testing::Combine(::testing::Values(6, 256, 8128),
-                       ::testing::ValuesIn(parallelThreadCounts())));
+                       ::testing::Values(1u, 2u, 4u)));
 
 namespace
 {
@@ -1243,7 +1012,7 @@ TEST_P(PmlOverflowFallbackFuzz, TinyRingsForceWalksAndStillMatch)
     // passes run as per-VM walk fallbacks — the equivalence must
     // survive constant switching between the two pass shapes.
     TwinStacks t(pmlHostCfg(2 * MiB, 4), pmlHostCfg(2 * MiB, 0),
-                 pmlKsmCfg(1), TwinStacks::ksmCfg(true));
+                 pmlKsmCfg(), TwinStacks::ksmCfg(true));
     ASSERT_NO_FATAL_FAILURE(driveTwinsByPass(t, seed, 120));
     EXPECT_GT(t.inc_stats.get("hv.pml_overflows"), 0u);
     EXPECT_GT(t.inc_stats.get("hv.pml_appends"), 0u);
@@ -1251,34 +1020,3 @@ TEST_P(PmlOverflowFallbackFuzz, TinyRingsForceWalksAndStillMatch)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PmlOverflowFallbackFuzz,
                          ::testing::Values(6, 64, 256, 496, 8128));
-
-namespace
-{
-
-class PmlThreadInvarianceFuzz : public ::testing::TestWithParam<unsigned>
-{
-};
-
-} // namespace
-
-TEST_P(PmlThreadInvarianceFuzz, WidthsFullyIdentical)
-{
-    const unsigned threads = GetParam();
-    // Two log-driven scanners at different widths share the pass
-    // schedule batch for batch, so the full driveTwins stream —
-    // mutations interleaved mid-pass and all — must leave them
-    // indistinguishable. Against the serial log-driven scanner only
-    // the parallel-plumbing tallies may move.
-    TwinStacks t(pmlHostCfg(2 * MiB, 4096), pmlHostCfg(2 * MiB, 4096),
-                 pmlKsmCfg(threads), pmlKsmCfg(1));
-    ASSERT_NO_FATAL_FAILURE(driveTwins(t, 8128, 2500));
-    ASSERT_NO_FATAL_FAILURE(t.expectRegistriesEqual(
-        plusBatchShape(parallelOnlyCounters), 8128));
-    if (threads >= 2) {
-        EXPECT_GT(t.inc_stats.get("ksm.scan_shards"), 0u);
-    }
-    EXPECT_GT(t.inc_stats.get("hv.pml_appends"), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, PmlThreadInvarianceFuzz,
-                         ::testing::Values(2, 4));

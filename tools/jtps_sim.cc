@@ -13,11 +13,14 @@
  *   jtps_sim --vms 4 --cds --report timeline --json run.json --trace t.json
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
+#include <system_error>
 
 #include "analysis/json_export.hh"
 #include "analysis/sharing_sources.hh"
@@ -53,9 +56,7 @@ struct Options
     bool csv = false;
     std::string jsonFile;
     std::string traceFile;
-    unsigned ksmThreads = 1;
     unsigned ksmCommitShards = 1;
-    unsigned ksmBatch = 16;
     // Cluster mode (--hosts > 0 switches from one Scenario to a fleet).
     int hosts = 0;
     int perHost = 4;
@@ -97,15 +98,9 @@ usage(const char *argv0)
         "  --csv           CSV output where available\n"
         "  --json FILE     write the full run document as JSON\n"
         "  --trace FILE    record a structured event trace, write JSON\n"
-        "  --ksm-threads N  classify KSM scan batches on N threads\n"
-        "                  (merges/counters identical at any N)\n"
-        "  --ksm-commit-shards S  commit KSM batches as S digest\n"
-        "                  shards + serial reduce (S divides 64;\n"
-        "                  byte-identical at any S; ignored with PML;\n"
-        "                  runs max(N, S) KSM workers, N = --ksm-threads)\n"
-        "  --ksm-batch N   stage KSM content kernels over N-page\n"
-        "                  windows (1 disables; byte-identical at any\n"
-        "                  N, only ksm.batch_* counters move)\n"
+        "  --ksm-commit-shards S  scan KSM batches on S workers as S\n"
+        "                  digest shards + serial reduce (S divides 64;\n"
+        "                  byte-identical at any S; not with --pml-ring)\n"
         "cluster mode (fleet of independent hosts):\n"
         "  --hosts H       simulate H hosts (0 = single-host mode);\n"
         "                  --workload mix cycles all four workloads\n"
@@ -118,48 +113,87 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/** Print @p why and the usage text, and exit 2: every malformed
+ *  command line ends here. */
+[[noreturn]] void
+badUsage(const char *argv0, const std::string &why)
+{
+    std::fprintf(stderr, "error: %s\n", why.c_str());
+    usage(argv0);
+}
+
+/**
+ * Parse @p text, the value of @p flag, as a whole decimal number in
+ * [@p lo, @p hi]. An empty value, a sign, trailing junk and overflow
+ * are usage errors like an out-of-range value.
+ */
+std::uint64_t
+parseNumber(const char *argv0, const std::string &flag, const char *text,
+            std::uint64_t lo, std::uint64_t hi)
+{
+    std::uint64_t value = 0;
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc{} || ptr != end || value < lo || value > hi)
+        badUsage(argv0, flag + " expects a whole number in [" +
+                            std::to_string(lo) + ", " +
+                            std::to_string(hi) + "], got '" + text + "'");
+    return value;
+}
+
 Options
 parse(int argc, char **argv)
 {
     Options opt;
+    constexpr std::uint64_t u64max =
+        std::numeric_limits<std::uint64_t>::max();
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
-            usage(argv[0]);
+            badUsage(argv[0], std::string(argv[i]) + " needs a value");
         return argv[++i];
+    };
+    // The value of flag argv[i] in [lo, hi], scaled by unit; hi keeps
+    // the scaled value inside 64 bits.
+    auto num = [&](int &i, std::uint64_t lo, std::uint64_t hi,
+                   std::uint64_t unit = 1) {
+        const std::string flag = argv[i];
+        return parseNumber(argv[0], flag, need(i), lo,
+                           std::min(hi, u64max / unit)) *
+               unit;
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--workload")
             opt.workload = need(i);
         else if (arg == "--vms")
-            opt.vms = std::atoi(need(i));
+            opt.vms = static_cast<int>(num(i, 1, 256));
         else if (arg == "--cds")
             opt.cds = true;
         else if (arg == "--no-copy")
             opt.copyCache = false;
         else if (arg == "--aot")
-            opt.aotBytes = std::strtoull(need(i), nullptr, 10) * MiB;
+            opt.aotBytes = num(i, 0, u64max, MiB);
         else if (arg == "--thp")
             opt.thp = true;
         else if (arg == "--zram")
-            opt.zramBytes = std::strtoull(need(i), nullptr, 10) * MiB;
+            opt.zramBytes = num(i, 0, u64max, MiB);
         else if (arg == "--balloon")
-            opt.balloonBytes = std::strtoull(need(i), nullptr, 10) * MiB;
+            opt.balloonBytes = num(i, 0, u64max, MiB);
         else if (arg == "--ksmtuned")
             opt.ksmtuned = true;
         else if (arg == "--pml-ring")
-            opt.pmlRingSlots =
-                static_cast<std::uint32_t>(std::strtoul(need(i), nullptr, 10));
+            opt.pmlRingSlots = static_cast<std::uint32_t>(
+                num(i, 0, std::numeric_limits<std::uint32_t>::max()));
         else if (arg == "--adaptive-balloon")
             opt.adaptiveBalloon = true;
         else if (arg == "--ram")
-            opt.hostRam = std::strtoull(need(i), nullptr, 10) * GiB;
+            opt.hostRam = num(i, 1, u64max, GiB);
         else if (arg == "--warmup")
-            opt.warmupMs = std::strtoull(need(i), nullptr, 10) * 1000;
+            opt.warmupMs = num(i, 0, u64max, 1000);
         else if (arg == "--steady")
-            opt.steadyMs = std::strtoull(need(i), nullptr, 10) * 1000;
+            opt.steadyMs = num(i, 0, u64max, 1000);
         else if (arg == "--seed")
-            opt.seed = std::strtoull(need(i), nullptr, 10);
+            opt.seed = num(i, 0, u64max);
         else if (arg == "--report")
             opt.report = need(i);
         else if (arg == "--csv")
@@ -168,58 +202,56 @@ parse(int argc, char **argv)
             opt.jsonFile = need(i);
         else if (arg == "--trace")
             opt.traceFile = need(i);
-        else if (arg == "--ksm-threads")
-            opt.ksmThreads =
-                static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
         else if (arg == "--ksm-commit-shards")
-            opt.ksmCommitShards =
-                static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
-        else if (arg == "--ksm-batch")
-            opt.ksmBatch =
-                static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
+            opt.ksmCommitShards = static_cast<unsigned>(num(i, 1, 64));
         else if (arg == "--hosts")
-            opt.hosts = std::atoi(need(i));
+            opt.hosts = static_cast<int>(num(i, 0, 64));
         else if (arg == "--per-host")
-            opt.perHost = std::atoi(need(i));
+            opt.perHost = static_cast<int>(num(i, 1, 256));
         else if (arg == "--placement")
             opt.placement = need(i);
         else if (arg == "--fleet-threads")
-            opt.fleetThreads =
-                static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
+            opt.fleetThreads = static_cast<unsigned>(num(i, 1, 256));
         else if (arg == "--migrate")
             opt.migrate = true;
-        else
+        else if (arg == "--help")
             usage(argv[0]);
+        else
+            badUsage(argv[0], "unknown option '" + arg + "'");
     }
-    if (opt.vms < 1 || opt.vms > 256)
-        fatal("--vms must be in [1, 256]");
-    if (opt.ksmCommitShards < 1 || opt.ksmCommitShards > 64 ||
-        64 % opt.ksmCommitShards != 0)
-        fatal("--ksm-commit-shards must divide 64 (1, 2, 4, ..., 64)");
-    if (opt.ksmBatch < 1 || opt.ksmBatch > 128)
-        fatal("--ksm-batch must be in [1, 128]");
+    const char *argv0 = argv[0];
+    if (64 % opt.ksmCommitShards != 0)
+        badUsage(argv0,
+                 "--ksm-commit-shards must divide 64 (1, 2, 4, ..., 64)");
+    if (opt.ksmCommitShards > 1 && opt.pmlRingSlots > 0)
+        badUsage(argv0, "--ksm-commit-shards does not combine with "
+                        "--pml-ring (log-driven passes are serial)");
+    const hv::HostConfig host_defaults;
+    if (opt.hostRam <= host_defaults.reserveBytes + opt.zramBytes)
+        badUsage(argv0, "--ram must exceed the host reserve plus --zram");
+    // Every VM of a host reserves its full ring up front.
+    const std::uint64_t vms_per_host =
+        opt.hosts > 0
+            ? static_cast<std::uint64_t>(opt.perHost) + (opt.migrate ? 1 : 0)
+            : static_cast<std::uint64_t>(opt.vms);
+    if (opt.pmlRingSlots > opt.hostRam / sizeof(hv::PmlEntry) / vms_per_host)
+        badUsage(argv0, "--pml-ring: the rings of all VMs on a host "
+                        "must fit in host RAM");
     if (opt.adaptiveBalloon && opt.pmlRingSlots == 0)
-        fatal("--adaptive-balloon requires --pml-ring N");
-    if (opt.hosts < 0 || opt.hosts > 64)
-        fatal("--hosts must be in [0, 64]");
-    if (opt.hosts > 0 && (opt.perHost < 1 || opt.perHost > 256))
-        fatal("--per-host must be in [1, 256]");
+        badUsage(argv0, "--adaptive-balloon requires --pml-ring N");
     if (opt.placement != "rr" && opt.placement != "random" &&
         opt.placement != "dedup")
-        fatal("unknown --placement '%s'", opt.placement.c_str());
+        badUsage(argv0, "unknown --placement '" + opt.placement + "'");
     if (opt.hosts == 0 && opt.migrate)
-        fatal("--migrate requires cluster mode (--hosts H)");
+        badUsage(argv0, "--migrate requires cluster mode (--hosts H)");
 
     // Reject unknown report views up front instead of silently printing
     // nothing after a long run.
     bool known = false;
     for (const char *r : knownReports)
         known = known || opt.report == r;
-    if (!known) {
-        std::fprintf(stderr, "unknown --report '%s'\n",
-                     opt.report.c_str());
-        usage(argv[0]);
-    }
+    if (!known)
+        badUsage(argv0, "unknown --report '" + opt.report + "'");
     return opt;
 }
 
@@ -385,7 +417,7 @@ clusterDocumentJson(const Options &opt, cluster::Cluster &fleet,
     w.field("per_host", opt.perHost);
     w.field("vms", static_cast<std::uint64_t>(opt.hosts) *
                        static_cast<std::uint64_t>(opt.perHost));
-    // Like the ksm thread knobs, --fleet-threads is a
+    // Like --ksm-commit-shards, --fleet-threads is a
     // machine-sizing setting, not part of the run's identity: documents
     // must be byte-identical at any value, so it is not recorded.
     w.field("placement", opt.placement);
@@ -442,7 +474,7 @@ clusterMain(const Options &opt, const core::ScenarioConfig &host_cfg)
         static_cast<std::size_t>(opt.perHost) + (opt.migrate ? 1 : 0);
     ccfg.host = host_cfg;
     ccfg.placement = parsePlacement(opt.placement);
-    ccfg.fleetThreads = opt.fleetThreads == 0 ? 1 : opt.fleetThreads;
+    ccfg.fleetThreads = opt.fleetThreads;
     ccfg.seed = opt.seed;
     ccfg.migrationEnabled = opt.migrate;
     ccfg.roundMs = 4 * host_cfg.epochMs;
@@ -516,9 +548,7 @@ main(int argc, char **argv)
     cfg.warmupMs = opt.warmupMs;
     cfg.steadyMs = opt.steadyMs;
     cfg.seed = opt.seed;
-    cfg.ksmScanThreads = opt.ksmThreads == 0 ? 1 : opt.ksmThreads;
     cfg.ksmCommitShards = opt.ksmCommitShards;
-    cfg.ksmBatchPages = opt.ksmBatch;
     cfg.pmlRingSlots = opt.pmlRingSlots;
     cfg.adaptiveBalloon = opt.adaptiveBalloon;
 
