@@ -55,22 +55,6 @@ hash4(std::uint64_t a, std::uint64_t b, std::uint64_t c, std::uint64_t d)
 }
 
 /**
- * Lane-parallel hashCombine: advance L independent accumulator chains by
- * one value each. Bit-identical per lane to calling hashCombine(seed[l],
- * value[l]) in a loop — the point of the array form is that the lanes
- * share no data, so the compiler can overlap the multiply-xor chains
- * (ILP) or vectorize them, where a single chain is latency-bound on the
- * serial multiplies.
- */
-template <unsigned L>
-constexpr void
-hashCombineLanes(std::uint64_t (&seed)[L], const std::uint64_t (&value)[L])
-{
-    for (unsigned l = 0; l < L; ++l)
-        seed[l] = hashCombine(seed[l], value[l]);
-}
-
-/**
  * FNV-1a over a string, used to turn stable names ("libjvm.so",
  * "java/lang/String") into tag values for the mixers.
  */

@@ -46,7 +46,6 @@ Scenario::build()
     trace_.setClock([this]() { return queue_.now(); });
     hv_->setTrace(&trace_);
     ksm::KsmConfig kcfg = cfg_.ksm;
-    kcfg.commitShards = cfg_.ksmCommitShards;
     if (cfg_.pmlRingSlots > 0)
         kcfg.usePml = true;
     ksm_ = std::make_unique<ksm::KsmScanner>(*hv_, kcfg, stats_);

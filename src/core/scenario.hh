@@ -110,16 +110,6 @@ struct ScenarioConfig
     bool guestThp = false;
 
     /**
-     * Digest shards for the KSM commit phase (overrides
-     * ksm.commitShards at build()). >= 2 runs every scan batch through
-     * the sharded pipeline on that many workers
-     * (ksm::KsmConfig::commitShards) — a machine-sizing knob: results
-     * are byte-identical at any value, only the pipeline counters
-     * move. Must divide 64; ignored under PML mode.
-     */
-    unsigned ksmCommitShards = 1;
-
-    /**
      * Per-VM Page-Modification-Log ring size in slots (see
      * hv::HostConfig::pmlRingSlots). Non-zero overrides host.pmlRingSlots
      * AND switches the KSM scanner to its log-driven pass mode

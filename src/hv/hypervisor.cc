@@ -529,69 +529,6 @@ Hypervisor::ksmMakeStable(VmId vm_id, Gfn gfn)
     return e.backing;
 }
 
-bool
-Hypervisor::ksmMergeIntoShard(Hfn stable, VmId vm_id, Gfn gfn,
-                              bool *freed_source, Hfn *source)
-{
-    *freed_source = false;
-    *source = invalidFrame;
-    Vm &v = vm(vm_id);
-    EptEntry &e = v.ept.entry(gfn);
-    if (e.state != PageState::Resident)
-        return false;
-    if (e.backing == stable)
-        return false;
-    if (!frames_.isAllocated(stable))
-        return false;
-
-    mem::Frame &sf = frames_.frame(stable);
-    mem::Frame &of = frames_.frame(e.backing);
-    if (!(sf.data == of.data))
-        return false;
-    jtps_assert(sf.ksmStable && !sf.pinned);
-
-    const mem::Mapping m{vm_id, gfn};
-    *source = e.backing;
-    *freed_source = frames_.removeMappingShard(e.backing, m);
-    frames_.addMappingShard(stable, m);
-    e.backing = stable;
-    e.writeProtected = true;
-    // touch(stable), hv.ksm_merges and the sharing counters run at the
-    // serial reduce, in canonical order.
-    return true;
-}
-
-Hfn
-Hypervisor::ksmMakeStableShard(VmId vm_id, Gfn gfn, std::uint64_t digest,
-                               unsigned lane, bool *transitioned,
-                               std::uint32_t *refcount_at_set)
-{
-    *transitioned = false;
-    *refcount_at_set = 0;
-    Vm &v = vm(vm_id);
-    EptEntry &e = v.ept.entry(gfn);
-    if (e.state != PageState::Resident)
-        return invalidFrame;
-
-    mem::Frame &f = frames_.frame(e.backing);
-    jtps_assert(!f.pinned);
-    if (!f.ksmStable) {
-        // Real transition (the serial setKsmStable() would no-op on an
-        // already-stable frame): shard-side flag/epoch/generation now,
-        // counters at the reduce via the recorded refcount.
-        *transitioned = true;
-        *refcount_at_set = f.refcount;
-        frames_.setKsmStableShard(e.backing, digest, lane);
-    }
-    // Write-protect every mapping of the frame so any write COWs. The
-    // mapped pages hold this frame's content, so they are all in the
-    // caller's digest shard.
-    f.forEachMapping([this](const mem::Mapping &m) {
-        vm(m.vm).ept.entry(m.gfn).writeProtected = true;
-    });
-    return e.backing;
-}
-
 std::uint64_t
 Hypervisor::collapseIdenticalPages()
 {

@@ -242,33 +242,6 @@ class Hypervisor
     Hfn ksmMakeStable(VmId vm, Gfn gfn);
 
     /**
-     * ksmMergeInto() restricted to what a KSM commit shard may mutate
-     * (see mem::FrameTable's commit-shard protocol): the page's EPT
-     * entry and the two frames' own fields. Digest-sharding makes every
-     * touched structure shard-local — the source frame holds the same
-     * content as @p stable, so both frames, and every page mapping
-     * them, belong to the caller's digest shard. The frame touch, the
-     * hv.ksm_merges stat and the sharing counters are deferred to the
-     * serial reduce; @p freed_source / @p source report whether (and
-     * which) source frame became a deferred-free zombie so the reduce
-     * can retire it in canonical order.
-     */
-    bool ksmMergeIntoShard(Hfn stable, VmId vm, Gfn gfn,
-                           bool *freed_source, Hfn *source);
-
-    /**
-     * ksmMakeStable() restricted to a KSM commit shard. @p digest must
-     * be the page content's digest (it selects the epoch stripe) and
-     * @p lane the shard's generation lane. Mirrors the serial call's
-     * already-stable no-op; on a real transition, @p transitioned is
-     * set and @p refcount_at_set records the refcount the counters-side
-     * completion (FrameTable::commitStablePromote at the reduce) needs.
-     */
-    Hfn ksmMakeStableShard(VmId vm, Gfn gfn, std::uint64_t digest,
-                           unsigned lane, bool *transitioned,
-                           std::uint32_t *refcount_at_set);
-
-    /**
      * Run one whole-memory TPS pass immediately: merge every pair of
      * identical resident, unpinned pages. Used by the system-VM
      * hypervisor and by tests; KVM instead runs the incremental scanner.

@@ -31,10 +31,6 @@ constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
 constexpr std::size_t initialUnstableCapacity = 1024;
 
-/** Classify items per content-kernel window: two rounds of the
- *  kernels' 8 lanes, the width docs/PERF.md §10 measures. */
-constexpr std::size_t kernelWindow = 16;
-
 } // namespace
 
 KsmScanner::KsmScanner(hv::Hypervisor &hv, const KsmConfig &cfg,
@@ -49,36 +45,16 @@ KsmScanner::KsmScanner(hv::Hypervisor &hv, const KsmConfig &cfg,
       stat_pages_visited_(stats.counter("ksm.pages_visited")),
       stat_gen_skipped_(stats.counter("ksm.pages_gen_skipped")),
       stat_digest_cache_hits_(stats.counter("ksm.digest_cache_hits")),
-      stat_scan_shards_(stats.counter("ksm.scan_shards")),
-      stat_precheck_candidates_(stats.counter("ksm.precheck_candidates")),
-      stat_commit_replays_(stats.counter("ksm.commit_replays")),
-      stat_pml_skipped_(stats.counter("ksm.pages_pml_skipped")),
-      stat_shard_imbalance_(stats.counter("ksm.shard_imbalance_max")),
-      stat_hv_ksm_merges_(hv.stats().counter("hv.ksm_merges"))
+      stat_pml_skipped_(stats.counter("ksm.pages_pml_skipped"))
 {
     // Log-driven passes are only complete if every write has been
     // funneled into a ring since the VMs existed.
     jtps_assert(!cfg_.usePml || hv_.pmlEnabled());
-    // Every stable-epoch stripe must belong to exactly one shard
-    // (stripe = digest mod kStripes, shard = digest mod S): S | 64.
-    jtps_assert(cfg_.commitShards >= 1 &&
-                cfg_.commitShards <= mem::FrameTable::kStripes &&
-                mem::FrameTable::kStripes % cfg_.commitShards == 0);
-    shards_.resize(effectiveCommitShards());
-    for (ShardState &sh : shards_)
-        sh.unstable.assign(initialUnstableCapacity, UnstableSlot{});
-    stats_.set("ksm.commit_shards", shards_.size());
+    unstable_.assign(initialUnstableCapacity, UnstableSlot{});
+    // Registered at zero so every registry with a scanner lists the
+    // merge count, even on a run that never merges.
+    hv_.stats().counter("hv.ksm_merges");
     hv_.addPageListener(this);
-}
-
-unsigned
-KsmScanner::effectiveCommitShards() const
-{
-    // PML's ring/queue bookkeeping (requeues, injected lanes) is
-    // serial: log-driven runs keep the single classic index.
-    if (cfg_.usePml || cfg_.commitShards <= 1)
-        return 1;
-    return cfg_.commitShards;
 }
 
 KsmScanner::~KsmScanner()
@@ -138,9 +114,7 @@ KsmScanner::frameMemo(Hfn hfn)
 
 std::uint64_t
 KsmScanner::cachedDigest(Hfn hfn, std::uint64_t gen,
-                         const mem::PageData &data,
-                         const std::uint64_t *pre,
-                         std::uint64_t &digest_hits)
+                         const mem::PageData &data)
 {
     FrameMemo &m = frameMemo(hfn);
     if (m.gen != gen) {
@@ -148,21 +122,17 @@ KsmScanner::cachedDigest(Hfn hfn, std::uint64_t gen,
         m.gen = gen;
     }
     if (m.hasDigest) {
-        ++digest_hits;
+        ++stat_digest_cache_hits_;
         return m.digest;
     }
-    // Memo miss: a precomputed value (a classify snapshot under its
-    // generation proof) stands in for the recompute; the memo
-    // end-state is identical.
-    m.digest = pre ? *pre : data.digest();
+    m.digest = data.digest();
     m.hasDigest = true;
     return m.digest;
 }
 
 std::uint32_t
 KsmScanner::cachedChecksum(Hfn hfn, std::uint64_t gen,
-                           const mem::PageData &data,
-                           const std::uint32_t *pre)
+                           const mem::PageData &data)
 {
     FrameMemo &m = frameMemo(hfn);
     if (m.gen != gen) {
@@ -170,105 +140,38 @@ KsmScanner::cachedChecksum(Hfn hfn, std::uint64_t gen,
         m.gen = gen;
     }
     if (!m.hasChecksum) {
-        m.checksum = pre ? *pre : data.checksum();
+        m.checksum = data.checksum();
         m.hasChecksum = true;
     }
     return m.checksum;
 }
 
-std::uint64_t
-KsmScanner::genCalmDigest(mem::FrameTable &ft, Hfn hfn,
-                          std::uint64_t gen, PageScanState &ps,
-                          const mem::PageData *&data,
-                          const std::uint64_t *pre,
-                          std::uint64_t &digest_hits,
-                          bool &skip_stable_probe)
-{
-    // Generation fast path, non-stable: serve the digest from the
-    // per-page cache, falling back to the frame memo (first revisit),
-    // and derive the epoch-proved stable-probe skip. Shared verbatim
-    // by the serial visit and the shard commits — only the counter
-    // sinks differ.
-    std::uint64_t digest;
-    if (ps.digestValid) {
-        ++digest_hits;
-        digest = ps.lastDigest;
-    } else {
-        data = &ft.frame(hfn).data;
-        digest = cachedDigest(hfn, gen, *data, pre, digest_hits);
-        ps.lastDigest = digest;
-        ps.digestValid = true;
-    }
-    skip_stable_probe = ps.lastStableEpoch != 0 &&
-                        ps.lastStableEpoch == ft.ksmStableEpoch(digest);
-    return digest;
-}
-
-bool
-KsmScanner::slowPathContent(mem::FrameTable &ft, Hfn hfn,
-                            std::uint64_t gen, PageScanState &ps,
-                            const mem::PageData *&data,
-                            const std::uint32_t *pre_sum,
-                            const std::uint64_t *pre_dig,
-                            std::uint64_t &digest_hits,
-                            std::uint64_t &digest_out)
-{
-    // Slow path, non-stable: the calm protocol. Identical compare to
-    // the one the in-EPT checksum used to implement; the state lives
-    // in the scanner's per-page row.
-    if (!data)
-        data = &ft.frame(hfn).data;
-    const std::uint32_t sum =
-        cfg_.incrementalScan ? cachedChecksum(hfn, gen, *data, pre_sum)
-                             : (pre_sum ? *pre_sum : data->checksum());
-    const bool calm = ps.checksumValid && ps.lastChecksum == sum;
-    ps.lastChecksum = sum;
-    ps.checksumValid = true;
-    ps.lastGen = gen;
-    ps.lastStable = false;
-    ps.lastStableEpoch = 0;
-    ps.digestValid = false;
-    if (!calm)
-        return false; // the caller counts not_calm and stops
-    digest_out =
-        cfg_.incrementalScan
-            ? cachedDigest(hfn, gen, *data, pre_dig, digest_hits)
-            : (pre_dig ? *pre_dig : data->digest());
-    if (cfg_.incrementalScan) {
-        ps.lastDigest = digest_out;
-        ps.digestValid = true;
-    }
-    return true;
-}
-
 void
-KsmScanner::unstableRehash(ShardState &sh, std::size_t new_capacity)
+KsmScanner::unstableRehash(std::size_t new_capacity)
 {
     jtps_assert((new_capacity & (new_capacity - 1)) == 0);
-    std::vector<UnstableSlot> old = std::move(sh.unstable);
-    sh.unstable.assign(new_capacity, UnstableSlot{});
-    sh.occupied = 0;
-    sh.live = 0;
+    std::vector<UnstableSlot> old = std::move(unstable_);
+    unstable_.assign(new_capacity, UnstableSlot{});
+    unstable_occupied_ = 0;
+    unstable_live_ = 0;
     const std::size_t mask = new_capacity - 1;
     for (const UnstableSlot &s : old) {
         if (s.epoch != pass_epoch_)
             continue; // drop tombstones and earlier passes' entries
         std::size_t i = unstableSlotHash(s.digest) & mask;
-        while (sh.unstable[i].epoch != 0)
+        while (unstable_[i].epoch != 0)
             i = (i + 1) & mask;
-        sh.unstable[i] = s;
-        ++sh.occupied;
-        ++sh.live;
+        unstable_[i] = s;
+        ++unstable_occupied_;
+        ++unstable_live_;
     }
 }
 
 Hfn
-KsmScanner::stableLookup(ShardState &sh, const mem::PageData &data,
-                         std::uint64_t digest,
-                         std::uint64_t &stale_counter)
+KsmScanner::stableLookup(const mem::PageData &data, std::uint64_t digest)
 {
-    auto bucket = sh.stableTree.find(digest);
-    if (bucket == sh.stableTree.end())
+    auto bucket = stable_tree_.find(digest);
+    if (bucket == stable_tree_.end())
         return invalidFrame;
 
     std::vector<Hfn> &chain = bucket->second;
@@ -279,16 +182,11 @@ KsmScanner::stableLookup(ShardState &sh, const mem::PageData &data,
         // COW-diverged or the host evicted it) or its content replaced.
         // The full compare also guards merging across a digest
         // collision — a colliding valid frame merely loses its node.
-        // Content is compared *before* the stable flag: page content
-        // is frozen for a whole commit, so when the node is stale via
-        // a recycled frame now owned by another shard, the mismatch
-        // alone settles the prune without reading fields that shard
-        // may be mutating.
         if (!hv_.frames().isAllocated(hfn) ||
             !(hv_.frames().frame(hfn).data == data) ||
             !hv_.frames().frame(hfn).ksmStable) {
             chain.erase(chain.begin() + i);
-            ++stale_counter;
+            ++stat_stale_stable_;
             continue;
         }
         // Chain discipline: a full stable frame stops accepting
@@ -302,7 +200,7 @@ KsmScanner::stableLookup(ShardState &sh, const mem::PageData &data,
         break;
     }
     if (chain.empty())
-        sh.stableTree.erase(bucket);
+        stable_tree_.erase(bucket);
     return found;
 }
 
@@ -347,9 +245,17 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
         ++stat_gen_skipped_;
         if (ps.lastStable)
             return true; // provably still a shared KSM page
-        digest = genCalmDigest(ft, hfn, gen, ps, data, nullptr,
-                               stat_digest_cache_hits_,
-                               skip_stable_probe);
+        if (ps.digestValid) {
+            ++stat_digest_cache_hits_;
+            digest = ps.lastDigest;
+        } else {
+            data = &ft.frame(hfn).data;
+            digest = cachedDigest(hfn, gen, *data);
+            ps.lastDigest = digest;
+            ps.digestValid = true;
+        }
+        skip_stable_probe = ps.lastStableEpoch != 0 &&
+                            ps.lastStableEpoch == ft.ksmStableEpoch(digest);
     } else {
         const mem::Frame &frame = ft.frame(hfn);
         if (frame.ksmStable) {
@@ -365,11 +271,29 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
             }
             return true; // already a shared KSM page
         }
+        // The calm protocol: the state lives in the scanner's
+        // per-page row.
         data = &frame.data;
-        if (!slowPathContent(ft, hfn, gen, ps, data, nullptr, nullptr,
-                             stat_digest_cache_hits_, digest)) {
+        const std::uint32_t sum = cfg_.incrementalScan
+                                      ? cachedChecksum(hfn, gen, *data)
+                                      : data->checksum();
+        const bool calm = ps.checksumValid && ps.lastChecksum == sum;
+        ps.lastChecksum = sum;
+        ps.checksumValid = true;
+        ps.lastGen = gen;
+        ps.lastStable = false;
+        ps.lastStableEpoch = 0;
+        ps.digestValid = false;
+        if (!calm) {
             ++stat_not_calm_;
             return true;
+        }
+        if (cfg_.incrementalScan) {
+            digest = cachedDigest(hfn, gen, *data);
+            ps.lastDigest = digest;
+            ps.digestValid = true;
+        } else {
+            digest = data->digest();
         }
     }
 
@@ -382,14 +306,11 @@ KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
                       PageScanState &ps, Hfn hfn, std::uint64_t digest,
                       const mem::PageData *data, bool skip_stable_probe)
 {
-    ShardState &sh = shards_[shardFor(digest)];
-
     // Stable tree first.
     if (!skip_stable_probe) {
         if (!data)
             data = &ft.frame(hfn).data;
-        const Hfn stable =
-            stableLookup(sh, *data, digest, stat_stale_stable_);
+        const Hfn stable = stableLookup(*data, digest);
         if (stable != invalidFrame) {
             if (hv_.ksmMergeInto(stable, vm, gfn)) {
                 ++merges_this_pass_;
@@ -411,9 +332,9 @@ KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
     // Unstable tree: find another calm page with the same content seen
     // earlier in this pass.
     std::size_t insert_at = npos;
-    const std::size_t slot = unstableFind(sh, digest, insert_at);
+    const std::size_t slot = unstableFind(digest, insert_at);
     if (slot != npos) {
-        UnstableSlot &u = sh.unstable[slot];
+        UnstableSlot &u = unstable_[slot];
         if (u.vm == vm && u.gfn == gfn) {
             return; // same page revisited
         }
@@ -469,9 +390,9 @@ KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
         // stable frame; the candidate merges into it.
         Hfn fresh = hv_.ksmMakeStable(u.vm, u.gfn);
         jtps_assert(fresh != invalidFrame);
-        sh.stableTree[digest].push_back(fresh);
+        stable_tree_[digest].push_back(fresh);
         u.epoch = tombstoneEpoch; // erase, keeping probe chains intact
-        --sh.live;
+        --unstable_live_;
         if (hv_.ksmMergeInto(fresh, vm, gfn)) {
             ++merges_this_pass_;
             ++merges_total_;
@@ -483,20 +404,20 @@ KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
         return;
     }
 
-    unstableInsert(sh, insert_at, digest, vm, gfn);
+    unstableInsert(insert_at, digest, vm, gfn);
 }
 
 inline std::size_t
-KsmScanner::unstableFind(const ShardState &sh, std::uint64_t digest,
+KsmScanner::unstableFind(std::uint64_t digest,
                          std::size_t &insert_at) const
 {
     // One walk serves both the lookup and, on a miss, the insert
     // position (the first reusable stale/tombstone slot in the chain,
     // or its empty terminator).
-    const std::size_t mask = sh.unstable.size() - 1;
+    const std::size_t mask = unstable_.size() - 1;
     for (std::size_t i = unstableSlotHash(digest) & mask;;
          i = (i + 1) & mask) {
-        const UnstableSlot &s = sh.unstable[i];
+        const UnstableSlot &s = unstable_[i];
         if (s.epoch == 0) {
             if (insert_at == npos)
                 insert_at = i;
@@ -512,31 +433,31 @@ KsmScanner::unstableFind(const ShardState &sh, std::uint64_t digest,
 }
 
 inline void
-KsmScanner::unstableInsert(ShardState &sh, std::size_t insert_at,
-                           std::uint64_t digest, VmId vm, Gfn gfn)
+KsmScanner::unstableInsert(std::size_t insert_at, std::uint64_t digest,
+                           VmId vm, Gfn gfn)
 {
     // Keep at least ~30% never-used slots so probe chains terminate
     // quickly; the check runs only when this insert would consume an
     // empty slot, so a steady-state pass over unchanged memory
     // re-inserts into the previous pass's (now stale) slots without
     // ever allocating or rehashing.
-    if (sh.unstable[insert_at].epoch == 0) {
-        if ((sh.occupied + 1) * 10 >= sh.unstable.size() * 7) {
-            std::size_t cap = sh.unstable.size();
-            while (cap < 4 * (sh.live + 1))
+    if (unstable_[insert_at].epoch == 0) {
+        if ((unstable_occupied_ + 1) * 10 >= unstable_.size() * 7) {
+            std::size_t cap = unstable_.size();
+            while (cap < 4 * (unstable_live_ + 1))
                 cap *= 2;
-            unstableRehash(sh, cap);
+            unstableRehash(cap);
             // Re-derive the insert position in the rehashed table
             // (all remaining slots are live entries of this pass).
-            const std::size_t m2 = sh.unstable.size() - 1;
+            const std::size_t m2 = unstable_.size() - 1;
             insert_at = unstableSlotHash(digest) & m2;
-            while (sh.unstable[insert_at].epoch != 0)
+            while (unstable_[insert_at].epoch != 0)
                 insert_at = (insert_at + 1) & m2;
         }
-        ++sh.occupied;
+        ++unstable_occupied_;
     }
-    sh.unstable[insert_at] = UnstableSlot{digest, pass_epoch_, vm, gfn};
-    ++sh.live;
+    unstable_[insert_at] = UnstableSlot{digest, pass_epoch_, vm, gfn};
+    ++unstable_live_;
 }
 
 bool
@@ -568,8 +489,7 @@ KsmScanner::passBoundary()
         // entries go stale in place and their slots are reused by the
         // next pass's inserts.
         ++pass_epoch_;
-        for (ShardState &sh : shards_)
-            sh.live = 0;
+        unstable_live_ = 0;
     } else {
         // Log-driven passes keep the unstable table *persistent*: an
         // unvisited calm page stays represented by the entry its last
@@ -662,8 +582,6 @@ KsmScanner::scanBatch()
         return 0;
     if (cfg_.usePml)
         return scanBatchSerialPml();
-    if (shards_.size() > 1)
-        return scanBatchSharded();
     return scanBatchSerial();
 }
 
@@ -702,674 +620,10 @@ KsmScanner::scanBatchSerial()
 void
 KsmScanner::prefetchUnstableSlot(std::uint64_t digest) const
 {
-    const auto &pun = shards_[shardFor(digest)].unstable;
-    const std::size_t h = unstableSlotHash(digest) & (pun.size() - 1);
-    __builtin_prefetch(pun.data() + h, 1);
-    __builtin_prefetch(pun.data() + ((h + 2) & (pun.size() - 1)), 1);
-}
-
-void
-KsmScanner::stageWindow(const mem::FrameTable &ft, KernelStage &ks) const
-{
-    const std::size_t n = ks.count();
-    ks.pre.assign(n, BatchPre{});
-    ks.data.assign(n, nullptr);
-    ks.hfns.resize(n);
-    ks.gens.resize(n);
-    ks.sumPages.clear();
-    ks.sumLane.clear();
-    ks.digPages.clear();
-    ks.digLane.clear();
-    ks.calmIdx.clear();
-    ks.needyIdx.clear();
-
-    // Pass 0: mirror each visit's settle checks — huge skip, then the
-    // generation test against per-page state only that visit may
-    // mutate — touching nothing but the compact generation lane. A
-    // settled revisit never loads its frame, so the frame lines are
-    // prefetched only for the survivors; pulling them for every item
-    // would trash the cache on converged passes where nearly all of
-    // the window settles.
-    for (std::size_t k = 0; k < n; ++k) {
-        const hv::Vm &v = *ks.vms[k];
-        const Gfn gfn = ks.gfns[k];
-        if (!v.hugePages.empty() && v.hugePages[gfn]) {
-            ks.hfns[k] = invalidFrame; // the visit never loads content
-            continue;
-        }
-        const Hfn hfn = v.ept.entry(gfn).backing;
-        ks.hfns[k] = hfn;
-        const std::uint64_t gen = ft.writeGen(hfn);
-        ks.gens[k] = gen;
-        const PageScanState &ps = ks.rows[k][gfn];
-        if (cfg_.incrementalScan && ps.lastGen == gen &&
-            (ps.lastStable || ps.digestValid)) {
-            // Settled without content: a stable page's visit ends at
-            // the generation check, and a digestValid one only needs
-            // its unstable-table slot for the tree work.
-            if (!ps.lastStable)
-                prefetchUnstableSlot(ps.lastDigest);
-            continue;
-        }
-        ks.needyIdx.push_back(static_cast<std::uint32_t>(k));
-        ft.prefetchFrame(hfn);
-    }
-
-    // Pass 1: mirror the surviving visits' decision trees (read-only,
-    // against state frozen until each visit runs) down to their first
-    // content computation, and stage the checksum lanes. The frame
-    // reads here are what pass 0's prefetches cover.
-    for (const std::uint32_t k : ks.needyIdx) {
-        const Hfn hfn = ks.hfns[k];
-        const std::uint64_t gen = ks.gens[k];
-        const PageScanState &ps = ks.rows[k][ks.gfns[k]];
-        if (cfg_.incrementalScan && ps.lastGen == gen) {
-            // Gen-calm first revisit: the visit wants the digest.
-            const mem::PageData *d = &ft.frame(hfn).data;
-            ks.data[k] = d;
-            if (d->isZero()) {
-                // Zero-page fast path: the constants fold at compile
-                // time, no kernel lane spent.
-                ks.pre[k].dig = mem::zeroPageDigest;
-                ks.pre[k].hasDig = true;
-            } else {
-                ks.digPages.push_back(d);
-                ks.digLane.push_back(k);
-            }
-        } else {
-            const mem::Frame &frame = ft.frame(hfn);
-            if (frame.ksmStable)
-                continue; // stable fast path: no content work
-            const mem::PageData *d = &frame.data;
-            ks.data[k] = d;
-            ks.calmIdx.push_back(k);
-            if (d->isZero()) {
-                ks.pre[k].sum = mem::zeroPageChecksum;
-                ks.pre[k].hasSum = true;
-            } else {
-                ks.sumPages.push_back(d);
-                ks.sumLane.push_back(k);
-            }
-        }
-    }
-
-    // Pass 2: the checksum kernel.
-    if (!ks.sumPages.empty()) {
-        ks.sums.resize(ks.sumPages.size());
-        mem::checksumBatch(ks.sumPages.data(), ks.sums.data(),
-                           ks.sumPages.size());
-        for (std::size_t i = 0; i < ks.sumPages.size(); ++i) {
-            ks.pre[ks.sumLane[i]].sum = ks.sums[i];
-            ks.pre[ks.sumLane[i]].hasSum = true;
-        }
-    }
-
-    // Pass 3: calm prediction — the same compare the visit will make,
-    // against per-page state only that visit may mutate — staging the
-    // digest lanes for pages that will pass it.
-    for (const std::uint32_t k : ks.calmIdx) {
-        const PageScanState &ps = ks.rows[k][ks.gfns[k]];
-        if (!(ps.checksumValid && ps.lastChecksum == ks.pre[k].sum))
-            continue; // not calm: the visit stops at the checksum
-        const mem::PageData *d = ks.data[k];
-        if (d->isZero()) {
-            ks.pre[k].dig = mem::zeroPageDigest;
-            ks.pre[k].hasDig = true;
-        } else {
-            ks.digPages.push_back(d);
-            ks.digLane.push_back(k);
-        }
-    }
-
-    // Pass 4: the digest kernel (gen-calm and freshly-calm needs).
-    if (!ks.digPages.empty()) {
-        ks.digs.resize(ks.digPages.size());
-        mem::digestBatch(ks.digPages.data(), ks.digs.data(),
-                         ks.digPages.size());
-        for (std::size_t i = 0; i < ks.digPages.size(); ++i) {
-            ks.pre[ks.digLane[i]].dig = ks.digs[i];
-            ks.pre[ks.digLane[i]].hasDig = true;
-        }
-    }
-
-    // Pass 5: with the window's actual digests in hand, hint the
-    // unstable-table slots the commits are about to probe. A cold
-    // page's first calm visit has no digest recorded from last pass,
-    // so this is the only hint it gets, from the value the probe will
-    // really use. Pure hints: a commit growing the table only makes
-    // them stale, never wrong.
-    for (std::size_t k = 0; k < n; ++k)
-        if (ks.pre[k].hasDig)
-            prefetchUnstableSlot(ks.pre[k].dig);
-}
-
-bool
-KsmScanner::stableProbeCleanMiss(const mem::FrameTable &ft,
-                                 const mem::PageData &data,
-                                 std::uint64_t digest) const
-{
-    const ShardState &sh = shards_[shardFor(digest)];
-    const auto bucket = sh.stableTree.find(digest);
-    if (bucket == sh.stableTree.end())
-        return true;
-    for (const Hfn hfn : bucket->second) {
-        if (!ft.isAllocated(hfn) || !ft.frame(hfn).ksmStable ||
-            !(ft.frame(hfn).data == data))
-            return false; // stale: a real lookup would prune here
-        if (ft.frame(hfn).refcount >= cfg_.maxPageSharing)
-            continue; // full: a real lookup skips it and walks on
-        return false; // acceptable node: a real lookup would merge
-    }
-    return true;
-}
-
-void
-KsmScanner::classifyOne(Gfn gfn, const hv::Vm &v,
-                        const mem::FrameTable &ft,
-                        const PageScanState *psv, PageSnap &snap,
-                        const BatchPre &pre) const
-{
-    // Residency was established by the collect walk and is frozen for
-    // the batch (the scanner never allocates, evicts or discards), so
-    // this mirrors the serial decision tree from the huge-page check
-    // down — reading, never writing. The per-page state is safe to
-    // read here because only a page's own visit mutates it, and this
-    // page's commit has not run yet.
-    if (!v.hugePages.empty() && v.hugePages[gfn]) {
-        snap.kind = PageSnap::Kind::Huge;
-        return;
-    }
-
-    const Hfn hfn = v.ept.entry(gfn).backing;
-    const std::uint64_t gen = ft.writeGen(hfn);
-    const PageScanState &ps = psv[gfn];
-    snap.gen = gen;
-
-    std::uint64_t digest;
-    if (cfg_.incrementalScan && ps.lastGen == gen) {
-        if (ps.lastStable) {
-            snap.kind = PageSnap::Kind::GenStable;
-            return;
-        }
-        snap.kind = PageSnap::Kind::GenCalm;
-        if (ps.digestValid) {
-            digest = ps.lastDigest;
-        } else {
-            digest = pre.hasDig ? pre.dig : ft.frame(hfn).data.digest();
-            snap.digest = digest;
-            snap.hasDigest = true;
-        }
-        // Commit re-evaluates the serial epoch-skip rule against the
-        // then-current epoch; probing here would be wasted work when
-        // the skip is going to hold.
-        if (ps.lastStableEpoch != 0 &&
-            ps.lastStableEpoch == ft.ksmStableEpoch(digest))
-            return;
-    } else {
-        if (ft.frame(hfn).ksmStable) {
-            snap.kind = PageSnap::Kind::SlowStable;
-            return;
-        }
-        const mem::PageData &data = ft.frame(hfn).data;
-        const std::uint32_t sum = pre.hasSum ? pre.sum : data.checksum();
-        snap.checksum = sum;
-        snap.hasChecksum = true;
-        if (!(ps.checksumValid && ps.lastChecksum == sum)) {
-            snap.kind = PageSnap::Kind::NotCalm;
-            return;
-        }
-        snap.kind = PageSnap::Kind::SlowCalm;
-        digest = pre.hasDig ? pre.dig : data.digest();
-        snap.digest = digest;
-        snap.hasDigest = true;
-    }
-
-    // Read-only stable probe. Only a clean miss is recorded: any
-    // other outcome (a hit, or a chain with stale nodes to prune) has
-    // side effects the commit must replay against the live tree.
-    snap.probeCleanMiss =
-        stableProbeCleanMiss(ft, ft.frame(hfn).data, digest);
-    snap.probeEpoch = ft.ksmStableEpoch(digest);
-}
-
-void
-KsmScanner::classifyRange(const mem::FrameTable &ft, std::size_t begin,
-                          std::size_t end)
-{
-    // Software-pipelined: stage a window of items through the
-    // lane-parallel kernels, then classify each on the precomputed
-    // values. The stage is local: workers run concurrently and snaps_
-    // rows don't overlap.
-    VmId last_vm = invalidVm;
-    const hv::Vm *v = nullptr;
-    const PageScanState *psv = nullptr;
-    const hv::Hypervisor &chv = hv_;
-    KernelStage ks;
-    for (std::size_t i = begin; i < end;) {
-        const std::size_t wend = std::min(end, i + kernelWindow);
-        ks.clearWindow();
-        for (std::size_t j = i; j < wend; ++j) {
-            const WorkItem w = work_[j];
-            if (w.vm != last_vm) {
-                v = &chv.vm(w.vm);
-                psv = page_state_[w.vm].data();
-                last_vm = w.vm;
-            }
-            ks.push(v, psv, w.gfn);
-        }
-        stageWindow(ft, ks);
-        for (std::size_t j = i; j < wend; ++j) {
-            const std::size_t k = j - i;
-            classifyOne(work_[j].gfn, *ks.vms[k], ft, ks.rows[k],
-                        snaps_[j], ks.pre[k]);
-        }
-        i = wend;
-    }
-}
-
-void
-KsmScanner::commitResidual(VmId vm, Gfn gfn, const hv::Vm &v,
-                           mem::FrameTable &ft, PageScanState *psv,
-                           const PageSnap &snap, bool gen_moved)
-{
-    if (snap.kind == PageSnap::Kind::Huge) {
-        // hugePages flags are frozen for the batch: always valid.
-        ++stat_skipped_huge_;
-        return;
-    }
-    if (gen_moved) {
-        // An earlier promotion moved the frame since classify: nothing
-        // recorded in the snap is provable any more, so run the full
-        // serial visit.
-        ++stat_commit_replays_;
-        scanOne(vm, gfn, v, ft, psv);
-        return;
-    }
-
-    // The write generation seen by classify still holds, so the snap
-    // is exactly what the serial visit would have computed, and the
-    // replay below performs its mutations verbatim (compare scanOne()).
-    PageScanState &ps = psv[gfn];
-    if (snap.kind == PageSnap::Kind::GenStable) {
-        ++stat_gen_skipped_;
-        return;
-    }
-    if (snap.kind == PageSnap::Kind::SlowStable) {
-        if (cfg_.incrementalScan) {
-            ps.lastGen = snap.gen;
-            ps.lastStable = true;
-            ps.digestValid = false;
-            ps.lastStableEpoch = 0;
-        }
-        return;
-    }
-    // Not calm (candidates commit in their shard): slowPathContent
-    // re-derives calm from the frozen ps against the checksum classify
-    // computed from the same state, so the verdict always matches.
-    jtps_assert(snap.kind == PageSnap::Kind::NotCalm);
-    const Hfn hfn = v.ept.entry(gfn).backing;
-    const mem::PageData *data = &ft.frame(hfn).data;
-    std::uint64_t digest = 0;
-    const bool calm =
-        slowPathContent(ft, hfn, snap.gen, ps, data, &snap.checksum,
-                        nullptr, stat_digest_cache_hits_, digest);
-    jtps_assert(!calm);
-    ++stat_not_calm_;
-}
-
-std::uint64_t
-KsmScanner::scanBatchSharded()
-{
-    // ---- Collect: replicate the serial cursor walk read-only,
-    // building the batch's work list in serial visit order. Like the
-    // serial loop, only resident pages consume scan budget, and a
-    // pass boundary ends the batch (processed after the commits so
-    // the KsmFullScan trace event sees this batch's merges).
-    work_.clear();
-    std::uint64_t visited = 0;
-    bool boundary = false;
-    while (visited < cfg_.pagesToScan) {
-        if (!cursorNext()) {
-            boundary = true;
-            break;
-        }
-        const hv::Vm &v = hv_.vm(cur_vm_);
-        // Size this VM's page-state row now, single-threaded, so the
-        // classify workers only ever index into settled storage.
-        pageStateRow(cur_vm_, v);
-        const Gfn gfn_end = v.ept.size();
-        while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan) {
-            if (v.ept.entry(cur_gfn_).state == hv::PageState::Resident) {
-                work_.push_back(WorkItem{cur_vm_, cur_gfn_});
-                ++visited;
-            }
-            ++cur_gfn_;
-        }
-    }
-
-    // ---- Classify: fan fixed-size shards out to the pool. Workers
-    // only read (frozen frame table, EPTs, per-page state) and only
-    // write their own snaps_ range; determinism needs no ordering
-    // here because commit ignores completion order entirely.
-    mem::FrameTable &ft = hv_.frames();
-    if (!work_.empty()) {
-        snaps_.assign(work_.size(), PageSnap{});
-        if (!pool_)
-            pool_ = std::make_unique<ThreadPool>(
-                static_cast<unsigned>(shards_.size()));
-        const std::size_t shard =
-            std::max<std::size_t>(1, cfg_.scanShardPages);
-        const mem::FrameTable &cft = ft;
-        std::uint64_t shards = 0;
-        for (std::size_t begin = 0; begin < work_.size();
-             begin += shard) {
-            const std::size_t end =
-                std::min(work_.size(), begin + shard);
-            ++shards;
-            pool_->submit(
-                [this, &cft, begin, end] { classifyRange(cft, begin, end); });
-        }
-        pool_->wait();
-        stat_scan_shards_ += shards;
-    }
-
-    commitSharded(ft);
-    if (boundary)
-        passBoundary();
-    stat_pages_visited_ += visited;
-    return visited;
-}
-
-void
-KsmScanner::commitSharded(mem::FrameTable &ft)
-{
-    const unsigned S = static_cast<unsigned>(shards_.size());
-    if (shard_work_.size() != S)
-        shard_work_.resize(S);
-    for (ShardWork &sw : shard_work_) {
-        sw.items.clear();
-        sw.ops.clear();
-        sw.counters = ShardCounters{};
-    }
-    residual_.clear();
-
-    // ---- Partition (serial): merge candidates go to their digest's
-    // shard — equal content means equal digest, so everything a
-    // candidate can interact with (tree chains, unstable entries,
-    // merge targets, promotion sources) lives in the same shard.
-    // Everything else joins the residual stream for the reduce.
-    Hfn max_hfn = 0;
-    bool have_candidates = false;
-    for (std::size_t i = 0; i < work_.size(); ++i) {
-        const PageSnap &snap = snaps_[i];
-        if (snap.kind == PageSnap::Kind::GenCalm ||
-            snap.kind == PageSnap::Kind::SlowCalm) {
-            ++stat_precheck_candidates_;
-            const WorkItem w = work_[i];
-            // SlowCalm snaps always carry the digest; a GenCalm snap
-            // without one proves the per-page cache holds it.
-            const std::uint64_t digest =
-                snap.hasDigest ? snap.digest
-                               : page_state_[w.vm][w.gfn].lastDigest;
-            shard_work_[shardFor(digest)].items.push_back(
-                static_cast<std::uint32_t>(i));
-            max_hfn = std::max(max_hfn,
-                               hv_.vm(w.vm).ept.entry(w.gfn).backing);
-            have_candidates = true;
-        } else {
-            residual_.push_back(static_cast<std::uint32_t>(i));
-        }
-    }
-
-    std::size_t mx = 0;
-    std::size_t mn = work_.size();
-    for (const ShardWork &sw : shard_work_) {
-        mx = std::max(mx, sw.items.size());
-        mn = std::min(mn, sw.items.size());
-    }
-    const std::uint64_t imb = static_cast<std::uint64_t>(mx - mn);
-    if (imb > shard_imbalance_max_) {
-        shard_imbalance_max_ = imb;
-        stat_shard_imbalance_ = imb;
-    }
-
-    // Pre-size the frame memo serially: shard jobs memoise their own
-    // candidates' frames and must never grow the vector concurrently.
-    if (have_candidates)
-        frameMemo(max_hfn);
-
-    // ---- Shard jobs: each replays its candidates in ascending work
-    // index against its own index slices, epoch stripes and
-    // generation lane, logging cross-shard effects.
-    for (unsigned s = 0; s < S; ++s) {
-        if (shard_work_[s].items.empty())
-            continue;
-        pool_->submit([this, &ft, s] { shardCommitItems(ft, s); });
-    }
-    if (have_candidates)
-        pool_->wait();
-
-    // ---- Reduce (serial): interleave the shard op logs with the
-    // residual stream by work index and apply in exactly the order
-    // the serial walk would have produced these effects.
-    merged_ops_.clear();
-    for (const ShardWork &sw : shard_work_)
-        merged_ops_.insert(merged_ops_.end(), sw.ops.begin(),
-                           sw.ops.end());
-    std::sort(merged_ops_.begin(), merged_ops_.end(),
-              [](const ShardOp &a, const ShardOp &b) {
-                  return a.idx < b.idx;
-              });
-    bumped_.clear();
-    VmId last_vm = invalidVm;
-    const hv::Vm *v = nullptr;
-    PageScanState *psv = nullptr;
-    std::size_t oi = 0;
-    std::size_t ri = 0;
-    while (oi < merged_ops_.size() || ri < residual_.size()) {
-        const bool take_op =
-            ri >= residual_.size() ||
-            (oi < merged_ops_.size() &&
-             merged_ops_[oi].idx < residual_[ri]);
-        if (take_op) {
-            applyShardOp(merged_ops_[oi++], ft);
-            continue;
-        }
-        const std::uint32_t i = residual_[ri++];
-        const WorkItem w = work_[i];
-        if (w.vm != last_vm) {
-            v = &hv_.vm(w.vm);
-            psv = page_state_[w.vm].data();
-            last_vm = w.vm;
-        }
-        const PageSnap &snap = snaps_[i];
-        // The serial walk sees the live write generation at this
-        // item's turn. Here every shard promotion has already landed,
-        // so decide from the applied-op record instead: only a
-        // promotion with a smaller work index (already applied, hence
-        // in bumped_) would have been visible serially.
-        const bool gen_moved =
-            snap.kind != PageSnap::Kind::Huge &&
-            bumped_.count(v->ept.entry(w.gfn).backing) != 0;
-        commitResidual(w.vm, w.gfn, *v, ft, psv, snap, gen_moved);
-    }
-
-    // ---- Fold the shard counters into the live stats, in shard
-    // order (the totals are sums, so they match the serial walk).
-    for (const ShardWork &sw : shard_work_) {
-        stat_stale_stable_ += sw.counters.staleStable;
-        stat_stale_unstable_ += sw.counters.staleUnstable;
-        stat_gen_skipped_ += sw.counters.genSkipped;
-        stat_digest_cache_hits_ += sw.counters.digestCacheHits;
-        stat_commit_replays_ += sw.counters.commitReplays;
-    }
-}
-
-void
-KsmScanner::shardCommitItems(mem::FrameTable &ft, unsigned s)
-{
-    ShardState &sh = shards_[s];
-    ShardWork &sw = shard_work_[s];
-    const unsigned lane = s + 1; // write-generation lane (0 = serial)
-    VmId last_vm = invalidVm;
-    const hv::Vm *v = nullptr;
-    PageScanState *psv = nullptr;
-    for (const std::uint32_t idx : sw.items) {
-        const WorkItem w = work_[idx];
-        if (w.vm != last_vm) {
-            v = &hv_.vm(w.vm);
-            psv = page_state_[w.vm].data();
-            last_vm = w.vm;
-        }
-        const PageSnap &snap = snaps_[idx];
-        const Hfn hfn = v->ept.entry(w.gfn).backing;
-        PageScanState &ps = psv[w.gfn];
-        if (ft.writeGen(hfn) != snap.gen) {
-            // The only mid-batch generation source a shard can see is
-            // one of its own earlier promotions (equal content means
-            // equal digest means same shard), which left the frame
-            // stable — so the serial replay's scanOne() reduces to
-            // its stable fast path, reproduced inline.
-            ++sw.counters.commitReplays;
-            jtps_assert(ft.frame(hfn).ksmStable);
-            if (cfg_.incrementalScan) {
-                ps.lastGen = ft.writeGen(hfn);
-                ps.lastStable = true;
-                ps.digestValid = false;
-                ps.lastStableEpoch = 0;
-            }
-            continue;
-        }
-
-        const std::uint64_t gen = snap.gen;
-        const mem::PageData *data = nullptr;
-        std::uint64_t digest = 0;
-        bool skip_stable_probe = false;
-        if (snap.kind == PageSnap::Kind::GenCalm) {
-            ++sw.counters.genSkipped;
-            digest = genCalmDigest(ft, hfn, gen, ps, data,
-                                   snap.hasDigest ? &snap.digest : nullptr,
-                                   sw.counters.digestCacheHits,
-                                   skip_stable_probe);
-        } else { // SlowCalm — classify proved calm on the frozen ps.
-            data = &ft.frame(hfn).data;
-            const bool calm = slowPathContent(
-                ft, hfn, gen, ps, data,
-                snap.hasChecksum ? &snap.checksum : nullptr,
-                snap.hasDigest ? &snap.digest : nullptr,
-                sw.counters.digestCacheHits, digest);
-            jtps_assert(calm);
-        }
-
-        shardTreeStage(sh, sw, lane, idx, w.vm, w.gfn, ft, ps, hfn,
-                       digest, data, skip_stable_probe, &snaps_[idx]);
-    }
-}
-
-void
-KsmScanner::shardTreeStage(ShardState &sh, ShardWork &sw, unsigned lane,
-                           std::uint32_t idx, VmId vm, Gfn gfn,
-                           mem::FrameTable &ft, PageScanState &ps,
-                           Hfn hfn, std::uint64_t digest,
-                           const mem::PageData *data,
-                           bool skip_stable_probe, const PageSnap *snap)
-{
-    // Mirror of treeStage() against the shard's own slices, with every
-    // cross-shard effect executed through the frame table's deferred
-    // protocol and logged for the reduce. usePml never reaches here
-    // (sharding collapses to 1), so its branches are omitted.
-    if (!skip_stable_probe) {
-        if (snap && snap->probeCleanMiss &&
-            snap->probeEpoch == ft.ksmStableEpoch(digest)) {
-            ps.lastStableEpoch = ft.ksmStableEpoch(digest);
-        } else {
-            if (!data)
-                data = &ft.frame(hfn).data;
-            const Hfn stable =
-                stableLookup(sh, *data, digest, sw.counters.staleStable);
-            if (stable != invalidFrame) {
-                ShardOp op{};
-                op.idx = idx;
-                op.vm = vm;
-                op.gfn = gfn;
-                op.stable = stable;
-                if (hv_.ksmMergeIntoShard(stable, vm, gfn,
-                                          &op.freedSource,
-                                          &op.source)) {
-                    op.merged = true;
-                    sw.ops.push_back(op);
-                }
-                return;
-            }
-            ps.lastStableEpoch = ft.ksmStableEpoch(digest);
-        }
-    }
-
-    // Unstable slice: the same one-walk lookup/insert as treeStage().
-    std::size_t insert_at = npos;
-    const std::size_t slot = unstableFind(sh, digest, insert_at);
-    if (slot != npos) {
-        UnstableSlot &u = sh.unstable[slot];
-        if (u.vm == vm && u.gfn == gfn)
-            return; // same page revisited
-        if (!data)
-            data = &ft.frame(hfn).data;
-        const mem::PageData *other = hv_.peek(u.vm, u.gfn);
-        const bool entry_stale = other == nullptr || !(*other == *data);
-        if (entry_stale) {
-            u.vm = vm;
-            u.gfn = gfn;
-            ++sw.counters.staleUnstable;
-            return;
-        }
-        ShardOp op{};
-        op.idx = idx;
-        op.vm = vm;
-        op.gfn = gfn;
-        op.promotion = true;
-        const Hfn fresh = hv_.ksmMakeStableShard(u.vm, u.gfn, digest,
-                                                 lane, &op.transitioned,
-                                                 &op.refcountAtSet);
-        jtps_assert(fresh != invalidFrame);
-        op.stable = fresh;
-        sh.stableTree[digest].push_back(fresh);
-        u.epoch = tombstoneEpoch;
-        --sh.live;
-        if (hv_.ksmMergeIntoShard(fresh, vm, gfn, &op.freedSource,
-                                  &op.source))
-            op.merged = true;
-        if (op.transitioned || op.merged)
-            sw.ops.push_back(op);
-        return;
-    }
-
-    unstableInsert(sh, insert_at, digest, vm, gfn); // slice-local growth
-}
-
-void
-KsmScanner::applyShardOp(const ShardOp &op, mem::FrameTable &ft)
-{
-    // Effects land in the serial walk's exact order for this item:
-    // the promotion's bookkeeping first (setKsmStable's counters),
-    // then the merge's unmap/map/touch/stat/trace sequence.
-    if (op.promotion && op.transitioned) {
-        ft.commitStablePromote(op.stable, op.refcountAtSet);
-        bumped_.insert(op.stable);
-    }
-    if (!op.merged)
-        return;
-    if (op.freedSource)
-        ft.finishDeferredFree(op.source);
-    ft.commitSharingAdd(op.stable);
-    ft.touch(op.stable);
-    ++stat_hv_ksm_merges_;
-    ++merges_this_pass_;
-    ++merges_total_;
-    ++(op.promotion ? stat_unstable_promotions_ : stat_stable_merges_);
-    if (TraceBuffer *t = hv_.trace())
-        t->record(op.promotion ? TraceEventType::KsmUnstablePromotion
-                               : TraceEventType::KsmStableMerge,
-                  op.vm, op.gfn, op.stable);
+    const std::size_t mask = unstable_.size() - 1;
+    const std::size_t h = unstableSlotHash(digest) & mask;
+    __builtin_prefetch(unstable_.data() + h, 1);
+    __builtin_prefetch(unstable_.data() + ((h + 2) & mask), 1);
 }
 
 KsmScanner::PmlVmQueue &

@@ -43,7 +43,7 @@ FrameTable::allocRaw(const PageData &initial)
     // A recycled hfn gets a fresh generation here, so any cache entry
     // keyed by (hfn, generation) from the previous tenant can never
     // match again.
-    write_gens_[hfn] = nextGen(0);
+    write_gens_[hfn] = ++gen_clock_;
     f.refcount = 0;
     f.ksmStable = false;
     f.referenced = true;
@@ -188,7 +188,7 @@ FrameTable::setKsmStable(Hfn hfn, bool stable)
     // left) the stable tree: the scanner's generation fast path may
     // conclude "not stable" from generation equality alone, without
     // loading the Frame.
-    write_gens_[hfn] = nextGen(0);
+    write_gens_[hfn] = ++gen_clock_;
     const unsigned fs = stripeOfFrame(hfn);
     if (stable) {
         ++ksm_stable_frames_;
@@ -201,98 +201,6 @@ FrameTable::setKsmStable(Hfn hfn, bool stable)
         ksm_sharing_mappings_ -= f.refcount - 1;
         sharing_by_stripe_[fs] -= f.refcount - 1;
     }
-}
-
-void
-FrameTable::addMappingShard(Hfn hfn, const Mapping &m)
-{
-    Frame &f = frame(hfn);
-    jtps_assert(!f.pinned);
-    jtps_assert(f.refcount >= 1);
-    reserveExtra(f);
-    f.extra.push_back(m);
-    ++f.refcount;
-    // Sharing counters and host.mappings_added deferred to
-    // commitSharingAdd() at the serial reduce.
-}
-
-bool
-FrameTable::removeMappingShard(Hfn hfn, const Mapping &m)
-{
-    Frame &f = frame(hfn);
-    jtps_assert(!f.pinned);
-    jtps_assert(f.refcount >= 1);
-    // Commit shards only ever unmap merge sources, which are never
-    // stable — so no epoch bump (whose stripe could belong to another
-    // shard) can be owed here.
-    jtps_assert(!f.ksmStable);
-
-    if (f.primary == m) {
-        if (f.extra.empty()) {
-            // Deferred-free zombie: content stays intact for same-shard
-            // stable probes; finishDeferredFree() reclaims it at the
-            // reduce, in canonical order, keeping the free list
-            // byte-identical to the serial schedule.
-            f.refcount = 0;
-            return true;
-        }
-        f.primary = f.extra.back();
-        f.extra.pop_back();
-        --f.refcount;
-        shrinkExtra(f);
-        return false;
-    }
-
-    auto it = std::find(f.extra.begin(), f.extra.end(), m);
-    jtps_assert(it != f.extra.end());
-    f.extra.erase(it);
-    --f.refcount;
-    shrinkExtra(f);
-    return false;
-}
-
-void
-FrameTable::setKsmStableShard(Hfn hfn, std::uint64_t digest,
-                              unsigned lane)
-{
-    Frame &f = frame(hfn);
-    jtps_assert(!f.ksmStable);
-    jtps_assert(!f.pinned && f.refcount >= 1);
-    f.ksmStripe = static_cast<std::uint8_t>(stripeOfDigest(digest));
-    f.ksmStable = true;
-    ++ksm_stable_epochs_[f.ksmStripe];
-    write_gens_[hfn] = nextGen(lane);
-    // Stable/sharing counters deferred to commitStablePromote().
-}
-
-void
-FrameTable::commitSharingAdd(Hfn hfn)
-{
-    jtps_assert(frame(hfn).ksmStable);
-    ++ksm_sharing_mappings_;
-    ++sharing_by_stripe_[stripeOfFrame(hfn)];
-    if (stats_)
-        stats_->inc("host.mappings_added");
-}
-
-void
-FrameTable::commitStablePromote(Hfn hfn, std::uint32_t refcount_at_set)
-{
-    jtps_assert(frame(hfn).ksmStable);
-    jtps_assert(refcount_at_set >= 1);
-    const unsigned fs = stripeOfFrame(hfn);
-    ++ksm_stable_frames_;
-    ++stable_by_stripe_[fs];
-    ksm_sharing_mappings_ += refcount_at_set - 1;
-    sharing_by_stripe_[fs] += refcount_at_set - 1;
-}
-
-void
-FrameTable::finishDeferredFree(Hfn hfn)
-{
-    jtps_assert(isAllocated(hfn));
-    jtps_assert(frames_[hfn].refcount == 0);
-    freeRaw(hfn);
 }
 
 void

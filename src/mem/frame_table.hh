@@ -13,24 +13,19 @@
  * that the overcommit experiments (Figs. 7 and 8) scale to millions of
  * frames without O(n) victim scans.
  *
- * Striping (256-VM hosts, docs/ARCHITECTURE.md): the table's derived
- * state is split into kStripes slices so the KSM commit phase can run
- * digest-sharded on a thread pool without sharing mutable cache lines:
+ * Striping (256-VM hosts, docs/ARCHITECTURE.md): some derived state is
+ * split into kStripes slices:
  *
  *  - the KSM stable epoch is one counter *per digest stripe*
- *    (digest mod kStripes); merges for content in one stripe never
- *    bump — or read — another stripe's epoch;
+ *    (digest mod kStripes): a merge or staleness transition for content
+ *    in one stripe does not invalidate the KSM scanner's cached
+ *    stable-probe misses for content in any other stripe;
  *  - the sharing counters behind ksmStableFrames()/ksmSharingMappings()
  *    and the resident count are additionally kept *per frame stripe*
  *    (hfn mod kStripes) — which is exactly bit (hfn mod 64) of each
  *    allocation-bitmap word, so a stripe's allocation bits are one
  *    fixed bit lane of the existing bitmap — giving
  *    checkConsistencyShard() an O(capacity / kStripes) probe;
- *  - the write-generation clock is one counter per *lane*: lane 0
- *    serves every serial mutator, lanes 1..kStripes serve the KSM
- *    commit shards, and the lane id is encoded in the low bits of each
- *    generation so values stay globally unique (and per-lane
- *    deterministic) without any atomics;
  *  - the eviction fallback sweep keeps one clock hand per frame stripe
  *    and merges them deterministically (stripes visited round-robin
  *    from a persistent stripe cursor).
@@ -116,32 +111,18 @@ struct Frame
  * The host frame table: allocation, refcounting, reverse mappings, and
  * clock-based victim selection.
  *
- * Concurrency: the table is single-writer for everything except the
- * KSM commit-shard entry points. The const read-side accessors —
- * writeGen(), prefetchWriteGen(), ksmStableEpoch(), frame() const,
- * isAllocated() — are safe to call from multiple threads *while no
- * mutator runs*, which is the regime the parallel KSM classify phase
- * and the forensics walk operate in. The *Shard mutators
- * (addMappingShard, removeMappingShard, setKsmStableShard) may run
- * concurrently from different commit shards because digest-sharding
- * guarantees their frame sets, epoch stripes and generation lanes are
- * disjoint; everything they cannot touch race-free (shared counters,
- * the free list, the access clock, stats) is deferred to the serial
- * commit* / finishDeferredFree() completions. There is no internal
- * synchronization; any overlap outside that protocol is a data race.
+ * Concurrency: none. A table belongs to one host, and a host is only
+ * ever driven by one thread at a time; there is no internal
+ * synchronization.
  */
 class FrameTable
 {
   public:
     /**
      * Stripe fan-out for stable epochs, sharing counters, allocation
-     * bit lanes and clock hands. KSM commit-shard counts must divide
-     * it so a digest shard owns whole epoch stripes.
+     * bit lanes and clock hands.
      */
     static constexpr unsigned kStripes = 64;
-
-    /** Low bits of every write generation that carry the lane id. */
-    static constexpr unsigned kGenLaneBits = 7;
 
     /** Reverse-mapping capacity reserved on a frame's first spill out
      *  of the inline mapping (16 sharers before the first regrowth),
@@ -204,57 +185,6 @@ class FrameTable
      */
     void setKsmStable(Hfn hfn, bool stable);
 
-    // ------------------------------------------------------------------
-    // KSM commit-shard protocol (see the class comment). Shard-side
-    // calls mutate only the frame's own fields plus shard-owned stripe
-    // state; the serial reduce retires the deferred global effects in
-    // canonical order via the commit* / finishDeferredFree() calls.
-    // ------------------------------------------------------------------
-
-    /**
-     * addMapping() restricted to what a commit shard may mutate: the
-     * frame's own fields. The sharing counters and the mappings-added
-     * stat are owed to a later serial commitSharingAdd().
-     */
-    void addMappingShard(Hfn hfn, const Mapping &m);
-
-    /**
-     * removeMapping() restricted to a commit shard: frame fields only,
-     * and never a free — when the last mapping goes, the frame is left
-     * allocated with refcount 0 (content intact, so same-shard stable
-     * probes can still read it) until the serial reduce calls
-     * finishDeferredFree(). Only legal on non-stable frames (commit
-     * merge sources are never stable, so no epoch bump can be owed).
-     * @return true if the frame is now such a deferred-free zombie.
-     */
-    bool removeMappingShard(Hfn hfn, const Mapping &m);
-
-    /**
-     * The shard-side half of setKsmStable(hfn, true): stable flag,
-     * epoch-stripe bump and a fresh write generation from @p lane's
-     * clock — everything same-shard readers depend on mid-commit. The
-     * sharing counters are owed to commitStablePromote(). @p digest
-     * must be the frame's content digest (it selects the stripe).
-     */
-    void setKsmStableShard(Hfn hfn, std::uint64_t digest, unsigned lane);
-
-    /** Serial completion of one deferred addMappingShard() on a stable
-     *  frame: sharing counters and the mappings-added stat. */
-    void commitSharingAdd(Hfn hfn);
-
-    /**
-     * Serial completion of one deferred setKsmStableShard():
-     * stable-frame and sharing counters. @p refcount_at_set must be
-     * the refcount the frame had when the shard set the flag (later
-     * in-shard merges may have grown it since, and those carry their
-     * own commitSharingAdd()).
-     */
-    void commitStablePromote(Hfn hfn, std::uint32_t refcount_at_set);
-
-    /** Serial completion of a removeMappingShard() zombie: the actual
-     *  free (free list, bitmap, resident counters, stats). */
-    void finishDeferredFree(Hfn hfn);
-
     /**
      * Number of KSM stable frames, like /sys/kernel/mm/ksm/pages_shared.
      * Maintained incrementally: the sharing monitor samples this on a
@@ -272,12 +202,11 @@ class FrameTable
     }
 
     /**
-     * Write generation of @p hfn: a value from a monotonic per-lane
-     * clock, assigned on allocation and re-assigned on every content
-     * change (bumpWriteGen()) and on every stable-flag transition
-     * (setKsmStable()). The lane id lives in the low kGenLaneBits of
-     * the value and every lane counts up independently, so generations
-     * are globally unique and never reused; an equal generation proves
+     * Write generation of @p hfn: a value from one monotonic clock,
+     * assigned on allocation and re-assigned on every content change
+     * (bumpWriteGen()) and on every stable-flag transition
+     * (setKsmStable()), so generations are globally unique and never
+     * reused; an equal generation proves
      * that a cached observation refers to *this* allocation of the
      * frame number (a freed and recycled hfn gets a fresh generation
      * from allocRaw()), that the content is unchanged since the
@@ -300,13 +229,12 @@ class FrameTable
      * or has just changed, the frame's content). All content mutation
      * funnels through the hypervisor's pageForWrite(), which calls
      * this; fresh allocations get a new generation from allocRaw().
-     * Serial mutators draw from lane 0.
      */
     void
     bumpWriteGen(Hfn hfn)
     {
         jtps_assert(isAllocated(hfn));
-        write_gens_[hfn] = nextGen(0);
+        write_gens_[hfn] = ++gen_clock_;
     }
 
     /**
@@ -324,25 +252,6 @@ class FrameTable
     }
 
     /**
-     * Hint that frame(@p hfn)'s content is about to be read. The batch
-     * scanner stages a window of frames whose hfns are effectively
-     * random; issuing the content lines for the whole window up front
-     * overlaps their miss latency. Tolerates any hfn; pure hint.
-     */
-    void
-    prefetchFrame(Hfn hfn) const
-    {
-        if (hfn < frames_.size()) {
-            const char *p =
-                reinterpret_cast<const char *>(&frames_[hfn]);
-            // The sector words span a cache line or two depending on
-            // the Frame's alignment; cover both ends.
-            __builtin_prefetch(p);
-            __builtin_prefetch(p + sizeof(Frame) - 1);
-        }
-    }
-
-    /**
      * Stable-tree epoch of @p digest's stripe: bumped whenever the set
      * of stable frames *of that stripe* able to accept a new sharer
      * can have grown — a frame is (un)marked stable, or a stable frame
@@ -351,9 +260,8 @@ class FrameTable
      * is unchanged, a stable-tree probe for content in the stripe that
      * missed must still miss: merges only ever make stable frames
      * fuller. The KSM scanner uses this to skip re-probing on behalf
-     * of unchanged pages; striping it by digest is what lets commit
-     * shards read and bump epochs without ever observing another
-     * shard's transitions.
+     * of unchanged pages; striping it by digest keeps a transition in
+     * one stripe from forcing re-probes of content in the others.
      */
     std::uint64_t
     ksmStableEpoch(std::uint64_t digest) const
@@ -455,16 +363,6 @@ class FrameTable
     Hfn allocRaw(const PageData &initial);
     void freeRaw(Hfn hfn);
 
-    /** Next generation from @p lane's clock (never 0: the counter
-     *  starts above 0 and is shifted left of the lane id). */
-    std::uint64_t
-    nextGen(unsigned lane)
-    {
-        jtps_assert(lane <= kStripes);
-        return (++gen_clocks_[lane] << kGenLaneBits) |
-               static_cast<std::uint64_t>(lane);
-    }
-
     /** First spill out of the inline mapping: reserve once so KSM
      *  chains grow without per-merge reallocation. */
     void
@@ -517,14 +415,13 @@ class FrameTable
     std::uint64_t ksm_stable_frames_ = 0;
     std::uint64_t ksm_sharing_mappings_ = 0;
     /** Per-frame-stripe mirrors of resident_/stable/sharing, updated in
-     *  lockstep (serial paths) or via the commit* completions (shard
-     *  paths), so checkConsistencyShard() can recount one stripe. */
+     *  lockstep, so checkConsistencyShard() can recount one stripe. */
     std::array<std::uint64_t, kStripes> resident_by_stripe_{};
     std::array<std::uint64_t, kStripes> stable_by_stripe_{};
     std::array<std::uint64_t, kStripes> sharing_by_stripe_{};
-    /** Per-lane generation clocks (lane 0 = serial mutators, lanes
-     *  1..kStripes = KSM commit shards); see writeGen(). */
-    std::array<std::uint64_t, kStripes + 1> gen_clocks_{};
+    /** The write-generation clock (see writeGen()); pre-incremented,
+     *  so no frame ever gets generation 0. */
+    std::uint64_t gen_clock_ = 0;
     /** Per-digest-stripe stable epochs; start at 1 so a
      *  zero-initialized cached epoch can never match. */
     std::array<std::uint64_t, kStripes> ksm_stable_epochs_;

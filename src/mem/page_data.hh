@@ -21,7 +21,6 @@
 #define JTPS_MEM_PAGE_DATA_HH
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 
 #include "base/hash.hh"
@@ -32,10 +31,10 @@ namespace jtps::mem
 /** Number of modelled sectors per page. */
 constexpr unsigned sectorsPerPage = 8;
 
-/** Seed of the checksum chain ("KSMchk"), shared by scalar and lanes. */
+/** Seed of the checksum chain ("KSMchk"). */
 constexpr std::uint64_t checksumSeed = 0x4b534d63686b00ULL;
 
-/** Seed of the digest chain ("digest\n"), shared by scalar and lanes. */
+/** Seed of the digest chain ("digest\n"). */
 constexpr std::uint64_t digestSeed = 0x6469676573740aULL;
 
 /**
@@ -112,90 +111,6 @@ inline constexpr std::uint32_t zeroPageChecksum = PageData{}.checksum();
 
 /** digest() of the all-zero page, folded at compile time. */
 inline constexpr std::uint64_t zeroPageDigest = PageData{}.digest();
-
-namespace detail
-{
-
-/**
- * Checksum L pages at once. Each lane runs the exact scalar chain of
- * PageData::checksum(), but the lanes are interleaved word by word so
- * the L multiply chains overlap instead of serializing — the scalar
- * chain is latency-bound (three dependent multiplies per hashCombine),
- * the lane form is throughput-bound.
- */
-template <unsigned L>
-inline void
-checksumLanes(const PageData *const *pages, std::uint32_t *out)
-{
-    std::uint64_t h[L];
-    for (unsigned l = 0; l < L; ++l)
-        h[l] = checksumSeed;
-    for (unsigned s = 0; s < sectorsPerPage; ++s) {
-        std::uint64_t lo[L], hi[L];
-        for (unsigned l = 0; l < L; ++l) {
-            const std::uint64_t w = pages[l]->word[s];
-            lo[l] = w & 0xffffffffULL;
-            hi[l] = w >> 32;
-        }
-        hashCombineLanes<L>(h, lo);
-        hashCombineLanes<L>(h, hi);
-    }
-    for (unsigned l = 0; l < L; ++l)
-        out[l] = static_cast<std::uint32_t>(h[l] ^ (h[l] >> 32));
-}
-
-/** Digest L pages at once; same lane structure as checksumLanes. */
-template <unsigned L>
-inline void
-digestLanes(const PageData *const *pages, std::uint64_t *out)
-{
-    std::uint64_t h[L];
-    for (unsigned l = 0; l < L; ++l)
-        h[l] = digestSeed;
-    for (unsigned s = 0; s < sectorsPerPage; ++s) {
-        std::uint64_t v[L];
-        for (unsigned l = 0; l < L; ++l)
-            v[l] = pages[l]->word[s];
-        hashCombineLanes<L>(h, v);
-    }
-    for (unsigned l = 0; l < L; ++l)
-        out[l] = h[l];
-}
-
-} // namespace detail
-
-/** Lane width of the batch kernels; tails < this run the 1-lane form. */
-constexpr unsigned kernelLanes = 8;
-
-/**
- * out[i] = pages[i]->checksum() for i in [0, n) — bit-identical to the
- * scalar member, computed kernelLanes pages at a time. The tail shares
- * the same templated code at width 1, so there is exactly one chain
- * implementation to trust.
- */
-inline void
-checksumBatch(const PageData *const *pages, std::uint32_t *out,
-              std::size_t n)
-{
-    const std::size_t tail = n % kernelLanes;
-    std::size_t i = 0;
-    for (; i + kernelLanes <= n; i += kernelLanes)
-        detail::checksumLanes<kernelLanes>(pages + i, out + i);
-    for (std::size_t k = 0; k < tail; ++k)
-        detail::checksumLanes<1>(pages + i + k, out + i + k);
-}
-
-/** out[i] = pages[i]->digest() for i in [0, n); see checksumBatch. */
-inline void
-digestBatch(const PageData *const *pages, std::uint64_t *out, std::size_t n)
-{
-    const std::size_t tail = n % kernelLanes;
-    std::size_t i = 0;
-    for (; i + kernelLanes <= n; i += kernelLanes)
-        detail::digestLanes<kernelLanes>(pages + i, out + i);
-    for (std::size_t k = 0; k < tail; ++k)
-        detail::digestLanes<1>(pages + i + k, out + i + k);
-}
 
 } // namespace jtps::mem
 

@@ -69,87 +69,10 @@ TEST(PageData, ChecksumSensitiveToEverySectorPosition)
     }
 }
 
-namespace
-{
-
-/**
- * A stream of pages shaped to stress the batch kernels: zero pages,
- * pool-shared contents, near-collisions (one word or one bit apart),
- * and the adversarial digest-collision family the shard suite uses
- * (contents chosen so their digests land in one residue class).
- */
-std::vector<PageData>
-adversarialPages(Rng &rng, std::size_t n)
-{
-    std::vector<PageData> pages;
-    pages.reserve(n);
-    while (pages.size() < n) {
-        switch (rng.nextBelow(5)) {
-        case 0:
-            pages.push_back(PageData::zero());
-            break;
-        case 1:
-            pages.push_back(PageData::filled(rng.nextBelow(6), 0));
-            break;
-        case 2: {
-            // Single-word / single-bit neighbours of a shared page.
-            PageData d = PageData::filled(rng.nextBelow(6), 0);
-            d.word[rng.nextBelow(mem::sectorsPerPage)] ^=
-                1ULL << rng.nextBelow(64);
-            pages.push_back(d);
-            break;
-        }
-        case 3: {
-            // Digest-residue family (cf. test_shard's colliding
-            // contents): all these digests agree mod 4.
-            for (std::uint64_t tag = rng.next();; ++tag) {
-                PageData d = PageData::filled(tag, 0xC0111DE5ULL);
-                if (d.digest() % 4 == 1) {
-                    pages.push_back(d);
-                    break;
-                }
-            }
-            break;
-        }
-        default:
-            pages.push_back(
-                PageData::filled(rng.next(), rng.next()));
-            break;
-        }
-    }
-    return pages;
-}
-
-} // namespace
-
-TEST(PageDataBatch, MatchesScalarAtEveryWidth)
-{
-    // The batch kernels promise bit-identical per-page values to the
-    // scalar members at any n — full lanes, ragged tails, and the
-    // degenerate widths included.
-    Rng rng(0xba7c4);
-    const std::vector<PageData> pool = adversarialPages(rng, 64);
-    for (std::size_t n = 0; n <= 40; ++n) {
-        std::vector<const PageData *> ptrs(n);
-        for (std::size_t i = 0; i < n; ++i)
-            ptrs[i] = &pool[rng.nextBelow(pool.size())];
-        std::vector<std::uint32_t> sums(n);
-        std::vector<std::uint64_t> digs(n);
-        mem::checksumBatch(ptrs.data(), sums.data(), n);
-        mem::digestBatch(ptrs.data(), digs.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(sums[i], ptrs[i]->checksum())
-                << "n=" << n << " i=" << i;
-            EXPECT_EQ(digs[i], ptrs[i]->digest())
-                << "n=" << n << " i=" << i;
-        }
-    }
-}
-
 TEST(PageDataBatch, ZeroPageConstantsMatchScalar)
 {
-    // The scanner's zero fast path serves these constants in place of
-    // kernel lanes; they must be the scalar values of the zero page.
+    // The compile-time zero-page constants must be the scalar values
+    // of the zero page.
     EXPECT_EQ(mem::zeroPageChecksum, PageData::zero().checksum());
     EXPECT_EQ(mem::zeroPageDigest, PageData::zero().digest());
     EXPECT_TRUE(PageData::zero().isZero());
@@ -464,4 +387,38 @@ TEST(FrameTable, StableFlagTransitionAdvancesWriteGeneration)
     const std::uint64_t g2 = ft.writeGen(a);
     ft.setKsmStable(a, false);
     EXPECT_EQ(ft.writeGen(a), g2);
+}
+
+TEST(FrameTable, ExtraReserveOnFirstSpillShrinkOnLastUnshare)
+{
+    // The reverse-mapping spill vector reserves once at the first
+    // spill (KSM chains grow without per-merge reallocation up to
+    // kExtraReserve mappings) and gives the storage back when the last
+    // extra mapping goes.
+    StatSet stats;
+    FrameTable ft(64, &stats);
+    const Hfn f = ft.alloc(Mapping{0, 0}, PageData::filled(9, 9));
+    ASSERT_NE(f, invalidFrame);
+    EXPECT_EQ(ft.frame(f).extra.capacity(), 0u);
+
+    ft.addMapping(f, Mapping{1, 0}); // first spill
+    EXPECT_EQ(ft.frame(f).extra.capacity(), FrameTable::kExtraReserve);
+    for (VmId vm = 2; vm <= FrameTable::kExtraReserve; ++vm)
+        ft.addMapping(f, Mapping{vm, 0});
+    // Filled to the reservation: still not a single reallocation.
+    EXPECT_EQ(ft.frame(f).extra.size(), FrameTable::kExtraReserve);
+    EXPECT_EQ(ft.frame(f).extra.capacity(), FrameTable::kExtraReserve);
+
+    // One past the reservation grows normally...
+    const VmId beyond = FrameTable::kExtraReserve + 1;
+    ft.addMapping(f, Mapping{beyond, 0});
+    EXPECT_GT(ft.frame(f).extra.capacity(), FrameTable::kExtraReserve);
+
+    // ...and unsharing back to a sole mapping releases the storage.
+    for (VmId vm = 1; vm <= beyond; ++vm)
+        ft.removeMapping(f, Mapping{vm, 0});
+    EXPECT_EQ(ft.frame(f).refcount, 1u);
+    EXPECT_TRUE(ft.frame(f).extra.empty());
+    EXPECT_EQ(ft.frame(f).extra.capacity(), 0u);
+    ft.checkConsistency();
 }

@@ -195,6 +195,10 @@ TEST_P(SharingCounterFuzz, CountersMatchFullRecountUnderMergeCowFree)
                 << "seed=" << seed << " step=" << step;
             ASSERT_EQ(scanner.pagesSharing(), sharing)
                 << "seed=" << seed << " step=" << step;
+            // And every frame stripe's counter mirrors must recount on
+            // their own, one bit lane of the bitmap at a time.
+            for (unsigned s = 0; s < mem::FrameTable::kStripes; ++s)
+                hv.frames().checkConsistencyShard(s);
         }
     }
 
@@ -810,16 +814,6 @@ const std::vector<std::string> pmlModeCounters = {
     "hv.pml_overflows",
 };
 
-/** The sharded pipeline's own counters: they size the machine (how a
- *  batch was partitioned), never the workload. The log-driven pass
- *  never runs the pipeline, so against a sharded walk these move on
- *  the walking side only. */
-const std::vector<std::string> shardPipelineCounters = {
-    "ksm.commit_shards",       "ksm.shard_imbalance_max",
-    "ksm.scan_shards",         "ksm.precheck_candidates",
-    "ksm.commit_replays",
-};
-
 /** One random guest-side mutation applied identically to both stacks. */
 void
 applyTwinMutation(TwinStacks &t, Rng &rng)
@@ -915,8 +909,7 @@ expectPmlEqual(TwinStacks &t, std::uint64_t seed, int round)
  * are drained at every batch, so entries never survive a cursor move.
  */
 void
-driveTwinsByPass(TwinStacks &t, std::uint64_t seed, int rounds,
-                 const std::vector<std::string> &exempt = pmlModeCounters)
+driveTwinsByPass(TwinStacks &t, std::uint64_t seed, int rounds)
 {
     Rng rng(seed);
     for (int round = 0; round < rounds; ++round) {
@@ -936,11 +929,11 @@ driveTwinsByPass(TwinStacks &t, std::uint64_t seed, int rounds,
     t.inc_scanner.runToQuiescence();
     t.ref_scanner.runToQuiescence();
     ASSERT_NO_FATAL_FAILURE(expectPmlEqual(t, seed, -1));
-    ASSERT_NO_FATAL_FAILURE(t.expectRegistriesEqual(exempt, seed));
+    ASSERT_NO_FATAL_FAILURE(t.expectRegistriesEqual(pmlModeCounters, seed));
 }
 
 class PmlScanEquivalenceFuzz
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, unsigned>>
+    : public ::testing::TestWithParam<std::uint64_t>
 {
 };
 
@@ -948,37 +941,12 @@ class PmlScanEquivalenceFuzz
 
 TEST_P(PmlScanEquivalenceFuzz, MatchesWalkingScanner)
 {
-    const std::uint64_t seed = std::get<0>(GetParam());
-    const unsigned threads = std::get<1>(GetParam());
+    const std::uint64_t seed = GetParam();
     // inc side: log-driven passes from 4096-slot rings (never
-    // overflows at this scale); ref side: the incremental walk, run
-    // by the serial loop at threads = 1 and by the sharded pipeline
-    // on that many workers otherwise. Classify shards are shrunk so
-    // these tiny memories fan out across several of them.
-    KsmConfig walk = TwinStacks::ksmCfg(true);
-    walk.commitShards = threads;
-    walk.scanShardPages = 16;
+    // overflows at this scale); ref side: the incremental walk.
     TwinStacks t(pmlHostCfg(2 * MiB, 4096), pmlHostCfg(2 * MiB, 0),
-                 pmlKsmCfg(), walk);
-    std::vector<std::string> exempt = pmlModeCounters;
-    exempt.insert(exempt.end(), shardPipelineCounters.begin(),
-                  shardPipelineCounters.end());
-    ASSERT_NO_FATAL_FAILURE(driveTwinsByPass(t, seed, 120, exempt));
-    // The log-driven pass stays on its serial loop...
-    EXPECT_EQ(t.inc_stats.get("ksm.commit_shards"), 1u);
-    for (const std::string &c : shardPipelineCounters) {
-        if (c != "ksm.commit_shards") {
-            EXPECT_EQ(t.inc_stats.get(c), 0u) << c;
-        }
-    }
-    // ...while the walk really ran the loop its worker count selects.
-    EXPECT_EQ(t.ref_stats.get("ksm.commit_shards"), threads);
-    if (threads >= 2) {
-        EXPECT_GT(t.ref_stats.get("ksm.scan_shards"), 0u);
-        EXPECT_GT(t.ref_stats.get("ksm.precheck_candidates"), 0u);
-    } else {
-        EXPECT_EQ(t.ref_stats.get("ksm.scan_shards"), 0u);
-    }
+                 pmlKsmCfg(), TwinStacks::ksmCfg(true));
+    ASSERT_NO_FATAL_FAILURE(driveTwinsByPass(t, seed, 120));
     // Not vacuous: the log really fed the passes, whole clean VMs were
     // skipped outright, and nothing ever fell back to a walk.
     EXPECT_GT(t.inc_stats.get("hv.pml_appends"), 0u);
@@ -990,10 +958,8 @@ TEST_P(PmlScanEquivalenceFuzz, MatchesWalkingScanner)
     EXPECT_EQ(t.ref_stats.get("ksm.pages_pml_skipped"), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SeedsByThreads, PmlScanEquivalenceFuzz,
-    ::testing::Combine(::testing::Values(6, 256, 8128),
-                       ::testing::Values(1u, 2u, 4u)));
+INSTANTIATE_TEST_SUITE_P(Seeds, PmlScanEquivalenceFuzz,
+                         ::testing::Values(6, 256, 8128));
 
 namespace
 {

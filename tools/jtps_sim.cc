@@ -56,7 +56,6 @@ struct Options
     bool csv = false;
     std::string jsonFile;
     std::string traceFile;
-    unsigned ksmCommitShards = 1;
     // Cluster mode (--hosts > 0 switches from one Scenario to a fleet).
     int hosts = 0;
     int perHost = 4;
@@ -98,9 +97,6 @@ usage(const char *argv0)
         "  --csv           CSV output where available\n"
         "  --json FILE     write the full run document as JSON\n"
         "  --trace FILE    record a structured event trace, write JSON\n"
-        "  --ksm-commit-shards S  scan KSM batches on S workers as S\n"
-        "                  digest shards + serial reduce (S divides 64;\n"
-        "                  byte-identical at any S; not with --pml-ring)\n"
         "cluster mode (fleet of independent hosts):\n"
         "  --hosts H       simulate H hosts (0 = single-host mode);\n"
         "                  --workload mix cycles all four workloads\n"
@@ -202,8 +198,6 @@ parse(int argc, char **argv)
             opt.jsonFile = need(i);
         else if (arg == "--trace")
             opt.traceFile = need(i);
-        else if (arg == "--ksm-commit-shards")
-            opt.ksmCommitShards = static_cast<unsigned>(num(i, 1, 64));
         else if (arg == "--hosts")
             opt.hosts = static_cast<int>(num(i, 0, 64));
         else if (arg == "--per-host")
@@ -220,12 +214,6 @@ parse(int argc, char **argv)
             badUsage(argv[0], "unknown option '" + arg + "'");
     }
     const char *argv0 = argv[0];
-    if (64 % opt.ksmCommitShards != 0)
-        badUsage(argv0,
-                 "--ksm-commit-shards must divide 64 (1, 2, 4, ..., 64)");
-    if (opt.ksmCommitShards > 1 && opt.pmlRingSlots > 0)
-        badUsage(argv0, "--ksm-commit-shards does not combine with "
-                        "--pml-ring (log-driven passes are serial)");
     const hv::HostConfig host_defaults;
     if (opt.hostRam <= host_defaults.reserveBytes + opt.zramBytes)
         badUsage(argv0, "--ram must exceed the host reserve plus --zram");
@@ -417,9 +405,9 @@ clusterDocumentJson(const Options &opt, cluster::Cluster &fleet,
     w.field("per_host", opt.perHost);
     w.field("vms", static_cast<std::uint64_t>(opt.hosts) *
                        static_cast<std::uint64_t>(opt.perHost));
-    // Like --ksm-commit-shards, --fleet-threads is a
-    // machine-sizing setting, not part of the run's identity: documents
-    // must be byte-identical at any value, so it is not recorded.
+    // --fleet-threads is a machine-sizing setting, not part of the
+    // run's identity: documents must be byte-identical at any value,
+    // so it is not recorded.
     w.field("placement", opt.placement);
     w.field("migrate", opt.migrate);
     w.field("seed", opt.seed);
@@ -548,7 +536,6 @@ main(int argc, char **argv)
     cfg.warmupMs = opt.warmupMs;
     cfg.steadyMs = opt.steadyMs;
     cfg.seed = opt.seed;
-    cfg.ksmCommitShards = opt.ksmCommitShards;
     cfg.pmlRingSlots = opt.pmlRingSlots;
     cfg.adaptiveBalloon = opt.adaptiveBalloon;
 
