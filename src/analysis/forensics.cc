@@ -26,15 +26,15 @@ captureSnapshot(const hv::Hypervisor &hv,
         for (const auto &proc : os->processes()) {
             for (const auto &vma : proc->vmas) {
                 for (std::uint64_t i = 0; i < vma->numPages; ++i) {
-                    auto pte = proc->pageTable.find(vma->vpnAt(i));
-                    if (pte == proc->pageTable.end())
+                    const Gfn gfn = vma->gfns[i];
+                    if (gfn == invalidFrame)
                         continue; // never touched
-                    const Hfn hfn = hv.translate(vm_id, pte->second);
+                    const Hfn hfn = hv.translate(vm_id, gfn);
                     if (hfn == invalidFrame)
                         continue; // swapped out: not physical memory
                     snap.frames[hfn].push_back(
-                        FrameRef{vm_id, pte->second, proc->pid,
-                                 proc->isJava, vma->category});
+                        FrameRef{vm_id, gfn, proc->pid, proc->isJava,
+                                 vma->category});
                 }
             }
         }

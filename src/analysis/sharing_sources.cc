@@ -21,10 +21,10 @@ collectSharingSources(const guest::GuestOs &os)
     for (const auto &proc : os.processes()) {
         for (const auto &vma : proc->vmas) {
             for (std::uint64_t i = 0; i < vma->numPages; ++i) {
-                auto pte = proc->pageTable.find(vma->vpnAt(i));
-                if (pte == proc->pageTable.end())
+                const Gfn gfn = vma->gfns[i];
+                if (gfn == invalidFrame)
                     continue;
-                const hv::EptEntry &e = vm.ept.entry(pte->second);
+                const hv::EptEntry &e = vm.ept.entry(gfn);
                 if (e.state != hv::PageState::Resident)
                     continue;
                 const mem::Frame &frame = hv.frames().frame(e.backing);

@@ -52,10 +52,10 @@ computeSmaps(const guest::GuestOs &os, Pid pid)
         entry.size = vma->bytes();
 
         for (std::uint64_t i = 0; i < vma->numPages; ++i) {
-            auto pte = proc.pageTable.find(vma->vpnAt(i));
-            if (pte == proc.pageTable.end())
+            const Gfn gfn = vma->gfns[i];
+            if (gfn == invalidFrame)
                 continue;
-            const hv::EptEntry &e = vm.ept.entry(pte->second);
+            const hv::EptEntry &e = vm.ept.entry(gfn);
             switch (e.state) {
               case hv::PageState::NotPresent:
                 break;

@@ -8,14 +8,31 @@
 namespace jtps
 {
 
-void
-StatSet::inc(const std::string &name, std::uint64_t delta)
+namespace
 {
-    counters_[name] += delta;
+
+/** Find-or-insert by string_view: builds a key string only on insert. */
+template <typename Map>
+typename Map::mapped_type &
+slot(Map &map, std::string_view name)
+{
+    auto it = map.lower_bound(name);
+    if (it == map.end() || it->first != name)
+        it = map.emplace_hint(it, std::string(name),
+                              typename Map::mapped_type{});
+    return it->second;
+}
+
+} // namespace
+
+void
+StatSet::inc(std::string_view name, std::uint64_t delta)
+{
+    slot(counters_, name) += delta;
 }
 
 void
-StatSet::dec(const std::string &name, std::uint64_t delta)
+StatSet::dec(std::string_view name, std::uint64_t delta)
 {
     auto it = counters_.find(name);
     jtps_assert(it != counters_.end() && it->second >= delta);
@@ -23,39 +40,39 @@ StatSet::dec(const std::string &name, std::uint64_t delta)
 }
 
 std::uint64_t &
-StatSet::counter(const std::string &name)
+StatSet::counter(std::string_view name)
 {
-    return counters_[name];
+    return slot(counters_, name);
 }
 
 void
-StatSet::set(const std::string &name, std::uint64_t value)
+StatSet::set(std::string_view name, std::uint64_t value)
 {
-    counters_[name] = value;
+    slot(counters_, name) = value;
 }
 
 void
-StatSet::setScalar(const std::string &name, double value)
+StatSet::setScalar(std::string_view name, double value)
 {
-    scalars_[name] = value;
+    slot(scalars_, name) = value;
 }
 
 std::uint64_t
-StatSet::get(const std::string &name) const
+StatSet::get(std::string_view name) const
 {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
 }
 
 double
-StatSet::getScalar(const std::string &name) const
+StatSet::getScalar(std::string_view name) const
 {
     auto it = scalars_.find(name);
     return it == scalars_.end() ? 0.0 : it->second;
 }
 
 bool
-StatSet::has(const std::string &name) const
+StatSet::has(std::string_view name) const
 {
     return counters_.count(name) || scalars_.count(name);
 }

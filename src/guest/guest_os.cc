@@ -22,6 +22,7 @@ GuestOs::GuestOs(hv::Hypervisor &hv, VmId vm_id, std::string name,
     // cache page (virtual space is free).
     cache_vma_ = mmapAnon(0, pagesToBytes(guestPages()),
                           MemCategory::PageCache, "page-cache");
+    cache_mapcount_.assign(guestPages(), 0);
 }
 
 std::uint64_t
@@ -149,22 +150,22 @@ GuestOs::swapOutOneAnonPage()
         Vma &vma = *proc.vmas[rng_.nextBelow(proc.vmas.size())];
         if (vma.fileBacked || vma.numPages == 0)
             continue;
-        const Vpn vpn = vma.vpnAt(rng_.nextBelow(vma.numPages));
-        auto it = proc.pageTable.find(vpn);
-        if (it == proc.pageTable.end())
+        const std::uint64_t index = rng_.nextBelow(vma.numPages);
+        const Gfn gfn = vma.gfns[index];
+        if (gfn == invalidFrame)
             continue;
         // Content must be host-resident to be written to the guest's
         // swap file (a host-swapped page would have to fault first;
         // skip those victims).
-        const mem::PageData *data = hv_.peek(vm_id_, it->second);
+        const mem::PageData *data = hv_.peek(vm_id_, gfn);
         if (data == nullptr)
             continue;
 
-        proc.swappedOut.emplace(vpn, *data);
-        hv_.setHugePage(vm_id_, it->second, false);
-        hv_.discardPage(vm_id_, it->second);
-        freeGfn(it->second);
-        proc.pageTable.erase(it);
+        proc.swappedOut.emplace(vma.vpnAt(index), *data);
+        hv_.setHugePage(vm_id_, gfn, false);
+        hv_.discardPage(vm_id_, gfn);
+        freeGfn(gfn);
+        vma.gfns[index] = invalidFrame;
         ++guest_swapped_;
         ++guest_swapouts_;
         return true;
@@ -173,9 +174,10 @@ GuestOs::swapOutOneAnonPage()
 }
 
 Gfn
-GuestOs::guestSwapIn(GuestProcess &proc, Vpn vpn)
+GuestOs::guestSwapIn(GuestProcess &proc, const Vma *vma,
+                     std::uint64_t index)
 {
-    auto it = proc.swappedOut.find(vpn);
+    auto it = proc.swappedOut.find(vma->vpnAt(index));
     jtps_assert(it != proc.swappedOut.end());
     const mem::PageData data = it->second;
     proc.swappedOut.erase(it);
@@ -185,7 +187,7 @@ GuestOs::guestSwapIn(GuestProcess &proc, Vpn vpn)
 
     const Gfn gfn = allocGfn();
     hv_.writePage(vm_id_, gfn, data);
-    proc.pageTable.emplace(vpn, gfn);
+    pte(vma, index) = gfn;
     return gfn;
 }
 
@@ -260,13 +262,20 @@ GuestOs::process(Pid pid) const
     return *processes_[pid];
 }
 
-void
+GuestOs::CachedFile &
 GuestOs::registerFile(const FileImage &file)
 {
-    auto [it, inserted] = files_.emplace(file.contentTag(), file);
-    (void)it;
-    if (inserted)
-        file_order_.push_back(file.contentTag());
+    auto it = files_.find(file.contentTag());
+    if (it == files_.end()) {
+        it = files_.emplace(file.contentTag(), CachedFile{file, {}}).first;
+        file_order_.push_back(&it->second);
+    }
+    CachedFile &cf = it->second;
+    // The first image registered under a tag stays the file's identity;
+    // a longer one under the same tag only widens the index.
+    if (cf.gfns.size() < file.pages())
+        cf.gfns.resize(file.pages(), invalidFrame);
+    return cf;
 }
 
 Vma *
@@ -283,6 +292,7 @@ GuestOs::mmapAnon(Pid pid, Bytes bytes, MemCategory cat,
     vma->fileBacked = false;
     // khugepaged backs large anonymous regions of user processes.
     vma->hugeBacked = thp_enabled_ && pid != 0;
+    vma->gfns.assign(vma->numPages, invalidFrame);
     Vma *raw = vma.get();
     proc.vmas.push_back(std::move(vma));
     return raw;
@@ -302,6 +312,7 @@ GuestOs::mmapFile(Pid pid, const FileImage &file, MemCategory cat)
     vma->startVpn = carveVpnRange(proc, vma->numPages);
     vma->fileBacked = true;
     vma->fileTag = file.contentTag();
+    vma->gfns.assign(vma->numPages, invalidFrame);
     Vma *raw = vma.get();
     proc.vmas.push_back(std::move(vma));
     return raw;
@@ -318,17 +329,17 @@ GuestOs::munmap(Pid pid, Vma *vma)
             --guest_swapped_;
             continue;
         }
-        auto it = proc.pageTable.find(vma->vpnAt(i));
-        if (it == proc.pageTable.end())
+        const Gfn gfn = vma->gfns[i];
+        if (gfn == invalidFrame)
             continue;
         if (!vma->fileBacked) {
-            hv_.setHugePage(vm_id_, it->second, false);
-            hv_.discardPage(vm_id_, it->second);
-            freeGfn(it->second);
+            hv_.setHugePage(vm_id_, gfn, false);
+            hv_.discardPage(vm_id_, gfn);
+            freeGfn(gfn);
         } else {
-            dropCacheMapRef(it->second);
+            dropCacheMapRef(gfn);
         }
-        proc.pageTable.erase(it);
+        vma->gfns[i] = invalidFrame;
     }
     for (auto it = proc.vmas.begin(); it != proc.vmas.end(); ++it) {
         if (it->get() == vma) {
@@ -342,29 +353,30 @@ GuestOs::munmap(Pid pid, Vma *vma)
 Gfn
 GuestOs::ensureMapped(const Vma *vma, std::uint64_t index)
 {
-    jtps_assert(index < vma->numPages);
-    GuestProcess &proc = process(vma->pid);
-    const Vpn vpn = vma->vpnAt(index);
+    Gfn &slot = pte(vma, index);
+    if (slot != invalidFrame)
+        return slot;
 
-    auto it = proc.pageTable.find(vpn);
-    if (it != proc.pageTable.end())
-        return it->second;
+    if (!vma->fileBacked) {
+        GuestProcess &proc = process(vma->pid);
+        if (proc.swappedOut.count(vma->vpnAt(index)))
+            return guestSwapIn(proc, vma, index);
+    }
 
-    if (!vma->fileBacked && proc.swappedOut.count(vpn))
-        return guestSwapIn(proc, vpn);
-
+    // The slot reference stays valid below: a VMA's table never
+    // resizes, and reclaim inside allocGfn() only unmaps mapped pages.
     Gfn gfn;
     if (vma->fileBacked) {
         auto fit = files_.find(vma->fileTag);
         jtps_assert(fit != files_.end());
-        gfn = pageCacheGet(fit->second, index);
+        gfn = pageCacheGet(fit->second.image, index);
         ++cache_mapcount_[gfn];
     } else {
         gfn = allocGfn();
         if (vma->hugeBacked)
             hv_.setHugePage(vm_id_, gfn, true);
     }
-    proc.pageTable.emplace(vpn, gfn);
+    slot = gfn;
     return gfn;
 }
 
@@ -385,10 +397,8 @@ GuestOs::writePage(const Vma *vma, std::uint64_t index,
 std::uint64_t
 GuestOs::readWord(const Vma *vma, std::uint64_t index, unsigned sector)
 {
-    GuestProcess &proc = process(vma->pid);
-    if (!vma->fileBacked &&
-        !proc.pageTable.count(vma->vpnAt(index)) &&
-        !proc.swappedOut.count(vma->vpnAt(index))) {
+    if (!vma->fileBacked && gfnAt(vma, index) == invalidFrame &&
+        !process(vma->pid).swappedOut.count(vma->vpnAt(index))) {
         return 0; // untouched anonymous memory reads as zero
     }
     return hv_.readWord(vm_id_, ensureMapped(vma, index), sector);
@@ -397,15 +407,15 @@ GuestOs::readWord(const Vma *vma, std::uint64_t index, unsigned sector)
 void
 GuestOs::touch(const Vma *vma, std::uint64_t index)
 {
-    GuestProcess &proc = process(vma->pid);
     if (!vma->fileBacked) {
-        auto it = proc.pageTable.find(vma->vpnAt(index));
-        if (it == proc.pageTable.end()) {
+        const Gfn gfn = gfnAt(vma, index);
+        if (gfn == invalidFrame) {
+            GuestProcess &proc = process(vma->pid);
             if (proc.swappedOut.count(vma->vpnAt(index)))
-                hv_.touchPage(vm_id_, guestSwapIn(proc, vma->vpnAt(index)));
+                hv_.touchPage(vm_id_, guestSwapIn(proc, vma, index));
             return;
         }
-        hv_.touchPage(vm_id_, it->second);
+        hv_.touchPage(vm_id_, gfn);
         return;
     }
     hv_.touchPage(vm_id_, ensureMapped(vma, index));
@@ -414,39 +424,36 @@ GuestOs::touch(const Vma *vma, std::uint64_t index)
 void
 GuestOs::discard(const Vma *vma, std::uint64_t index)
 {
-    GuestProcess &proc = process(vma->pid);
-    if (!vma->fileBacked &&
-        proc.swappedOut.erase(vma->vpnAt(index)) > 0) {
-        jtps_assert(guest_swapped_ > 0);
-        --guest_swapped_;
+    Gfn &slot = pte(vma, index);
+    if (slot == invalidFrame) {
+        // A guest-swapped page has no gfn: drop its swap copy.
+        if (!vma->fileBacked &&
+            process(vma->pid).swappedOut.erase(vma->vpnAt(index)) > 0) {
+            jtps_assert(guest_swapped_ > 0);
+            --guest_swapped_;
+        }
         return;
     }
-    auto it = proc.pageTable.find(vma->vpnAt(index));
-    if (it == proc.pageTable.end())
-        return;
     if (vma->fileBacked) {
         // Unmapping a file page does not evict it from the cache.
-        dropCacheMapRef(it->second);
-        proc.pageTable.erase(it);
+        dropCacheMapRef(slot);
+        slot = invalidFrame;
         return;
     }
-    hv_.setHugePage(vm_id_, it->second, false);
-    hv_.discardPage(vm_id_, it->second);
-    freeGfn(it->second);
-    proc.pageTable.erase(it);
+    hv_.setHugePage(vm_id_, slot, false);
+    hv_.discardPage(vm_id_, slot);
+    freeGfn(slot);
+    slot = invalidFrame;
 }
 
 Gfn
 GuestOs::pageCacheGet(const FileImage &file, std::uint64_t index)
 {
     jtps_assert(index < file.pages());
-    registerFile(file);
-
-    auto &file_pages = cache_index_[file.contentTag()];
-    auto it = file_pages.find(index);
-    if (it != file_pages.end()) {
-        hv_.touchPage(vm_id_, it->second);
-        return it->second;
+    CachedFile &cf = registerFile(file);
+    if (cf.gfns[index] != invalidFrame) {
+        hv_.touchPage(vm_id_, cf.gfns[index]);
+        return cf.gfns[index];
     }
 
     // Cache miss: "read from disk" into a fresh cache page.
@@ -454,24 +461,19 @@ GuestOs::pageCacheGet(const FileImage &file, std::uint64_t index)
     Gfn gfn = allocGfn();
     hv_.writePage(vm_id_, gfn, file.pageContent(index));
 
-    GuestProcess &kernel = process(0);
-    const Vpn cache_vpn = cache_vma_->vpnAt(cache_cursor_);
-    kernel.pageTable.emplace(cache_vpn, gfn);
+    cache_vma_->gfns[cache_cursor_] = gfn;
+    cf.gfns[index] = gfn;
+    cache_pages_.push_back(CachePage{&cf, index, gfn, cache_cursor_});
     ++cache_cursor_;
     ++cache_used_;
-    file_pages.emplace(index, gfn);
-    cache_pages_.push_back(
-        CachePage{file.contentTag(), index, gfn, cache_vpn});
     return gfn;
 }
 
 void
 GuestOs::dropCacheMapRef(Gfn gfn)
 {
-    auto it = cache_mapcount_.find(gfn);
-    jtps_assert(it != cache_mapcount_.end() && it->second > 0);
-    if (--it->second == 0)
-        cache_mapcount_.erase(it);
+    jtps_assert(cache_mapcount_[gfn] > 0);
+    --cache_mapcount_[gfn];
 }
 
 void
@@ -492,18 +494,16 @@ GuestOs::touchFileSpace(std::uint32_t pages)
     if (file_order_.empty())
         return;
     for (std::uint32_t i = 0; i < pages; ++i) {
-        const std::uint64_t tag =
-            file_order_[rng_.nextBelow(file_order_.size())];
-        const FileImage &file = files_.at(tag);
-        if (file.pages() == 0)
+        const CachedFile &cf =
+            *file_order_[rng_.nextBelow(file_order_.size())];
+        if (cf.image.pages() == 0)
             continue;
-        const std::uint64_t index = rng_.nextBelow(file.pages());
-        auto fit = cache_index_.find(tag);
-        if (fit != cache_index_.end() && fit->second.count(index)) {
-            hv_.touchPage(vm_id_, fit->second.at(index));
+        const std::uint64_t index = rng_.nextBelow(cf.image.pages());
+        if (cf.gfns[index] != invalidFrame) {
+            hv_.touchPage(vm_id_, cf.gfns[index]);
         } else {
             // Cache miss: a real disk read fills the cache.
-            pageCacheGet(file, index);
+            pageCacheGet(cf.image, index);
             ++cache_misses_;
         }
     }
@@ -515,17 +515,16 @@ GuestOs::reclaimPageCache(std::uint64_t pages)
     // Random-replacement reclaim over clean, unmapped cache pages.
     std::uint64_t reclaimed = 0;
     std::size_t attempts = cache_pages_.size() * 2;
-    GuestProcess &kernel = process(0);
     while (reclaimed < pages && attempts-- > 0 &&
            !cache_pages_.empty()) {
         const std::size_t pick = rng_.nextBelow(cache_pages_.size());
         const CachePage cp = cache_pages_[pick];
-        if (cache_mapcount_.count(cp.gfn))
+        if (cache_mapcount_[cp.gfn] != 0)
             continue; // mapped by a process: not reclaimable
         hv_.discardPage(vm_id_, cp.gfn);
         freeGfn(cp.gfn);
-        kernel.pageTable.erase(cp.vpn);
-        cache_index_[cp.fileTag].erase(cp.index);
+        cache_vma_->gfns[cp.slot] = invalidFrame;
+        cp.file->gfns[cp.index] = invalidFrame;
         cache_pages_[pick] = cache_pages_.back();
         cache_pages_.pop_back();
         --cache_used_;

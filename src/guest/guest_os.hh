@@ -3,9 +3,10 @@
  * The guest operating system model.
  *
  * One GuestOs instance runs inside each guest VM. It owns the first
- * translation layer of the paper's Fig. 1(b): per-process page tables
- * mapping virtual pages (Vpn) to guest physical frames (Gfn). The
- * hypervisor (src/hv) owns the second layer (Gfn to Hfn).
+ * translation layer of the paper's Fig. 1(b): page tables mapping
+ * virtual pages (Vpn) to guest physical frames (Gfn), kept flat per
+ * VMA (one Gfn slot per page of the region). The hypervisor (src/hv)
+ * owns the second layer (Gfn to Hfn).
  *
  * Modelled guest-OS services:
  *  - processes with category-tagged virtual memory areas (VMAs),
@@ -30,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/rng.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
@@ -54,6 +56,13 @@ struct Vma
      *  (madvise-MERGEABLE and THP are mutually exclusive). */
     bool hugeBacked = false;
     std::uint64_t fileTag = 0; //!< content tag when fileBacked
+    /**
+     * First-layer page table of the region: gfns[i] is the guest frame
+     * backing page i, or invalidFrame while the page is unmapped
+     * (never touched, discarded, or swapped out by the guest). Sized
+     * to numPages at mmap; only the owning GuestOs writes it.
+     */
+    std::vector<Gfn> gfns;
 
     /** Virtual page number of page @p index of the region. */
     Vpn
@@ -72,8 +81,6 @@ struct GuestProcess
     std::string name;
     bool isJava = false;
     std::vector<std::unique_ptr<Vma>> vmas;
-    /** First-layer page table: vpn -> gfn. */
-    std::unordered_map<Vpn, Gfn> pageTable;
     /** Anonymous pages the *guest* swapped to its own swap device
      *  (content preserved guest-side; no gfn while swapped). */
     std::unordered_map<Vpn, mem::PageData> swappedOut;
@@ -289,6 +296,17 @@ class GuestOs
     hv::Hypervisor &hv() { return hv_; }
     const hv::Hypervisor &hv() const { return hv_; }
 
+    /**
+     * The gfn mapped at page @p index of @p vma (a region of this
+     * guest), or invalidFrame if the page is unmapped.
+     */
+    Gfn
+    gfnAt(const Vma *vma, std::uint64_t index) const
+    {
+        jtps_assert(index < vma->numPages);
+        return vma->gfns[index];
+    }
+
     /** Guest physical frames handed out so far. */
     std::uint64_t gfnsAllocated() const { return gfns_used_; }
 
@@ -299,11 +317,32 @@ class GuestOs
     Rng &rng() { return rng_; }
 
   private:
+    /** One registered file and its page-cache index. */
+    struct CachedFile
+    {
+        FileImage image;
+        /** Page-cache index: gfns[i] caches file page i, or
+         *  invalidFrame while the page is not cached. */
+        std::vector<Gfn> gfns;
+    };
+
     Gfn allocGfn();
     void freeGfn(Gfn gfn);
 
-    /** Record a file in the registry (idempotent). */
-    void registerFile(const FileImage &file);
+    /** Record a file in the registry (idempotent); @return its entry. */
+    CachedFile &registerFile(const FileImage &file);
+
+    /**
+     * Writable page-table slot of page @p index of @p vma. Every Vma
+     * is owned by this guest's processes_ — callers only hold const
+     * handles to them — so writing through one is sound.
+     */
+    Gfn &
+    pte(const Vma *vma, std::uint64_t index)
+    {
+        jtps_assert(index < vma->numPages);
+        return const_cast<Vma *>(vma)->gfns[index];
+    }
 
     /** Drop one process-mapping reference from a cache page. */
     void dropCacheMapRef(Gfn gfn);
@@ -316,8 +355,10 @@ class GuestOs
      *  @return false if no victim was found or swap is full. */
     bool swapOutOneAnonPage();
 
-    /** Bring a guest-swapped page back in (guest major fault). */
-    Gfn guestSwapIn(GuestProcess &proc, Vpn vpn);
+    /** Bring guest-swapped page @p index of @p vma back in (guest
+     *  major fault). */
+    Gfn guestSwapIn(GuestProcess &proc, const Vma *vma,
+                    std::uint64_t index);
 
     /** Assign a vpn range for @p pages with an ASLR-style guard gap. */
     Vpn carveVpnRange(GuestProcess &proc, std::uint64_t pages);
@@ -343,13 +384,9 @@ class GuestOs
     std::vector<Gfn> gfn_free_list_;
     std::uint64_t gfns_used_ = 0;
 
-    /** Files seen by this guest, by content tag. */
-    std::unordered_map<std::uint64_t, FileImage> files_;
-
-    /** Page cache index: file tag -> page index -> gfn. */
-    std::unordered_map<std::uint64_t,
-                       std::unordered_map<std::uint64_t, Gfn>>
-        cache_index_;
+    /** Files seen by this guest, by content tag (node-based, so the
+     *  CachedFile pointers below stay valid). */
+    std::unordered_map<std::uint64_t, CachedFile> files_;
     std::uint64_t cache_used_ = 0;
     Vma *cache_vma_ = nullptr; //!< kernel VMA holding cache pages
     std::uint64_t cache_cursor_ = 0;
@@ -357,18 +394,18 @@ class GuestOs
     /** One cached file page (for random touching and reclaim). */
     struct CachePage
     {
-        std::uint64_t fileTag = 0;
+        CachedFile *file = nullptr;
         std::uint64_t index = 0;
         Gfn gfn = invalidFrame;
-        Vpn vpn = 0; //!< slot in the kernel cache VMA
+        std::uint64_t slot = 0; //!< page index in the kernel cache VMA
     };
     std::vector<CachePage> cache_pages_;
-    /** Process mmap references per cache gfn (mapped pages are not
-     *  reclaimable). */
-    std::unordered_map<Gfn, std::uint32_t> cache_mapcount_;
+    /** Process mmap references per gfn (mapped cache pages are not
+     *  reclaimable); indexed by gfn, sized to the guest's pages. */
+    std::vector<std::uint32_t> cache_mapcount_;
     std::uint64_t cache_misses_ = 0;
-    /** File tags in registration order, for file-space sampling. */
-    std::vector<std::uint64_t> file_order_;
+    /** Files in registration order, for file-space sampling. */
+    std::vector<CachedFile *> file_order_;
 };
 
 } // namespace jtps::guest

@@ -147,7 +147,7 @@ Hypervisor::evictOne()
         ++v.swappedPages;
         frames_.removeMapping(victim, m);
     }
-    stats_.inc("host.evictions");
+    stat_evictions_.inc();
     return true;
 }
 
@@ -226,10 +226,10 @@ Hypervisor::swapIn(VmId vm_id, Gfn gfn)
     }
 
     ++faulting.majorFaults;
-    stats_.inc("host.major_faults");
+    stat_major_faults_.inc();
     if (from_ram) {
         ++faulting.majorFaultsRam;
-        stats_.inc("host.major_faults_ram");
+        stat_major_faults_ram_.inc();
     }
 }
 
@@ -256,7 +256,7 @@ Hypervisor::cowBreak(VmId vm_id, Gfn gfn)
     Hfn fresh = allocBacked(m, copy);
     e.backing = fresh;
     e.writeProtected = false;
-    stats_.inc("hv.cow_breaks");
+    stat_cow_breaks_.inc();
     if (trace_)
         trace_->record(TraceEventType::CowBreak, vm_id, gfn, old);
 }
@@ -275,7 +275,7 @@ Hypervisor::pageForWrite(VmId vm_id, Gfn gfn)
           e.backing = hfn;
           e.writeProtected = false;
           ++v.residentPages;
-          stats_.inc("hv.demand_allocs");
+          stat_demand_allocs_.inc();
           break;
       }
       case PageState::Swapped:
@@ -507,7 +507,7 @@ Hypervisor::ksmMergeInto(Hfn stable, VmId vm_id, Gfn gfn)
     frames_.touch(stable);
     e.backing = stable;
     e.writeProtected = true;
-    stats_.inc("hv.ksm_merges");
+    stat_ksm_merges_.inc();
     return true;
 }
 

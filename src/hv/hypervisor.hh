@@ -366,10 +366,16 @@ class Hypervisor
     std::uint64_t ram_slot_capacity_ = 0;
     /** PML ring capacity per VM (0 = logging disabled). */
     std::uint32_t pml_ring_slots_ = 0;
-    // pmlLog() runs on the hottest write path; the counters are cached
-    // so it never does a string-keyed StatSet lookup.
+    // The write funnel, faults and merges bump cached counters, so no
+    // per-page event does a string-keyed StatSet lookup.
     std::uint64_t &stat_pml_appends_;
     std::uint64_t &stat_pml_overflows_;
+    StatCounter stat_demand_allocs_{&stats_, "hv.demand_allocs"};
+    StatCounter stat_cow_breaks_{&stats_, "hv.cow_breaks"};
+    StatCounter stat_ksm_merges_{&stats_, "hv.ksm_merges"};
+    StatCounter stat_evictions_{&stats_, "host.evictions"};
+    StatCounter stat_major_faults_{&stats_, "host.major_faults"};
+    StatCounter stat_major_faults_ram_{&stats_, "host.major_faults_ram"};
 };
 
 /**

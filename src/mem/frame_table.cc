@@ -8,16 +8,19 @@ namespace jtps::mem
 {
 
 FrameTable::FrameTable(std::uint64_t capacity_frames, StatSet *stats)
-    : capacity_(capacity_frames), stats_(stats)
+    : capacity_(capacity_frames),
+      stat_frames_allocated_(stats, "host.frames_allocated"),
+      stat_frames_freed_(stats, "host.frames_freed"),
+      stat_mappings_added_(stats, "host.mappings_added"),
+      stat_victim_fallback_sweeps_(stats, "host.victim_fallback_sweeps"),
+      stat_shard_clock_sweeps_(stats, "host.shard_clock_sweeps")
 {
     jtps_assert(capacity_frames > 0);
     ksm_stable_epochs_.fill(1);
     // Register at zero so the counters appear in every registry even if
     // the sampled-LRU fast path never misses.
-    if (stats_) {
-        stats_->counter("host.victim_fallback_sweeps");
-        stats_->counter("host.shard_clock_sweeps");
-    }
+    stat_victim_fallback_sweeps_.declare();
+    stat_shard_clock_sweeps_.declare();
 }
 
 Hfn
@@ -31,14 +34,21 @@ FrameTable::allocRaw(const PageData &initial)
         hfn = free_list_.back();
         free_list_.pop_back();
     } else {
-        hfn = frames_.size();
-        frames_.emplace_back();
+        hfn = frameCount();
+        if ((hfn & (kSlabFrames - 1)) == 0) {
+            // Open the next slab. The table can never hand out more
+            // than capacity_ frame numbers, so the last slab needs no
+            // room past it.
+            slabs_.emplace_back();
+            slabs_.back().reserve(std::min(kSlabFrames, capacity_ - hfn));
+        }
+        slabs_.back().emplace_back();
         if ((hfn >> 6) >= allocated_.size())
             allocated_.push_back(0);
         write_gens_.push_back(0);
     }
 
-    Frame &f = frames_[hfn];
+    Frame &f = slot(hfn);
     f.data = initial;
     // A recycled hfn gets a fresh generation here, so any cache entry
     // keyed by (hfn, generation) from the previous tenant can never
@@ -55,8 +65,7 @@ FrameTable::allocRaw(const PageData &initial)
     setAllocBit(hfn);
     ++resident_;
     ++resident_by_stripe_[stripeOfFrame(hfn)];
-    if (stats_)
-        stats_->inc("host.frames_allocated");
+    stat_frames_allocated_.inc();
     return hfn;
 }
 
@@ -64,22 +73,22 @@ void
 FrameTable::freeRaw(Hfn hfn)
 {
     jtps_assert(isAllocated(hfn));
-    jtps_assert(frames_[hfn].refcount == 0);
+    Frame &f = slot(hfn);
+    jtps_assert(f.refcount == 0);
     clearAllocBit(hfn);
-    if (frames_[hfn].ksmStable) {
+    if (f.ksmStable) {
         // All mappings are already gone (refcount 0), so the frame's
         // sharing contribution was removed mapping by mapping; only
         // the stable-frame count remains to drop.
         --ksm_stable_frames_;
         --stable_by_stripe_[stripeOfFrame(hfn)];
-        frames_[hfn].ksmStable = false;
+        f.ksmStable = false;
     }
-    shrinkExtra(frames_[hfn]);
+    shrinkExtra(f);
     free_list_.push_back(hfn);
     --resident_;
     --resident_by_stripe_[stripeOfFrame(hfn)];
-    if (stats_)
-        stats_->inc("host.frames_freed");
+    stat_frames_freed_.inc();
 }
 
 Hfn
@@ -88,7 +97,7 @@ FrameTable::alloc(const Mapping &m, const PageData &initial)
     Hfn hfn = allocRaw(initial);
     if (hfn == invalidFrame)
         return invalidFrame;
-    Frame &f = frames_[hfn];
+    Frame &f = slot(hfn);
     f.primary = m;
     f.refcount = 1;
     return hfn;
@@ -100,7 +109,7 @@ FrameTable::allocPinned(const PageData &initial)
     Hfn hfn = allocRaw(initial);
     if (hfn == invalidFrame)
         return invalidFrame;
-    Frame &f = frames_[hfn];
+    Frame &f = slot(hfn);
     f.pinned = true;
     f.refcount = 1; // the hypervisor itself holds the reference
     return hfn;
@@ -119,8 +128,7 @@ FrameTable::addMapping(Hfn hfn, const Mapping &m)
         ++ksm_sharing_mappings_;
         ++sharing_by_stripe_[stripeOfFrame(hfn)];
     }
-    if (stats_)
-        stats_->inc("host.mappings_added");
+    stat_mappings_added_.inc();
 }
 
 bool
@@ -223,7 +231,7 @@ FrameTable::touch(Hfn hfn)
 Hfn
 FrameTable::pickVictim(bool allow_shared)
 {
-    if (frames_.empty())
+    if (frameCount() == 0)
         return invalidFrame;
 
     // Sampled LRU: draw a handful of random frames, take the oldest
@@ -231,16 +239,16 @@ FrameTable::pickVictim(bool allow_shared)
     constexpr int sample_size = 16;
     Hfn best = invalidFrame;
     for (int i = 0; i < sample_size; ++i) {
-        const Hfn h = victim_rng_.nextBelow(frames_.size());
+        const Hfn h = victim_rng_.nextBelow(frameCount());
         if (!allocBit(h))
             continue;
-        const Frame &f = frames_[h];
+        const Frame &f = slot(h);
         if (f.pinned)
             continue;
         if (f.refcount > 1 && !allow_shared)
             continue;
         if (best == invalidFrame ||
-            f.lastTouch < frames_[best].lastTouch) {
+            f.lastTouch < slot(best).lastTouch) {
             best = h;
         }
     }
@@ -254,22 +262,20 @@ FrameTable::pickVictim(bool allow_shared)
     // its own hand over its own bit lane of the allocation bitmap, so
     // the state a sweep mutates stays per-stripe (no single hot hand on
     // a 256-VM host) while the visit order stays deterministic.
-    if (stats_)
-        stats_->inc("host.victim_fallback_sweeps");
+    stat_victim_fallback_sweeps_.inc();
     for (unsigned i = 0; i < kStripes; ++i) {
         const unsigned s = (clock_stripe_cursor_ + i) % kStripes;
         const std::uint64_t count = stripeFrameCount(s);
         if (count == 0)
             continue;
-        if (stats_)
-            stats_->inc("host.shard_clock_sweeps");
+        stat_shard_clock_sweeps_.inc();
         const std::uint64_t pos = clock_hands_[s];
         for (std::uint64_t step = 0; step < count; ++step) {
             const std::uint64_t p = (pos + step) % count;
             const Hfn h = static_cast<Hfn>(s) + p * kStripes;
             if (!allocBit(h))
                 continue;
-            const Frame &f = frames_[h];
+            const Frame &f = slot(h);
             if (f.pinned)
                 continue;
             if (f.refcount > 1 && !allow_shared)
@@ -288,12 +294,12 @@ FrameTable::checkConsistency() const
     std::uint64_t resident_count = 0;
     std::uint64_t stable_count = 0;
     std::uint64_t sharing_count = 0;
-    for (Hfn h = 0; h < frames_.size(); ++h) {
+    for (Hfn h = 0; h < frameCount(); ++h) {
         if (!allocBit(h)) {
             continue;
         }
         ++resident_count;
-        const Frame &f = frames_[h];
+        const Frame &f = slot(h);
         if (f.pinned) {
             jtps_assert(f.refcount == 1 && f.extra.empty());
         } else {
@@ -342,7 +348,7 @@ FrameTable::checkConsistencyShard(unsigned stripe) const
             continue;
         const Hfn h = (static_cast<Hfn>(w) << 6) | stripe;
         ++resident_count;
-        const Frame &f = frames_[h];
+        const Frame &f = slot(h);
         if (f.pinned) {
             jtps_assert(f.refcount == 1 && f.extra.empty());
         } else {

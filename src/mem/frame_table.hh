@@ -29,6 +29,10 @@
  *  - the eviction fallback sweep keeps one clock hand per frame stripe
  *    and merges them deterministically (stripes visited round-robin
  *    from a persistent stripe cursor).
+ *
+ * Frames live in fixed slabs of kSlabFrames that never move: growing
+ * the table appends in place (no element copies), and a Frame&
+ * stays valid across later allocations.
  */
 
 #ifndef JTPS_MEM_FRAME_TABLE_HH
@@ -123,6 +127,11 @@ class FrameTable
      * bit lanes and clock hands.
      */
     static constexpr unsigned kStripes = 64;
+
+    /** Frames per storage slab (a power of two). */
+    static constexpr unsigned kSlabShift = 16;
+    static constexpr std::uint64_t kSlabFrames = std::uint64_t{1}
+                                                 << kSlabShift;
 
     /** Reverse-mapping capacity reserved on a frame's first spill out
      *  of the inline mapping (16 sharers before the first regrowth),
@@ -247,7 +256,7 @@ class FrameTable
     void
     prefetchWriteGen(Hfn hfn) const
     {
-        if (hfn < write_gens_.size())
+        if (hfn < frameCount())
             __builtin_prefetch(write_gens_.data() + hfn);
     }
 
@@ -274,7 +283,7 @@ class FrameTable
     frame(Hfn hfn)
     {
         jtps_assert(isAllocated(hfn));
-        return frames_[hfn];
+        return slot(hfn);
     }
 
     /** Read-only access to a frame (must be allocated). */
@@ -282,14 +291,14 @@ class FrameTable
     frame(Hfn hfn) const
     {
         jtps_assert(isAllocated(hfn));
-        return frames_[hfn];
+        return slot(hfn);
     }
 
     /** True if @p hfn currently holds an allocated frame. */
     bool
     isAllocated(Hfn hfn) const
     {
-        return hfn < frames_.size() && allocBit(hfn);
+        return hfn < frameCount() && allocBit(hfn);
     }
 
     /** Mark the frame recently used (clock second chance). */
@@ -338,7 +347,7 @@ class FrameTable
                 bits &= bits - 1;
                 const Hfn h =
                     (static_cast<Hfn>(w) << 6) | static_cast<Hfn>(bit);
-                fn(h, frames_[h]);
+                fn(h, slot(h));
             }
         }
     }
@@ -380,16 +389,32 @@ class FrameTable
             f.extra = std::vector<Mapping>{};
     }
 
+    /** Frame numbers handed out so far (allocated or free-listed). */
+    std::uint64_t frameCount() const { return write_gens_.size(); }
+
+    /** Storage of @p hfn (hfn < frameCount() required). */
+    Frame &
+    slot(Hfn hfn)
+    {
+        return slabs_[hfn >> kSlabShift][hfn & (kSlabFrames - 1)];
+    }
+
+    const Frame &
+    slot(Hfn hfn) const
+    {
+        return slabs_[hfn >> kSlabShift][hfn & (kSlabFrames - 1)];
+    }
+
     /** Frames of @p stripe present in the table (hfn % kStripes ==
-     *  stripe, hfn < frames_.size()). */
+     *  stripe, hfn < frameCount()). */
     std::uint64_t
     stripeFrameCount(unsigned stripe) const
     {
-        const std::uint64_t n = frames_.size();
+        const std::uint64_t n = frameCount();
         return n > stripe ? (n - stripe - 1) / kStripes + 1 : 0;
     }
 
-    /** Test @p hfn's allocation bit (hfn < frames_.size() required). */
+    /** Test @p hfn's allocation bit (hfn < frameCount() required). */
     bool
     allocBit(Hfn hfn) const
     {
@@ -425,8 +450,14 @@ class FrameTable
     /** Per-digest-stripe stable epochs; start at 1 so a
      *  zero-initialized cached epoch can never match. */
     std::array<std::uint64_t, kStripes> ksm_stable_epochs_;
-    std::vector<Frame> frames_;
-    /** Per-frame write generations, parallel to frames_. */
+    /** Frame storage: slab i holds hfns [i * kSlabFrames,
+     *  (i + 1) * kSlabFrames). Each slab is reserved when opened (to at
+     *  most kSlabFrames, never past capacity) and only appended to, so
+     *  it never reallocates. */
+    std::vector<std::vector<Frame>> slabs_;
+    /** Per-frame write generations, one per hfn handed out — kept
+     *  dense for the scanner's generation fast path; its size is the
+     *  table's frame count. */
     std::vector<std::uint64_t> write_gens_;
     /** Allocation bitmap, 64 frames per word (bit i of word w covers
      *  hfn 64w + i, i.e. bit i is frame stripe i's lane) so
@@ -440,7 +471,11 @@ class FrameTable
     unsigned clock_stripe_cursor_ = 0;
     std::uint64_t access_clock_ = 0; //!< logical time for LRU ages
     Rng victim_rng_{stringTag("frame-lru")};
-    StatSet *stats_;
+    StatCounter stat_frames_allocated_;
+    StatCounter stat_frames_freed_;
+    StatCounter stat_mappings_added_;
+    StatCounter stat_victim_fallback_sweeps_;
+    StatCounter stat_shard_clock_sweeps_;
 };
 
 } // namespace jtps::mem

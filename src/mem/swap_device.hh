@@ -54,7 +54,13 @@ enum class SwapTier : std::uint8_t
 class SwapDevice
 {
   public:
-    explicit SwapDevice(StatSet *stats = nullptr) : stats_(stats) {}
+    explicit SwapDevice(StatSet *stats = nullptr)
+        : stat_pswpout_(stats, "host.pswpout"),
+          stat_pswpin_(stats, "host.pswpin"),
+          stat_slots_(stats, "host.swap_slots"),
+          stat_slots_ram_(stats, "host.swap_slots_ram")
+    {
+    }
 
     /** Wire a trace sink (swap_out / swap_in events); nullptr detaches. */
     void setTrace(TraceBuffer *trace) { trace_ = trace; }
@@ -76,11 +82,8 @@ class SwapDevice
         slots_.emplace(id, Slot{data, std::move(mappings), tier});
         if (tier == SwapTier::CompressedRam)
             ++ram_slots_;
-        if (stats_) {
-            stats_->inc("host.pswpout");
-            stats_->set("host.swap_slots", slots_.size());
-            stats_->set("host.swap_slots_ram", ram_slots_);
-        }
+        stat_pswpout_.inc();
+        publishSlots();
         if (trace_) {
             const Slot &s = slots_.at(id);
             trace_->record(TraceEventType::SwapOut,
@@ -115,11 +118,8 @@ class SwapDevice
             jtps_assert(ram_slots_ > 0);
             --ram_slots_;
         }
-        if (stats_) {
-            stats_->inc("host.pswpin");
-            stats_->set("host.swap_slots", slots_.size());
-            stats_->set("host.swap_slots_ram", ram_slots_);
-        }
+        stat_pswpin_.inc();
+        publishSlots();
         if (trace_) {
             trace_->record(TraceEventType::SwapIn,
                            s.mappings.empty() ? invalidVm
@@ -154,10 +154,7 @@ class SwapDevice
                 --ram_slots_;
             }
             slots_.erase(it);
-            if (stats_) {
-                stats_->set("host.swap_slots", slots_.size());
-                stats_->set("host.swap_slots_ram", ram_slots_);
-            }
+            publishSlots();
             return true;
         }
         return false;
@@ -172,10 +169,21 @@ class SwapDevice
   private:
     [[noreturn]] static void panicMissing(SwapSlot id);
 
+    /** Mirror the slot occupancy into the host.swap_slots* gauges. */
+    void
+    publishSlots()
+    {
+        stat_slots_.set(slots_.size());
+        stat_slots_ram_.set(ram_slots_);
+    }
+
     std::unordered_map<SwapSlot, Slot> slots_;
     SwapSlot next_slot_ = 0;
     std::uint64_t ram_slots_ = 0;
-    StatSet *stats_;
+    StatCounter stat_pswpout_;
+    StatCounter stat_pswpin_;
+    StatCounter stat_slots_;
+    StatCounter stat_slots_ram_;
     TraceBuffer *trace_ = nullptr;
 };
 

@@ -192,6 +192,54 @@ TEST(Stats, CounterHandleIsStableAcrossInsertions)
     EXPECT_EQ(x, 6u);
 }
 
+TEST(Stats, StatCounterBindsOnFirstUse)
+{
+    StatSet s;
+    StatCounter quiet(&s, "lazy.quiet");
+    StatCounter hot(&s, "lazy.hot");
+    StatCounter gauge(&s, "lazy.gauge");
+    StatCounter declared(&s, "lazy.declared");
+    // Nothing exists until a handle fires (or is declared), so the
+    // registry's key set matches what StatSet::inc() would produce.
+    EXPECT_TRUE(s.counters().empty());
+    declared.declare();
+    hot.inc();
+    hot.inc(4);
+    gauge.set(9);
+    gauge.set(7);
+    EXPECT_FALSE(s.has("lazy.quiet"));
+    EXPECT_TRUE(s.has("lazy.declared"));
+    EXPECT_EQ(s.get("lazy.declared"), 0u);
+    EXPECT_EQ(s.get("lazy.hot"), 5u);
+    EXPECT_EQ(s.get("lazy.gauge"), 7u);
+    // The handle and the string-keyed path address one counter.
+    s.inc("lazy.hot");
+    hot.inc();
+    EXPECT_EQ(s.get("lazy.hot"), 7u);
+    // A handle on no registry is a no-op.
+    StatCounter none(nullptr, "lazy.none");
+    none.inc();
+    none.set(3);
+    EXPECT_EQ(s.counters().size(), 3u);
+}
+
+TEST(Stats, StringViewLookupsKeepOrder)
+{
+    StatSet s;
+    const std::string owned = "b.owned";
+    const std::string_view view = "a.view";
+    s.inc(owned);
+    s.inc(view, 2);
+    s.set(std::string_view("c.literal").substr(0, 3), 1); // "c.l"
+    EXPECT_EQ(s.get("a.view"), 2u);
+    EXPECT_EQ(s.get(std::string("b.owned")), 1u);
+    EXPECT_TRUE(s.has("c.l"));
+    std::vector<std::string> names;
+    for (const auto &kv : s.counters())
+        names.push_back(kv.first);
+    EXPECT_EQ(names, (std::vector<std::string>{"a.view", "b.owned", "c.l"}));
+}
+
 TEST(ThreadPool, RunsEverySubmittedJob)
 {
     ThreadPool pool(4);

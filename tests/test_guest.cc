@@ -4,8 +4,12 @@
  * page cache, kernel boot.
  */
 
+#include <map>
+#include <set>
+
 #include <gtest/gtest.h>
 
+#include "base/rng.hh"
 #include "base/stats.hh"
 #include "guest/guest_os.hh"
 #include "hv/hypervisor.hh"
@@ -88,8 +92,9 @@ TEST_F(GuestFixture, FileMmapAliasesPageCache)
     // Both processes and the kernel cache hold the same guest frame:
     // only one cache page was created.
     EXPECT_EQ(os->pageCachePages(), 1u);
-    const Gfn g1 = os->process(p1).pageTable.at(v1->vpnAt(2));
-    const Gfn g2 = os->process(p2).pageTable.at(v2->vpnAt(2));
+    const Gfn g1 = os->gfnAt(v1, 2);
+    const Gfn g2 = os->gfnAt(v2, 2);
+    ASSERT_NE(g1, invalidFrame);
     EXPECT_EQ(g1, g2);
     // Content comes from the file image.
     EXPECT_EQ(os->readWord(v1, 2, 0), f.pageContent(2).word[0]);
@@ -148,10 +153,12 @@ TEST_F(GuestFixture, GfnReuseAfterFree)
     Pid pid = os->spawn("p", false);
     Vma *vma = os->mmapAnon(pid, 16 * KiB, MemCategory::JvmWork, "x");
     os->writeWord(vma, 0, 0, 1);
-    const Gfn g = os->process(pid).pageTable.at(vma->vpnAt(0));
+    const Gfn g = os->gfnAt(vma, 0);
+    ASSERT_NE(g, invalidFrame);
     os->discard(vma, 0);
+    EXPECT_EQ(os->gfnAt(vma, 0), invalidFrame);
     os->writeWord(vma, 1, 0, 2);
-    const Gfn g2 = os->process(pid).pageTable.at(vma->vpnAt(1));
+    const Gfn g2 = os->gfnAt(vma, 1);
     EXPECT_EQ(g, g2); // freed gfn recycled
 }
 
@@ -189,10 +196,10 @@ TEST_F(GuestFixture, KernelTextIdenticalAcrossGuestsDataNot)
                        std::uint64_t idx) -> const PageData * {
         for (const auto &vma : g.process(0).vmas) {
             if (vma->name == vma_name) {
-                auto it = g.process(0).pageTable.find(vma->vpnAt(idx));
-                if (it == g.process(0).pageTable.end())
+                const Gfn gfn = g.gfnAt(vma.get(), idx);
+                if (gfn == invalidFrame)
                     return nullptr;
-                return g.hv().peek(g.vmId(), it->second);
+                return g.hv().peek(g.vmId(), gfn);
             }
         }
         return nullptr;
@@ -244,4 +251,159 @@ TEST_F(GuestFixture, DaemonTextSharesAnonDoesNot)
     const std::uint64_t merged = hv->collapseIdenticalPages();
     EXPECT_EQ(merged, bytesToPages(64 * KiB));
     EXPECT_EQ(hv->residentFrames(), before - merged);
+}
+
+// Random page-table traffic on a small guest — writes, touches, reads,
+// discards, munmaps, balloon inflation (which forces guest swap-out;
+// later accesses swap back in) and page-cache reclaim — checked after
+// every step against a reference model: a std::map<Vpn, Gfn> per
+// process for the mapped pages plus the last word written to each
+// anonymous page. A page may only leave the model through an explicit
+// unmap or by moving to the guest swap; a mapped page never changes
+// gfn, and no two anonymous pages share one.
+TEST(GuestPageTableFuzz, FlatTablesMatchReferenceModel)
+{
+    StatSet stats;
+    hv::HostConfig cfg;
+    cfg.ramBytes = 64 * MiB;
+    cfg.reserveBytes = 0;
+    KvmHypervisor hv(cfg, stats);
+    const VmId vm = hv.createVm("vm", 2 * MiB, 0);
+    GuestOs os(hv, vm, "vm", 99);
+    const FileImage file = FileImage::shared("/lib/fuzz.so", 64 * pageSize);
+
+    struct Region
+    {
+        Pid pid;
+        Vma *vma;
+    };
+    const Pid p1 = os.spawn("p1", false);
+    const Pid p2 = os.spawn("p2", false);
+    auto map_region = [&](Pid pid, bool file_backed) {
+        return Region{pid, file_backed
+                               ? os.mmapFile(pid, file, MemCategory::Code)
+                               : os.mmapAnon(pid, 96 * pageSize,
+                                             MemCategory::JvmWork, "anon")};
+    };
+    std::vector<Region> regions = {map_region(p1, false),
+                                   map_region(p2, false),
+                                   map_region(p1, true),
+                                   map_region(p2, true)};
+
+    std::map<Pid, std::map<Vpn, Gfn>> model;
+    std::map<std::pair<Pid, Vpn>, std::uint64_t> words;
+    std::uint64_t swap_outs_seen = 0;
+    std::uint64_t swap_ins_seen = 0;
+
+    auto swapped = [&](const Region &r, std::uint64_t i) {
+        return os.process(r.pid).swappedOut.count(r.vma->vpnAt(i)) != 0;
+    };
+    // Fold the step's side effects into the model and check the rest.
+    auto reconcile = [&]() {
+        std::set<Gfn> anon_gfns, file_gfns;
+        std::uint64_t swapped_pages = 0;
+        for (const Region &r : regions) {
+            auto &table = model[r.pid];
+            for (std::uint64_t i = 0; i < r.vma->numPages; ++i) {
+                const Vpn vpn = r.vma->vpnAt(i);
+                const Gfn g = os.gfnAt(r.vma, i);
+                auto it = table.find(vpn);
+                if (it == table.end()) {
+                    ASSERT_EQ(g, invalidFrame) << "unexpected mapping";
+                } else if (g == invalidFrame) {
+                    // Only reclaim may unmap behind our back, and only
+                    // by moving an anonymous page to the guest swap.
+                    ASSERT_FALSE(r.vma->fileBacked);
+                    ASSERT_TRUE(swapped(r, i));
+                    table.erase(it);
+                    ++swap_outs_seen;
+                } else {
+                    ASSERT_EQ(g, it->second) << "mapped page moved";
+                }
+                if (g != invalidFrame) {
+                    ASSERT_FALSE(swapped(r, i));
+                    if (r.vma->fileBacked) {
+                        file_gfns.insert(g);
+                    } else {
+                        ASSERT_TRUE(anon_gfns.insert(g).second);
+                    }
+                }
+            }
+        }
+        for (Gfn g : file_gfns)
+            ASSERT_EQ(anon_gfns.count(g), 0u) << "cache gfn reused";
+        for (Pid pid : {p1, p2})
+            swapped_pages += os.process(pid).swappedOut.size();
+        ASSERT_EQ(swapped_pages, os.guestSwappedPages());
+    };
+    // The target page of a step that maps it: it must be mapped now,
+    // to the gfn the model already holds if it was mapped before.
+    auto expect_mapped = [&](const Region &r, std::uint64_t i) {
+        const Gfn g = os.gfnAt(r.vma, i);
+        ASSERT_NE(g, invalidFrame);
+        auto [it, inserted] = model[r.pid].emplace(r.vma->vpnAt(i), g);
+        if (inserted && !r.vma->fileBacked && words.count({r.pid, it->first}))
+            ++swap_ins_seen; // came back from the guest swap
+        ASSERT_EQ(it->second, g);
+    };
+
+    Rng rng(2024);
+    for (int step = 0; step < 3000; ++step) {
+        Region &r = regions[rng.nextBelow(regions.size())];
+        const std::uint64_t i = rng.nextBelow(r.vma->numPages);
+        const Vpn vpn = r.vma->vpnAt(i);
+        const std::uint64_t op = rng.nextBelow(10);
+        if (op <= 2 && !r.vma->fileBacked) {
+            const std::uint64_t value = rng.next() | 1;
+            os.writeWord(r.vma, i, 0, value);
+            ASSERT_NO_FATAL_FAILURE(expect_mapped(r, i));
+            words[{r.pid, vpn}] = value;
+        } else if (op <= 3) {
+            const bool was_live =
+                model[r.pid].count(vpn) || swapped(r, i);
+            os.touch(r.vma, i);
+            if (r.vma->fileBacked || was_live) {
+                ASSERT_NO_FATAL_FAILURE(expect_mapped(r, i));
+            }
+        } else if (op <= 4) {
+            const bool was_live =
+                model[r.pid].count(vpn) || swapped(r, i);
+            const std::uint64_t w = os.readWord(r.vma, i, 0);
+            if (r.vma->fileBacked) {
+                ASSERT_NO_FATAL_FAILURE(expect_mapped(r, i));
+                EXPECT_EQ(w, file.pageContent(i).word[0]);
+            } else if (was_live) {
+                ASSERT_NO_FATAL_FAILURE(expect_mapped(r, i));
+                auto wit = words.find({r.pid, vpn});
+                EXPECT_EQ(w, wit == words.end() ? 0 : wit->second);
+            } else {
+                EXPECT_EQ(w, 0u);
+            }
+        } else if (op <= 5) {
+            os.discard(r.vma, i);
+            model[r.pid].erase(vpn);
+            words.erase({r.pid, vpn});
+            EXPECT_EQ(os.gfnAt(r.vma, i), invalidFrame);
+            EXPECT_FALSE(swapped(r, i));
+        } else if (op == 6 && rng.nextBelow(8) == 0) {
+            for (std::uint64_t k = 0; k < r.vma->numPages; ++k) {
+                model[r.pid].erase(r.vma->vpnAt(k));
+                words.erase({r.pid, r.vma->vpnAt(k)});
+            }
+            const bool file_backed = r.vma->fileBacked;
+            os.munmap(r.pid, r.vma);
+            r = map_region(r.pid, file_backed);
+        } else if (op == 7) {
+            os.balloonTake(64 + rng.nextBelow(192));
+        } else if (op == 8) {
+            os.balloonReturn(rng.nextBelow(256));
+        } else if (op == 9) {
+            os.reclaimPageCache(rng.nextBelow(32));
+        }
+        ASSERT_NO_FATAL_FAILURE(reconcile()) << "step " << step;
+    }
+    // The run must have exercised both directions of guest swap.
+    EXPECT_GT(swap_outs_seen, 0u);
+    EXPECT_GT(swap_ins_seen, 0u);
+    hv.checkConsistency();
 }

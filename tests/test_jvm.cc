@@ -291,10 +291,10 @@ TEST_F(JvmFixture, GcZeroFillsPrefixOfReclaimedSpace)
     // After GC, pages between live end and old cursor are zero.
     std::uint64_t zeros = 0;
     for (std::uint64_t p = 0; p < bytesToPages(4 * MiB); ++p) {
-        auto it = os->process(pid).pageTable.find(heap.vma()->vpnAt(p));
-        if (it == os->process(pid).pageTable.end())
+        const Gfn gfn = os->gfnAt(heap.vma(), p);
+        if (gfn == invalidFrame)
             continue;
-        const PageData *d = hv->peek(os->vmId(), it->second);
+        const PageData *d = hv->peek(os->vmId(), gfn);
         if (d && d->isZero())
             ++zeros;
     }
@@ -319,9 +319,9 @@ TEST_F(JvmFixture, FirstGcClearsHeadroomZeros)
         static_cast<std::uint64_t>(bytesToPages(8 * MiB) * 0.01);
     ASSERT_GT(tail, 0u);
     for (std::uint64_t p = trigger; p < trigger + tail; ++p) {
-        auto it = os->process(pid).pageTable.find(heap.vma()->vpnAt(p));
-        ASSERT_NE(it, os->process(pid).pageTable.end());
-        const PageData *d = hv->peek(os->vmId(), it->second);
+        const Gfn gfn = os->gfnAt(heap.vma(), p);
+        ASSERT_NE(gfn, invalidFrame);
+        const PageData *d = hv->peek(os->vmId(), gfn);
         ASSERT_NE(d, nullptr);
         EXPECT_TRUE(d->isZero());
     }
@@ -352,10 +352,10 @@ TEST_F(JvmFixture, QuickeningMakesPrivateRomPagesUnique)
             if (vma->category != MemCategory::ClassMetadata)
                 continue;
             for (std::uint64_t p = 0; p < vma->numPages; ++p) {
-                auto it = proc.pageTable.find(vma->vpnAt(p));
-                if (it == proc.pageTable.end())
+                const Gfn gfn = g.gfnAt(vma.get(), p);
+                if (gfn == invalidFrame)
                     continue;
-                const PageData *d = g.hv().peek(g.vmId(), it->second);
+                const PageData *d = g.hv().peek(g.vmId(), gfn);
                 if (d != nullptr)
                     out.insert(d->digest());
             }
@@ -399,11 +399,10 @@ TEST_F(JvmFixture, HeapContentDiffersAcrossProcesses)
     h1.allocate(512 * KiB);
     h2.allocate(512 * KiB);
 
-    auto first_page = [&](JavaHeap &h, Pid pid) {
-        auto it = os->process(pid).pageTable.find(h.vma()->vpnAt(0));
-        return *hv->peek(os->vmId(), it->second);
+    auto first_page = [&](JavaHeap &h) {
+        return *hv->peek(os->vmId(), os->gfnAt(h.vma(), 0));
     };
-    EXPECT_NE(first_page(h1, p1), first_page(h2, p2));
+    EXPECT_NE(first_page(h1), first_page(h2));
 }
 
 TEST_F(JvmFixture, JitStubsShareMethodsDoNot)
@@ -422,15 +421,14 @@ TEST_F(JvmFixture, JitStubsShareMethodsDoNot)
     EXPECT_TRUE(j1.compileMethod(7));
     EXPECT_TRUE(j2.compileMethod(7));
 
-    auto page = [&](Pid pid, const guest::Vma *vma, std::uint64_t i) {
-        auto it = os->process(pid).pageTable.find(vma->vpnAt(i));
-        return *hv->peek(os->vmId(), it->second);
+    auto page = [&](const guest::Vma *vma, std::uint64_t i) {
+        return *hv->peek(os->vmId(), os->gfnAt(vma, i));
     };
     // Stub page 0: identical across the two processes.
-    EXPECT_EQ(page(p1, j1.codeVma(), 0), page(p2, j2.codeVma(), 0));
+    EXPECT_EQ(page(j1.codeVma(), 0), page(j2.codeVma(), 0));
     // First method page (after the stubs): differs (profile-dependent).
     const std::uint64_t m = bytesToPages(cfg.stubsBytes);
-    EXPECT_NE(page(p1, j1.codeVma(), m), page(p2, j2.codeVma(), m));
+    EXPECT_NE(page(j1.codeVma(), m), page(j2.codeVma(), m));
 }
 
 TEST_F(JvmFixture, TieredRecompilationLeavesDeadCode)
@@ -582,9 +580,7 @@ TEST_F(JvmFixture, NioBuffersIdenticalAcrossProcessesSameBenchmark)
     auto nio_page = [&](GuestOs &g, JavaVm &v) {
         for (const auto &vma : g.process(v.pid()).vmas) {
             if (vma->name == "nio-buffers") {
-                auto it =
-                    g.process(v.pid()).pageTable.find(vma->vpnAt(0));
-                return *g.hv().peek(g.vmId(), it->second);
+                return *g.hv().peek(g.vmId(), g.gfnAt(vma.get(), 0));
             }
         }
         return PageData::zero();

@@ -4,6 +4,7 @@
  */
 
 #include <algorithm>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -421,4 +422,68 @@ TEST(FrameTable, ExtraReserveOnFirstSpillShrinkOnLastUnshare)
     EXPECT_TRUE(ft.frame(f).extra.empty());
     EXPECT_EQ(ft.frame(f).extra.capacity(), 0u);
     ft.checkConsistency();
+}
+
+TEST(FrameTable, SlabBoundary)
+{
+    // Frames live in fixed slabs of kSlabFrames. Growing past a slab
+    // boundary must not move a frame, and frees and free-list reuse on
+    // both sides of a boundary must keep every invariant.
+    constexpr std::uint64_t slab = FrameTable::kSlabFrames;
+    constexpr std::uint64_t more = 70000;
+    // Not a whole number of slabs: the last slab is a partial one.
+    const std::uint64_t capacity = slab - 16 + more + 100;
+    StatSet stats;
+    FrameTable ft(capacity, &stats);
+
+    for (std::uint64_t i = 0; i < slab - 16; ++i)
+        ASSERT_EQ(ft.alloc(Mapping{0, i}, PageData::filled(1, i)), i);
+    const Hfn held_hfn = slab - 17; // the last frame so far
+    Frame &held = ft.frame(held_hfn);
+    const Frame *held_addr = &held;
+    for (std::uint64_t i = slab - 16; i < slab - 16 + more; ++i)
+        ASSERT_EQ(ft.alloc(Mapping{0, i}, PageData::filled(1, i)), i);
+    // Two boundaries crossed; the reference still names the frame.
+    EXPECT_EQ(&ft.frame(held_hfn), held_addr);
+    EXPECT_EQ(held.data, PageData::filled(1, held_hfn));
+    EXPECT_EQ(held.primary, (Mapping{0, held_hfn}));
+    ft.touch(held_hfn);
+    EXPECT_EQ(held.lastTouch, ft.frame(held_hfn).lastTouch);
+
+    // Share one frame on each side of the first boundary, then free
+    // frames on both sides of it.
+    for (const Hfn h : {slab - 1, slab}) {
+        ft.addMapping(h, Mapping{1, h});
+        ft.setKsmStable(h, true);
+    }
+    const std::set<Hfn> freed = {slab - 3, slab - 2, slab + 1, slab + 2};
+    for (const Hfn h : freed)
+        EXPECT_TRUE(ft.removeMapping(h, Mapping{0, h}));
+    EXPECT_FALSE(ft.removeMapping(slab, Mapping{0, slab}));
+    ft.checkConsistency();
+    for (unsigned s = 0; s < FrameTable::kStripes; ++s)
+        ft.checkConsistencyShard(s);
+
+    // The free list hands the same frame numbers back, reinitialised.
+    std::set<Hfn> reused;
+    for (std::uint64_t i = 0; i < freed.size(); ++i) {
+        const Hfn h = ft.alloc(Mapping{2, i}, PageData::filled(2, i));
+        ASSERT_NE(h, invalidFrame);
+        reused.insert(h);
+        EXPECT_EQ(ft.frame(h).refcount, 1u);
+        EXPECT_FALSE(ft.frame(h).ksmStable);
+        EXPECT_EQ(ft.frame(h).data, PageData::filled(2, i));
+    }
+    EXPECT_EQ(reused, freed);
+
+    // Fill the partial last slab to capacity: no frame past it.
+    while (ft.freeFrames() > 0)
+        ASSERT_NE(ft.alloc(Mapping{3, 0}, PageData::zero()), invalidFrame);
+    EXPECT_EQ(ft.alloc(Mapping{3, 1}, PageData::zero()), invalidFrame);
+    EXPECT_EQ(&ft.frame(held_hfn), held_addr);
+    ft.checkConsistency();
+    for (unsigned s = 0; s < FrameTable::kStripes; ++s)
+        ft.checkConsistencyShard(s);
+    EXPECT_EQ(stats.get("host.frames_freed"), freed.size());
+    EXPECT_EQ(stats.get("host.frames_allocated"), capacity + freed.size());
 }
