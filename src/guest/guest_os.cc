@@ -456,15 +456,22 @@ GuestOs::pageCacheGet(const FileImage &file, std::uint64_t index)
         return cf.gfns[index];
     }
 
-    // Cache miss: "read from disk" into a fresh cache page.
-    jtps_assert(cache_cursor_ < cache_vma_->numPages);
+    // Cache miss: "read from disk" into a fresh cache page, in a slot
+    // of the cache VMA that reclaim released, else a never-used one.
+    std::uint64_t slot;
+    if (!cache_free_slots_.empty()) {
+        slot = cache_free_slots_.back();
+        cache_free_slots_.pop_back();
+    } else {
+        jtps_assert(cache_cursor_ < cache_vma_->numPages);
+        slot = cache_cursor_++;
+    }
     Gfn gfn = allocGfn();
     hv_.writePage(vm_id_, gfn, file.pageContent(index));
 
-    cache_vma_->gfns[cache_cursor_] = gfn;
+    cache_vma_->gfns[slot] = gfn;
     cf.gfns[index] = gfn;
-    cache_pages_.push_back(CachePage{&cf, index, gfn, cache_cursor_});
-    ++cache_cursor_;
+    cache_pages_.push_back(CachePage{&cf, index, gfn, slot});
     ++cache_used_;
     return gfn;
 }
@@ -524,6 +531,7 @@ GuestOs::reclaimPageCache(std::uint64_t pages)
         hv_.discardPage(vm_id_, cp.gfn);
         freeGfn(cp.gfn);
         cache_vma_->gfns[cp.slot] = invalidFrame;
+        cache_free_slots_.push_back(cp.slot);
         cp.file->gfns[cp.index] = invalidFrame;
         cache_pages_[pick] = cache_pages_.back();
         cache_pages_.pop_back();

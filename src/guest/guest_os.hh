@@ -389,7 +389,10 @@ class GuestOs
     std::unordered_map<std::uint64_t, CachedFile> files_;
     std::uint64_t cache_used_ = 0;
     Vma *cache_vma_ = nullptr; //!< kernel VMA holding cache pages
-    std::uint64_t cache_cursor_ = 0;
+    std::uint64_t cache_cursor_ = 0; //!< first never-used VMA slot
+    /** Cache VMA slots released by reclaim, reused before the cursor
+     *  advances (the cache never holds more pages than the guest). */
+    std::vector<std::uint64_t> cache_free_slots_;
 
     /** One cached file page (for random touching and reclaim). */
     struct CachePage

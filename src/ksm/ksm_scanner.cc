@@ -11,10 +11,10 @@ namespace jtps::ksm
 namespace
 {
 
-/** Slot index hash for the flat unstable table (fixed constants keep
- *  the probe order deterministic across runs). */
+/** Slot index hash of the flat stable and unstable tables (fixed
+ *  constants keep the probe order deterministic across runs). */
 inline std::size_t
-unstableSlotHash(std::uint64_t digest)
+slotHash(std::uint64_t digest)
 {
     std::uint64_t h = digest;
     h ^= h >> 33;
@@ -30,6 +30,26 @@ constexpr std::uint64_t tombstoneEpoch = ~std::uint64_t{0};
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
 constexpr std::size_t initialUnstableCapacity = 1024;
+constexpr std::size_t initialStableCapacity = 1024;
+
+/** Whether consuming one more never-used slot of a @p cap-slot table
+ *  would leave fewer than ~30% of its slots never used, which keeps
+ *  probe chains short. */
+inline bool
+tableNeedsRehash(std::size_t occupied, std::size_t cap)
+{
+    return (occupied + 1) * 10 >= cap * 7;
+}
+
+/** Power-of-two capacity, at least @p cap, for @p live + 1 entries
+ *  at a load of at most one half. */
+inline std::size_t
+tableCapacityFor(std::size_t cap, std::size_t live)
+{
+    while (cap < 2 * (live + 1))
+        cap *= 2;
+    return cap;
+}
 
 } // namespace
 
@@ -51,6 +71,7 @@ KsmScanner::KsmScanner(hv::Hypervisor &hv, const KsmConfig &cfg,
     // funneled into a ring since the VMs existed.
     jtps_assert(!cfg_.usePml || hv_.pmlEnabled());
     unstable_.assign(initialUnstableCapacity, UnstableSlot{});
+    stable_.assign(initialStableCapacity, StableSlot{});
     // Registered at zero so every registry with a scanner lists the
     // merge count, even on a run that never merges.
     hv_.stats().counter("hv.ksm_merges");
@@ -102,50 +123,6 @@ KsmScanner::pageStateRow(VmId vm, const hv::Vm &v)
     return row.data();
 }
 
-KsmScanner::FrameMemo &
-KsmScanner::frameMemo(Hfn hfn)
-{
-    if (hfn >= frame_memo_.size()) {
-        frame_memo_.resize(std::max<std::size_t>(
-            hfn + std::size_t{1}, frame_memo_.size() * 2));
-    }
-    return frame_memo_[hfn];
-}
-
-std::uint64_t
-KsmScanner::cachedDigest(Hfn hfn, std::uint64_t gen,
-                         const mem::PageData &data)
-{
-    FrameMemo &m = frameMemo(hfn);
-    if (m.gen != gen) {
-        m = FrameMemo{};
-        m.gen = gen;
-    }
-    if (m.hasDigest) {
-        ++stat_digest_cache_hits_;
-        return m.digest;
-    }
-    m.digest = data.digest();
-    m.hasDigest = true;
-    return m.digest;
-}
-
-std::uint32_t
-KsmScanner::cachedChecksum(Hfn hfn, std::uint64_t gen,
-                           const mem::PageData &data)
-{
-    FrameMemo &m = frameMemo(hfn);
-    if (m.gen != gen) {
-        m = FrameMemo{};
-        m.gen = gen;
-    }
-    if (!m.hasChecksum) {
-        m.checksum = data.checksum();
-        m.hasChecksum = true;
-    }
-    return m.checksum;
-}
-
 void
 KsmScanner::unstableRehash(std::size_t new_capacity)
 {
@@ -158,7 +135,7 @@ KsmScanner::unstableRehash(std::size_t new_capacity)
     for (const UnstableSlot &s : old) {
         if (s.epoch != pass_epoch_)
             continue; // drop tombstones and earlier passes' entries
-        std::size_t i = unstableSlotHash(s.digest) & mask;
+        std::size_t i = slotHash(s.digest) & mask;
         while (unstable_[i].epoch != 0)
             i = (i + 1) & mask;
         unstable_[i] = s;
@@ -167,41 +144,208 @@ KsmScanner::unstableRehash(std::size_t new_capacity)
     }
 }
 
+std::size_t
+KsmScanner::stableFind(std::uint64_t digest, std::size_t &insert_at) const
+{
+    // The unstableFind() walk: the first tombstone or the chain's empty
+    // terminator is where a missing digest goes.
+    const std::size_t mask = stable_.size() - 1;
+    for (std::size_t i = slotHash(digest) & mask;; i = (i + 1) & mask) {
+        const StableSlot &s = stable_[i];
+        if (s.ref == stableEmptyRef) {
+            if (insert_at == npos)
+                insert_at = i;
+            return npos;
+        }
+        if (s.ref == stableTombstoneRef) {
+            if (insert_at == npos)
+                insert_at = i;
+        } else if (s.digest == digest) {
+            return i;
+        }
+    }
+}
+
+void
+KsmScanner::stableRehash(std::size_t new_capacity)
+{
+    jtps_assert((new_capacity & (new_capacity - 1)) == 0);
+    std::vector<StableSlot> old = std::move(stable_);
+    stable_.assign(new_capacity, StableSlot{});
+    const std::size_t mask = new_capacity - 1;
+    for (const StableSlot &s : old) {
+        if (s.ref >= stableTombstoneRef)
+            continue; // never used, or a tombstone
+        std::size_t i = slotHash(s.digest) & mask;
+        while (stable_[i].ref != stableEmptyRef)
+            i = (i + 1) & mask;
+        stable_[i] = s;
+    }
+    stable_occupied_ = stable_live_;
+}
+
+void
+KsmScanner::stableInsert(std::uint64_t digest, Hfn hfn)
+{
+    jtps_assert(hfn < stableSpillBit);
+    std::size_t insert_at = npos;
+    const std::size_t slot = stableFind(digest, insert_at);
+    if (slot != npos) {
+        // A duplicate behind a full chain head, or a digest collision:
+        // append in creation order, spilling an inline frame first.
+        StableSlot &s = stable_[slot];
+        if (!(s.ref & stableSpillBit)) {
+            std::size_t idx = stable_spill_.size();
+            if (stable_spill_free_.empty()) {
+                stable_spill_.emplace_back();
+            } else {
+                idx = stable_spill_free_.back();
+                stable_spill_free_.pop_back();
+            }
+            stable_spill_[idx].push_back(s.ref);
+            s.ref = stableSpillBit | idx;
+        }
+        stable_spill_[s.ref & ~stableSpillBit].push_back(hfn);
+        return;
+    }
+    if (stable_[insert_at].ref == stableEmptyRef) {
+        if (tableNeedsRehash(stable_occupied_, stable_.size())) {
+            stableRehash(tableCapacityFor(stable_.size(), stable_live_));
+            insert_at = npos;
+            stableFind(digest, insert_at);
+        }
+        ++stable_occupied_;
+    }
+    stable_[insert_at] = StableSlot{digest, hfn};
+    ++stable_live_;
+}
+
 Hfn
 KsmScanner::stableLookup(const mem::PageData &data, std::uint64_t digest)
 {
-    auto bucket = stable_tree_.find(digest);
-    if (bucket == stable_tree_.end())
+    std::size_t insert_at = npos;
+    const std::size_t slot = stableFind(digest, insert_at);
+    if (slot == npos)
         return invalidFrame;
 
-    std::vector<Hfn> &chain = bucket->second;
+    const mem::FrameTable &ft = hv_.frames();
+    // Lazy pruning: the frame may have been freed (all sharers
+    // COW-diverged or the host evicted it) or its content replaced.
+    // The full compare also guards merging across a digest collision —
+    // a colliding valid frame merely loses its node.
+    auto stale = [&](Hfn hfn) {
+        return !ft.isAllocated(hfn) || !(ft.frame(hfn).data == data) ||
+               !ft.frame(hfn).ksmStable;
+    };
+    // Chain discipline: a full stable frame stops accepting sharers;
+    // the next duplicate in the chain (or a fresh one) takes over.
+    auto full = [&](Hfn hfn) {
+        return ft.frame(hfn).refcount >= cfg_.maxPageSharing;
+    };
+
+    StableSlot &s = stable_[slot];
+    if (!(s.ref & stableSpillBit)) {
+        // The common case: the digest's only stable frame, inline.
+        const Hfn hfn = s.ref;
+        if (stale(hfn)) {
+            ++stat_stale_stable_;
+            s.ref = stableTombstoneRef;
+            --stable_live_;
+            return invalidFrame;
+        }
+        return full(hfn) ? invalidFrame : hfn;
+    }
+
+    const std::size_t idx = s.ref & ~stableSpillBit;
+    std::vector<Hfn> &chain = stable_spill_[idx];
     Hfn found = invalidFrame;
     for (std::size_t i = 0; i < chain.size();) {
         const Hfn hfn = chain[i];
-        // Lazy pruning: the frame may have been freed (all sharers
-        // COW-diverged or the host evicted it) or its content replaced.
-        // The full compare also guards merging across a digest
-        // collision — a colliding valid frame merely loses its node.
-        if (!hv_.frames().isAllocated(hfn) ||
-            !(hv_.frames().frame(hfn).data == data) ||
-            !hv_.frames().frame(hfn).ksmStable) {
-            chain.erase(chain.begin() + i);
+        if (stale(hfn)) {
+            chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(i));
             ++stat_stale_stable_;
             continue;
         }
-        // Chain discipline: a full stable frame stops accepting
-        // sharers; the next duplicate in the chain (or a fresh one)
-        // takes over.
-        if (hv_.frames().frame(hfn).refcount >= cfg_.maxPageSharing) {
+        if (full(hfn)) {
             ++i;
             continue;
         }
         found = hfn;
         break;
     }
-    if (chain.empty())
-        stable_tree_.erase(bucket);
+    if (chain.size() <= 1) {
+        // Pruned down to one frame (back inline) or none (tombstone).
+        if (chain.empty()) {
+            s.ref = stableTombstoneRef;
+            --stable_live_;
+        } else {
+            s.ref = chain.front();
+        }
+        chain.clear();
+        stable_spill_free_.push_back(idx);
+    }
     return found;
+}
+
+KsmScanner::StableIndexShape
+KsmScanner::checkIndex() const
+{
+    StableIndexShape shape;
+    shape.capacity = stable_.size();
+    jtps_assert(shape.capacity > 0 &&
+                (shape.capacity & (shape.capacity - 1)) == 0);
+    // Each side chain is owned by exactly one live slot or sits on the
+    // free list, never both and never neither.
+    std::vector<bool> chain_owned(stable_spill_.size(), false);
+    for (std::size_t i = 0; i < stable_.size(); ++i) {
+        const StableSlot &s = stable_[i];
+        if (s.ref == stableEmptyRef)
+            continue;
+        ++shape.occupied;
+        if (s.ref == stableTombstoneRef)
+            continue;
+        ++shape.live;
+        // A probe for the digest must land on this very slot: the
+        // chain is intact and no earlier slot holds the digest live.
+        std::size_t insert_at = npos;
+        jtps_assert(stableFind(s.digest, insert_at) == i);
+        if (s.ref & stableSpillBit) {
+            const std::size_t idx = s.ref & ~stableSpillBit;
+            jtps_assert(idx < stable_spill_.size() && !chain_owned[idx]);
+            chain_owned[idx] = true;
+            // A chain pruned to one frame goes back inline.
+            jtps_assert(stable_spill_[idx].size() >= 2);
+            ++shape.spilled;
+        }
+    }
+    jtps_assert(shape.live == stable_live_);
+    jtps_assert(shape.occupied == stable_occupied_);
+    for (std::size_t idx : stable_spill_free_) {
+        jtps_assert(idx < stable_spill_.size() && !chain_owned[idx]);
+        jtps_assert(stable_spill_[idx].empty());
+        chain_owned[idx] = true;
+    }
+    jtps_assert(std::find(chain_owned.begin(), chain_owned.end(), false) ==
+                chain_owned.end());
+
+    // The unstable table: each live entry is the first slot of its
+    // chain holding its digest, as unstableFind()'s early stop needs.
+    std::size_t unstable_live = 0;
+    std::size_t unstable_occupied = 0;
+    for (std::size_t i = 0; i < unstable_.size(); ++i) {
+        const UnstableSlot &u = unstable_[i];
+        if (u.epoch == 0)
+            continue;
+        ++unstable_occupied;
+        if (u.epoch != pass_epoch_)
+            continue;
+        ++unstable_live;
+        std::size_t insert_at = npos;
+        jtps_assert(unstableFind(u.digest, insert_at) == i);
+    }
+    jtps_assert(unstable_live == unstable_live_);
+    jtps_assert(unstable_occupied == unstable_occupied_);
+    return shape;
 }
 
 bool
@@ -236,8 +380,8 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
         // the same stable flag and byte-identical content: the
         // checksum compare would come out calm. Stable pages are done
         // (a from-scratch visit early-returns on them); for the rest,
-        // serve the digest from the per-page cache (or the frame memo
-        // on the first revisit). A stable-tree probe that missed at
+        // serve the digest from the per-page cache (computing it on
+        // the first calm revisit). A stable probe that missed at
         // ps.lastStableEpoch must still miss while the epoch is
         // unchanged (stable frames only gain sharers without an epoch
         // bump, and every staleness or capacity transition bumps it),
@@ -250,7 +394,7 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
             digest = ps.lastDigest;
         } else {
             data = &ft.frame(hfn).data;
-            digest = cachedDigest(hfn, gen, *data);
+            digest = data->digest();
             ps.lastDigest = digest;
             ps.digestValid = true;
         }
@@ -274,9 +418,7 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
         // The calm protocol: the state lives in the scanner's
         // per-page row.
         data = &frame.data;
-        const std::uint32_t sum = cfg_.incrementalScan
-                                      ? cachedChecksum(hfn, gen, *data)
-                                      : data->checksum();
+        const std::uint32_t sum = data->checksum();
         const bool calm = ps.checksumValid && ps.lastChecksum == sum;
         ps.lastChecksum = sum;
         ps.checksumValid = true;
@@ -288,12 +430,10 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
             ++stat_not_calm_;
             return true;
         }
+        digest = data->digest();
         if (cfg_.incrementalScan) {
-            digest = cachedDigest(hfn, gen, *data);
             ps.lastDigest = digest;
             ps.digestValid = true;
-        } else {
-            digest = data->digest();
         }
     }
 
@@ -306,7 +446,7 @@ KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
                       PageScanState &ps, Hfn hfn, std::uint64_t digest,
                       const mem::PageData *data, bool skip_stable_probe)
 {
-    // Stable tree first.
+    // Stable index first.
     if (!skip_stable_probe) {
         if (!data)
             data = &ft.frame(hfn).data;
@@ -344,7 +484,7 @@ KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
         bool entry_stale = other == nullptr || !(*other == *data);
         if (!entry_stale && cfg_.usePml) {
             // A persistent entry can outlive its page's promotion into
-            // the stable tree (a walk pass cannot: stable pages never
+            // the stable index (a walk pass cannot: stable pages never
             // insert). If the chain is full its content can even still
             // match ours; promoting a stable page again would be
             // wrong, so the entry is stale — exactly as the walk,
@@ -390,7 +530,7 @@ KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
         // stable frame; the candidate merges into it.
         Hfn fresh = hv_.ksmMakeStable(u.vm, u.gfn);
         jtps_assert(fresh != invalidFrame);
-        stable_tree_[digest].push_back(fresh);
+        stableInsert(digest, fresh);
         u.epoch = tombstoneEpoch; // erase, keeping probe chains intact
         --unstable_live_;
         if (hv_.ksmMergeInto(fresh, vm, gfn)) {
@@ -414,8 +554,16 @@ KsmScanner::unstableFind(std::uint64_t digest,
     // One walk serves both the lookup and, on a miss, the insert
     // position (the first reusable stale/tombstone slot in the chain,
     // or its empty terminator).
+    //
+    // The walk also stops at a reusable slot that still holds this
+    // digest, usually the page's own entry from the previous pass. No
+    // live entry for the digest can lie beyond it. Had the slot been
+    // reusable when that entry went in, the insert would have taken it
+    // or an earlier slot; and it cannot have taken the digest later,
+    // because that probe would have found the live entry instead of
+    // inserting. checkIndex() asserts this order.
     const std::size_t mask = unstable_.size() - 1;
-    for (std::size_t i = unstableSlotHash(digest) & mask;;
+    for (std::size_t i = slotHash(digest) & mask;;
          i = (i + 1) & mask) {
         const UnstableSlot &s = unstable_[i];
         if (s.epoch == 0) {
@@ -426,9 +574,12 @@ KsmScanner::unstableFind(std::uint64_t digest,
         if (s.epoch == pass_epoch_) {
             if (s.digest == digest)
                 return i;
-        } else if (insert_at == npos) {
-            insert_at = i; // stale/tombstone slot: reusable
+            continue;
         }
+        if (insert_at == npos)
+            insert_at = i; // stale/tombstone slot: reusable
+        if (s.digest == digest)
+            return npos;
     }
 }
 
@@ -442,15 +593,13 @@ KsmScanner::unstableInsert(std::size_t insert_at, std::uint64_t digest,
     // re-inserts into the previous pass's (now stale) slots without
     // ever allocating or rehashing.
     if (unstable_[insert_at].epoch == 0) {
-        if ((unstable_occupied_ + 1) * 10 >= unstable_.size() * 7) {
-            std::size_t cap = unstable_.size();
-            while (cap < 4 * (unstable_live_ + 1))
-                cap *= 2;
-            unstableRehash(cap);
+        if (tableNeedsRehash(unstable_occupied_, unstable_.size())) {
+            unstableRehash(
+                tableCapacityFor(unstable_.size(), unstable_live_));
             // Re-derive the insert position in the rehashed table
             // (all remaining slots are live entries of this pass).
             const std::size_t m2 = unstable_.size() - 1;
-            insert_at = unstableSlotHash(digest) & m2;
+            insert_at = slotHash(digest) & m2;
             while (unstable_[insert_at].epoch != 0)
                 insert_at = (insert_at + 1) & m2;
         }
@@ -621,7 +770,7 @@ void
 KsmScanner::prefetchUnstableSlot(std::uint64_t digest) const
 {
     const std::size_t mask = unstable_.size() - 1;
-    const std::size_t h = unstableSlotHash(digest) & mask;
+    const std::size_t h = slotHash(digest) & mask;
     __builtin_prefetch(unstable_.data() + h, 1);
     __builtin_prefetch(unstable_.data() + ((h + 2) & mask), 1);
 }

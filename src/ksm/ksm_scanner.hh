@@ -22,13 +22,20 @@
  * Stale stable-tree nodes (frame freed or COW-diverged) are pruned
  * lazily on lookup, as in the real implementation.
  *
- * Unlike ksmd's red-black trees, both structures here are hash indexes
- * keyed by the 64-bit content digest (ESX finds sharing candidates the
- * same way — Waldspurger, "Memory Resource Management in VMware ESX
- * Server", OSDI 2002): one probe per visited page instead of O(log n)
- * 64-byte lexicographic compares. The full 8-word compare still runs
- * on every bucket hit, so a digest collision can only cost a missed
- * merge, never a wrong one.
+ * Unlike ksmd's red-black trees, both structures here are flat
+ * open-addressed hash tables keyed by the 64-bit content digest (ESX
+ * finds sharing candidates the same way — Waldspurger, "Memory Resource
+ * Management in VMware ESX Server", OSDI 2002): one probe per visited
+ * page instead of O(log n) 64-byte lexicographic compares. The full
+ * 8-word compare still runs on every hit, so a digest collision can
+ * only cost a missed merge, never a wrong one.
+ *
+ * The stable index is a table of 16-byte {digest, ref} slots. `ref`
+ * holds the digest's only stable frame inline; only a chain of
+ * duplicates (`max_page_sharing`) or a digest collision spills into a
+ * side vector, kept in creation order. Empty slots end probe chains
+ * and pruned digests leave tombstones, exactly as in the unstable
+ * table (UnstableSlot).
  *
  * Incremental scanning (docs/PERF.md): every host frame carries a
  * write generation (mem::FrameTable::writeGen()) that changes on every
@@ -37,19 +44,19 @@
  * completed visit; when the generation is unchanged the page is
  * *provably* resident, non-stable and calm — the Frame is not even
  * loaded, the checksum compare is skipped, the content digest is
- * served from the per-page cache (falling back to a per-frame memo),
- * and the stable-tree probe is skipped while the stable epoch of the
- * content's digest stripe proves a past miss still holds. Skipping is
- * gated only on generation/epoch equality, never on content
- * heuristics, so merge behaviour and every counter are identical to a
- * from-scratch scan (KsmConfig::incrementalScan = false gives that
- * reference mode; the property tests drive both side by side).
+ * served from the per-page cache, and the stable-index probe is
+ * skipped while the stable epoch of the content's digest stripe
+ * proves a past miss still holds. Skipping is gated only on
+ * generation/epoch equality, never on content heuristics, so merge
+ * behaviour and every counter are identical to a from-scratch scan
+ * (KsmConfig::incrementalScan = false gives that reference mode; the
+ * property tests drive both side by side).
  *
  * Scan loops (docs/ARCHITECTURE.md §3): every batch runs through
  * exactly one of two serial loops — the cursor walk (scanBatchSerial)
  * or the log-driven pass (scanBatchSerialPml, KsmConfig::usePml).
  * Both visit pages through scanOne(), on the calling thread, against
- * one stable tree and one flat unstable table; docs/PERF.md §9 records
+ * one stable index and one unstable table; docs/PERF.md §9 records
  * why the scan is not split across threads.
  */
 
@@ -57,7 +64,6 @@
 #define JTPS_KSM_KSM_SCANNER_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "base/stats.hh"
@@ -185,6 +191,26 @@ class KsmScanner : public hv::PageEventListener
     /** PageEventListener: drop per-page calm state on guest discard. */
     void pageDiscarded(VmId vm, Gfn gfn) override;
 
+    /** Occupancy of the stable index, as checked by checkIndex(). */
+    struct StableIndexShape
+    {
+        std::size_t capacity = 0; //!< slots
+        std::size_t live = 0;     //!< digests indexed
+        std::size_t occupied = 0; //!< live digests plus tombstones
+        std::size_t spilled = 0;  //!< live digests with a side chain
+    };
+
+    /**
+     * Assert the stable index's invariants (panics on a violation):
+     * the live and occupied counts match the slots, no digest is live
+     * twice, every live chain is non-empty, and free side chains are
+     * empty and disjoint from live ones. Also asserts the unstable
+     * table's counts and that each live entry is the first slot of its
+     * probe chain holding its digest (unstableFind() relies on it).
+     * @return the stable index's current occupancy.
+     */
+    StableIndexShape checkIndex() const;
+
   private:
     /**
      * Scanner-owned per-guest-page state. lastChecksum/checksumValid
@@ -203,7 +229,7 @@ class KsmScanner : public hv::PageEventListener
         std::uint64_t lastStableEpoch = 0;
         /** Content digest at generation lastGen (digestValid). Kept
          *  here — sequentially walked state — so the steady-state scan
-         *  path does not touch the frame memo at all. */
+         *  path does not load the Frame at all. */
         std::uint64_t lastDigest = 0;
         std::uint32_t lastChecksum = 0;
         bool checksumValid = false;
@@ -216,17 +242,6 @@ class KsmScanner : public hv::PageEventListener
          * Frame at all. Never set alongside digestValid.
          */
         bool lastStable = false;
-    };
-
-    /** Per-frame memo of content derivations, valid while the frame's
-     *  write generation still equals `gen`. */
-    struct FrameMemo
-    {
-        std::uint64_t gen = 0; //!< 0 = empty (generations start at 1)
-        std::uint64_t digest = 0;
-        std::uint32_t checksum = 0;
-        bool hasDigest = false;
-        bool hasChecksum = false;
     };
 
     /**
@@ -243,6 +258,22 @@ class KsmScanner : public hv::PageEventListener
         std::uint64_t epoch = 0;
         VmId vm = invalidVm;
         Gfn gfn = invalidFrame;
+    };
+
+    /**
+     * One slot of the flat open-addressed stable index. `ref` encodes
+     * the slot state: stableEmptyRef (never used; probe chains stop
+     * there), stableTombstoneRef (a pruned digest; keeps chains
+     * intact), an inline Hfn (the digest's only stable frame), or
+     * stableSpillBit | i for the chain in stable_spill_[i].
+     */
+    static constexpr std::uint64_t stableEmptyRef = ~std::uint64_t{0};
+    static constexpr std::uint64_t stableTombstoneRef = stableEmptyRef - 1;
+    static constexpr std::uint64_t stableSpillBit = std::uint64_t{1} << 63;
+    struct StableSlot
+    {
+        std::uint64_t digest = 0;
+        std::uint64_t ref = stableEmptyRef;
     };
 
     /**
@@ -335,19 +366,6 @@ class KsmScanner : public hv::PageEventListener
                    PageScanState &ps, Hfn hfn, std::uint64_t digest,
                    const mem::PageData *data, bool skip_stable_probe);
 
-    /**
-     * Digest of @p data via the per-frame memo: a memo hit is served
-     * and counted in `ksm.digest_cache_hits`, a miss computes and
-     * memoises it.
-     */
-    std::uint64_t cachedDigest(Hfn hfn, std::uint64_t gen,
-                               const mem::PageData &data);
-
-    /** cachedChecksum(): the checksum flavour of cachedDigest() (no
-     *  hit counter — only digests have hit accounting). */
-    std::uint32_t cachedChecksum(Hfn hfn, std::uint64_t gen,
-                                 const mem::PageData &data);
-
     /** Advance the cursor; returns false at the end of a full pass. */
     bool advanceCursor();
 
@@ -360,17 +378,26 @@ class KsmScanner : public hv::PageEventListener
     void passBoundary();
 
     /**
-     * Look up @p data (whose digest is @p digest) in the stable tree,
-     * pruning stale nodes and emptied digest buckets
+     * Look up @p data (whose digest is @p digest) in the stable index,
+     * pruning stale nodes and emptied digests
      * (`ksm.stale_stable_nodes`).
      */
     Hfn stableLookup(const mem::PageData &data, std::uint64_t digest);
 
+    /** Live stable-index slot holding @p digest, or npos; on a miss
+     *  @p insert_at (initially npos) is where it goes. */
+    std::size_t stableFind(std::uint64_t digest,
+                           std::size_t &insert_at) const;
+
+    /** Append the fresh stable frame @p hfn to @p digest's chain,
+     *  creating the entry (and growing the index) if needed. */
+    void stableInsert(std::uint64_t digest, Hfn hfn);
+
+    /** Grow/compact the stable index (drops tombstones). */
+    void stableRehash(std::size_t new_capacity);
+
     /** The whole page-state row of @p vm, sized to its EPT. */
     PageScanState *pageStateRow(VmId vm, const hv::Vm &v);
-
-    /** Lazily-sized per-frame memo slot. */
-    FrameMemo &frameMemo(Hfn hfn);
 
     /** Grow/compact the flat unstable table (drops stale slots). */
     void unstableRehash(std::size_t new_capacity);
@@ -398,8 +425,14 @@ class KsmScanner : public hv::PageEventListener
     std::uint64_t merges_this_pass_ = 0;
     std::uint64_t merges_total_ = 0;
 
-    /** Stable tree: digest -> stable frames, in creation order. */
-    std::unordered_map<std::uint64_t, std::vector<Hfn>> stable_tree_;
+    /** Flat stable index (see StableSlot). */
+    std::vector<StableSlot> stable_;
+    std::size_t stable_occupied_ = 0; //!< slots not stableEmptyRef
+    std::size_t stable_live_ = 0;     //!< slots holding a digest
+    /** Spilled chains (stable frames in creation order), indexed by
+     *  a StableSlot ref, and the indices of the empty ones. */
+    std::vector<std::vector<Hfn>> stable_spill_;
+    std::vector<std::size_t> stable_spill_free_;
     /** Flat unstable table (epoch-cleared, see UnstableSlot). */
     std::vector<UnstableSlot> unstable_;
     std::size_t unstable_occupied_ = 0; //!< slots with epoch != 0
@@ -407,7 +440,6 @@ class KsmScanner : public hv::PageEventListener
     std::uint64_t pass_epoch_ = 1;
 
     std::vector<std::vector<PageScanState>> page_state_;
-    std::vector<FrameMemo> frame_memo_;
 
     /** Per-VM dirty queues (usePml mode only). */
     std::vector<PmlVmQueue> pml_;

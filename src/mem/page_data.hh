@@ -106,12 +106,6 @@ struct PageData
     }
 };
 
-/** checksum() of the all-zero page, folded at compile time. */
-inline constexpr std::uint32_t zeroPageChecksum = PageData{}.checksum();
-
-/** digest() of the all-zero page, folded at compile time. */
-inline constexpr std::uint64_t zeroPageDigest = PageData{}.digest();
-
 } // namespace jtps::mem
 
 #endif // JTPS_MEM_PAGE_DATA_HH

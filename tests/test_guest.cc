@@ -253,6 +253,36 @@ TEST_F(GuestFixture, DaemonTextSharesAnonDoesNot)
     EXPECT_EQ(hv->residentFrames(), before - merged);
 }
 
+TEST(GuestOs, PageCacheSlotsAreReusedAfterReclaim)
+{
+    // A cache VMA slot freed by reclaim must be handed out again: the
+    // guest's lifetime cache fills may exceed its size many times over.
+    StatSet stats;
+    hv::HostConfig cfg;
+    cfg.ramBytes = 64 * MiB;
+    cfg.reserveBytes = 0;
+    KvmHypervisor hv(cfg, stats);
+    const VmId vm = hv.createVm("vm", 2 * MiB, 0);
+    GuestOs os(hv, vm, "vm", 7);
+    const FileImage file = FileImage::shared("/var/log/app", 16 * pageSize);
+
+    const std::uint64_t guest_pages = bytesToPages(2 * MiB);
+    std::uint64_t fills = 0;
+    while (fills <= 2 * guest_pages) {
+        for (std::uint64_t i = 0; i < file.pages(); ++i) {
+            const Gfn gfn = os.pageCacheGet(file, i);
+            const PageData *data = hv.peek(vm, gfn);
+            ASSERT_NE(data, nullptr) << "fill " << fills;
+            ASSERT_EQ(*data, file.pageContent(i)) << "fill " << fills;
+            ++fills;
+        }
+        ASSERT_EQ(os.pageCachePages(), file.pages());
+        ASSERT_EQ(os.reclaimPageCache(file.pages()), file.pages());
+        ASSERT_EQ(os.pageCachePages(), 0u);
+    }
+    hv.checkConsistency();
+}
+
 // Random page-table traffic on a small guest — writes, touches, reads,
 // discards, munmaps, balloon inflation (which forces guest swap-out;
 // later accesses swap back in) and page-cache reclaim — checked after
@@ -271,6 +301,11 @@ TEST(GuestPageTableFuzz, FlatTablesMatchReferenceModel)
     const VmId vm = hv.createVm("vm", 2 * MiB, 0);
     GuestOs os(hv, vm, "vm", 99);
     const FileImage file = FileImage::shared("/lib/fuzz.so", 64 * pageSize);
+    // Read but never mapped: its cache pages are always reclaimable, so
+    // fill + reclaim cycles push the lifetime cache fills far past the
+    // guest's size.
+    const FileImage log = FileImage::shared("/var/log/fuzz", 64 * pageSize);
+    std::uint64_t cache_fills = 0;
 
     struct Region
     {
@@ -352,7 +387,7 @@ TEST(GuestPageTableFuzz, FlatTablesMatchReferenceModel)
         Region &r = regions[rng.nextBelow(regions.size())];
         const std::uint64_t i = rng.nextBelow(r.vma->numPages);
         const Vpn vpn = r.vma->vpnAt(i);
-        const std::uint64_t op = rng.nextBelow(10);
+        const std::uint64_t op = rng.nextBelow(11);
         if (op <= 2 && !r.vma->fileBacked) {
             const std::uint64_t value = rng.next() | 1;
             os.writeWord(r.vma, i, 0, value);
@@ -398,12 +433,23 @@ TEST(GuestPageTableFuzz, FlatTablesMatchReferenceModel)
         } else if (op == 8) {
             os.balloonReturn(rng.nextBelow(256));
         } else if (op == 9) {
-            os.reclaimPageCache(rng.nextBelow(32));
+            os.reclaimPageCache(rng.nextBelow(64));
+        } else if (op == 10) {
+            const std::uint64_t first = rng.nextBelow(log.pages());
+            for (std::uint64_t k = first; k < log.pages(); ++k) {
+                const std::uint64_t cached = os.pageCachePages();
+                const PageData *data = hv.peek(vm, os.pageCacheGet(log, k));
+                ASSERT_NE(data, nullptr);
+                ASSERT_EQ(*data, log.pageContent(k)) << "step " << step;
+                cache_fills += os.pageCachePages() - cached;
+            }
         }
         ASSERT_NO_FATAL_FAILURE(reconcile()) << "step " << step;
     }
     // The run must have exercised both directions of guest swap.
     EXPECT_GT(swap_outs_seen, 0u);
     EXPECT_GT(swap_ins_seen, 0u);
+    // Reclaim plus refault went several times past the guest size.
+    EXPECT_GT(cache_fills, 4 * bytesToPages(2 * MiB));
     hv.checkConsistency();
 }

@@ -418,3 +418,212 @@ TEST_F(KsmFixture, DiscardWipesScanStateDespiteIdenticalContent)
     scanner->scanBatch();
     EXPECT_EQ(stats.get("ksm.not_calm") - n0, 1u);
 }
+
+namespace
+{
+
+/**
+ * A scanner with max_page_sharing = 2, so that a handful of duplicates
+ * already forms a chain of stable frames under one digest.
+ */
+struct KsmStableIndex : ::testing::Test
+{
+    StatSet stats;
+    hv::HostConfig host_cfg;
+    std::unique_ptr<KvmHypervisor> hv;
+    std::unique_ptr<KsmScanner> scanner;
+    VmId a = invalidVm;
+
+    void
+    SetUp() override
+    {
+        host_cfg.ramBytes = 32 * MiB;
+        host_cfg.reserveBytes = 0;
+        hv = std::make_unique<KvmHypervisor>(host_cfg, stats);
+        KsmConfig cfg;
+        cfg.pagesToScan = 100000; // one batch is one full pass
+        cfg.maxPageSharing = 2;
+        scanner = std::make_unique<KsmScanner>(*hv, cfg, stats);
+        a = hv->createVm("a", 4 * MiB, 0);
+    }
+
+    /** Six copies of @p d at gfns 0..5 merge into a chain of three
+     *  stable frames, created in gfn order: {0,1}, {2,3}, {4,5}. */
+    std::vector<Hfn>
+    buildChain(const PageData &d)
+    {
+        for (Gfn g = 0; g < 6; ++g)
+            hv->writePage(a, g, d);
+        scanner->runToQuiescence();
+        std::vector<Hfn> chain;
+        for (Gfn g = 0; g < 6; g += 2) {
+            EXPECT_EQ(hv->translate(a, g), hv->translate(a, g + 1));
+            chain.push_back(hv->translate(a, g));
+        }
+        EXPECT_EQ(scanner->pagesShared(), 3u);
+        const auto shape = scanner->checkIndex();
+        EXPECT_EQ(shape.live, 1u);
+        EXPECT_EQ(shape.spilled, 1u);
+        return chain;
+    }
+};
+
+} // namespace
+
+TEST_F(KsmStableIndex, ChainKeepsCreationOrder)
+{
+    const PageData d = PageData::filled(21, 21);
+    const std::vector<Hfn> chain = buildChain(d);
+
+    // Reopen one mapping on every frame of the chain; fresh duplicates
+    // must then fill the frames in creation order, one each.
+    for (Gfn g : {1, 3, 5})
+        hv->writePage(a, g, PageData::filled(300 + g, g));
+    for (Gfn g : {10, 11, 12})
+        hv->writePage(a, g, d);
+    scanner->runToQuiescence();
+    EXPECT_EQ(hv->translate(a, 10), chain[0]);
+    EXPECT_EQ(hv->translate(a, 11), chain[1]);
+    EXPECT_EQ(hv->translate(a, 12), chain[2]);
+    EXPECT_EQ(stats.get("ksm.stale_stable_nodes"), 0u);
+    scanner->checkIndex();
+    hv->checkConsistency();
+}
+
+TEST_F(KsmStableIndex, PrunedMiddleElementIsCountedExactly)
+{
+    const PageData d = PageData::filled(22, 22);
+    const std::vector<Hfn> chain = buildChain(d);
+
+    // Kill the middle frame. A probe walks past the full head, prunes
+    // the dead middle node (exactly one), and skips the full tail.
+    hv->discardPage(a, 2);
+    hv->discardPage(a, 3);
+    ASSERT_EQ(stats.get("ksm.stale_stable_nodes"), 0u);
+    hv->writePage(a, 20, d);
+    scanner->runToQuiescence();
+    EXPECT_EQ(stats.get("ksm.stale_stable_nodes"), 1u);
+    EXPECT_NE(hv->translate(a, 20), chain[0]);
+    EXPECT_NE(hv->translate(a, 20), chain[2]);
+    auto shape = scanner->checkIndex();
+    EXPECT_EQ(shape.live, 1u);
+    EXPECT_EQ(shape.spilled, 1u); // {head, tail} still a chain
+
+    // The tail moved up behind the head: once it has room, the waiting
+    // duplicate merges into it.
+    hv->writePage(a, 5, PageData::filled(99, 99));
+    scanner->runToQuiescence();
+    EXPECT_EQ(hv->translate(a, 20), chain[2]);
+    EXPECT_EQ(stats.get("ksm.stale_stable_nodes"), 1u);
+    shape = scanner->checkIndex();
+    EXPECT_EQ(shape.live, 1u);
+    EXPECT_EQ(shape.spilled, 1u);
+
+    // Kill the head as well: the next probe prunes it, and the chain,
+    // down to its tail, goes back inline.
+    hv->discardPage(a, 0);
+    hv->discardPage(a, 1);
+    hv->writePage(a, 21, d);
+    scanner->runToQuiescence();
+    EXPECT_EQ(stats.get("ksm.stale_stable_nodes"), 2u);
+    shape = scanner->checkIndex();
+    EXPECT_EQ(shape.live, 1u);
+    EXPECT_EQ(shape.spilled, 0u);
+    hv->checkConsistency();
+}
+
+TEST_F(KsmStableIndex, TombstoneIsReusedAfterStaleSingleNodeIsPruned)
+{
+    const PageData d = PageData::filled(23, 23);
+    hv->writePage(a, 0, d);
+    hv->writePage(a, 1, d);
+    scanner->runToQuiescence();
+    auto shape = scanner->checkIndex();
+    ASSERT_EQ(shape.live, 1u);
+    ASSERT_EQ(shape.occupied, 1u);
+    EXPECT_EQ(shape.spilled, 0u); // a lone frame is held inline
+
+    // The node goes stale, but stays indexed until a probe prunes it,
+    // leaving a tombstone behind.
+    hv->discardPage(a, 0);
+    hv->discardPage(a, 1);
+    EXPECT_EQ(scanner->checkIndex().live, 1u);
+    hv->writePage(a, 10, d);
+    scanner->scanBatch(); // first visit: not calm yet
+    scanner->scanBatch(); // calm: the probe prunes the node
+    EXPECT_EQ(stats.get("ksm.stale_stable_nodes"), 1u);
+    shape = scanner->checkIndex();
+    EXPECT_EQ(shape.live, 0u);
+    EXPECT_EQ(shape.occupied, 1u);
+
+    // A fresh pair promotes the same digest into the tombstone's slot.
+    hv->writePage(a, 11, d);
+    scanner->runToQuiescence();
+    EXPECT_EQ(hv->translate(a, 10), hv->translate(a, 11));
+    shape = scanner->checkIndex();
+    EXPECT_EQ(shape.live, 1u);
+    EXPECT_EQ(shape.occupied, 1u);
+    EXPECT_EQ(stats.get("ksm.stale_stable_nodes"), 1u);
+    hv->checkConsistency();
+}
+
+TEST_F(KsmStableIndex, RehashKeepsChainsAndDropsTombstones)
+{
+    // A chain and a set of tombstones first...
+    const PageData d = PageData::filled(24, 24);
+    const std::vector<Hfn> chain = buildChain(d);
+    const VmId b = hv->createVm("b", 4 * MiB, 0);
+    constexpr Gfn tombstones = 40;
+    for (Gfn g = 0; g < tombstones; ++g)
+        hv->writePage(b, g, PageData::filled(500 + g, g));
+    for (Gfn g = 0; g < tombstones; ++g)
+        hv->writePage(b, 100 + g, PageData::filled(500 + g, g));
+    scanner->runToQuiescence();
+    for (Gfn g = 0; g < tombstones; ++g) {
+        hv->discardPage(b, g);
+        hv->discardPage(b, 100 + g);
+        hv->writePage(b, 200 + g, PageData::filled(500 + g, g));
+    }
+    scanner->runToQuiescence(); // the probes prune every dead node
+    auto shape = scanner->checkIndex();
+    ASSERT_EQ(shape.live, 1u);
+    ASSERT_EQ(shape.occupied, 1 + tombstones);
+    const std::size_t capacity = shape.capacity;
+
+    // ...then digests up to just below the ~70% load bound of the
+    // initial table (717 of 1024 slots): new digests reuse some of the
+    // tombstones, but not all...
+    auto add_pairs = [&](Gfn from, Gfn to) {
+        for (Gfn g = from; g < to; ++g) {
+            hv->writePage(a, 100 + g, PageData::filled(1000 + g, g));
+            hv->writePage(b, 300 + g, PageData::filled(1000 + g, g));
+        }
+        scanner->runToQuiescence();
+    };
+    add_pairs(0, 600);
+    shape = scanner->checkIndex();
+    ASSERT_EQ(shape.capacity, capacity);
+    ASSERT_EQ(shape.live, 601u);
+    ASSERT_GT(shape.occupied, shape.live);
+
+    // ...and past it: the rehash keeps every digest and drops every
+    // tombstone.
+    add_pairs(600, 720);
+    shape = scanner->checkIndex();
+    EXPECT_GT(shape.capacity, capacity);
+    EXPECT_EQ(shape.live, 721u);
+    EXPECT_EQ(shape.occupied, shape.live);
+    EXPECT_EQ(shape.spilled, 1u);
+    EXPECT_EQ(scanner->pagesShared(), 720u + 3);
+
+    // The chain survived the move in creation order.
+    for (Gfn g : {1, 3})
+        hv->writePage(a, g, PageData::filled(400 + g, g));
+    for (Gfn g : {30, 31})
+        hv->writePage(a, g, d);
+    scanner->runToQuiescence();
+    EXPECT_EQ(hv->translate(a, 30), chain[0]);
+    EXPECT_EQ(hv->translate(a, 31), chain[1]);
+    scanner->checkIndex();
+    hv->checkConsistency();
+}

@@ -512,6 +512,14 @@ struct TwinStacks
         }
         inc_hv.checkConsistency();
         ref_hv.checkConsistency();
+        // Same probes, same pruning: the two stable indexes hold as
+        // many digests, tombstones and side chains in as many slots.
+        const auto inc_index = inc_scanner.checkIndex();
+        const auto ref_index = ref_scanner.checkIndex();
+        ASSERT_EQ(inc_index.capacity, ref_index.capacity);
+        ASSERT_EQ(inc_index.live, ref_index.live);
+        ASSERT_EQ(inc_index.occupied, ref_index.occupied);
+        ASSERT_EQ(inc_index.spilled, ref_index.spilled);
 
         // The trace streams must be identical event by event (ticks
         // are all zero here — no clock is wired — so this compares
@@ -886,6 +894,8 @@ expectPmlEqual(TwinStacks &t, std::uint64_t seed, int round)
     }
     t.inc_hv.checkConsistency();
     t.ref_hv.checkConsistency();
+    t.inc_scanner.checkIndex();
+    t.ref_scanner.checkIndex();
 
     const auto &ei = t.inc_trace.events();
     const auto &er = t.ref_trace.events();
