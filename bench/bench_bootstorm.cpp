@@ -3,8 +3,8 @@
  * 256-VM boot storm: cold first-pass KSM convergence wall time of the
  * serial walk, plus a migration-arrival variant.
  *
- * A boot storm is the cold-path worst case the dirty-log machinery
- * cannot help: every page is first-touch, so every visit pays the full
+ * A boot storm is the cold-path worst case no generation skip can
+ * help: every page is first-touch, so every visit pays the full
  * checksum (and usually digest) chain.
  *
  * Two measurements per run:

@@ -470,70 +470,6 @@ BM_ConvergedForensicsSnapshot(benchmark::State &state)
 }
 BENCHMARK(BM_ConvergedForensicsSnapshot);
 
-// ---------------------------------------------------------------------
-// PML dirty-log scanning (ISSUE 7): a 1M-page host converged under
-// KSM, with 1% of the pages dirtied between passes. The log-driven
-// pass drains the per-VM PML rings and visits only the dirty set; the
-// generation-walk reference iterates all 1M EPT entries to find the
-// same 1% (both then pay the identical re-checksum cost on the dirty
-// pages, so the gap below is pure walk overhead). A pinned iteration
-// count keeps every variant timing the same dirty/visit schedule.
-// ---------------------------------------------------------------------
-
-constexpr Gfn pmlScanPages = 1u << 20;           // 1M guest pages
-constexpr Gfn pmlScanDirty = pmlScanPages / 100; // 1% dirtied per pass
-constexpr std::uint32_t pmlScanRing = 16384;     // > dirty set: no overflow
-
-void
-pmlConvergedDirtyPass(benchmark::State &state, std::uint32_t ring_slots)
-{
-    StatSet stats;
-    hv::HostConfig hc = host(6ULL * GiB);
-    hc.pmlRingSlots = ring_slots;
-    hv::KvmHypervisor hv(hc, stats);
-    VmId vm = hv.createVm("vm", Bytes(pmlScanPages) * pageSize, 0);
-    for (Gfn g = 0; g < pmlScanPages; ++g)
-        hv.writePage(vm, g, mem::PageData::filled(11, g));
-    ksm::KsmConfig cfg;
-    cfg.pagesToScan = 1u << 30; // one batch = one pass
-    cfg.incrementalScan = true;
-    cfg.usePml = ring_slots > 0;
-    ksm::KsmScanner scanner(hv, cfg, stats);
-    // Pass 1 checksums every page (the boot writes overflowed the
-    // ring, so the PML side walks it too); pass 2 finds the image
-    // calm and records digests; pass 3 is the first steady-state
-    // pass of each mode's own kind.
-    scanner.scanBatch();
-    scanner.scanBatch();
-    scanner.scanBatch();
-    std::uint64_t salt = pmlScanPages;
-    constexpr Gfn stride = pmlScanPages / pmlScanDirty;
-    for (auto _ : state) {
-        state.PauseTiming();
-        for (Gfn i = 0; i < pmlScanDirty; ++i)
-            hv.writeWord(vm, i * stride, i % 8, ++salt);
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(scanner.scanBatch());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(pmlScanDirty));
-}
-
-void
-BM_PmlScanPassWalkReference(benchmark::State &state)
-{
-    pmlConvergedDirtyPass(state, /*ring_slots=*/0);
-}
-BENCHMARK(BM_PmlScanPassWalkReference)->Iterations(16);
-
-void
-BM_PmlScanPass1(benchmark::State &state)
-{
-    pmlConvergedDirtyPass(state, pmlScanRing);
-}
-BENCHMARK(BM_PmlScanPass1)->Iterations(16);
-
 void
 BM_AdaptiveBalloon(benchmark::State &state)
 {
@@ -563,9 +499,7 @@ BM_AdaptiveBalloon(benchmark::State &state)
         guests.push_back(os.get());
         owned.push_back(std::move(os));
     }
-    analysis::WssConfig wcfg;
-    wcfg.drainRings = true; // no log-driven scanner shares the rings
-    analysis::WssEstimator wss(hv, wcfg, stats);
+    analysis::WssEstimator wss(hv, analysis::WssConfig{}, stats);
     core::BalloonGovernorConfig bcfg;
     bcfg.slackPages = 1024;
     core::BalloonGovernor governor(guests, wss, bcfg, stats);
@@ -615,7 +549,7 @@ BENCHMARK(BM_PlacementPlan)->Arg(64)->Arg(256);
 /**
  * Console reporter that additionally captures per-benchmark adjusted
  * real time, so main() can emit BENCH_micro_components.json (and the
- * incremental-scan and PML speedups) via JTPS_BENCH_JSON.
+ * incremental-scan speedup) via JTPS_BENCH_JSON.
  */
 class CapturingReporter : public benchmark::ConsoleReporter
 {
@@ -691,19 +625,6 @@ main(int argc, char **argv)
     const double fx = reporter.realTimeNs("BM_ConvergedForensicsSnapshot");
     if (fx > 0)
         json.summaryField("forensics_snapshot_ns", fx);
-    const double pml_walk =
-        reporter.realTimeNs("BM_PmlScanPassWalkReference/iterations:16");
-    const double pml1 =
-        reporter.realTimeNs("BM_PmlScanPass1/iterations:16");
-    if (pml_walk > 0)
-        json.summaryField("pml_scan_ns_walk_reference", pml_walk);
-    if (pml1 > 0)
-        json.summaryField("pml_scan_ns_pml1", pml1);
-    if (pml_walk > 0 && pml1 > 0) {
-        // The ISSUE acceptance bar: a converged 1M-page pass with 1%
-        // dirty pages must be >= 5x faster log-driven than walked.
-        json.summaryField("pml_scan_speedup", pml_walk / pml1);
-    }
     const double ab = reporter.realTimeNs("BM_AdaptiveBalloon");
     if (ab > 0)
         json.summaryField("adaptive_balloon_interval_ns", ab);

@@ -49,8 +49,7 @@ WssEstimator::sample()
         }
         s.estimate = *std::max_element(s.deltas.begin(), s.deltas.end());
         total += s.estimate;
-        if (cfg_.drainRings)
-            hv_.pmlResetRing(vm);
+        hv_.pmlResetRing(vm);
     }
     ++samples_;
     stats_.inc("wss.samples");

@@ -3,20 +3,21 @@
  * Working-set-size estimation from the hypervisor's PML rings.
  *
  * Each VM's Page-Modification-Log ring records every guest page's
- * first write per drain cycle (hv::HostConfig::pmlRingSlots), so the
- * growth of hv::Vm::pmlAppendsTotal over a time window counts the
- * pages the guest actually dirtied in it — a write working set, and
- * the signal VMware-style sampling estimators approximate by probing
- * random pages. Reading the cumulative counter costs nothing on the
- * guest's write path beyond the logging the rings already do.
+ * first write per drain cycle (hv::HostConfig::pmlRingSlots). The
+ * estimator is the rings' only drainer: every window it reads the
+ * growth of hv::Vm::pmlAppendsTotal, which counts the distinct pages
+ * the guest dirtied in the window — a write working set, and the
+ * signal VMware-style sampling estimators approximate by probing
+ * random pages — and then resets each ring, so the next window counts
+ * each page once again. Reading the cumulative counter costs nothing
+ * on the guest's write path beyond the logging the rings already do.
  *
  * The estimate is a *lower bound* in two ways: read-only working set
- * is invisible to a dirty log, and a ring that overflows inside a
- * window drops appends (the scanner degrades to a full walk for
- * correctness, but the dropped count is not recoverable per VM). Both
- * make a balloon governor built on it conservative in the safe
- * direction only if a slack margin is kept — see
- * core::BalloonGovernor.
+ * is invisible to a dirty log, and a ring that fills inside a window
+ * drops the rest of the window's dirtied pages (`hv.pml_overflows`;
+ * the dropped count is not recoverable per VM). Both make a balloon
+ * governor built on it conservative in the safe direction only if a
+ * slack margin is kept — see core::BalloonGovernor.
  */
 
 #ifndef JTPS_ANALYSIS_WSS_ESTIMATOR_HH
@@ -45,20 +46,12 @@ struct WssConfig
      * next busy window touches again.
      */
     std::uint32_t windows = 4;
-    /**
-     * Reset every ring after reading it, clearing the logged bits so
-     * the next window re-counts each page once. Required when no
-     * log-driven scanner is draining the rings (they would fill once
-     * and the append counters would freeze); must stay false when one
-     * is (a reset here would throw away dirty pages the scanner still
-     * owes a visit, breaking its walk equivalence).
-     */
-    bool drainRings = false;
 };
 
 /**
  * Windowed per-VM working-set estimator. sample() it every windowMs
- * (attach() wires that to the event queue).
+ * (attach() wires that to the event queue); each sample drains every
+ * ring.
  */
 class WssEstimator
 {
@@ -66,7 +59,7 @@ class WssEstimator
     WssEstimator(hv::Hypervisor &hv, const WssConfig &cfg,
                  StatSet &stats);
 
-    /** Take one window sample over all VMs. */
+    /** Take one window sample over all VMs and reset their rings. */
     void sample();
 
     /** Attach the periodic sampler to @p queue. */

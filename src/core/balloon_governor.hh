@@ -6,8 +6,10 @@
  * cannot use ballooning unless we install a separate manager" — so
  * its ballooning comparison uses fixed, hand-picked balloon sizes.
  * This is that missing manager: every interval it reads each guest's
- * estimated write working set (analysis::WssEstimator, fed by the
- * hypervisor's PML rings) and resizes the guest's balloon toward
+ * estimated write working set (analysis::WssEstimator, which drains
+ * the hypervisor's PML rings once per window and is their only
+ * consumer besides migration pre-copy) and resizes the guest's
+ * balloon toward
  *
  *     target = guestPages - wssPages - slackPages - extraSlack
  *

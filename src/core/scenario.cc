@@ -45,10 +45,7 @@ Scenario::build()
     // hv().trace(). Events are stamped with simulated time.
     trace_.setClock([this]() { return queue_.now(); });
     hv_->setTrace(&trace_);
-    ksm::KsmConfig kcfg = cfg_.ksm;
-    if (cfg_.pmlRingSlots > 0)
-        kcfg.usePml = true;
-    ksm_ = std::make_unique<ksm::KsmScanner>(*hv_, kcfg, stats_);
+    ksm_ = std::make_unique<ksm::KsmScanner>(*hv_, cfg_.ksm, stats_);
 
     // Build every VM: class-set/cache artifacts first, then the guest
     // stack. Artifact synthesis is pure construction (no hypervisor or
@@ -163,17 +160,18 @@ Scenario::scheduleEpochs()
         return;
     epochs_scheduled_ = true;
 
-    if (cfg_.adaptiveBalloon) {
-        // The estimator piggybacks on the scanner's ring drains
-        // (pmlRingSlots forces usePml), so it must not reset the
-        // rings itself.
-        jtps_assert(cfg_.pmlRingSlots > 0);
+    // The estimator is the rings' only drainer, so it runs whenever the
+    // host has rings (whichever config set them); without it a ring
+    // would fill once and log nothing more.
+    if (hv_->pmlEnabled()) {
         analysis::WssConfig wcfg;
         wcfg.windowMs = cfg_.wssWindowMs;
-        wcfg.drainRings = false;
         wss_ = std::make_unique<analysis::WssEstimator>(*hv_, wcfg,
                                                         stats_);
         wss_->attach(queue_);
+    }
+    if (cfg_.adaptiveBalloon) {
+        jtps_assert(wss_ != nullptr);
         std::vector<guest::GuestOs *> ptrs;
         ptrs.reserve(guests_.size());
         for (auto &g : guests_)

@@ -111,10 +111,10 @@ struct ScenarioConfig
 
     /**
      * Per-VM Page-Modification-Log ring size in slots (see
-     * hv::HostConfig::pmlRingSlots). Non-zero overrides host.pmlRingSlots
-     * AND switches the KSM scanner to its log-driven pass mode
-     * (ksm::KsmConfig::usePml) — O(dirty) passes, byte-identical
-     * merges. 0 keeps the generation-walk scanner and no rings.
+     * hv::HostConfig::pmlRingSlots). Non-zero overrides
+     * host.pmlRingSlots; 0 keeps host.pmlRingSlots. A host with rings
+     * runs the analysis::WssEstimator, which drains them every
+     * wssWindowMs.
      */
     std::uint32_t pmlRingSlots = 0;
 
@@ -122,8 +122,9 @@ struct ScenarioConfig
      * Replace the fixed, hand-sized balloons of the paper's §VI
      * comparison with the adaptive core::BalloonGovernor: every
      * balloonIntervalMs each guest's balloon is resized to its
-     * PML-estimated working set plus balloonSlackBytes. Requires
-     * pmlRingSlots > 0 (the estimator reads the rings).
+     * PML-estimated working set plus balloonSlackBytes. Requires PML
+     * rings (pmlRingSlots or host.pmlRingSlots > 0): the estimator
+     * reads them.
      */
     bool adaptiveBalloon = false;
     /** Working-set slack the governor leaves each guest. */
@@ -283,7 +284,8 @@ class Scenario
         return monitor_.get();
     }
 
-    /** The working-set estimator (nullptr unless adaptiveBalloon). */
+    /** The working-set estimator (nullptr unless the host has PML
+     *  rings and the run has started). */
     analysis::WssEstimator *wss() { return wss_.get(); }
 
     /** The balloon governor (nullptr unless adaptiveBalloon). */

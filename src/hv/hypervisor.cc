@@ -160,9 +160,7 @@ Hypervisor::pmlLog(Vm &v, EptEntry &e, Gfn gfn, std::uint64_t gen)
         // Ring full: the entry is lost, exactly like hardware PML
         // raising its full-vmexit with further dirtying unrecorded.
         // The logged bit stays clear so the loss is counted per
-        // dropped page; the overflow flag tells the drain-time
-        // consumer its view of this VM is incomplete.
-        v.pmlOverflow = true;
+        // dropped page.
         ++stat_pml_overflows_;
         return;
     }
@@ -179,11 +177,9 @@ Hypervisor::pmlResetRing(VmId vm_id)
     for (const PmlEntry &pe : v.pmlRing)
         v.ept.entry(pe.gfn).pmlLogged = false;
     v.pmlRing.clear();
-    // An overflow may have left logged-but-lost pages only in the
-    // other direction (lost pages never got their bit set), so the
-    // entry-driven clear above is complete: every set bit has a ring
-    // entry until the drain consumes it.
-    v.pmlOverflow = false;
+    // Lost pages never got their bit set, so the entry-driven clear
+    // above is complete: every set bit has a ring entry until the
+    // drain consumes it.
 }
 
 void
@@ -217,11 +213,9 @@ Hypervisor::swapIn(VmId vm_id, Gfn gfn)
         // The restored page sits on a reused host frame with a fresh
         // write generation and without its old KSM-stable flag, so any
         // ring entry recorded before the eviction is stale (its
-        // generation no longer matches anything). Re-log the page:
-        // this is the frame-reuse invalidation that keeps log-driven
-        // scans equivalent to the generation walk — the walk would
-        // re-examine the page (new generation fails every skip proof),
-        // so the log must deliver it too.
+        // generation no longer matches anything). Re-log the page, as
+        // the generation walk re-examines it: a new generation fails
+        // every skip proof.
         pmlLog(v, e, m.gfn, frames_.writeGen(hfn));
     }
 
@@ -403,7 +397,6 @@ Hypervisor::releaseVmMemory(VmId vm_id)
     v.overheadFrames.clear();
     v.hugePages.clear();
     v.pmlRing.clear();
-    v.pmlOverflow = false;
     // Bank the EPT slab for the next createVm(); the retired VM keeps a
     // zero-sized EPT, which every consumer already handles (the KSM
     // cursor skips it, walks bound themselves by ept.size()).
@@ -463,9 +456,8 @@ Hypervisor::setHugePage(VmId vm_id, Gfn gfn, bool huge)
     const bool was = v.hugePages[gfn];
     v.hugePages[gfn] = huge;
     // Dropping the THP flag makes the page MERGEABLE again without any
-    // write. The generation walk re-examines it on its next pass; a
-    // log-driven scanner only hears about logged pages, so the
-    // transition itself must land in the ring.
+    // write. The generation walk re-examines it on its next pass, and
+    // the transition lands in the ring like a write.
     if (was && !huge) {
         EptEntry &e = v.ept.entry(gfn);
         if (e.state == PageState::Resident)

@@ -60,12 +60,11 @@ struct HostConfig
      * Page-Modification-Log ring slots per VM (Intel PML models a
      * 512-entry buffer). Every write fault appends the dirtied gfn
      * (once per drain cycle, like the hardware dirty-bit transition)
-     * together with the frame's fresh write generation; consumers —
-     * the KSM scanner's log-driven pass and the working-set estimator
-     * — drain the ring instead of walking all of guest memory. When a
-     * ring fills up, the VM is flagged overflowed and loses entries
-     * until the next drain (the scanner then falls back to a full
-     * generation walk for that VM). 0 disables logging entirely.
+     * together with the frame's fresh write generation. The
+     * working-set estimator drains the rings every window and
+     * migration pre-copy reads the append totals. When a ring fills
+     * up, further dirtied pages are lost until the next drain
+     * (`hv.pml_overflows`). 0 disables logging entirely.
      */
     std::uint32_t pmlRingSlots = 0;
 };
@@ -89,11 +88,9 @@ class PageEventListener
 /**
  * One entry of a VM's Page-Modification-Log ring: a guest frame that
  * was dirtied, stamped with the backing frame's write generation at
- * append time. The generation is the staleness proof: a drain-time
- * consumer may act on the entry only to the extent the live state
- * still matches (a recycled gfn or a reused host frame carries a
- * different generation, so no verdict can be derived from the stale
- * entry itself — the scanner re-reads live state on every visit).
+ * append time. The generation is the staleness proof: a recycled gfn
+ * or a reused host frame carries a different generation, so no
+ * verdict about live state can be derived from a stale entry.
  */
 struct PmlEntry
 {
@@ -123,8 +120,6 @@ struct Vm
     std::vector<bool> hugePages;
     /** PML ring (append order); capacity reserved to pmlRingSlots. */
     std::vector<PmlEntry> pmlRing;
-    /** The ring filled up and entries were lost since the last drain. */
-    bool pmlOverflow = false;
     /** Cumulative successful appends (unique dirtied pages per drain
      *  cycle) — the working-set estimator's raw signal. */
     std::uint64_t pmlAppendsTotal = 0;
@@ -308,19 +303,12 @@ class Hypervisor
         return this->vm(vm).pmlRing;
     }
 
-    /** True if @p vm's ring lost entries since its last drain. */
-    bool
-    pmlOverflowed(VmId vm) const
-    {
-        return this->vm(vm).pmlOverflow;
-    }
-
     /**
      * Finish a drain of @p vm's ring: clear the per-page logged bits
      * of the drained entries (so the next write to each page logs
-     * again), empty the ring, and reset the overflow flag. The
-     * consumer reads pmlEntries()/pmlOverflowed() first, then calls
-     * this exactly once per drain cycle.
+     * again) and empty the ring. The consumer reads what it needs
+     * (pmlEntries(), Vm::pmlAppendsTotal) first, then calls this
+     * exactly once per drain cycle.
      */
     void pmlResetRing(VmId vm);
 

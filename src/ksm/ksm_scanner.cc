@@ -64,12 +64,8 @@ KsmScanner::KsmScanner(hv::Hypervisor &hv, const KsmConfig &cfg,
       stat_unstable_promotions_(stats.counter("ksm.unstable_promotions")),
       stat_pages_visited_(stats.counter("ksm.pages_visited")),
       stat_gen_skipped_(stats.counter("ksm.pages_gen_skipped")),
-      stat_digest_cache_hits_(stats.counter("ksm.digest_cache_hits")),
-      stat_pml_skipped_(stats.counter("ksm.pages_pml_skipped"))
+      stat_digest_cache_hits_(stats.counter("ksm.digest_cache_hits"))
 {
-    // Log-driven passes are only complete if every write has been
-    // funneled into a ring since the VMs existed.
-    jtps_assert(!cfg_.usePml || hv_.pmlEnabled());
     unstable_.assign(initialUnstableCapacity, UnstableSlot{});
     stable_.assign(initialStableCapacity, StableSlot{});
     // Registered at zero so every registry with a scanner lists the
@@ -481,49 +477,13 @@ KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
         if (!data)
             data = &ft.frame(hfn).data;
         const mem::PageData *other = hv_.peek(u.vm, u.gfn);
-        bool entry_stale = other == nullptr || !(*other == *data);
-        if (!entry_stale && cfg_.usePml) {
-            // A persistent entry can outlive its page's promotion into
-            // the stable index (a walk pass cannot: stable pages never
-            // insert). If the chain is full its content can even still
-            // match ours; promoting a stable page again would be
-            // wrong, so the entry is stale — exactly as the walk,
-            // whose table never contained the page this pass.
-            const hv::Vm &uv = hv_.vm(u.vm);
-            const hv::EptEntry &ue = uv.ept.entry(u.gfn);
-            if (ft.frame(ue.backing).ksmStable)
-                entry_stale = true;
-            // Likewise a page that became THP-backed since insertion:
-            // the walk skips huge pages before the tree stage, so this
-            // pass's table would never have held it.
-            else if (!uv.hugePages.empty() && uv.hugePages[u.gfn])
-                entry_stale = true;
-        }
-        if (entry_stale) {
+        if (other == nullptr || !(*other == *data)) {
             // The tree node went stale (page rewritten or swapped out)
             // — or, vanishingly rarely, its digest collides with ours;
             // either way, replace it with the current candidate.
             u.vm = vm;
             u.gfn = gfn;
             ++stat_stale_unstable_;
-            return;
-        }
-        // A valid persistent entry *later* in cursor order: the walk's
-        // fresh table could not have contained it at this visit — the
-        // walk would have inserted the candidate here, and the entry's
-        // page would have met it at its own, later visit. Reproduce
-        // that exactly: the candidate takes over the slot, and the
-        // entry's old page is scheduled for a visit at its canonical
-        // position this pass (where its probe finds the candidate and
-        // promotes it — same merge, same frame-allocation order, same
-        // trace position as the walk). Only pages with a live
-        // cross-pass match pay this revisit, so passes stay
-        // O(dirty + matches).
-        if (cfg_.usePml &&
-            (vm < u.vm || (vm == u.vm && gfn < u.gfn))) {
-            pmlScheduleThisPass(u.vm, u.gfn);
-            u.vm = vm;
-            u.gfn = gfn;
             return;
         }
         // The table entry — visited earlier in the pass — becomes the
@@ -610,12 +570,15 @@ KsmScanner::unstableInsert(std::size_t insert_at, std::uint64_t digest,
 }
 
 bool
-KsmScanner::cursorNext()
+KsmScanner::advanceCursor()
 {
     const std::size_t nvms = hv_.vmCount();
     for (;;) {
-        if (cur_vm_ >= nvms)
-            return false; // end of a full pass over mergeable memory
+        if (cur_vm_ >= nvms) {
+            // End of a full pass over mergeable memory.
+            passBoundary();
+            return false;
+        }
         const hv::Vm &v = hv_.vm(cur_vm_);
         if (!v.mergeable || cur_gfn_ >= v.ept.size()) {
             ++cur_vm_;
@@ -633,53 +596,11 @@ KsmScanner::passBoundary()
     cur_gfn_ = 0;
     ++full_scans_;
     stats_.set("ksm.full_scans", full_scans_);
-    if (!cfg_.usePml) {
-        // Clearing the unstable tree is one epoch bump: last pass's
-        // entries go stale in place and their slots are reused by the
-        // next pass's inserts.
-        ++pass_epoch_;
-        unstable_live_ = 0;
-    } else {
-        // Log-driven passes keep the unstable table *persistent*: an
-        // unvisited calm page stays represented by the entry its last
-        // visit inserted, so a newly dirty page can still meet it —
-        // exactly the pairing the walk re-establishes by re-inserting
-        // every calm page each pass. Entries are content-verified on
-        // every hit, so staleness costs a replaced slot, never a
-        // wrong merge.
-        for (std::size_t i = 0; i < pml_.size(); ++i) {
-            PmlVmQueue &q = pml_[i];
-            if (!q.walkThisPass && hv_.vm(static_cast<VmId>(i)).mergeable) {
-                // What the walk would have visited minus what the log
-                // delivered: the pages this pass proved skippable.
-                const std::uint64_t res =
-                    hv_.vm(static_cast<VmId>(i)).residentPages;
-                if (res > q.visitedThisPass)
-                    stat_pml_skipped_ += res - q.visitedThisPass;
-            }
-            q.walkThisPass = q.walkNextPass;
-            q.walkNextPass = false;
-            // Rotate the queues: next pass visits the carried-over
-            // work (ring entries that landed behind the cursor plus
-            // owed not-calm revisits), sorted into cursor order and
-            // deduplicated so no page is visited twice in one pass.
-            q.current.swap(q.next);
-            q.next.clear();
-            std::sort(q.current.begin(), q.current.end());
-            q.current.erase(
-                std::unique(q.current.begin(), q.current.end()),
-                q.current.end());
-            if (q.walkThisPass)
-                q.current.clear(); // the walk covers everything
-            // Cross-pass revisits never outlive their pass: either the
-            // cursor consumed them, or a mid-pass overflow switched
-            // the VM to a walk that covered them.
-            q.injected.clear();
-            q.curIdx = 0;
-            q.injIdx = 0;
-            q.visitedThisPass = 0;
-        }
-    }
+    // Clearing the unstable tree is one epoch bump: last pass's
+    // entries go stale in place and their slots are reused by the
+    // next pass's inserts.
+    ++pass_epoch_;
+    unstable_live_ = 0;
     if (TraceBuffer *t = hv_.trace())
         t->record(TraceEventType::KsmFullScan, invalidVm, full_scans_,
                   merges_total_);
@@ -712,31 +633,11 @@ KsmScanner::visitLookahead(const hv::Vm &v, const PageScanState *psv,
     }
 }
 
-bool
-KsmScanner::advanceCursor()
-{
-    if (hv_.vmCount() == 0)
-        return false;
-    if (!cursorNext()) {
-        passBoundary();
-        return false;
-    }
-    return true;
-}
-
 std::uint64_t
 KsmScanner::scanBatch()
 {
     if (hv_.vmCount() == 0)
         return 0;
-    if (cfg_.usePml)
-        return scanBatchSerialPml();
-    return scanBatchSerial();
-}
-
-std::uint64_t
-KsmScanner::scanBatchSerial()
-{
     mem::FrameTable &ft = hv_.frames();
     std::uint64_t visited = 0;
     while (visited < cfg_.pagesToScan) {
@@ -773,197 +674,6 @@ KsmScanner::prefetchUnstableSlot(std::uint64_t digest) const
     const std::size_t h = slotHash(digest) & mask;
     __builtin_prefetch(unstable_.data() + h, 1);
     __builtin_prefetch(unstable_.data() + ((h + 2) & mask), 1);
-}
-
-KsmScanner::PmlVmQueue &
-KsmScanner::pmlQueue(VmId vm)
-{
-    if (vm >= pml_.size())
-        pml_.resize(
-            std::max<std::size_t>(hv_.vmCount(), vm + std::size_t{1}));
-    return pml_[vm];
-}
-
-void
-KsmScanner::pmlRequeue(VmId vm, Gfn gfn)
-{
-    pmlQueue(vm).next.push_back(gfn);
-}
-
-void
-KsmScanner::pmlScheduleThisPass(VmId vm, Gfn gfn)
-{
-    // Called from the unstable tree stage for a page strictly ahead of
-    // the visit being processed — hence ahead of the cursor: its
-    // pairing with the candidate must be established at the page's own
-    // canonical position, like the walk.
-    PmlVmQueue &q = pmlQueue(vm);
-    if (q.walkThisPass)
-        return; // the fallback walk reaches it at its own position
-    // Insert into the VM's injected lane in cursor order; the pass's
-    // remaining batches consume it outside the pagesToScan budget.
-    const auto lo =
-        q.injected.begin() + static_cast<std::ptrdiff_t>(q.injIdx);
-    const auto it = std::lower_bound(lo, q.injected.end(), gfn);
-    if (it != q.injected.end() && *it == gfn)
-        return;
-    q.injected.insert(it, gfn);
-}
-
-void
-KsmScanner::pmlDrain()
-{
-    // Guest mutators only run between scanner batches, so every ring
-    // entry (and every entry a full ring dropped) was appended while
-    // the cursor sat exactly where it is now. That makes the
-    // ahead/behind split below an exact reproduction of the walk's
-    // visit schedule: a write the walk's cursor has yet to reach is
-    // seen this pass, one it already passed is seen next pass.
-    const std::size_t nvms = hv_.vmCount();
-    // Size the queue table up front: mid-scan scheduling must never
-    // reallocate it under a live queue reference.
-    if (pml_.size() < nvms)
-        pml_.resize(nvms);
-    for (VmId vm = 0; vm < nvms; ++vm) {
-        const std::vector<hv::PmlEntry> &ring = hv_.pmlEntries(vm);
-        const bool overflow = hv_.pmlOverflowed(vm);
-        if (ring.empty() && !overflow)
-            continue;
-        if (!hv_.vm(vm).mergeable) {
-            // Unscanned memory: keep the ring bounded, queue nothing.
-            hv_.pmlResetRing(vm);
-            continue;
-        }
-        PmlVmQueue &q = pmlQueue(vm);
-        if (overflow) {
-            // Dropped entries make the log incomplete. Lost writes
-            // ahead of the cursor are what this pass's remaining walk
-            // over the VM would see; lost writes behind it belong to
-            // the next pass. Degrade exactly that far.
-            q.walkNextPass = true;
-            if (vm >= cur_vm_)
-                q.walkThisPass = true;
-        }
-        if (q.walkThisPass) {
-            // The walk covers everything at or ahead of the cursor;
-            // only behind-entries still carry next-pass information.
-            for (const hv::PmlEntry &e : ring) {
-                if (vm < cur_vm_ ||
-                    (vm == cur_vm_ && e.gfn < cur_gfn_))
-                    q.next.push_back(e.gfn);
-            }
-            hv_.pmlResetRing(vm);
-            continue;
-        }
-        pml_pending_.clear();
-        for (const hv::PmlEntry &e : ring) {
-            const bool behind =
-                vm < cur_vm_ || (vm == cur_vm_ && e.gfn < cur_gfn_);
-            if (behind)
-                q.next.push_back(e.gfn);
-            else
-                pml_pending_.push_back(e.gfn);
-        }
-        hv_.pmlResetRing(vm);
-        if (!pml_pending_.empty()) {
-            // Merge the fresh ahead-entries into the unconsumed tail
-            // of the current queue, keeping it sorted and duplicate
-            // free (every remaining entry is >= cur_gfn_, as are all
-            // ahead-entries, so one sort of the whole tail is safe).
-            q.current.erase(q.current.begin(),
-                            q.current.begin() +
-                                static_cast<std::ptrdiff_t>(q.curIdx));
-            q.curIdx = 0;
-            q.current.insert(q.current.end(), pml_pending_.begin(),
-                             pml_pending_.end());
-            std::sort(q.current.begin(), q.current.end());
-            q.current.erase(
-                std::unique(q.current.begin(), q.current.end()),
-                q.current.end());
-        }
-    }
-}
-
-std::uint64_t
-KsmScanner::scanBatchSerialPml()
-{
-    pmlDrain();
-    mem::FrameTable &ft = hv_.frames();
-    std::uint64_t visited = 0;
-    while (visited < cfg_.pagesToScan) {
-        if (cur_vm_ >= hv_.vmCount()) {
-            passBoundary();
-            break;
-        }
-        const hv::Vm &v = hv_.vm(cur_vm_);
-        if (!v.mergeable) {
-            ++cur_vm_;
-            cur_gfn_ = 0;
-            continue;
-        }
-        PmlVmQueue &q = pmlQueue(cur_vm_);
-        PageScanState *psv = pageStateRow(cur_vm_, v);
-        if (q.walkThisPass) {
-            // Overflow fallback: the plain generation walk of this VM,
-            // plus the owed-revisit bookkeeping a queue-driven next
-            // pass will need.
-            const Gfn gfn_end = v.ept.size();
-            while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan) {
-                const std::uint64_t nc_before = stat_not_calm_;
-                if (scanOne(cur_vm_, cur_gfn_, v, ft, psv)) {
-                    ++visited;
-                    ++q.visitedThisPass;
-                }
-                if (stat_not_calm_ != nc_before)
-                    pmlRequeue(cur_vm_, cur_gfn_);
-                ++cur_gfn_;
-            }
-            if (cur_gfn_ >= gfn_end) {
-                ++cur_vm_;
-                cur_gfn_ = 0;
-            }
-            continue;
-        }
-        while (visited < cfg_.pagesToScan) {
-            // Merge-consume the dirty queue and the injected lane in
-            // cursor order. Injected visits are budget-exempt but count
-            // as visits everywhere else.
-            const bool has_cur = q.curIdx < q.current.size();
-            const bool has_inj = q.injIdx < q.injected.size();
-            if (!has_cur && !has_inj)
-                break;
-            Gfn g;
-            bool from_injected;
-            if (!has_inj ||
-                (has_cur && q.current[q.curIdx] <= q.injected[q.injIdx])) {
-                g = q.current[q.curIdx++];
-                from_injected = false;
-            } else {
-                g = q.injected[q.injIdx++];
-                from_injected = true;
-            }
-            if (g < cur_gfn_ || g >= v.ept.size())
-                continue; // already visited this pass, or discarded
-            const std::uint64_t nc_before = stat_not_calm_;
-            if (scanOne(cur_vm_, g, v, ft, psv)) {
-                ++q.visitedThisPass;
-                if (from_injected)
-                    ++stat_pages_visited_;
-                else
-                    ++visited;
-            }
-            if (stat_not_calm_ != nc_before)
-                pmlRequeue(cur_vm_, g);
-            cur_gfn_ = g + 1;
-        }
-        if (q.curIdx >= q.current.size() &&
-            q.injIdx >= q.injected.size()) {
-            ++cur_vm_;
-            cur_gfn_ = 0;
-        }
-    }
-    stat_pages_visited_ += visited;
-    return visited;
 }
 
 void

@@ -52,12 +52,11 @@
  * (KsmConfig::incrementalScan = false gives that reference mode; the
  * property tests drive both side by side).
  *
- * Scan loops (docs/ARCHITECTURE.md §3): every batch runs through
- * exactly one of two serial loops — the cursor walk (scanBatchSerial)
- * or the log-driven pass (scanBatchSerialPml, KsmConfig::usePml).
- * Both visit pages through scanOne(), on the calling thread, against
- * one stable index and one unstable table; docs/PERF.md §9 records
- * why the scan is not split across threads.
+ * Scan loop (docs/ARCHITECTURE.md §3): every batch runs through one
+ * serial cursor walk (scanBatch()), which visits pages through
+ * scanOne(), on the calling thread, against one stable index and one
+ * unstable table. docs/PERF.md §9 records why the scan is not split
+ * across threads, and §6 why it is not driven by the PML dirty log.
  */
 
 #ifndef JTPS_KSM_KSM_SCANNER_HH
@@ -99,21 +98,6 @@ struct KsmConfig
      * used by the equivalence tests and the before/after micro bench.
      */
     bool incrementalScan = true;
-    /**
-     * Drive passes from the hypervisor's PML rings instead of walking
-     * every resident page: each batch drains the rings into per-VM
-     * dirty queues and visits only logged pages (a VM whose ring
-     * overflowed is walked in full instead, restoring completeness).
-     * Requires hv::HostConfig::pmlRingSlots > 0. Merges, sharing
-     * totals and merge/promotion trace events are byte-identical to
-     * the generation walk (docs/PERF.md §6): skipping is gated on the
-     * completeness of the dirty log plus the same write-generation
-     * proofs, never on content heuristics. Visit-accounting counters
-     * (`ksm.pages_visited`, `ksm.pages_gen_skipped`, ...) naturally
-     * shrink to O(dirty); `ksm.pages_pml_skipped` counts the resident
-     * pages each pass proved it could leave unvisited.
-     */
-    bool usePml = false;
 };
 
 /**
@@ -301,63 +285,6 @@ class KsmScanner : public hv::PageEventListener
     bool scanOne(VmId vm, Gfn gfn, const hv::Vm &v, mem::FrameTable &ft,
                  PageScanState *psv);
 
-    /** The cursor walk over every resident mergeable page. */
-    std::uint64_t scanBatchSerial();
-
-    /**
-     * Per-VM dirty-queue state for log-driven passes (usePml). A pass
-     * visits `current` (sorted, deduplicated gfns) instead of the
-     * whole address space; `next` accumulates work for the following
-     * pass (ring entries that landed behind the cursor, and not-calm
-     * pages whose second calm-protocol visit is still owed). A ring
-     * overflow degrades the VM to a full generation walk for the
-     * affected passes.
-     */
-    struct PmlVmQueue
-    {
-        std::vector<Gfn> current;
-        std::vector<Gfn> next;
-        /**
-         * Cross-pass-match revisits owed *this* pass (sorted): pages a
-         * candidate met as a persistent unstable entry ahead of the
-         * cursor. Kept apart from `current` because they are exempt
-         * from the batch's pagesToScan budget, which fixes where every
-         * batch of a log-driven pass ends.
-         */
-        std::vector<Gfn> injected;
-        std::size_t curIdx = 0;
-        std::size_t injIdx = 0;
-        std::uint64_t visitedThisPass = 0;
-        bool walkThisPass = false;
-        bool walkNextPass = false;
-    };
-
-    /** Lazily-sized dirty queue of @p vm. */
-    PmlVmQueue &pmlQueue(VmId vm);
-
-    /**
-     * Drain every VM's PML ring into the dirty queues (called at the
-     * start of each log-driven batch). Entries at or ahead of the
-     * cursor join the current pass; entries behind it, the next pass.
-     * Overflowed VMs are flagged for full walks.
-     */
-    void pmlDrain();
-
-    /** Queue @p gfn of @p vm for the next pass (not-calm revisit). */
-    void pmlRequeue(VmId vm, Gfn gfn);
-
-    /**
-     * Schedule a visit of (@p vm, @p gfn) at its canonical position in
-     * the *current* pass: the page holds a live persistent unstable
-     * entry that a candidate earlier in cursor order just matched, and
-     * the walk would promote at this page's own visit. Inserts into
-     * the VM's `injected` lane.
-     */
-    void pmlScheduleThisPass(VmId vm, Gfn gfn);
-
-    /** Log-driven serial scan loop (usePml). */
-    std::uint64_t scanBatchSerialPml();
-
     /**
      * Stable-probe + unstable-table stage of the visit. @p data may be
      * null (loaded lazily).
@@ -366,15 +293,13 @@ class KsmScanner : public hv::PageEventListener
                    PageScanState &ps, Hfn hfn, std::uint64_t digest,
                    const mem::PageData *data, bool skip_stable_probe);
 
-    /** Advance the cursor; returns false at the end of a full pass. */
+    /** Skip the cursor to the next mergeable in-range position; at
+     *  the end of a full pass run passBoundary() and return false. */
     bool advanceCursor();
 
-    /** Pure cursor movement: skip to the next mergeable in-range
-     *  position; false at the end of a pass (no bookkeeping). */
-    bool cursorNext();
-
-    /** End-of-pass bookkeeping: reset the cursor, bump the pass epoch,
-     *  record the KsmFullScan trace event. */
+    /** End-of-pass bookkeeping: reset the cursor, clear the unstable
+     *  table (one pass-epoch bump), record the KsmFullScan trace
+     *  event. */
     void passBoundary();
 
     /**
@@ -441,11 +366,6 @@ class KsmScanner : public hv::PageEventListener
 
     std::vector<std::vector<PageScanState>> page_state_;
 
-    /** Per-VM dirty queues (usePml mode only). */
-    std::vector<PmlVmQueue> pml_;
-    /** Scratch for sorting freshly drained ring entries. */
-    std::vector<Gfn> pml_pending_;
-
     // Cached counter handles: scanOne() runs per visited page, so the
     // string-keyed StatSet lookups are hoisted out of the hot loop.
     std::uint64_t &stat_stale_stable_;
@@ -457,7 +377,6 @@ class KsmScanner : public hv::PageEventListener
     std::uint64_t &stat_pages_visited_;
     std::uint64_t &stat_gen_skipped_;
     std::uint64_t &stat_digest_cache_hits_;
-    std::uint64_t &stat_pml_skipped_;
 };
 
 } // namespace jtps::ksm

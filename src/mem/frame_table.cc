@@ -64,7 +64,6 @@ FrameTable::allocRaw(const PageData &initial)
     f.extra.clear();
     setAllocBit(hfn);
     ++resident_;
-    ++resident_by_stripe_[stripeOfFrame(hfn)];
     stat_frames_allocated_.inc();
     return hfn;
 }
@@ -81,13 +80,11 @@ FrameTable::freeRaw(Hfn hfn)
         // sharing contribution was removed mapping by mapping; only
         // the stable-frame count remains to drop.
         --ksm_stable_frames_;
-        --stable_by_stripe_[stripeOfFrame(hfn)];
         f.ksmStable = false;
     }
     shrinkExtra(f);
     free_list_.push_back(hfn);
     --resident_;
-    --resident_by_stripe_[stripeOfFrame(hfn)];
     stat_frames_freed_.inc();
 }
 
@@ -124,10 +121,8 @@ FrameTable::addMapping(Hfn hfn, const Mapping &m)
     reserveExtra(f);
     f.extra.push_back(m);
     ++f.refcount;
-    if (f.ksmStable) {
+    if (f.ksmStable)
         ++ksm_sharing_mappings_;
-        ++sharing_by_stripe_[stripeOfFrame(hfn)];
-    }
     stat_mappings_added_.inc();
 }
 
@@ -153,10 +148,8 @@ FrameTable::removeMapping(Hfn hfn, const Mapping &m)
         f.primary = f.extra.back();
         f.extra.pop_back();
         --f.refcount;
-        if (f.ksmStable) {
+        if (f.ksmStable)
             --ksm_sharing_mappings_;
-            --sharing_by_stripe_[stripeOfFrame(hfn)];
-        }
         shrinkExtra(f);
         return false;
     }
@@ -165,10 +158,8 @@ FrameTable::removeMapping(Hfn hfn, const Mapping &m)
     jtps_assert(it != f.extra.end());
     f.extra.erase(it);
     --f.refcount;
-    if (f.ksmStable) {
+    if (f.ksmStable)
         --ksm_sharing_mappings_;
-        --sharing_by_stripe_[stripeOfFrame(hfn)];
-    }
     shrinkExtra(f);
     return false;
 }
@@ -197,17 +188,12 @@ FrameTable::setKsmStable(Hfn hfn, bool stable)
     // conclude "not stable" from generation equality alone, without
     // loading the Frame.
     write_gens_[hfn] = ++gen_clock_;
-    const unsigned fs = stripeOfFrame(hfn);
     if (stable) {
         ++ksm_stable_frames_;
-        ++stable_by_stripe_[fs];
         ksm_sharing_mappings_ += f.refcount - 1;
-        sharing_by_stripe_[fs] += f.refcount - 1;
     } else {
         --ksm_stable_frames_;
-        --stable_by_stripe_[fs];
         ksm_sharing_mappings_ -= f.refcount - 1;
-        sharing_by_stripe_[fs] -= f.refcount - 1;
     }
 }
 
@@ -320,48 +306,6 @@ FrameTable::checkConsistency() const
     // incremental bookkeeping drifted somewhere.
     jtps_assert(stable_count == ksm_stable_frames_);
     jtps_assert(sharing_count == ksm_sharing_mappings_);
-    // And the per-stripe mirrors must tile the globals exactly.
-    std::uint64_t r = 0, st = 0, sh = 0;
-    for (unsigned s = 0; s < kStripes; ++s) {
-        checkConsistencyShard(s);
-        r += resident_by_stripe_[s];
-        st += stable_by_stripe_[s];
-        sh += sharing_by_stripe_[s];
-    }
-    jtps_assert(r == resident_);
-    jtps_assert(st == ksm_stable_frames_);
-    jtps_assert(sh == ksm_sharing_mappings_);
-}
-
-void
-FrameTable::checkConsistencyShard(unsigned stripe) const
-{
-    jtps_assert(stripe < kStripes);
-    std::uint64_t resident_count = 0;
-    std::uint64_t stable_count = 0;
-    std::uint64_t sharing_count = 0;
-    // The stripe's allocation bits are bit `stripe` of every bitmap
-    // word, so the walk is one masked test per 64 frames.
-    const std::uint64_t lane = std::uint64_t{1} << stripe;
-    for (std::size_t w = 0; w < allocated_.size(); ++w) {
-        if (!(allocated_[w] & lane))
-            continue;
-        const Hfn h = (static_cast<Hfn>(w) << 6) | stripe;
-        ++resident_count;
-        const Frame &f = slot(h);
-        if (f.pinned) {
-            jtps_assert(f.refcount == 1 && f.extra.empty());
-        } else {
-            jtps_assert(f.refcount == 1 + f.extra.size());
-        }
-        if (f.ksmStable) {
-            ++stable_count;
-            sharing_count += f.refcount - 1;
-        }
-    }
-    jtps_assert(resident_count == resident_by_stripe_[stripe]);
-    jtps_assert(stable_count == stable_by_stripe_[stripe]);
-    jtps_assert(sharing_count == sharing_by_stripe_[stripe]);
 }
 
 } // namespace jtps::mem

@@ -20,15 +20,11 @@
  *    (digest mod kStripes): a merge or staleness transition for content
  *    in one stripe does not invalidate the KSM scanner's cached
  *    stable-probe misses for content in any other stripe;
- *  - the sharing counters behind ksmStableFrames()/ksmSharingMappings()
- *    and the resident count are additionally kept *per frame stripe*
- *    (hfn mod kStripes) — which is exactly bit (hfn mod 64) of each
- *    allocation-bitmap word, so a stripe's allocation bits are one
- *    fixed bit lane of the existing bitmap — giving
- *    checkConsistencyShard() an O(capacity / kStripes) probe;
  *  - the eviction fallback sweep keeps one clock hand per frame stripe
- *    and merges them deterministically (stripes visited round-robin
- *    from a persistent stripe cursor).
+ *    (hfn mod kStripes, which is exactly bit (hfn mod 64) of each
+ *    allocation-bitmap word, so a stripe's allocation bits are one
+ *    fixed bit lane of the bitmap) and merges them deterministically
+ *    (stripes visited round-robin from a persistent stripe cursor).
  *
  * Frames live in fixed slabs of kSlabFrames that never move: growing
  * the table appends in place (no element copies), and a Frame&
@@ -123,8 +119,7 @@ class FrameTable
 {
   public:
     /**
-     * Stripe fan-out for stable epochs, sharing counters, allocation
-     * bit lanes and clock hands.
+     * Stripe fan-out for stable epochs and clock hands.
      */
     static constexpr unsigned kStripes = 64;
 
@@ -143,13 +138,6 @@ class FrameTable
     stripeOfDigest(std::uint64_t digest)
     {
         return static_cast<unsigned>(digest % kStripes);
-    }
-
-    /** Frame stripe of @p hfn (counter/bitmap/clock-hand striping). */
-    static constexpr unsigned
-    stripeOfFrame(Hfn hfn)
-    {
-        return static_cast<unsigned>(hfn % kStripes);
     }
 
     /**
@@ -353,20 +341,12 @@ class FrameTable
     }
 
     /**
-     * Verify internal consistency (refcount matches rmap arity, resident
-     * counter matches allocation bitmap, per-stripe counters sum to the
-     * globals). Used by tests; panics on violation.
+     * Verify internal consistency with one walk over every frame
+     * (refcount matches rmap arity, the resident and sharing counters
+     * match a full recount, stable frames sit in their content's
+     * epoch stripe). Used by tests; panics on violation.
      */
     void checkConsistency() const;
-
-    /**
-     * checkConsistency() restricted to one frame stripe: walks only
-     * bit @p stripe of each allocation-bitmap word — O(capacity /
-     * kStripes) — and validates the stripe's frames against the
-     * per-stripe counters. Property fuzzes on 256-VM tables probe one
-     * stripe per checkpoint instead of paying the full walk.
-     */
-    void checkConsistencyShard(unsigned stripe) const;
 
   private:
     Hfn allocRaw(const PageData &initial);
@@ -439,11 +419,6 @@ class FrameTable
      *  checkConsistency() cross-checks them against a full walk. */
     std::uint64_t ksm_stable_frames_ = 0;
     std::uint64_t ksm_sharing_mappings_ = 0;
-    /** Per-frame-stripe mirrors of resident_/stable/sharing, updated in
-     *  lockstep, so checkConsistencyShard() can recount one stripe. */
-    std::array<std::uint64_t, kStripes> resident_by_stripe_{};
-    std::array<std::uint64_t, kStripes> stable_by_stripe_{};
-    std::array<std::uint64_t, kStripes> sharing_by_stripe_{};
     /** The write-generation clock (see writeGen()); pre-incremented,
      *  so no frame ever gets generation 0. */
     std::uint64_t gen_clock_ = 0;
@@ -461,8 +436,7 @@ class FrameTable
     std::vector<std::uint64_t> write_gens_;
     /** Allocation bitmap, 64 frames per word (bit i of word w covers
      *  hfn 64w + i, i.e. bit i is frame stripe i's lane) so
-     *  forEachResident() can skip empty runs wordwise and per-stripe
-     *  walks mask one bit per word. */
+     *  forEachResident() can skip empty runs wordwise. */
     std::vector<std::uint64_t> allocated_;
     std::vector<Hfn> free_list_;
     /** Fallback sweep positions, one hand per frame stripe, plus the

@@ -172,6 +172,26 @@ TEST(Scenario, SeedChangesContentNotShape)
     EXPECT_NEAR(ra / rb, 1.0, 0.03);
 }
 
+TEST(Scenario, HostConfiguredPmlRingsAreDrained)
+{
+    // Rings set through the host config alone (not
+    // ScenarioConfig::pmlRingSlots) must still get the working-set
+    // estimator, their only drainer: an undrained ring fills once and
+    // then logs nothing, freezing hv.pml_appends at VMs x slots.
+    setVerbose(false);
+    constexpr std::uint32_t slots = 64;
+    ScenarioConfig cfg = fastConfig(false);
+    cfg.host.pmlRingSlots = slots;
+    Scenario s(cfg, tuscanyVms(2));
+    s.build();
+    s.run();
+    s.hv().checkConsistency();
+    EXPECT_NE(s.wss(), nullptr);
+    EXPECT_GT(s.stats().get("wss.samples"), 0u);
+    EXPECT_GT(s.stats().get("hv.pml_appends"), 2u * slots);
+    EXPECT_EQ(s.balloonGovernor(), nullptr);
+}
+
 TEST(Scenario, MixedMiddlewareUsesSeparateCaches)
 {
     setVerbose(false);

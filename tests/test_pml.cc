@@ -76,7 +76,6 @@ TEST(PmlRing, AppendsOncePerDrainCycle)
               hv.frames().writeGen(hv.translate(vm, 3)));
     EXPECT_EQ(hv.vm(vm).pmlAppendsTotal, 2u);
     EXPECT_EQ(stats.get("hv.pml_appends"), 2u);
-    EXPECT_FALSE(hv.pmlOverflowed(vm));
     hv.checkConsistency();
 }
 
@@ -112,14 +111,12 @@ TEST(PmlRing, OverflowFlagsTheVmAndCountsDrops)
         hv.writeWord(vm, g, 0, g + 1);
 
     EXPECT_EQ(hv.pmlEntries(vm).size(), 2u);
-    EXPECT_TRUE(hv.pmlOverflowed(vm));
     EXPECT_EQ(hv.vm(vm).pmlAppendsTotal, 2u);
     EXPECT_EQ(stats.get("hv.pml_overflows"), 3u);
 
     // A dropped page keeps its logged bit clear, so after the drain it
     // can log again immediately.
     hv.pmlResetRing(vm);
-    EXPECT_FALSE(hv.pmlOverflowed(vm));
     hv.writeWord(vm, 4, 0, 99);
     ASSERT_EQ(hv.pmlEntries(vm).size(), 1u);
     EXPECT_EQ(hv.pmlEntries(vm)[0].gfn, 4u);
@@ -142,8 +139,7 @@ TEST(PmlRing, SwapInRelogsRestoredPages)
 {
     // A page the host paged out and back in has a fresh frame and a
     // fresh write generation: every scanner skip proof is void, and
-    // the generation walk would re-examine it. The dirty log must say
-    // so too, or a log-driven pass misses merges after host paging —
+    // the generation walk re-examines it. The dirty log says so too:
     // swapIn() re-logs every restored mapping.
     StatSet stats;
     KvmHypervisor hv(pmlHost(4096, 48 * pageSize), stats);
@@ -180,9 +176,9 @@ TEST(PmlRing, RecycledGfnIsRescannedFromLiveState)
 {
     // Regression: a ring entry must never act as a content verdict.
     // Here gfn 0's entry goes stale (discard + reallocation with new
-    // content) before the scanner drains; the log-driven pass must
-    // merge the *new* content with its true duplicate and leave the
-    // page holding the old content alone.
+    // content) while it sits in the ring; the scan must merge the
+    // *new* content with its true duplicate and leave the page
+    // holding the old content alone.
     StatSet stats;
     KvmHypervisor hv(pmlHost(4096), stats);
     VmId a = hv.createVm("a", 1 * MiB, 0);
@@ -198,7 +194,6 @@ TEST(PmlRing, RecycledGfnIsRescannedFromLiveState)
 
     ksm::KsmConfig kcfg;
     kcfg.pagesToScan = 100000;
-    kcfg.usePml = true;
     ksm::KsmScanner scanner(hv, kcfg, stats);
     scanner.runToQuiescence();
 
@@ -219,7 +214,6 @@ TEST(WssEstimator, CountsDirtiedPagesPerWindow)
 
     analysis::WssConfig wcfg;
     wcfg.windows = 1; // raw per-window deltas
-    wcfg.drainRings = true;
     analysis::WssEstimator wss(hv, wcfg, stats);
 
     for (Gfn g = 0; g < 20; ++g)
@@ -249,7 +243,6 @@ TEST(WssEstimator, WindowMaxRidesOutQuietWindows)
 
     analysis::WssConfig wcfg;
     wcfg.windows = 3;
-    wcfg.drainRings = true;
     analysis::WssEstimator wss(hv, wcfg, stats);
 
     for (Gfn g = 0; g < 12; ++g)
@@ -274,7 +267,6 @@ TEST(BalloonGovernor, ResizesTowardWorkingSet)
 
     analysis::WssConfig wcfg;
     wcfg.windows = 1;
-    wcfg.drainRings = true;
     analysis::WssEstimator wss(hv, wcfg, stats);
     wss.sample(); // absorb boot-time writes into the first window
 
@@ -313,7 +305,6 @@ TEST(BalloonGovernor, MaxStepBoundsEachAdjustment)
 
     analysis::WssConfig wcfg;
     wcfg.windows = 1;
-    wcfg.drainRings = true;
     analysis::WssEstimator wss(hv, wcfg, stats);
     wss.sample();
     wss.sample(); // quiet: large inflate target
@@ -366,7 +357,6 @@ TEST(BalloonGovernor, RefaultStormGrowsSlackAndBacksOff)
 
     analysis::WssConfig wcfg;
     wcfg.windows = 1;
-    wcfg.drainRings = true;
     analysis::WssEstimator wss(hv, wcfg, stats);
     wss.sample();
     wss.sample();

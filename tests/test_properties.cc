@@ -195,10 +195,9 @@ TEST_P(SharingCounterFuzz, CountersMatchFullRecountUnderMergeCowFree)
                 << "seed=" << seed << " step=" << step;
             ASSERT_EQ(scanner.pagesSharing(), sharing)
                 << "seed=" << seed << " step=" << step;
-            // And every frame stripe's counter mirrors must recount on
-            // their own, one bit lane of the bitmap at a time.
-            for (unsigned s = 0; s < mem::FrameTable::kStripes; ++s)
-                hv.frames().checkConsistencyShard(s);
+            // And the frame table's own audit recounts them in one
+            // full walk.
+            hv.frames().checkConsistency();
         }
     }
 
@@ -449,7 +448,7 @@ struct TwinStacks
     }
 
     /** Fully general twins: per-side host configuration too (the PML
-     *  fuzzes give the log-driven side rings and the walker none). */
+     *  fuzz gives one side rings and the other none). */
     TwinStacks(const hv::HostConfig &inc_host,
                const hv::HostConfig &ref_host, const KsmConfig &inc_cfg,
                const KsmConfig &ref_cfg)
@@ -782,22 +781,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GuestEpochTwinRun,
                          ::testing::Values(42, 5, 7));
 
 // ---------------------------------------------------------------------
-// PML (dirty-log) scan equivalence
+// PML rings leave the scan untouched
 // ---------------------------------------------------------------------
 
 namespace
 {
-
-/** Log-driven scanner config. */
-KsmConfig
-pmlKsmCfg()
-{
-    KsmConfig c;
-    c.pagesToScan = 500;
-    c.incrementalScan = true;
-    c.usePml = true;
-    return c;
-}
 
 hv::HostConfig
 pmlHostCfg(Bytes ram, std::uint32_t slots)
@@ -806,21 +794,6 @@ pmlHostCfg(Bytes ram, std::uint32_t slots)
     h.pmlRingSlots = slots;
     return h;
 }
-
-/**
- * Counters that legitimately differ between a log-driven and a walking
- * scanner: visit/skip/staleness accounting (the whole point is visiting
- * fewer pages, so every per-visit tally moves differently) plus the PML
- * plumbing itself, which the walker never touches. Merges, promotions,
- * sharing totals, COW breaks and the trace stream must still match.
- */
-const std::vector<std::string> pmlModeCounters = {
-    "ksm.pages_visited",       "ksm.pages_gen_skipped",
-    "ksm.digest_cache_hits",   "ksm.stale_stable_nodes",
-    "ksm.stale_unstable_nodes", "ksm.skipped_huge",
-    "ksm.pages_pml_skipped",   "hv.pml_appends",
-    "hv.pml_overflows",
-};
 
 /** One random guest-side mutation applied identically to both stacks. */
 void
@@ -852,71 +825,13 @@ applyTwinMutation(TwinStacks &t, Rng &rng)
 }
 
 /**
- * Everything a log-driven pass must reproduce of the walk: merge and
- * calm-protocol counters, sharing totals, pass count, every
- * translation and page content, and the trace streams event for event.
- * (Visit accounting is excluded by design — see pmlModeCounters.)
- */
-void
-expectPmlEqual(TwinStacks &t, std::uint64_t seed, int round)
-{
-    static const char *counters[] = {
-        "ksm.stable_merges",
-        "ksm.unstable_promotions",
-        "ksm.not_calm",
-        "hv.cow_breaks",
-    };
-    for (const char *c : counters)
-        ASSERT_EQ(t.inc_stats.get(c), t.ref_stats.get(c))
-            << c << " seed=" << seed << " round=" << round;
-    ASSERT_EQ(t.inc_scanner.fullScans(), t.ref_scanner.fullScans())
-        << "seed=" << seed << " round=" << round;
-    ASSERT_EQ(t.inc_scanner.pagesShared(), t.ref_scanner.pagesShared())
-        << "seed=" << seed << " round=" << round;
-    ASSERT_EQ(t.inc_scanner.pagesSharing(), t.ref_scanner.pagesSharing())
-        << "seed=" << seed << " round=" << round;
-    for (int v = 0; v < TwinStacks::numVms; ++v) {
-        for (Gfn g = 0; g < TwinStacks::pagesPerVm; ++g) {
-            ASSERT_EQ(t.inc_hv.translate(v, g), t.ref_hv.translate(v, g))
-                << "seed=" << seed << " round=" << round << " vm=" << v
-                << " gfn=" << g;
-            const PageData *pi = t.inc_hv.peek(v, g);
-            const PageData *pr = t.ref_hv.peek(v, g);
-            ASSERT_EQ(pi == nullptr, pr == nullptr)
-                << "seed=" << seed << " round=" << round << " vm=" << v
-                << " gfn=" << g;
-            if (pi != nullptr) {
-                ASSERT_EQ(*pi, *pr) << "seed=" << seed
-                                    << " round=" << round << " vm=" << v
-                                    << " gfn=" << g;
-            }
-        }
-    }
-    t.inc_hv.checkConsistency();
-    t.ref_hv.checkConsistency();
-    t.inc_scanner.checkIndex();
-    t.ref_scanner.checkIndex();
-
-    const auto &ei = t.inc_trace.events();
-    const auto &er = t.ref_trace.events();
-    ASSERT_EQ(ei.size(), er.size())
-        << "trace length, seed=" << seed << " round=" << round;
-    for (std::size_t i = 0; i < ei.size(); ++i) {
-        ASSERT_TRUE(ei[i].type == er[i].type && ei[i].vm == er[i].vm &&
-                    ei[i].arg0 == er[i].arg0 && ei[i].arg1 == er[i].arg1)
-            << "trace event " << i << " differs, seed=" << seed
-            << " round=" << round;
-    }
-}
-
-/**
  * Drive the twins pass-at-a-time: a burst of mutations, then exactly
- * one full scan pass on each side. Batch boundaries fall differently
- * in the two modes (the log-driven side has far less to look at), so
- * mutating mid-pass would interleave guest trace events differently —
- * pass granularity is the finest at which the streams stay comparable.
- * This is also the discrete-event shape the drain logic assumes: rings
- * are drained at every batch, so entries never survive a cursor move.
+ * one full scan pass on each side, then a drain of the ringed side's
+ * rings (the working-set estimator's job in a scenario). Every tenth
+ * round, and after both converge, the stacks must agree in every
+ * counter, translation, page content, index shape and trace event;
+ * each checkpoint's checkConsistency() also audits the ring
+ * invariants. Only the PML counters themselves may differ.
  */
 void
 driveTwinsByPass(TwinStacks &t, std::uint64_t seed, int rounds)
@@ -932,14 +847,42 @@ driveTwinsByPass(TwinStacks &t, std::uint64_t seed, int rounds)
         const std::uint64_t ref_to = t.ref_scanner.fullScans() + 1;
         while (t.ref_scanner.fullScans() < ref_to)
             t.ref_scanner.scanBatch();
+        for (VmId vm = 0; vm < t.inc_hv.vmCount(); ++vm)
+            t.inc_hv.pmlResetRing(vm);
         if (round % 10 == 9) {
-            ASSERT_NO_FATAL_FAILURE(expectPmlEqual(t, seed, round));
+            ASSERT_NO_FATAL_FAILURE(t.expectEqual(seed, round));
         }
     }
     t.inc_scanner.runToQuiescence();
     t.ref_scanner.runToQuiescence();
-    ASSERT_NO_FATAL_FAILURE(expectPmlEqual(t, seed, -1));
-    ASSERT_NO_FATAL_FAILURE(t.expectRegistriesEqual(pmlModeCounters, seed));
+    ASSERT_NO_FATAL_FAILURE(t.expectEqual(seed, -1));
+    ASSERT_NO_FATAL_FAILURE(t.expectRegistriesEqual(
+        {"hv.pml_appends", "hv.pml_overflows"}, seed));
+}
+
+/**
+ * Run one seed with `slots`-slot PML rings on the inc side and no
+ * rings on the ref side. Both sides scan by the generation walk, so
+ * logging (and overflowing) must leave every result unchanged.
+ */
+void
+checkRingedTwinsMatch(std::uint64_t seed, std::uint32_t slots)
+{
+    TwinStacks t(pmlHostCfg(2 * MiB, slots), pmlHostCfg(2 * MiB, 0),
+                 TwinStacks::ksmCfg(true), TwinStacks::ksmCfg(true));
+    ASSERT_NO_FATAL_FAILURE(driveTwinsByPass(t, seed, 120));
+    // Not vacuous: the rings really logged, tiny ones really
+    // overflowed, the ringless side logged nothing, and the scan
+    // merged something.
+    EXPECT_GT(t.inc_stats.get("hv.pml_appends"), 0u);
+    if (slots == 4)
+        EXPECT_GT(t.inc_stats.get("hv.pml_overflows"), 0u);
+    else
+        EXPECT_EQ(t.inc_stats.get("hv.pml_overflows"), 0u);
+    EXPECT_EQ(t.ref_stats.get("hv.pml_appends"), 0u);
+    EXPECT_GT(t.inc_stats.get("ksm.stable_merges") +
+                  t.inc_stats.get("ksm.unstable_promotions"),
+              0u);
 }
 
 class PmlScanEquivalenceFuzz
@@ -947,52 +890,32 @@ class PmlScanEquivalenceFuzz
 {
 };
 
-} // namespace
-
-TEST_P(PmlScanEquivalenceFuzz, MatchesWalkingScanner)
-{
-    const std::uint64_t seed = GetParam();
-    // inc side: log-driven passes from 4096-slot rings (never
-    // overflows at this scale); ref side: the incremental walk.
-    TwinStacks t(pmlHostCfg(2 * MiB, 4096), pmlHostCfg(2 * MiB, 0),
-                 pmlKsmCfg(), TwinStacks::ksmCfg(true));
-    ASSERT_NO_FATAL_FAILURE(driveTwinsByPass(t, seed, 120));
-    // Not vacuous: the log really fed the passes, whole clean VMs were
-    // skipped outright, and nothing ever fell back to a walk.
-    EXPECT_GT(t.inc_stats.get("hv.pml_appends"), 0u);
-    EXPECT_GT(t.inc_stats.get("ksm.pages_pml_skipped"), 0u);
-    EXPECT_EQ(t.inc_stats.get("hv.pml_overflows"), 0u);
-    EXPECT_LT(t.inc_stats.get("ksm.pages_visited"),
-              t.ref_stats.get("ksm.pages_visited"));
-    EXPECT_EQ(t.ref_stats.get("hv.pml_appends"), 0u);
-    EXPECT_EQ(t.ref_stats.get("ksm.pages_pml_skipped"), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PmlScanEquivalenceFuzz,
-                         ::testing::Values(6, 256, 8128));
-
-namespace
-{
-
 class PmlOverflowFallbackFuzz
     : public ::testing::TestWithParam<std::uint64_t>
 {
 };
 
+/** Both PML fuzzes run the same seeds. */
+const auto pmlFuzzSeeds =
+    ::testing::Values(6, 28, 64, 256, 496, 1024, 8128, 33550336);
+
 } // namespace
+
+TEST_P(PmlScanEquivalenceFuzz, MatchesWalkingScanner)
+{
+    const std::uint64_t seed = GetParam();
+    // 4096-slot rings never overflow at this scale.
+    ASSERT_NO_FATAL_FAILURE(checkRingedTwinsMatch(seed, 4096));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PmlScanEquivalenceFuzz, pmlFuzzSeeds);
 
 TEST_P(PmlOverflowFallbackFuzz, TinyRingsForceWalksAndStillMatch)
 {
     const std::uint64_t seed = GetParam();
-    // 4-slot rings overflow on nearly every mutation burst, so most
-    // passes run as per-VM walk fallbacks — the equivalence must
-    // survive constant switching between the two pass shapes.
-    TwinStacks t(pmlHostCfg(2 * MiB, 4), pmlHostCfg(2 * MiB, 0),
-                 pmlKsmCfg(), TwinStacks::ksmCfg(true));
-    ASSERT_NO_FATAL_FAILURE(driveTwinsByPass(t, seed, 120));
-    EXPECT_GT(t.inc_stats.get("hv.pml_overflows"), 0u);
-    EXPECT_GT(t.inc_stats.get("hv.pml_appends"), 0u);
+    // 4-slot rings overflow on nearly every mutation burst; a dropped
+    // entry must not perturb the walk.
+    ASSERT_NO_FATAL_FAILURE(checkRingedTwinsMatch(seed, 4));
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PmlOverflowFallbackFuzz,
-                         ::testing::Values(6, 64, 256, 496, 8128));
+INSTANTIATE_TEST_SUITE_P(Seeds, PmlOverflowFallbackFuzz, pmlFuzzSeeds);

@@ -83,9 +83,9 @@ usage(const char *argv0)
         "  --balloon MB    inflate a balloon per guest after boot\n"
         "  --ksmtuned      govern pages_to_scan adaptively (RHEL\n"
         "                  ksmtuned) instead of the paper's schedule\n"
-        "  --pml-ring N    model an N-slot dirty-page log ring per VM\n"
-        "                  and scan only logged pages (O(dirty) KSM\n"
-        "                  passes, byte-identical merges; 0 = off)\n"
+        "  --pml-ring N    model an N-slot dirty-page log ring per VM,\n"
+        "                  drained by the working-set estimator\n"
+        "                  (0 = off)\n"
         "  --adaptive-balloon  resize balloons from the PML working-\n"
         "                  set estimate (requires --pml-ring)\n"
         "  --ram GB        host RAM (default 6)\n"
