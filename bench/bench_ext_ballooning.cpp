@@ -87,7 +87,7 @@ measure(Policy policy)
     cfg.warmupMs = warmupMs;
     cfg.steadyMs = steadyMs;
     if (policy == Policy::Adaptive) {
-        cfg.pmlRingSlots = 4096;
+        cfg.host.pmlRingSlots = 4096;
         cfg.adaptiveBalloon = true;
     }
     std::vector<workload::WorkloadSpec> vms(

@@ -112,7 +112,7 @@ fleetConfig(std::size_t hosts, std::size_t per_host,
     // at the default throttle, eviction churn destroys merges faster
     // than a 1000-page batch can re-form them across 16 guests.
     cfg.host.ksm.pagesToScan = 5'000;
-    cfg.host.pmlRingSlots = 4096;
+    cfg.host.host.pmlRingSlots = 4096;
     cfg.host.adaptiveBalloon = adaptive;
     return cfg;
 }

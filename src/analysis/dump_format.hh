@@ -18,6 +18,12 @@
  *   frame <hfn> <nrefs>
  *   ref <vm> <gfn> <pid> <is_java 0|1> <category>
  *   end <total_resident_frames>
+ *
+ * Every number is unsigned decimal, without a sign. The vms line comes
+ * before any overhead or ref line and bounds every vm id; overhead
+ * lines list vms 0, 1, ... in order; frame hfns strictly ascend, and
+ * each frame is followed by exactly <nrefs> ref lines. Nothing follows
+ * the end line.
  */
 
 #ifndef JTPS_ANALYSIS_DUMP_FORMAT_HH

@@ -110,11 +110,10 @@ struct ScenarioConfig
     bool guestThp = false;
 
     /**
-     * Per-VM Page-Modification-Log ring size in slots (see
-     * hv::HostConfig::pmlRingSlots). Non-zero overrides
-     * host.pmlRingSlots; 0 keeps host.pmlRingSlots. A host with rings
-     * runs the analysis::WssEstimator, which drains them every
-     * wssWindowMs.
+     * Old spelling of host.pmlRingSlots (hv::HostConfig::pmlRingSlots):
+     * non-zero overrides it. Kept only because the end-to-end benchmark
+     * (perfbench/bench_run.cc) still sets it; everything else sets
+     * host.pmlRingSlots.
      */
     std::uint32_t pmlRingSlots = 0;
 
@@ -123,8 +122,8 @@ struct ScenarioConfig
      * comparison with the adaptive core::BalloonGovernor: every
      * balloonIntervalMs each guest's balloon is resized to its
      * PML-estimated working set plus balloonSlackBytes. Requires PML
-     * rings (pmlRingSlots or host.pmlRingSlots > 0): the estimator
-     * reads them.
+     * rings (host.pmlRingSlots > 0): the analysis::WssEstimator, which
+     * a host with rings runs every wssWindowMs, reads them.
      */
     bool adaptiveBalloon = false;
     /** Working-set slack the governor leaves each guest. */

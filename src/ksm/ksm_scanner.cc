@@ -217,14 +217,17 @@ KsmScanner::stableInsert(std::uint64_t digest, Hfn hfn)
 }
 
 Hfn
-KsmScanner::stableLookup(const mem::PageData &data, std::uint64_t digest)
+KsmScanner::stableLookup(Hfn candidate, std::uint64_t digest)
 {
     std::size_t insert_at = npos;
     const std::size_t slot = stableFind(digest, insert_at);
     if (slot == npos)
         return invalidFrame;
 
+    // Only a hit needs the candidate's content, so a miss (most calm
+    // visits) never touches its Frame.
     const mem::FrameTable &ft = hv_.frames();
+    const mem::PageData &data = ft.frame(candidate).data;
     // Lazy pruning: the frame may have been freed (all sharers
     // COW-diverged or the host evicted it) or its content replaced.
     // The full compare also guards merging across a digest collision —
@@ -366,7 +369,6 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
     // generation array and this VM's page-state row alone.
     const mem::PageData *data = nullptr;
     std::uint64_t digest;
-    bool skip_stable_probe = false;
 
     if (cfg_.incrementalScan && ps.lastGen == gen) {
         // The frame's write generation has not moved since the last
@@ -377,11 +379,7 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
         // checksum compare would come out calm. Stable pages are done
         // (a from-scratch visit early-returns on them); for the rest,
         // serve the digest from the per-page cache (computing it on
-        // the first calm revisit). A stable probe that missed at
-        // ps.lastStableEpoch must still miss while the epoch is
-        // unchanged (stable frames only gain sharers without an epoch
-        // bump, and every staleness or capacity transition bumps it),
-        // so it is skipped as well.
+        // the first calm revisit).
         ++stat_gen_skipped_;
         if (ps.lastStable)
             return true; // provably still a shared KSM page
@@ -394,8 +392,6 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
             ps.lastDigest = digest;
             ps.digestValid = true;
         }
-        skip_stable_probe = ps.lastStableEpoch != 0 &&
-                            ps.lastStableEpoch == ft.ksmStableEpoch(digest);
     } else {
         const mem::Frame &frame = ft.frame(hfn);
         if (frame.ksmStable) {
@@ -407,7 +403,6 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
                 ps.lastGen = gen;
                 ps.lastStable = true;
                 ps.digestValid = false;
-                ps.lastStableEpoch = 0;
             }
             return true; // already a shared KSM page
         }
@@ -420,7 +415,6 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
         ps.checksumValid = true;
         ps.lastGen = gen;
         ps.lastStable = false;
-        ps.lastStableEpoch = 0;
         ps.digestValid = false;
         if (!calm) {
             ++stat_not_calm_;
@@ -433,36 +427,25 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
         }
     }
 
-    treeStage(vm, gfn, ft, ps, hfn, digest, data, skip_stable_probe);
+    treeStage(vm, gfn, ft, hfn, digest, data);
     return true;
 }
 
 void
-KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
-                      PageScanState &ps, Hfn hfn, std::uint64_t digest,
-                      const mem::PageData *data, bool skip_stable_probe)
+KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft, Hfn hfn,
+                      std::uint64_t digest, const mem::PageData *data)
 {
     // Stable index first.
-    if (!skip_stable_probe) {
-        if (!data)
-            data = &ft.frame(hfn).data;
-        const Hfn stable = stableLookup(*data, digest);
-        if (stable != invalidFrame) {
-            if (hv_.ksmMergeInto(stable, vm, gfn)) {
-                ++merges_this_pass_;
-                ++merges_total_;
-                ++stat_stable_merges_;
-                if (TraceBuffer *t = hv_.trace())
-                    t->record(TraceEventType::KsmStableMerge, vm, gfn,
-                              stable);
-            }
-            return;
+    const Hfn stable = stableLookup(hfn, digest);
+    if (stable != invalidFrame) {
+        if (hv_.ksmMergeInto(stable, vm, gfn)) {
+            ++merges_this_pass_;
+            ++merges_total_;
+            ++stat_stable_merges_;
+            if (TraceBuffer *t = hv_.trace())
+                t->record(TraceEventType::KsmStableMerge, vm, gfn, stable);
         }
-        // Record the miss: while the stable epoch stays put, revisits
-        // of this unchanged page may skip the probe (and the pruning
-        // it would do — a missing probe already pruned its bucket
-        // clean).
-        ps.lastStableEpoch = ft.ksmStableEpoch(digest);
+        return;
     }
 
     // Unstable tree: find another calm page with the same content seen

@@ -42,13 +42,13 @@
  * possible content change and on every stable-flag transition. The
  * scanner records, per guest page, the generation it saw at the last
  * completed visit; when the generation is unchanged the page is
- * *provably* resident, non-stable and calm — the Frame is not even
- * loaded, the checksum compare is skipped, the content digest is
- * served from the per-page cache, and the stable-index probe is
- * skipped while the stable epoch of the content's digest stripe
- * proves a past miss still holds. Skipping is gated only on
- * generation/epoch equality, never on content heuristics, so merge
- * behaviour and every counter are identical to a from-scratch scan
+ * *provably* resident, non-stable and calm — the checksum compare is
+ * skipped and the content digest is served from the per-page cache.
+ * Such a visit still probes the stable index, as every calm visit of
+ * ksmd does; the Frame is loaded only when the probe finds the digest,
+ * so a miss never touches it. Skipping is gated only on generation
+ * equality, never on content heuristics, so merge behaviour and every
+ * counter are identical to a from-scratch scan
  * (KsmConfig::incrementalScan = false gives that reference mode; the
  * property tests drive both side by side).
  *
@@ -206,11 +206,6 @@ class KsmScanner : public hv::PageEventListener
     {
         /** Frame write generation at the last completed visit. */
         std::uint64_t lastGen = 0;
-        /**
-         * Stable epoch at the last full stable-tree probe that missed
-         * for this page's content; 0 = the next visit must probe.
-         */
-        std::uint64_t lastStableEpoch = 0;
         /** Content digest at generation lastGen (digestValid). Kept
          *  here — sequentially walked state — so the steady-state scan
          *  path does not load the Frame at all. */
@@ -227,6 +222,8 @@ class KsmScanner : public hv::PageEventListener
          */
         bool lastStable = false;
     };
+    // One entry per guest page of every mergeable VM: three words.
+    static_assert(sizeof(PageScanState) == 24);
 
     /**
      * One slot of the flat open-addressed unstable table. A slot is
@@ -289,9 +286,8 @@ class KsmScanner : public hv::PageEventListener
      * Stable-probe + unstable-table stage of the visit. @p data may be
      * null (loaded lazily).
      */
-    void treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
-                   PageScanState &ps, Hfn hfn, std::uint64_t digest,
-                   const mem::PageData *data, bool skip_stable_probe);
+    void treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft, Hfn hfn,
+                   std::uint64_t digest, const mem::PageData *data);
 
     /** Skip the cursor to the next mergeable in-range position; at
      *  the end of a full pass run passBoundary() and return false. */
@@ -303,11 +299,12 @@ class KsmScanner : public hv::PageEventListener
     void passBoundary();
 
     /**
-     * Look up @p data (whose digest is @p digest) in the stable index,
-     * pruning stale nodes and emptied digests
-     * (`ksm.stale_stable_nodes`).
+     * Look up the content of frame @p candidate (whose digest is
+     * @p digest) in the stable index, pruning stale nodes and emptied
+     * digests (`ksm.stale_stable_nodes`). The candidate's Frame is
+     * loaded only when the digest is indexed.
      */
-    Hfn stableLookup(const mem::PageData &data, std::uint64_t digest);
+    Hfn stableLookup(Hfn candidate, std::uint64_t digest);
 
     /** Live stable-index slot holding @p digest, or npos; on a miss
      *  @p insert_at (initially npos) is where it goes. */

@@ -12,15 +12,12 @@ FrameTable::FrameTable(std::uint64_t capacity_frames, StatSet *stats)
       stat_frames_allocated_(stats, "host.frames_allocated"),
       stat_frames_freed_(stats, "host.frames_freed"),
       stat_mappings_added_(stats, "host.mappings_added"),
-      stat_victim_fallback_sweeps_(stats, "host.victim_fallback_sweeps"),
-      stat_shard_clock_sweeps_(stats, "host.shard_clock_sweeps")
+      stat_victim_fallback_sweeps_(stats, "host.victim_fallback_sweeps")
 {
     jtps_assert(capacity_frames > 0);
-    ksm_stable_epochs_.fill(1);
-    // Register at zero so the counters appear in every registry even if
+    // Register at zero so the counter appears in every registry even if
     // the sampled-LRU fast path never misses.
     stat_victim_fallback_sweeps_.declare();
-    stat_shard_clock_sweeps_.declare();
 }
 
 Hfn
@@ -56,10 +53,8 @@ FrameTable::allocRaw(const PageData &initial)
     write_gens_[hfn] = ++gen_clock_;
     f.refcount = 0;
     f.ksmStable = false;
-    f.referenced = true;
     f.lastTouch = ++access_clock_;
     f.pinned = false;
-    f.ksmStripe = 0;
     f.primary = Mapping{};
     f.extra.clear();
     setAllocBit(hfn);
@@ -132,13 +127,6 @@ FrameTable::removeMapping(Hfn hfn, const Mapping &m)
     Frame &f = frame(hfn);
     jtps_assert(!f.pinned);
     jtps_assert(f.refcount >= 1);
-    // Dropping a mapping of a stable frame can reopen merge capacity
-    // (refcount falls below max_page_sharing) or kill the frame
-    // (its stable-tree node goes stale and will be pruned on the next
-    // probe), so cached stable-probe misses must be revalidated.
-    if (f.ksmStable)
-        ++ksm_stable_epochs_[f.ksmStripe];
-
     if (f.primary == m) {
         if (f.extra.empty()) {
             f.refcount = 0;
@@ -171,16 +159,7 @@ FrameTable::setKsmStable(Hfn hfn, bool stable)
     if (f.ksmStable == stable)
         return;
     jtps_assert(!f.pinned && f.refcount >= 1);
-    if (stable) {
-        // Joining the tree: the epoch stripe is the content's digest
-        // stripe, recorded on the frame so the symmetric transitions
-        // (removeMapping, un-mark, death) bump the same stripe without
-        // re-hashing.
-        f.ksmStripe = static_cast<std::uint8_t>(
-            stripeOfDigest(f.data.digest()));
-    }
     f.ksmStable = stable;
-    ++ksm_stable_epochs_[f.ksmStripe];
     // A stable-flag transition also advances the write generation, so
     // a generation recorded while the frame was an ordinary merge
     // candidate can never compare equal once the frame has joined (or
@@ -209,9 +188,7 @@ FrameTable::freePinned(Hfn hfn)
 void
 FrameTable::touch(Hfn hfn)
 {
-    Frame &f = frame(hfn);
-    f.referenced = true;
-    f.lastTouch = ++access_clock_;
+    frame(hfn).lastTouch = ++access_clock_;
 }
 
 Hfn
@@ -220,21 +197,22 @@ FrameTable::pickVictim(bool allow_shared)
     if (frameCount() == 0)
         return invalidFrame;
 
+    auto eligible = [&](Hfn h) {
+        if (!allocBit(h))
+            return false;
+        const Frame &f = slot(h);
+        return !f.pinned && (f.refcount <= 1 || allow_shared);
+    };
+
     // Sampled LRU: draw a handful of random frames, take the oldest
     // eligible one. Approximates global LRU reclaim at O(1) cost.
     constexpr int sample_size = 16;
     Hfn best = invalidFrame;
     for (int i = 0; i < sample_size; ++i) {
         const Hfn h = victim_rng_.nextBelow(frameCount());
-        if (!allocBit(h))
-            continue;
-        const Frame &f = slot(h);
-        if (f.pinned)
-            continue;
-        if (f.refcount > 1 && !allow_shared)
-            continue;
-        if (best == invalidFrame ||
-            f.lastTouch < slot(best).lastTouch) {
+        if (eligible(h) &&
+            (best == invalidFrame ||
+             slot(h).lastTouch < slot(best).lastTouch)) {
             best = h;
         }
     }
@@ -243,31 +221,15 @@ FrameTable::pickVictim(bool allow_shared)
 
     // Fallback sweep: the sample can miss when few frames are eligible.
     // Counted so overcommit experiments can see when reclaim degrades
-    // from O(1) sampling to sweeping. The sweep is striped: stripes are
-    // visited round-robin from a persistent cursor and each advances
-    // its own hand over its own bit lane of the allocation bitmap, so
-    // the state a sweep mutates stays per-stripe (no single hot hand on
-    // a 256-VM host) while the visit order stays deterministic.
+    // from O(1) sampling to sweeping. The hand resumes just past the
+    // last victim, so repeated sweeps cycle through every eligible
+    // frame instead of returning the first one again.
     stat_victim_fallback_sweeps_.inc();
-    for (unsigned i = 0; i < kStripes; ++i) {
-        const unsigned s = (clock_stripe_cursor_ + i) % kStripes;
-        const std::uint64_t count = stripeFrameCount(s);
-        if (count == 0)
-            continue;
-        stat_shard_clock_sweeps_.inc();
-        const std::uint64_t pos = clock_hands_[s];
-        for (std::uint64_t step = 0; step < count; ++step) {
-            const std::uint64_t p = (pos + step) % count;
-            const Hfn h = static_cast<Hfn>(s) + p * kStripes;
-            if (!allocBit(h))
-                continue;
-            const Frame &f = slot(h);
-            if (f.pinned)
-                continue;
-            if (f.refcount > 1 && !allow_shared)
-                continue;
-            clock_hands_[s] = (p + 1) % count;
-            clock_stripe_cursor_ = s;
+    const std::uint64_t n = frameCount();
+    for (std::uint64_t step = 0; step < n; ++step) {
+        const Hfn h = (clock_hand_ + step) % n;
+        if (eligible(h)) {
+            clock_hand_ = (h + 1) % n;
             return h;
         }
     }
@@ -294,11 +256,6 @@ FrameTable::checkConsistency() const
         if (f.ksmStable) {
             ++stable_count;
             sharing_count += f.refcount - 1;
-            // The recorded epoch stripe must be the content's digest
-            // stripe: stable content never mutates in place (writes
-            // COW off the frame), so the digest recorded at promotion
-            // stays the digest of what the frame holds.
-            jtps_assert(f.ksmStripe == stripeOfDigest(f.data.digest()));
         }
     }
     jtps_assert(resident_count == resident_);

@@ -9,22 +9,10 @@
  * EPT entries pointing at the frame" can be enforced centrally — it is
  * what makes the paper's owner-oriented accounting well defined.
  *
- * Eviction uses a two-handed clock (referenced bits set by touch()) so
- * that the overcommit experiments (Figs. 7 and 8) scale to millions of
- * frames without O(n) victim scans.
- *
- * Striping (256-VM hosts, docs/ARCHITECTURE.md): some derived state is
- * split into kStripes slices:
- *
- *  - the KSM stable epoch is one counter *per digest stripe*
- *    (digest mod kStripes): a merge or staleness transition for content
- *    in one stripe does not invalidate the KSM scanner's cached
- *    stable-probe misses for content in any other stripe;
- *  - the eviction fallback sweep keeps one clock hand per frame stripe
- *    (hfn mod kStripes, which is exactly bit (hfn mod 64) of each
- *    allocation-bitmap word, so a stripe's allocation bits are one
- *    fixed bit lane of the bitmap) and merges them deterministically
- *    (stripes visited round-robin from a persistent stripe cursor).
+ * Eviction is sampled LRU over each frame's last-touch time, with one
+ * clock hand that sweeps frame numbers in order when a sample finds
+ * nothing eligible, so that the overcommit experiments (Figs. 7 and 8)
+ * scale to millions of frames without O(n) victim scans.
  *
  * Frames live in fixed slabs of kSlabFrames that never move: growing
  * the table appends in place (no element copies), and a Frame&
@@ -34,7 +22,6 @@
 #ifndef JTPS_MEM_FRAME_TABLE_HH
 #define JTPS_MEM_FRAME_TABLE_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -65,16 +52,8 @@ struct Frame
     PageData data;
     std::uint64_t lastTouch = 0; //!< logical access time (LRU age)
     std::uint32_t refcount = 0;
-    bool ksmStable = false;  //!< member of the KSM stable tree
-    bool referenced = false; //!< accessed bit (kept for introspection)
-    bool pinned = false;     //!< never evicted (hypervisor-private)
-    /**
-     * Digest stripe (content digest mod kStripes) recorded when the
-     * frame joined the stable tree, so the transitions that must bump
-     * the stable epoch — losing a mapping, leaving the tree — bump the
-     * stripe the frame's content actually lives in.
-     */
-    std::uint8_t ksmStripe = 0;
+    bool ksmStable = false; //!< member of the KSM stable tree
+    bool pinned = false;    //!< never evicted (hypervisor-private)
     /** First reverse mapping, inline: most frames have exactly one. */
     Mapping primary;
     /** Reverse mappings beyond the first (KSM-shared frames). */
@@ -118,11 +97,6 @@ struct Frame
 class FrameTable
 {
   public:
-    /**
-     * Stripe fan-out for stable epochs and clock hands.
-     */
-    static constexpr unsigned kStripes = 64;
-
     /** Frames per storage slab (a power of two). */
     static constexpr unsigned kSlabShift = 16;
     static constexpr std::uint64_t kSlabFrames = std::uint64_t{1}
@@ -132,13 +106,6 @@ class FrameTable
      *  of the inline mapping (16 sharers before the first regrowth),
      *  so 256-VM KSM chains do not reallocate per merge. */
     static constexpr std::size_t kExtraReserve = 15;
-
-    /** Digest stripe of @p digest (stable-epoch striping). */
-    static constexpr unsigned
-    stripeOfDigest(std::uint64_t digest)
-    {
-        return static_cast<unsigned>(digest % kStripes);
-    }
 
     /**
      * @param capacity_frames Size of host physical memory in frames.
@@ -177,8 +144,7 @@ class FrameTable
     /**
      * Mark/unmark @p hfn as a KSM stable frame. All stable-flag changes
      * go through here (not through frame().ksmStable) so that the O(1)
-     * sharing counters stay consistent. The frame's content digest is
-     * derived internally to pick the epoch stripe.
+     * sharing counters stay consistent.
      */
     void setKsmStable(Hfn hfn, bool stable);
 
@@ -248,24 +214,6 @@ class FrameTable
             __builtin_prefetch(write_gens_.data() + hfn);
     }
 
-    /**
-     * Stable-tree epoch of @p digest's stripe: bumped whenever the set
-     * of stable frames *of that stripe* able to accept a new sharer
-     * can have grown — a frame is (un)marked stable, or a stable frame
-     * loses a mapping (its refcount drops below max_page_sharing, or
-     * it dies and its tree node goes stale). While the stripe's epoch
-     * is unchanged, a stable-tree probe for content in the stripe that
-     * missed must still miss: merges only ever make stable frames
-     * fuller. The KSM scanner uses this to skip re-probing on behalf
-     * of unchanged pages; striping it by digest keeps a transition in
-     * one stripe from forcing re-probes of content in the others.
-     */
-    std::uint64_t
-    ksmStableEpoch(std::uint64_t digest) const
-    {
-        return ksm_stable_epochs_[stripeOfDigest(digest)];
-    }
-
     /** Mutable access to a frame (must be allocated). */
     Frame &
     frame(Hfn hfn)
@@ -289,7 +237,7 @@ class FrameTable
         return hfn < frameCount() && allocBit(hfn);
     }
 
-    /** Mark the frame recently used (clock second chance). */
+    /** Mark the frame recently used (its LRU age restarts). */
     void touch(Hfn hfn);
 
     /**
@@ -298,13 +246,10 @@ class FrameTable
      * one — a good approximation of the kernel's global LRU reclaim
      * that treats every process's memory uniformly by recency. Pinned
      * frames are skipped; frames with refcount > 1 are only eligible
-     * when @p allow_shared is set. Falls back to a striped clock sweep
-     * when the sample finds nothing eligible: stripes are visited
-     * round-robin from a persistent stripe cursor, each advancing its
-     * own hand over its own bit lane of the allocation bitmap
-     * (`host.shard_clock_sweeps` counts per-stripe sweeps), so the
-     * merged order is deterministic while the sweep state stays one
-     * hand per stripe instead of one global hot word.
+     * when @p allow_shared is set. Falls back to a clock sweep when the
+     * sample finds nothing eligible (`host.victim_fallback_sweeps`):
+     * one hand walks frame numbers in order, wrapping at the end of
+     * the table, and stops just past the frame it returns.
      * @return a victim frame number, or invalidFrame if none exists.
      */
     Hfn pickVictim(bool allow_shared);
@@ -343,8 +288,7 @@ class FrameTable
     /**
      * Verify internal consistency with one walk over every frame
      * (refcount matches rmap arity, the resident and sharing counters
-     * match a full recount, stable frames sit in their content's
-     * epoch stripe). Used by tests; panics on violation.
+     * match a full recount). Used by tests; panics on violation.
      */
     void checkConsistency() const;
 
@@ -385,15 +329,6 @@ class FrameTable
         return slabs_[hfn >> kSlabShift][hfn & (kSlabFrames - 1)];
     }
 
-    /** Frames of @p stripe present in the table (hfn % kStripes ==
-     *  stripe, hfn < frameCount()). */
-    std::uint64_t
-    stripeFrameCount(unsigned stripe) const
-    {
-        const std::uint64_t n = frameCount();
-        return n > stripe ? (n - stripe - 1) / kStripes + 1 : 0;
-    }
-
     /** Test @p hfn's allocation bit (hfn < frameCount() required). */
     bool
     allocBit(Hfn hfn) const
@@ -422,9 +357,6 @@ class FrameTable
     /** The write-generation clock (see writeGen()); pre-incremented,
      *  so no frame ever gets generation 0. */
     std::uint64_t gen_clock_ = 0;
-    /** Per-digest-stripe stable epochs; start at 1 so a
-     *  zero-initialized cached epoch can never match. */
-    std::array<std::uint64_t, kStripes> ksm_stable_epochs_;
     /** Frame storage: slab i holds hfns [i * kSlabFrames,
      *  (i + 1) * kSlabFrames). Each slab is reserved when opened (to at
      *  most kSlabFrames, never past capacity) and only appended to, so
@@ -435,21 +367,18 @@ class FrameTable
      *  table's frame count. */
     std::vector<std::uint64_t> write_gens_;
     /** Allocation bitmap, 64 frames per word (bit i of word w covers
-     *  hfn 64w + i, i.e. bit i is frame stripe i's lane) so
-     *  forEachResident() can skip empty runs wordwise. */
+     *  hfn 64w + i) so forEachResident() can skip empty runs
+     *  wordwise. */
     std::vector<std::uint64_t> allocated_;
     std::vector<Hfn> free_list_;
-    /** Fallback sweep positions, one hand per frame stripe, plus the
-     *  stripe the next fallback resumes from. */
-    std::array<std::uint64_t, kStripes> clock_hands_{};
-    unsigned clock_stripe_cursor_ = 0;
+    /** Where the next fallback sweep starts (see pickVictim()). */
+    Hfn clock_hand_ = 0;
     std::uint64_t access_clock_ = 0; //!< logical time for LRU ages
     Rng victim_rng_{stringTag("frame-lru")};
     StatCounter stat_frames_allocated_;
     StatCounter stat_frames_freed_;
     StatCounter stat_mappings_added_;
     StatCounter stat_victim_fallback_sweeps_;
-    StatCounter stat_shard_clock_sweeps_;
 };
 
 } // namespace jtps::mem

@@ -298,7 +298,7 @@ smallClusterConfig(unsigned fleet_threads)
     cfg.dayMs = 48'000;
     cfg.peakUsers = 20'000.0;
     cfg.host = smallHostConfig();
-    cfg.host.pmlRingSlots = 512;
+    cfg.host.host.pmlRingSlots = 512;
     cfg.host.adaptiveBalloon = true;
     return cfg;
 }

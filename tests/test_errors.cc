@@ -75,8 +75,8 @@ TEST(ErrorDeathTest, MalformedDumpsAreRejected)
     EXPECT_EXIT(analysis::parseDump("jtpsdump 1\nvms 1\n"),
                 ::testing::ExitedWithCode(1), "missing end");
     EXPECT_EXIT(
-        analysis::parseDump("jtpsdump 1\nframe 0 2\nref 0 0 0 1 0\n"
-                            "end 1\n"),
+        analysis::parseDump("jtpsdump 1\nvms 1\nframe 0 2\n"
+                            "ref 0 0 0 1 0\nend 1\n"),
         ::testing::ExitedWithCode(1), "incomplete");
     EXPECT_EXIT(
         analysis::parseDump("jtpsdump 1\nref 0 0 0 1 0\nend 1\n"),
@@ -86,6 +86,40 @@ TEST(ErrorDeathTest, MalformedDumpsAreRejected)
         analysis::parseDump("jtpsdump 1\nframe 0 1\nref 0 0 0 1 99\n"
                             "end 1\n"),
         ::testing::ExitedWithCode(1), "bad ref");
+
+    // Numbers are unsigned decimal without a sign, and vm ids lie below
+    // the vms count: no input may wrap, index out of bounds or size a
+    // table by an id.
+    const char *const bad_dumps[] = {
+        // The largest 32-bit vm id, for which vm + 1 is 0.
+        "jtpsdump 1\nvms 1\noverhead 4294967295 7\nend 0\n",
+        "jtpsdump 1\nvms 1\noverhead -1 7\nend 0\n",
+        "jtpsdump 1\nvms 1\noverhead 4000000000 7\nend 0\n",
+        "jtpsdump 1\nvms 4000000000\noverhead 3999999999 7\nend 0\n",
+        "jtpsdump 1\nvms 2\noverhead 1 7\nend 0\n",
+        "jtpsdump 1\noverhead 0 7\nend 0\n",
+        "jtpsdump 1\nvms +1\nend 0\n",
+        "jtpsdump 1\nvms 1 2\nend 0\n",
+        "jtpsdump 1\nvms 1\nvms 2\nend 0\n",
+        "jtpsdump 1\nvms 1\nframe 0 1\nref -1 0 1 1 0\nend 1\n",
+        "jtpsdump 1\nvms 1\nframe 0 1\nref 1 0 1 1 0\nend 1\n",
+        "jtpsdump 1\nframe 0 1\nref 0 0 1 1 0\nend 1\n",
+        "jtpsdump 1\nvms 1\nframe 0 1\nref 0 0 1 2 0\nend 1\n",
+        // Frame hfns must strictly ascend: a repeated one would merge
+        // into the first.
+        "jtpsdump 1\nvms 1\nframe 5 1\nref 0 0 1 1 0\n"
+        "frame 5 1\nref 0 1 1 1 0\nend 2\n",
+        "jtpsdump 1\nvms 1\nframe 5 1\nref 0 0 1 1 0\n"
+        "frame 4 1\nref 0 1 1 1 0\nend 2\n",
+        // More references than memory could hold.
+        "jtpsdump 1\nvms 1\nframe 0 4000000000000000000\nend 0\n",
+        "jtpsdump 1\nvms 1\nend 0\nend 0\n",
+    };
+    for (const char *dump : bad_dumps) {
+        SCOPED_TRACE(dump);
+        EXPECT_EXIT(analysis::parseDump(dump), ::testing::ExitedWithCode(1),
+                    "malformed dump");
+    }
 }
 
 TEST(ErrorDeathTest, WriteWordSectorBoundsArePanics)

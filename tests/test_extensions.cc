@@ -164,6 +164,25 @@ TEST_F(ExtFixture, DumpIsDeterministic)
     EXPECT_NE(d1.find("jtpsdump 1"), std::string::npos);
 }
 
+TEST_F(ExtFixture, DumpRoundTripsThroughParse)
+{
+    // Whatever writeDump() emits, the strict parser accepts unchanged.
+    Pid pid = os->spawn("p", true);
+    Vma *vma = os->mmapAnon(pid, 8 * pageSize, MemCategory::JavaHeap, "h");
+    for (std::uint64_t i = 0; i < 8; ++i)
+        os->writePage(vma, i, PageData::filled(5, i % 3));
+
+    std::vector<const GuestOs *> guests = {os.get()};
+    const analysis::Snapshot snap = analysis::captureSnapshot(*hv, guests);
+    const std::string dump = analysis::writeDump(snap);
+    const analysis::Snapshot parsed = analysis::parseDump(dump);
+    EXPECT_EQ(parsed.frames, snap.frames);
+    EXPECT_EQ(parsed.overheadFrames, snap.overheadFrames);
+    EXPECT_EQ(parsed.vmCount, snap.vmCount);
+    EXPECT_EQ(parsed.totalResidentFrames, snap.totalResidentFrames);
+    EXPECT_EQ(analysis::writeDump(parsed), dump);
+}
+
 // ---------------------------------------------------------------------
 // page-cache reclaim + balloon
 // ---------------------------------------------------------------------

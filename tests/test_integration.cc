@@ -174,10 +174,10 @@ TEST(Scenario, SeedChangesContentNotShape)
 
 TEST(Scenario, HostConfiguredPmlRingsAreDrained)
 {
-    // Rings set through the host config alone (not
-    // ScenarioConfig::pmlRingSlots) must still get the working-set
-    // estimator, their only drainer: an undrained ring fills once and
-    // then logs nothing, freezing hv.pml_appends at VMs x slots.
+    // Rings set through the host config must get the working-set
+    // estimator, their only drainer, even without adaptive balloons:
+    // an undrained ring fills once and then logs nothing, freezing
+    // hv.pml_appends at VMs x slots.
     setVerbose(false);
     constexpr std::uint32_t slots = 64;
     ScenarioConfig cfg = fastConfig(false);

@@ -197,6 +197,37 @@ TEST(FrameTable, SharedFramesNeedAllowShared)
     EXPECT_EQ(ft.pickVictim(true), h);
 }
 
+TEST(FrameTable, FallbackSweepFindsEligibleFrames)
+{
+    // 1,022 of 1,024 frames are pinned, so the 16-frame sample
+    // (seeded, hence the same on every run) misses both eligible ones
+    // and the clock sweep has to find them. It resumes just past each
+    // victim: repeated calls take turns instead of returning the first
+    // eligible frame forever.
+    constexpr std::uint64_t frames = 1024;
+    constexpr Hfn a = 300;
+    constexpr Hfn b = 700;
+    StatSet stats;
+    FrameTable ft(frames, &stats);
+    for (Hfn h = 0; h < frames; ++h) {
+        const Hfn got = (h == a || h == b)
+                            ? ft.alloc({0, h}, PageData::filled(3, h))
+                            : ft.allocPinned(PageData::filled(4, h));
+        ASSERT_EQ(got, h);
+    }
+    // Neither a shared frame nor a pinned one is eligible.
+    ft.addMapping(a, {1, a});
+    EXPECT_EQ(ft.pickVictim(false), b);
+    EXPECT_EQ(ft.pickVictim(false), b);
+    EXPECT_EQ(stats.get("host.victim_fallback_sweeps"), 2u);
+
+    EXPECT_EQ(ft.pickVictim(true), a);
+    EXPECT_EQ(ft.pickVictim(true), b);
+    EXPECT_EQ(ft.pickVictim(true), a);
+    EXPECT_EQ(stats.get("host.victim_fallback_sweeps"), 5u);
+    ft.checkConsistency();
+}
+
 TEST(FrameTable, ConsistencyCheckCountsResident)
 {
     FrameTable ft(32, nullptr);

@@ -536,7 +536,7 @@ main(int argc, char **argv)
     cfg.warmupMs = opt.warmupMs;
     cfg.steadyMs = opt.steadyMs;
     cfg.seed = opt.seed;
-    cfg.pmlRingSlots = opt.pmlRingSlots;
+    cfg.host.pmlRingSlots = opt.pmlRingSlots;
     cfg.adaptiveBalloon = opt.adaptiveBalloon;
 
     if (opt.hosts > 0)
