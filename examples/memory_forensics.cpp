@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 
 #include "analysis/accounting.hh"
 #include "analysis/dump_format.hh"
@@ -65,18 +66,23 @@ main()
     }
 
     std::printf("\n=== most-shared host frames ===\n");
-    std::vector<std::pair<Hfn, std::size_t>> top;
-    for (const auto &[hfn, refs] : snap.frames)
-        top.emplace_back(hfn, refs.size());
-    std::sort(top.begin(), top.end(), [](const auto &a, const auto &b) {
-        return a.second > b.second;
-    });
-    for (std::size_t i = 0; i < 5 && i < top.size(); ++i) {
-        const auto &refs = snap.frames.at(top[i].first);
-        const auto *data =
-            &scenario.hv().frames().frame(top[i].first).data;
+    // Frames by mapping count, ties by ascending hfn (the snapshot's
+    // frame order).
+    std::vector<std::size_t> top(snap.frameCount());
+    std::iota(top.begin(), top.end(), std::size_t{0});
+    const std::size_t shown = std::min<std::size_t>(5, top.size());
+    std::partial_sort(top.begin(), top.begin() + shown, top.end(),
+                      [&](std::size_t a, std::size_t b) {
+                          const std::size_t na = snap.frameRefs(a).size();
+                          const std::size_t nb = snap.frameRefs(b).size();
+                          return na != nb ? na > nb : a < b;
+                      });
+    for (std::size_t i = 0; i < shown; ++i) {
+        const Hfn hfn = snap.hfns[top[i]];
+        const auto refs = snap.frameRefs(top[i]);
+        const auto *data = &scenario.hv().frames().frame(hfn).data;
         std::printf("frame %llu: %zu mappings, %s, e.g. vm%u pid%u %s\n",
-                    (unsigned long long)top[i].first, top[i].second,
+                    (unsigned long long)hfn, refs.size(),
                     data->isZero() ? "zero page" : "content page",
                     refs[0].vm, refs[0].pid,
                     guest::categoryName(refs[0].category));
@@ -107,16 +113,12 @@ main()
     // Offline-analysis round trip, the paper's actual workflow: save
     // the dump, reload it, account again.
     const std::string dump = analysis::writeDump(snap);
-    analysis::OwnerAccounting replayed(
-        [&] {
-            analysis::Snapshot s = analysis::parseDump(dump);
-            return s;
-        }());
+    analysis::OwnerAccounting replayed(analysis::parseDump(dump));
+    const bool matches =
+        replayed.attributedBytes() == owner.attributedBytes();
     std::printf("\ndump round-trip: %zu bytes, replayed attribution %s "
                 "MiB (%s)\n",
                 dump.size(), formatMiB(replayed.attributedBytes()).c_str(),
-                replayed.attributedBytes() == owner.attributedBytes()
-                    ? "matches live walk"
-                    : "MISMATCH");
-    return 0;
+                matches ? "matches live walk" : "MISMATCH");
+    return matches ? 0 : 1;
 }

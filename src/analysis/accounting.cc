@@ -9,47 +9,20 @@
 namespace jtps::analysis
 {
 
-Bytes
-ProcessUsage::ownedTotal() const
-{
-    Bytes total = 0;
-    for (Bytes b : owned)
-        total += b;
-    return total;
-}
-
-Bytes
-ProcessUsage::sharedTotal() const
-{
-    Bytes total = 0;
-    for (Bytes b : shared)
-        total += b;
-    return total;
-}
-
 namespace
 {
 
 /**
- * Attribution priority of a mapping when one guest page is mapped by
- * several processes of the same guest (a file page sits in the kernel
- * page cache *and* in the mmap of the process using it): the paper
- * attributes such pages to the Java process, then to other user
- * processes, and to the kernel only when no process maps them.
+ * Sort key grouping refs by guest page, best representative first. A
+ * guest page mapped by several processes of the same guest (a file
+ * page sits in the kernel page cache *and* in the mmap of the process
+ * using it) is attributed to the Java process, then to other user
+ * processes, and to the kernel only when no process maps it.
  */
-int
-reprPriority(const FrameRef &ref)
-{
-    if (ref.isJava)
-        return 0;
-    return ref.pid > 0 ? 1 : 2;
-}
-
-/** Sort key grouping refs by guest page, best representative first. */
 std::tuple<VmId, Gfn, int, Pid>
 groupKey(const FrameRef &ref)
 {
-    return {ref.vm, ref.gfn, reprPriority(ref), ref.pid};
+    return {ref.vm, ref.gfn, ref.isJava ? 0 : ref.pid > 0 ? 1 : 2, ref.pid};
 }
 
 /**
@@ -65,76 +38,68 @@ ownerKey(const FrameRef &ref)
 /**
  * Reduce a frame's reference list to one representative per guest page
  * (vm, gfn), and return the index of the owning guest page.
- * @param refs Sorted/compacted in place.
+ * @param refs Copied from @p frame, then sorted and compacted.
  */
 std::size_t
-collapseToGuestPages(std::vector<FrameRef> &refs)
+collapseToGuestPages(std::span<const FrameRef> frame,
+                     std::vector<FrameRef> &refs)
 {
+    refs.assign(frame.begin(), frame.end());
     std::sort(refs.begin(), refs.end(),
               [](const FrameRef &a, const FrameRef &b) {
                   return groupKey(a) < groupKey(b);
               });
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < refs.size();) {
-        std::size_t j = i + 1;
-        while (j < refs.size() && refs[j].vm == refs[i].vm &&
-               refs[j].gfn == refs[i].gfn) {
-            ++j;
-        }
-        refs[out++] = refs[i]; // best-priority mapping of this page
-        i = j;
-    }
-    refs.resize(out);
-
-    std::size_t owner = 0;
-    for (std::size_t i = 1; i < refs.size(); ++i) {
-        if (ownerKey(refs[i]) < ownerKey(refs[owner]))
-            owner = i;
-    }
-    return owner;
+    refs.erase(std::unique(refs.begin(), refs.end(),
+                           [](const FrameRef &a, const FrameRef &b) {
+                               return a.vm == b.vm && a.gfn == b.gfn;
+                           }),
+               refs.end()); // keeps each page's best-priority mapping
+    return std::min_element(refs.begin(), refs.end(),
+                            [](const FrameRef &a, const FrameRef &b) {
+                                return ownerKey(a) < ownerKey(b);
+                            }) -
+           refs.begin();
 }
 
 /**
- * Collapse every frame's reference list (on a scratch copy) and hand
- * it to @p fn with its owning page index, in the snapshot's frame
- * iteration order.
+ * Hand every frame's guest pages to @p fn with the index of the owning
+ * page, in hfn order. A single-reference frame is passed straight from
+ * the snapshot; a shared one is collapsed on one scratch copy.
  */
 template <typename Fn>
 void
 forEachCollapsedFrame(const Snapshot &snap, Fn fn)
 {
     std::vector<FrameRef> pages;
-    for (const auto &[hfn, refs] : snap.frames) {
-        (void)hfn;
-        jtps_assert(!refs.empty());
-        pages = refs;
-        const std::size_t owner = collapseToGuestPages(pages);
-        fn(pages, owner);
+    for (std::size_t i = 0; i < snap.frameCount(); ++i) {
+        const std::span<const FrameRef> refs = snap.frameRefs(i);
+        if (refs.size() == 1) {
+            fn(refs, 0);
+            continue;
+        }
+        const std::size_t owner = collapseToGuestPages(refs, pages);
+        fn(std::span<const FrameRef>(pages), owner);
     }
 }
 
 } // namespace
 
 OwnerAccounting::OwnerAccounting(const Snapshot &snap)
+    : overhead_frames_(snap.overheadFrames),
+      resident_frames_(snap.totalResidentFrames)
 {
-    resident_frames_ = snap.totalResidentFrames;
-    overhead_frames_ = snap.overheadFrames;
-
-    forEachCollapsedFrame(snap, [this](const std::vector<FrameRef> &pages,
+    forEachCollapsedFrame(snap, [this](std::span<const FrameRef> pages,
                                        std::size_t owner) {
         for (std::size_t i = 0; i < pages.size(); ++i) {
             const FrameRef &ref = pages[i];
             ProcessUsage &pu = usage_[{ref.vm, ref.pid}];
             pu.isJava = ref.isJava;
             const auto cat = static_cast<std::size_t>(ref.category);
-            if (i == owner)
-                pu.owned[cat] += pageSize;
-            else
-                pu.shared[cat] += pageSize;
+            (i == owner ? pu.owned : pu.shared)[cat] += pageSize;
         }
-        attributed_ += pageSize;
     });
 
+    attributed_ = pagesToBytes(snap.frameCount());
     for (std::uint64_t count : overhead_frames_)
         attributed_ += pagesToBytes(count);
 }
@@ -178,13 +143,23 @@ OwnerAccounting::vmBreakdown(VmId vm) const
 
 PssAccounting::PssAccounting(const Snapshot &snap)
 {
-    forEachCollapsedFrame(snap, [this](const std::vector<FrameRef> &pages,
-                                       std::size_t) {
-        const double share = static_cast<double>(pageSize) / pages.size();
-        for (const FrameRef &ref : pages)
-            pss_[{ref.vm, ref.pid}] += share;
-        total_ += pageSize;
+    // Each process's pages by the number of guest pages sharing their
+    // frame: integer counts, so the frame order cannot reach the sums.
+    std::map<std::pair<VmId, Pid>, std::vector<std::uint64_t>> pages;
+    forEachCollapsedFrame(snap, [&pages](std::span<const FrameRef> refs,
+                                         std::size_t) {
+        for (const FrameRef &ref : refs) {
+            auto &by_sharers = pages[{ref.vm, ref.pid}];
+            by_sharers.resize(std::max(by_sharers.size(), refs.size() + 1));
+            ++by_sharers[refs.size()];
+        }
     });
+    for (const auto &[key, by_sharers] : pages) {
+        double &bytes = pss_[key];
+        for (std::size_t n = 1; n < by_sharers.size(); ++n)
+            bytes += static_cast<double>(pagesToBytes(by_sharers[n])) / n;
+    }
+    total_ = static_cast<double>(pagesToBytes(snap.frameCount()));
     for (std::uint64_t count : snap.overheadFrames)
         total_ += static_cast<double>(pagesToBytes(count));
 }

@@ -28,6 +28,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <numeric>
 
 #include "analysis/forensics.hh"
 #include "base/units.hh"
@@ -49,8 +50,17 @@ struct ProcessUsage
      *  saving), by category. */
     CategoryBytes shared{};
 
-    Bytes ownedTotal() const;
-    Bytes sharedTotal() const;
+    Bytes
+    ownedTotal() const
+    {
+        return std::accumulate(owned.begin(), owned.end(), Bytes{0});
+    }
+
+    Bytes
+    sharedTotal() const
+    {
+        return std::accumulate(shared.begin(), shared.end(), Bytes{0});
+    }
 
     bool operator==(const ProcessUsage &other) const = default;
 };
@@ -123,8 +133,9 @@ class OwnerAccounting
 /**
  * Distribution-oriented accounting (PSS) over one snapshot.
  *
- * The floating-point PSS sums accumulate in the snapshot's frame
- * order, so they are reproducible for a given snapshot.
+ * Each process's pages are counted per sharer count and turned into
+ * bytes once, in ascending sharer-count order, so the PSS values do
+ * not depend on the order of the snapshot's frames.
  */
 class PssAccounting
 {

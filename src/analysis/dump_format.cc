@@ -21,15 +21,9 @@ writeDump(const Snapshot &snap)
     for (VmId v = 0; v < snap.overheadFrames.size(); ++v)
         out << "overhead " << v << " " << snap.overheadFrames[v] << "\n";
 
-    std::vector<Hfn> order;
-    order.reserve(snap.frames.size());
-    for (const auto &kv : snap.frames)
-        order.push_back(kv.first);
-    std::sort(order.begin(), order.end());
-
-    for (Hfn hfn : order) {
-        const auto &refs = snap.frames.at(hfn);
-        out << "frame " << hfn << " " << refs.size() << "\n";
+    for (std::size_t i = 0; i < snap.frameCount(); ++i) {
+        const std::span<const FrameRef> refs = snap.frameRefs(i);
+        out << "frame " << snap.hfns[i] << " " << refs.size() << "\n";
         for (const FrameRef &r : refs) {
             out << "ref " << r.vm << " " << r.gfn << " " << r.pid << " "
                 << (r.isJava ? 1 : 0) << " "
@@ -115,9 +109,6 @@ parseDump(const std::string &text)
     bool got_header = false;
     bool got_vms = false;
     bool got_end = false;
-    bool got_frame = false;
-    Hfn current_frame = 0;
-    std::size_t refs_expected = 0;
 
     while (std::getline(in, text_line)) {
         ++line_no;
@@ -158,21 +149,22 @@ parseDump(const std::string &text)
                 line.bad("overhead vm id out of order or range");
             snap.overheadFrames.push_back(frames);
         } else if (keyword == "frame") {
-            if (refs_expected != 0)
+            if (snap.refs.size() != snap.refStart.back())
                 line.bad("previous frame incomplete");
             line.expectFields(2, "bad frame line");
             const auto hfn = line.field<Hfn>(1, "bad frame line");
-            refs_expected = line.field<std::size_t>(2, "bad frame line");
-            if (refs_expected == 0)
+            const auto nrefs =
+                line.field<std::uint64_t>(2, "bad frame line");
+            if (nrefs == 0)
                 line.bad("bad frame line");
-            // Strictly ascending, as writeDump() emits them: a repeated
-            // frame would otherwise merge into the first.
-            if (got_frame && hfn <= current_frame)
+            // Strictly ascending, as writeDump() emits them and as the
+            // snapshot stores them.
+            if (!snap.hfns.empty() && hfn <= snap.hfns.back())
                 line.bad("frame hfns not ascending");
-            got_frame = true;
-            current_frame = hfn;
+            snap.hfns.push_back(hfn);
+            snap.refStart.push_back(snap.refStart.back() + nrefs);
         } else if (keyword == "ref") {
-            if (refs_expected == 0)
+            if (snap.refs.size() == snap.refStart.back())
                 line.bad("ref outside frame");
             line.expectFields(5, "bad ref line");
             FrameRef ref;
@@ -189,10 +181,9 @@ parseDump(const std::string &text)
                 line.bad("ref vm id out of range");
             ref.isJava = is_java != 0;
             ref.category = static_cast<guest::MemCategory>(category);
-            snap.frames[current_frame].push_back(ref);
-            --refs_expected;
+            snap.refs.push_back(ref);
         } else if (keyword == "end") {
-            if (refs_expected != 0)
+            if (snap.refs.size() != snap.refStart.back())
                 line.bad("last frame incomplete");
             line.expectFields(1, "bad end line");
             snap.totalResidentFrames =

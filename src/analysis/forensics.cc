@@ -12,33 +12,48 @@ captureSnapshot(const hv::Hypervisor &hv,
     Snapshot snap;
     snap.vmCount = guests.size();
     snap.totalResidentFrames = hv.residentFrames();
-    snap.overheadFrames.assign(hv.vmCount(), 0);
 
     // Layer 3 first: VM-process-private frames (pinned, no EPT entry).
     for (VmId v = 0; v < hv.vmCount(); ++v)
-        snap.overheadFrames[v] = hv.vm(v).overheadFrames.size();
+        snap.overheadFrames.push_back(hv.vm(v).overheadFrames.size());
 
-    // Layers 1+2: resolve every mapped vpage of every process to a
-    // host frame and record the reference.
-    for (const guest::GuestOs *os : guests) {
-        jtps_assert(os != nullptr);
-        const VmId vm_id = os->vmId();
-        for (const auto &proc : os->processes()) {
-            for (const auto &vma : proc->vmas) {
-                for (std::uint64_t i = 0; i < vma->numPages; ++i) {
-                    const Gfn gfn = vma->gfns[i];
-                    if (gfn == invalidFrame)
-                        continue; // never touched
-                    const Hfn hfn = hv.translate(vm_id, gfn);
-                    if (hfn == invalidFrame)
-                        continue; // swapped out: not physical memory
-                    snap.frames[hfn].push_back(
-                        FrameRef{vm_id, gfn, proc->pid, proc->isJava,
-                                 vma->category});
+    // Layers 1+2: fn(hfn, ref) for every mapped vpage of every process.
+    auto walk = [&](auto &&fn) {
+        for (const guest::GuestOs *os : guests) {
+            jtps_assert(os != nullptr);
+            for (const auto &proc : os->processes()) {
+                for (const auto &vma : proc->vmas) {
+                    for (std::uint64_t i = 0; i < vma->numPages; ++i) {
+                        const Gfn gfn = vma->gfns[i];
+                        if (gfn == invalidFrame)
+                            continue; // never touched
+                        const Hfn hfn = hv.translate(os->vmId(), gfn);
+                        if (hfn == invalidFrame)
+                            continue; // swapped out: not physical memory
+                        fn(hfn, FrameRef{os->vmId(), gfn, proc->pid,
+                                         proc->isJava, vma->category});
+                    }
                 }
             }
         }
+    };
+
+    // Count every frame's references, turn the counts into each
+    // frame's next free slot in refs, then fill the slots.
+    std::vector<std::uint64_t> next(hv.frames().frameCount(), 0);
+    walk([&](Hfn hfn, const FrameRef &) { ++next[hfn]; });
+    snap.hfns.reserve(snap.totalResidentFrames);
+    snap.refStart.reserve(snap.totalResidentFrames + 1);
+    for (Hfn hfn = 0; hfn < next.size(); ++hfn) {
+        if (next[hfn] == 0)
+            continue;
+        const std::uint64_t start = snap.refStart.back();
+        snap.hfns.push_back(hfn);
+        snap.refStart.push_back(start + next[hfn]);
+        next[hfn] = start;
     }
+    snap.refs.resize(snap.refStart.back());
+    walk([&](Hfn hfn, const FrameRef &ref) { snap.refs[next[hfn]++] = ref; });
     return snap;
 }
 

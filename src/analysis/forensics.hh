@@ -9,17 +9,17 @@
  *
  * Our simulator holds the same three layers live — guest process page
  * tables (guest OS), gfn→hfn tables (hypervisor EPT), and the host
- * frame table — so capture() performs the identical walk: for every
- * mapped virtual page of every process of every guest, resolve
- * vpn → gfn → hfn, and record a reference
- * (vm, pid, is-java, memory category) against that frame.
+ * frame table — so captureSnapshot() performs the identical walk: for
+ * every mapped virtual page of every process of every guest, resolve
+ * vpn → gfn → hfn, and record a reference (vm, pid, is-java, memory
+ * category) against that frame.
  */
 
 #ifndef JTPS_ANALYSIS_FORENSICS_HH
 #define JTPS_ANALYSIS_FORENSICS_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "base/types.hh"
@@ -42,28 +42,35 @@ struct FrameRef
 };
 
 /**
- * A captured snapshot: every resident host frame with the guest
+ * A captured snapshot: every mapped resident host frame with the guest
  * references that map it, plus the hypervisor-private (VM process
- * overhead) frames per VM.
+ * overhead) frames per VM. Frame i is hfns[i]; its references, in walk
+ * order, are refs[refStart[i], refStart[i + 1]), and there is at least
+ * one.
  */
 struct Snapshot
 {
-    /** frame -> references from guest process mappings. */
-    std::unordered_map<Hfn, std::vector<FrameRef>> frames;
-    /** VM-overhead (pinned) frame counts per VM id. */
-    std::vector<std::uint64_t> overheadFrames;
-    /** Total resident frames on the host at capture time. */
-    std::uint64_t totalResidentFrames = 0;
-    /** Number of guests walked. */
-    std::size_t vmCount = 0;
+    std::vector<Hfn> hfns; //!< strictly ascending
+    std::vector<std::uint64_t> refStart{0}; //!< frameCount() + 1 offsets
+    std::vector<FrameRef> refs;
+    std::vector<std::uint64_t> overheadFrames; //!< pinned frames per VM
+    std::uint64_t totalResidentFrames = 0; //!< on the host at capture
+    std::size_t vmCount = 0;               //!< guests walked
+
+    /** Number of mapped frames. */
+    std::size_t frameCount() const { return hfns.size(); }
+
+    /** The references of frame @p i (i < frameCount()). */
+    std::span<const FrameRef>
+    frameRefs(std::size_t i) const
+    {
+        return {refs.data() + refStart[i], refs.data() + refStart[i + 1]};
+    }
 };
 
 /**
- * Walk all translation layers and produce a Snapshot.
- *
- * Guests are walked in VM order and each guest's pages in walk order;
- * that insertion sequence fixes the frames map's iteration order,
- * which downstream accounting observes.
+ * Walk all translation layers and produce a Snapshot. Guests are
+ * walked in VM order and each guest's pages in walk order.
  *
  * @param hv The hypervisor (host layer + EPTs).
  * @param guests One GuestOs per VM, indexed by VmId.

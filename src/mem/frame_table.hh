@@ -257,6 +257,10 @@ class FrameTable
     /** Host physical capacity in frames. */
     std::uint64_t capacity() const { return capacity_; }
 
+    /** Frame numbers handed out so far (allocated or free-listed):
+     *  every hfn lies below it. */
+    std::uint64_t frameCount() const { return write_gens_.size(); }
+
     /** Number of allocated (resident) frames. */
     std::uint64_t resident() const { return resident_; }
 
@@ -312,9 +316,6 @@ class FrameTable
         if (f.extra.empty() && f.extra.capacity() != 0)
             f.extra = std::vector<Mapping>{};
     }
-
-    /** Frame numbers handed out so far (allocated or free-listed). */
-    std::uint64_t frameCount() const { return write_gens_.size(); }
 
     /** Storage of @p hfn (hfn < frameCount() required). */
     Frame &

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "analysis/accounting.hh"
+#include "analysis/dump_format.hh"
 #include "analysis/forensics.hh"
 #include "analysis/report.hh"
 #include "base/stats.hh"
@@ -73,8 +77,76 @@ TEST_F(AnalysisFixture, WalkFindsResidentPagesOnly)
     os.writeWord(vma, 5, 0, 1);
 
     Snapshot snap = capture();
-    EXPECT_EQ(snap.frames.size(), 2u);
+    EXPECT_EQ(snap.frameCount(), 2u);
     EXPECT_EQ(snap.totalResidentFrames, 2u);
+}
+
+TEST_F(AnalysisFixture, SnapshotIsHfnOrderedWithRefsInWalkOrder)
+{
+    // Two guests map the same library page (each also holds it in its
+    // page cache, an intra-guest alias), and one writes its anonymous
+    // pages back to front so walk order and hfn order disagree.
+    const FileImage lib = FileImage::shared("/lib.so", 4 * KiB);
+    for (int g = 0; g < 2; ++g) {
+        GuestOs &os = addGuest();
+        const Pid pid = os.spawn("p", false);
+        os.touch(os.mmapFile(pid, lib, MemCategory::Code), 0);
+        Vma *anon = os.mmapAnon(pid, 32 * KiB, MemCategory::JvmWork, "x");
+        for (std::uint64_t i = anon->numPages; i-- > 0;)
+            os.writePage(anon, i, PageData::filled(3 + g, i));
+    }
+    hv->collapseIdenticalPages();
+    const Snapshot snap = capture();
+
+    // The same walk, into an hfn-keyed map of reference lists.
+    std::map<Hfn, std::vector<FrameRef>> expected;
+    std::uint64_t mapped = 0;
+    for (const auto &os : guests) {
+        for (const auto &proc : os->processes()) {
+            for (const auto &vma : proc->vmas) {
+                for (std::uint64_t i = 0; i < vma->numPages; ++i) {
+                    const Gfn gfn = vma->gfns[i];
+                    if (gfn == invalidFrame ||
+                        hv->translate(os->vmId(), gfn) == invalidFrame)
+                        continue;
+                    expected[hv->translate(os->vmId(), gfn)].push_back(
+                        FrameRef{os->vmId(), gfn, proc->pid, proc->isJava,
+                                 vma->category});
+                    ++mapped;
+                }
+            }
+        }
+    }
+
+    ASSERT_EQ(snap.refStart.size(), snap.frameCount() + 1);
+    EXPECT_EQ(snap.refStart.front(), 0u);
+    EXPECT_EQ(snap.refStart.back(), snap.refs.size());
+    EXPECT_EQ(snap.refs.size(), mapped);
+    for (std::size_t i = 0; i < snap.frameCount(); ++i) {
+        EXPECT_LT(snap.refStart[i], snap.refStart[i + 1]); // none empty
+        if (i > 0) {
+            EXPECT_LT(snap.hfns[i - 1], snap.hfns[i]);
+        }
+    }
+
+    ASSERT_EQ(snap.frameCount(), expected.size());
+    std::size_t shared_frames = 0;
+    std::size_t i = 0;
+    for (const auto &[hfn, refs] : expected) {
+        EXPECT_EQ(snap.hfns[i], hfn);
+        const auto got = snap.frameRefs(i++);
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), refs.begin(),
+                               refs.end()));
+        if (refs.size() == 4) {
+            // The library page: both mappings of VM 0, then of VM 1.
+            ++shared_frames;
+            EXPECT_EQ(got[0].vm, 0u);
+            EXPECT_EQ(got[1].vm, 0u);
+            EXPECT_EQ(got[2].vm, 1u);
+            EXPECT_EQ(got[3].vm, 1u);
+        }
+    }
+    EXPECT_EQ(shared_frames, 1u);
 }
 
 TEST_F(AnalysisFixture, ConservationOwnerOriented)
@@ -124,6 +196,41 @@ TEST_F(AnalysisFixture, ConservationPss)
     for (const auto &[key, v] : pss.processes())
         sum += v;
     EXPECT_NEAR(sum, static_cast<double>(hv->residentBytes()), 1.0);
+}
+
+TEST_F(AnalysisFixture, PssDoesNotDependOnHfnNumbering)
+{
+    // Four guests whose pages repeat with different periods, so frames
+    // are shared by anywhere from one to dozens of guest pages.
+    for (int g = 0; g < 4; ++g) {
+        GuestOs &os = addGuest();
+        const Pid java = os.spawn("java", true);
+        Vma *vma = os.mmapAnon(java, 128 * KiB, MemCategory::JavaHeap, "h");
+        for (std::uint64_t i = 0; i < vma->numPages; ++i)
+            os.writePage(vma, i, PageData::filled(9, i % (g + 2) + g * i % 3));
+    }
+    hv->collapseIdenticalPages();
+    const Snapshot snap = capture();
+
+    // The same frames, numbered in reverse.
+    Snapshot renumbered = snap;
+    renumbered.hfns.clear();
+    renumbered.refStart = {0};
+    renumbered.refs.clear();
+    for (std::size_t i = snap.frameCount(); i-- > 0;) {
+        const auto refs = snap.frameRefs(i);
+        renumbered.hfns.push_back(3 * (snap.frameCount() - i));
+        renumbered.refs.insert(renumbered.refs.end(), refs.begin(),
+                               refs.end());
+        renumbered.refStart.push_back(renumbered.refs.size());
+    }
+
+    const PssAccounting a(analysis::parseDump(analysis::writeDump(snap)));
+    const PssAccounting b(
+        analysis::parseDump(analysis::writeDump(renumbered)));
+    EXPECT_GT(a.processes().size(), 1u);
+    EXPECT_EQ(a.processes(), b.processes());
+    EXPECT_EQ(a.totalBytes(), b.totalBytes());
 }
 
 TEST_F(AnalysisFixture, JavaProcessWinsOwnership)
@@ -267,7 +374,7 @@ TEST_F(AnalysisFixture, SwappedPagesAreNotPhysicalUsage)
 
     std::vector<const GuestOs *> ptrs = {&os};
     Snapshot snap = analysis::captureSnapshot(small_hv, ptrs);
-    EXPECT_EQ(snap.frames.size(), 8u);
+    EXPECT_EQ(snap.frameCount(), 8u);
     OwnerAccounting acct(snap);
     EXPECT_EQ(acct.attributedBytes(), 8 * pageSize);
 }
