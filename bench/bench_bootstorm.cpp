@@ -4,8 +4,8 @@
  * serial walk, plus a migration-arrival variant.
  *
  * A boot storm is the cold-path worst case no generation skip can
- * help: every page is first-touch, so every visit pays the full
- * checksum (and usually digest) chain.
+ * help: every page is first-touch, so every visit pays the content
+ * digest.
  *
  * Two measurements per run:
  *

@@ -186,6 +186,24 @@ BM_TraceRecordEnabled(benchmark::State &state)
 BENCHMARK(BM_TraceRecordEnabled);
 
 void
+BM_PageDigest(benchmark::State &state)
+{
+    // One mem::PageData::digest() per iteration, over 4096 distinct
+    // pages (256 KiB of sector words): the content work of every slow
+    // KSM visit, whose result is both the calm key and the tree key.
+    std::vector<mem::PageData> pages(4096);
+    for (std::size_t i = 0; i < pages.size(); ++i)
+        pages[i] = mem::PageData::filled(11, i);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(pages[i].digest());
+        i = (i + 1) & (pages.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PageDigest);
+
+void
 BM_KsmScanDistinctPages(benchmark::State &state)
 {
     // Scan throughput over calm, all-distinct pages: every visit is a
@@ -203,7 +221,7 @@ BM_KsmScanDistinctPages(benchmark::State &state)
     ksm::KsmConfig cfg;
     cfg.pagesToScan = 1u << 30; // one batch = one pass
     ksm::KsmScanner scanner(hv, cfg, stats);
-    scanner.scanBatch(); // pass 1: record checksums (nothing calm yet)
+    scanner.scanBatch(); // pass 1: record digests (nothing calm yet)
     for (auto _ : state)
         benchmark::DoNotOptimize(scanner.scanBatch());
     state.SetItemsProcessed(state.iterations() * 2 * n);
@@ -429,8 +447,8 @@ convergedScanPass(benchmark::State &state, bool incremental)
     cfg.pagesToScan = 1u << 30; // one batch = one pass
     cfg.incrementalScan = incremental;
     ksm::KsmScanner scanner(scenario.hv(), cfg, stats);
-    scanner.scanBatch(); // pass 1: record checksums/generations
-    scanner.scanBatch(); // pass 2: calm now; digests + trees built
+    scanner.scanBatch(); // pass 1: record digests/generations
+    scanner.scanBatch(); // pass 2: calm now; trees built
     std::uint64_t pages = 0;
     for (auto _ : state)
         pages += scanner.scanBatch();
@@ -637,6 +655,9 @@ main(int argc, char **argv)
     const double fer = reporter.realTimeNs("BM_ForEachResidentSparse");
     if (fer > 0)
         json.summaryField("foreach_resident_sparse_ns", fer);
+    const double pd = reporter.realTimeNs("BM_PageDigest");
+    if (pd > 0)
+        json.summaryField("page_digest_ns", pd);
     json.write();
     return 0;
 }

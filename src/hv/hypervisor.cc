@@ -287,7 +287,7 @@ Hypervisor::pageForWrite(VmId vm_id, Gfn gfn)
     frames_.touch(e.backing);
     // The caller writes through the returned reference: advance the
     // frame's generation so every cached derivation of the old content
-    // (KSM checksums/digests) stops matching. Fresh allocations above
+    // (KSM digests) stops matching. Fresh allocations above
     // already carry a new generation; bumping again is merely
     // conservative (a generation may only ever certify *unchanged*
     // content).

@@ -72,7 +72,7 @@ struct HostConfig
 /**
  * Observer of per-page lifecycle events that invalidate state someone
  * else keeps about a guest page. The only subscriber today is the KSM
- * scanner, whose per-page calm-checksum cache must be dropped exactly
+ * scanner, whose per-page calm-filter state must be dropped exactly
  * when the EPT entry it shadowed is reset (guest discard) — the same
  * moment the old in-EPT checksum used to be wiped.
  */

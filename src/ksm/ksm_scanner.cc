@@ -63,8 +63,7 @@ KsmScanner::KsmScanner(hv::Hypervisor &hv, const KsmConfig &cfg,
       stat_stable_merges_(stats.counter("ksm.stable_merges")),
       stat_unstable_promotions_(stats.counter("ksm.unstable_promotions")),
       stat_pages_visited_(stats.counter("ksm.pages_visited")),
-      stat_gen_skipped_(stats.counter("ksm.pages_gen_skipped")),
-      stat_digest_cache_hits_(stats.counter("ksm.digest_cache_hits"))
+      stat_gen_skipped_(stats.counter("ksm.pages_gen_skipped"))
 {
     unstable_.assign(initialUnstableCapacity, UnstableSlot{});
     stable_.assign(initialStableCapacity, StableSlot{});
@@ -375,55 +374,40 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
         // completed visit. Generations are globally unique and bumped
         // on every content change, reallocation, and stable-flag
         // transition, so equality proves this is the same frame, with
-        // the same stable flag and byte-identical content: the
-        // checksum compare would come out calm. Stable pages are done
-        // (a from-scratch visit early-returns on them); for the rest,
-        // serve the digest from the per-page cache (computing it on
-        // the first calm revisit).
+        // the same stable flag and byte-identical content: the digest
+        // compare would come out calm. Stable pages are done (a
+        // from-scratch visit early-returns on them); the rest reuse
+        // the digest that visit recorded.
         ++stat_gen_skipped_;
         if (ps.lastStable)
             return true; // provably still a shared KSM page
-        if (ps.digestValid) {
-            ++stat_digest_cache_hits_;
-            digest = ps.lastDigest;
-        } else {
-            data = &ft.frame(hfn).data;
-            digest = data->digest();
-            ps.lastDigest = digest;
-            ps.digestValid = true;
-        }
+        digest = ps.lastDigest;
     } else {
+        jtps_assert(gen < (std::uint64_t{1} << 62)); // fits ps.lastGen
         const mem::Frame &frame = ft.frame(hfn);
         if (frame.ksmStable) {
-            // Remember the outcome (incremental mode only — the
-            // calm-protocol fields stay untouched either way, exactly
-            // like a from-scratch visit): while the generation holds,
+            // Remember the outcome (incremental mode only — the calm
+            // key stays untouched either way, exactly like a
+            // from-scratch visit): while the generation holds,
             // revisits return here without loading the Frame.
             if (cfg_.incrementalScan) {
                 ps.lastGen = gen;
                 ps.lastStable = true;
-                ps.digestValid = false;
             }
             return true; // already a shared KSM page
         }
-        // The calm protocol: the state lives in the scanner's
-        // per-page row.
+        // The calm protocol: one digest serves as the calm key and,
+        // for a calm page, as the tree key.
         data = &frame.data;
-        const std::uint32_t sum = data->checksum();
-        const bool calm = ps.checksumValid && ps.lastChecksum == sum;
-        ps.lastChecksum = sum;
-        ps.checksumValid = true;
+        digest = data->digest();
+        const bool calm = ps.seen && ps.lastDigest == digest;
         ps.lastGen = gen;
+        ps.seen = true;
         ps.lastStable = false;
-        ps.digestValid = false;
+        ps.lastDigest = digest;
         if (!calm) {
             ++stat_not_calm_;
             return true;
-        }
-        digest = data->digest();
-        if (cfg_.incrementalScan) {
-            ps.lastDigest = digest;
-            ps.digestValid = true;
         }
     }
 
@@ -564,6 +548,10 @@ KsmScanner::advanceCursor()
         }
         const hv::Vm &v = hv_.vm(cur_vm_);
         if (!v.mergeable || cur_gfn_ >= v.ept.size()) {
+            // A released VM keeps an empty EPT for good: its page-state
+            // row (one entry per guest page) can go with it.
+            if (v.ept.size() == 0 && cur_vm_ < page_state_.size())
+                std::vector<PageScanState>().swap(page_state_[cur_vm_]);
             ++cur_vm_;
             cur_gfn_ = 0;
             continue;
@@ -607,7 +595,7 @@ KsmScanner::visitLookahead(const hv::Vm &v, const PageScanState *psv,
     if (pe.state == hv::PageState::Resident)
         ft.prefetchWriteGen(pe.backing);
     const PageScanState &pps = psv[gfn + prefetchDist];
-    if (pps.digestValid) {
+    if (pps.seen && !pps.lastStable) {
         // Two lines: collision chains average a couple of slots, and a
         // 32-byte slot at an odd index walks into the next line
         // immediately. rw=1 because the common case re-inserts into
@@ -708,6 +696,15 @@ Bytes
 KsmScanner::savedBytes() const
 {
     return pagesToBytes(pagesSharing());
+}
+
+Bytes
+KsmScanner::pageStateBytes() const
+{
+    Bytes total = 0;
+    for (const auto &row : page_state_)
+        total += row.capacity() * sizeof(PageScanState);
+    return total;
 }
 
 double

@@ -10,7 +10,7 @@
  *    candidate pages (round-robin across all mergeable guest memory),
  *    then sleeps. Both knobs are the tunables the paper adjusts (10,000
  *    pages during warm-up at ~25% CPU, then 1,000 pages at ~2%).
- *  - A page whose 32-bit checksum changed since the last visit is "not
+ *  - A page whose content digest changed since the last visit is "not
  *    calm" and is skipped — this is what keeps GC-churned Java heap
  *    pages from being merged, and why only *stable* zero pages share.
  *  - Calm pages are looked up in the *stable tree* (already-shared KSM
@@ -23,7 +23,8 @@
  * lazily on lookup, as in the real implementation.
  *
  * Unlike ksmd's red-black trees, both structures here are flat
- * open-addressed hash tables keyed by the 64-bit content digest (ESX
+ * open-addressed hash tables keyed by the 64-bit content digest, the
+ * same mem::PageData::digest() the calm filter compares (ESX
  * finds sharing candidates the same way — Waldspurger, "Memory Resource
  * Management in VMware ESX Server", OSDI 2002): one probe per visited
  * page instead of O(log n) 64-byte lexicographic compares. The full
@@ -42,8 +43,8 @@
  * possible content change and on every stable-flag transition. The
  * scanner records, per guest page, the generation it saw at the last
  * completed visit; when the generation is unchanged the page is
- * *provably* resident, non-stable and calm — the checksum compare is
- * skipped and the content digest is served from the per-page cache.
+ * *provably* resident, non-stable and calm — the content is not read
+ * and the digest recorded at that visit is reused.
  * Such a visit still probes the stable index, as every calm visit of
  * ksmd does; the Frame is loaded only when the probe finds the digest,
  * so a miss never touches it. Skipping is gated only on generation
@@ -94,7 +95,7 @@ struct KsmConfig
      * Use write-generation dirty tracking to skip content work on
      * unchanged pages. false = reference mode: recompute everything
      * every visit, exactly equivalent in merges and counters (only
-     * `ksm.pages_gen_skipped` / `ksm.digest_cache_hits` stay zero);
+     * `ksm.pages_gen_skipped` stays zero);
      * used by the equivalence tests and the before/after micro bench.
      */
     bool incrementalScan = true;
@@ -165,6 +166,13 @@ class KsmScanner : public hv::PageEventListener
     Bytes savedBytes() const;
 
     /**
+     * Heap bytes held by the per-guest-page scan state: 16 per guest
+     * page of each VM the cursor has visited. A released VM's row is
+     * freed when the cursor next passes it.
+     */
+    Bytes pageStateBytes() const;
+
+    /**
      * Modelled ksmd CPU utilisation for the current tuning: the busy
      * share of one wake cycle, busy / (busy + sleep), with busy =
      * pagesToScan * scanCostUs and sleep = sleepMillisecs * 1000 (both
@@ -197,33 +205,33 @@ class KsmScanner : public hv::PageEventListener
 
   private:
     /**
-     * Scanner-owned per-guest-page state. lastChecksum/checksumValid
-     * replace the fields that used to live in hv::EptEntry with
-     * identical lifetime: they survive COW breaks, swap-outs and
-     * swap-ins, and die only on discard (pageDiscarded()).
+     * Scanner-owned per-guest-page state. It replaces the calm-filter
+     * fields that used to live in hv::EptEntry with identical lifetime:
+     * it survives COW breaks, swap-outs and swap-ins, and dies only on
+     * discard (pageDiscarded()).
      */
     struct PageScanState
     {
         /** Frame write generation at the last completed visit. */
-        std::uint64_t lastGen = 0;
-        /** Content digest at generation lastGen (digestValid). Kept
-         *  here — sequentially walked state — so the steady-state scan
-         *  path does not load the Frame at all. */
-        std::uint64_t lastDigest = 0;
-        std::uint32_t lastChecksum = 0;
-        bool checksumValid = false;
-        bool digestValid = false;
+        std::uint64_t lastGen : 62 = 0;
+        /** The page has been visited since it was (re)created, so
+         *  lastDigest holds a real observation. */
+        std::uint64_t seen : 1 = 0;
         /**
          * The backing frame was KSM-stable when lastGen was recorded.
          * Because setKsmStable() advances the write generation, an
          * equal generation proves the flag has not changed since — so
          * a converged pass settles stable pages without loading the
-         * Frame at all. Never set alongside digestValid.
+         * Frame at all.
          */
-        bool lastStable = false;
+        std::uint64_t lastStable : 1 = 0;
+        /** Content digest at the last non-stable visit: the calm
+         *  filter's key, kept across stable periods. A generation-equal
+         *  non-stable page reuses it as its tree key. */
+        std::uint64_t lastDigest = 0;
     };
-    // One entry per guest page of every mergeable VM: three words.
-    static_assert(sizeof(PageScanState) == 24);
+    // One entry per guest page of every mergeable VM: two words.
+    static_assert(sizeof(PageScanState) == 16);
 
     /**
      * One slot of the flat open-addressed unstable table. A slot is
@@ -373,7 +381,6 @@ class KsmScanner : public hv::PageEventListener
     std::uint64_t &stat_unstable_promotions_;
     std::uint64_t &stat_pages_visited_;
     std::uint64_t &stat_gen_skipped_;
-    std::uint64_t &stat_digest_cache_hits_;
 };
 
 } // namespace jtps::ksm

@@ -175,7 +175,7 @@ class FrameTable
      * from allocRaw()), that the content is unchanged since the
      * observation, and that the frame has not joined or left the
      * stable tree in between — which is what lets the KSM scanner skip
-     * checksum work, and even loading the Frame itself, without any
+     * digest work, and even loading the Frame itself, without any
      * content heuristic. Kept in a dense side array so the scanner's
      * generation compare touches 8 bytes per frame instead of a whole
      * Frame.

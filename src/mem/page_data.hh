@@ -8,7 +8,7 @@
  * so two modelled pages compare equal exactly when the real pages they
  * stand for would be byte-identical. This is the property Transparent
  * Page Sharing depends on, and it is all TPS depends on — KSM never
- * looks *inside* a page except to compare and checksum it, so a model
+ * looks *inside* a page except to compare and digest it, so a model
  * that preserves equality/inequality of content preserves KSM behaviour.
  *
  * The 512-byte sector granularity is fine enough to capture the paper's
@@ -31,10 +31,7 @@ namespace jtps::mem
 /** Number of modelled sectors per page. */
 constexpr unsigned sectorsPerPage = 8;
 
-/** Seed of the checksum chain ("KSMchk"). */
-constexpr std::uint64_t checksumSeed = 0x4b534d63686b00ULL;
-
-/** Seed of the digest chain ("digest\n"). */
+/** Seed of the per-sector digest keys ("digest\n"). */
 constexpr std::uint64_t digestSeed = 0x6469676573740aULL;
 
 /**
@@ -71,29 +68,22 @@ struct PageData
         return acc == 0;
     }
 
-    /** 32-bit checksum, the analogue of KSM's jhash2 over the page. */
-    constexpr std::uint32_t
-    checksum() const
-    {
-        // Feed the low and high half of every word into the mixer
-        // separately so each 32-bit half contributes to the truncated
-        // result on its own, not only through the final xor-fold.
-        std::uint64_t h = checksumSeed;
-        for (auto w : word) {
-            h = hashCombine(h, w & 0xffffffffULL);
-            h = hashCombine(h, w >> 32);
-        }
-        return static_cast<std::uint32_t>(h ^ (h >> 32));
-    }
-
-    /** Full-width digest for tree keys and tests. */
+    /**
+     * 64-bit content digest: the KSM calm filter's key (the analogue of
+     * ksmd's jhash2 over the page) and the stable/unstable tree key.
+     * Each sector is mixed on its own, offset by a key for its
+     * position, and the eight mixes are summed, so they run in parallel
+     * rather than as a chain; one more mix finishes the sum. mix64 is a
+     * bijection, so a change confined to one sector always changes the
+     * digest.
+     */
     constexpr std::uint64_t
     digest() const
     {
-        std::uint64_t h = digestSeed;
-        for (auto w : word)
-            h = hashCombine(h, w);
-        return h;
+        std::uint64_t sum = 0;
+        for (unsigned s = 0; s < sectorsPerPage; ++s)
+            sum += mix64(word[s] + digestSeed * (2 * s + 1));
+        return mix64(sum);
     }
 
     bool operator==(const PageData &other) const = default;

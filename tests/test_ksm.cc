@@ -50,7 +50,7 @@ TEST_F(KsmFixture, MergesIdenticalCalmPagesAfterTwoPasses)
     hv->writePage(a, 3, d);
     hv->writePage(b, 8, d);
 
-    // Pass 1: checksums recorded, nothing merged (not yet calm).
+    // Pass 1: digests recorded, nothing merged (not yet calm).
     scanner->scanBatch();
     EXPECT_EQ(scanner->pagesShared(), 0u);
 
@@ -370,15 +370,14 @@ TEST_F(KsmFixture, GenerationSkipsSettleConvergedPassesEntirely)
 
     // Converged: one more pass over idle memory is settled entirely by
     // generation compares (30 resident pages: 20 merged, 10 unique),
-    // and the unique pages' digests come from the per-page cache.
+    // and the unique pages reuse the digests recorded at their last
+    // visits.
     const std::uint64_t v0 = stats.get("ksm.pages_visited");
     const std::uint64_t g0 = stats.get("ksm.pages_gen_skipped");
-    const std::uint64_t d0 = stats.get("ksm.digest_cache_hits");
     const std::uint64_t n0 = stats.get("ksm.not_calm");
     scanner->scanBatch();
     EXPECT_EQ(stats.get("ksm.pages_visited") - v0, 30u);
     EXPECT_EQ(stats.get("ksm.pages_gen_skipped") - g0, 30u);
-    EXPECT_EQ(stats.get("ksm.digest_cache_hits") - d0, 10u);
     EXPECT_EQ(stats.get("ksm.not_calm") - n0, 0u);
 }
 
@@ -395,7 +394,7 @@ TEST_F(KsmFixture, WriteInvalidatesExactlyThatPagesGeneration)
     const std::uint64_t n0 = stats.get("ksm.not_calm");
     scanner->scanBatch();
     // 9 of 10 pages settle on generation equality; the rewritten one
-    // runs the full calm protocol and fails it (checksum changed).
+    // runs the full calm protocol and fails it (digest changed).
     EXPECT_EQ(stats.get("ksm.pages_gen_skipped") - g0, 9u);
     EXPECT_EQ(stats.get("ksm.not_calm") - n0, 1u);
 }
@@ -417,6 +416,79 @@ TEST_F(KsmFixture, DiscardWipesScanStateDespiteIdenticalContent)
     const std::uint64_t n0 = stats.get("ksm.not_calm");
     scanner->scanBatch();
     EXPECT_EQ(stats.get("ksm.not_calm") - n0, 1u);
+}
+
+TEST_F(KsmFixture, IdenticalRewriteMovesGenerationButStaysCalm)
+{
+    VmId a = hv->createVm("a", 1 * MiB, 0);
+    VmId b = hv->createVm("b", 1 * MiB, 0);
+    const PageData d = PageData::filled(5, 5);
+    hv->writePage(a, 0, d);
+    hv->writePage(b, 0, d);
+    scanner->scanBatch(); // pass 1: both recorded, neither calm yet
+    ASSERT_EQ(scanner->pagesShared(), 0u);
+
+    // Rewriting the same bytes moves the generation, so the next visit
+    // of a:0 takes the slow path; its content key still matches the
+    // one recorded in pass 1, so it is calm and merges in this pass.
+    const std::uint64_t gen0 = hv->frames().writeGen(hv->translate(a, 0));
+    hv->writePage(a, 0, d);
+    EXPECT_NE(hv->frames().writeGen(hv->translate(a, 0)), gen0);
+    const std::uint64_t g0 = stats.get("ksm.pages_gen_skipped");
+    const std::uint64_t n0 = stats.get("ksm.not_calm");
+    scanner->scanBatch();
+    EXPECT_EQ(stats.get("ksm.not_calm") - n0, 0u);
+    EXPECT_EQ(stats.get("ksm.pages_gen_skipped") - g0, 1u); // b:0 only
+    EXPECT_EQ(scanner->pagesSharing(), 1u);
+    EXPECT_EQ(hv->translate(a, 0), hv->translate(b, 0));
+}
+
+TEST_F(KsmFixture, CalmKeySurvivesStablePeriod)
+{
+    VmId a = hv->createVm("a", 1 * MiB, 0);
+    VmId b = hv->createVm("b", 1 * MiB, 0);
+    const PageData d = PageData::filled(1, 1);
+    hv->writePage(a, 0, d);
+    hv->writePage(b, 0, d);
+    scanner->runToQuiescence();
+    ASSERT_EQ(scanner->pagesSharing(), 1u);
+
+    // Writing a word's current value COW-breaks b:0 onto a private
+    // frame with the same bytes. Its stable visits left the key of its
+    // last non-stable visit in place, so the first visit after the
+    // break is calm and merges straight back through the stable index.
+    hv->writeWord(b, 0, 0, d.word[0]);
+    ASSERT_EQ(scanner->pagesSharing(), 0u);
+    const std::uint64_t n0 = stats.get("ksm.not_calm");
+    const std::uint64_t s0 = stats.get("ksm.stable_merges");
+    scanner->scanBatch();
+    EXPECT_EQ(stats.get("ksm.not_calm") - n0, 0u);
+    EXPECT_EQ(stats.get("ksm.stable_merges") - s0, 1u);
+    EXPECT_EQ(scanner->pagesSharing(), 1u);
+    hv->checkConsistency();
+}
+
+TEST_F(KsmFixture, ReleasedVmPageStateRowIsFreedByNextPass)
+{
+    VmId a = hv->createVm("a", 1 * MiB, 0);
+    VmId b = hv->createVm("b", 2 * MiB, 0);
+    for (Gfn g = 0; g < 10; ++g) {
+        hv->writePage(a, g, PageData::filled(3, g));
+        hv->writePage(b, g, PageData::filled(3, g));
+    }
+    scanner->scanBatch();
+    // 16 B of scan state per guest page of each visited VM.
+    const Bytes per_page = 16;
+    EXPECT_EQ(scanner->pageStateBytes(), 3 * MiB / pageSize * per_page);
+
+    // Releasing b drops its pages (and their scan state) but keeps the
+    // row; the next pass over b's now-empty EPT frees the row.
+    hv->releaseVmMemory(b);
+    EXPECT_EQ(scanner->pageStateBytes(), 3 * MiB / pageSize * per_page);
+    scanner->scanBatch();
+    EXPECT_EQ(scanner->pageStateBytes(), 1 * MiB / pageSize * per_page);
+    scanner->checkIndex();
+    hv->checkConsistency();
 }
 
 namespace

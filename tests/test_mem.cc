@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -37,36 +38,66 @@ TEST(PageData, FilledIsDeterministicPerTagAndSalt)
     EXPECT_NE(PageData::filled(10, 20), PageData::filled(11, 20));
 }
 
-TEST(PageData, ChecksumTracksContent)
+TEST(PageData, DigestTracksContent)
 {
     PageData a = PageData::filled(1, 1);
     PageData b = a;
-    EXPECT_EQ(a.checksum(), b.checksum());
+    EXPECT_EQ(a.digest(), b.digest());
     b.word[3] ^= 1;
-    EXPECT_NE(a.checksum(), b.checksum());
     EXPECT_NE(a.digest(), b.digest());
+    b.word[3] ^= 1;
+    EXPECT_EQ(a.digest(), b.digest());
 }
 
-TEST(PageData, ChecksumSensitiveToEverySectorPosition)
+TEST(PageData, DigestSensitiveToEverySectorPosition)
 {
-    // The calm filter relies on the 32-bit checksum changing when any
-    // single sector changes — in either half of the sector word.
+    // The calm filter relies on the digest changing when any single
+    // sector changes, in either half of the sector word: each sector
+    // goes through the bijective mix64 on its own before the sum.
     const PageData base = PageData::filled(21, 34);
     for (unsigned s = 0; s < mem::sectorsPerPage; ++s) {
         PageData low_flip = base;
         low_flip.word[s] ^= 1;
-        EXPECT_NE(base.checksum(), low_flip.checksum())
+        EXPECT_NE(base.digest(), low_flip.digest())
             << "low-half flip in sector " << s;
 
         PageData high_flip = base;
         high_flip.word[s] ^= 1ULL << 63;
-        EXPECT_NE(base.checksum(), high_flip.checksum())
+        EXPECT_NE(base.digest(), high_flip.digest())
             << "high-half flip in sector " << s;
 
         PageData from_zero = PageData::zero();
         from_zero.word[s] = 1;
-        EXPECT_NE(PageData::zero().checksum(), from_zero.checksum())
+        EXPECT_NE(PageData::zero().digest(), from_zero.digest())
             << "zero-page flip in sector " << s;
+
+        PageData rewritten = base;
+        rewritten.word[s] = hash3(77, 88, s);
+        EXPECT_NE(base.digest(), rewritten.digest())
+            << "whole-word rewrite of sector " << s;
+    }
+}
+
+TEST(PageData, DigestDependsOnSectorOrder)
+{
+    // The same words in other sectors are other content: every swap of
+    // two distinct sectors moves the digest, and so does moving one
+    // word into a different sector of an otherwise-zero page.
+    const PageData base = PageData::filled(5, 8);
+    for (unsigned i = 0; i < mem::sectorsPerPage; ++i) {
+        for (unsigned j = i + 1; j < mem::sectorsPerPage; ++j) {
+            PageData swapped = base;
+            std::swap(swapped.word[i], swapped.word[j]);
+            EXPECT_NE(base.digest(), swapped.digest())
+                << "swap of sectors " << i << " and " << j;
+
+            PageData at_i = PageData::zero();
+            PageData at_j = PageData::zero();
+            at_i.word[i] = 42;
+            at_j.word[j] = 42;
+            EXPECT_NE(at_i.digest(), at_j.digest())
+                << "one word in sector " << i << " vs " << j;
+        }
     }
 }
 

@@ -623,7 +623,6 @@ TEST_P(IncrementalEquivalenceFuzz, MatchesReferenceScanner)
     // actually engaged — and never in the reference scanner.
     EXPECT_GT(t.inc_stats.get("ksm.pages_gen_skipped"), 0u);
     EXPECT_EQ(t.ref_stats.get("ksm.pages_gen_skipped"), 0u);
-    EXPECT_EQ(t.ref_stats.get("ksm.digest_cache_hits"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalenceFuzz,
