@@ -242,8 +242,9 @@ GuestOs::spawnDaemon(const std::string &proc_name, Bytes anon_bytes,
                             proc_name + "-heap");
         const std::uint64_t tag =
             hash3(stringTag("daemon-heap"), seed_, pid);
-        for (std::uint64_t i = 0; i < vma->numPages; ++i)
-            writePage(vma, i, mem::PageData::filled(tag, i));
+        writePages(vma, 0, vma->numPages, [tag](std::uint64_t i) {
+            return mem::PageData::filled(tag, i);
+        });
     }
     return pid;
 }
@@ -556,22 +557,25 @@ GuestOs::bootKernel(const KernelConfig &cfg)
     Vma *text = mmapAnon(0, cfg.textBytes, MemCategory::KernelText,
                          "kernel-text");
     const std::uint64_t text_tag = stringTag(cfg.version + ".text");
-    for (std::uint64_t i = 0; i < text->numPages; ++i)
-        writePage(text, i, mem::PageData::filled(text_tag, i));
+    writePages(text, 0, text->numPages, [text_tag](std::uint64_t i) {
+        return mem::PageData::filled(text_tag, i);
+    });
 
     // Kernel static data: mutated during boot, per-VM content.
     Vma *data = mmapAnon(0, cfg.dataBytes, MemCategory::KernelData,
                          "kernel-data");
     const std::uint64_t data_tag =
         hashCombine(stringTag(cfg.version + ".data"), seed_);
-    for (std::uint64_t i = 0; i < data->numPages; ++i)
-        writePage(data, i, mem::PageData::filled(data_tag, i));
+    writePages(data, 0, data->numPages, [data_tag](std::uint64_t i) {
+        return mem::PageData::filled(data_tag, i);
+    });
 
     // Slab: dentries, inodes, network buffers — full of per-VM pointers.
     Vma *slab = mmapAnon(0, cfg.slabBytes, MemCategory::Slab, "slab");
     const std::uint64_t slab_tag = hashCombine(stringTag("slab"), seed_);
-    for (std::uint64_t i = 0; i < slab->numPages; ++i)
-        writePage(slab, i, mem::PageData::filled(slab_tag, i));
+    writePages(slab, 0, slab->numPages, [slab_tag](std::uint64_t i) {
+        return mem::PageData::filled(slab_tag, i);
+    });
 
     // Boot-time page cache: base-image files are identical across VMs;
     // logs and generated files are not.

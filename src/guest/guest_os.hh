@@ -184,6 +184,30 @@ class GuestOs
     void writePage(const Vma *vma, std::uint64_t index,
                    const mem::PageData &data);
 
+    /**
+     * Write pages [@p first, @p first + @p count) of @p vma, in order:
+     * page p receives @p fill(p). Equivalent to a writePage() loop,
+     * through one hypervisor write run (hv::Hypervisor::writePages()).
+     * Each page is mapped just before it is written, as writePage()
+     * does, since mapping one page can reclaim an earlier one.
+     */
+    template <typename Fill>
+    void
+    writePages(const Vma *vma, std::uint64_t first, std::uint64_t count,
+               Fill &&fill)
+    {
+        jtps_assert(first <= vma->numPages &&
+                    count <= vma->numPages - first);
+        hv_.writePages(
+            vm_id_, count,
+            [this, vma, first](std::uint64_t i) {
+                const Gfn gfn = vma->gfns[first + i];
+                return gfn != invalidFrame ? gfn
+                                           : ensureMapped(vma, first + i);
+            },
+            [&fill, first](std::uint64_t i) { return fill(first + i); });
+    }
+
     /** Read one sector word (faulting in file content if needed). */
     std::uint64_t readWord(const Vma *vma, std::uint64_t index,
                            unsigned sector);

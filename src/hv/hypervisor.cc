@@ -118,13 +118,12 @@ Hypervisor::evictOne()
     mem::Frame &f = frames_.frame(victim);
     jtps_assert(!f.pinned);
     // The swap record needs the mappings as a vector anyway; build it
-    // reserved to the known arity instead of letting mappings() grow
-    // one push_back at a time (this runs once per eviction, which the
-    // overcommit sweeps do millions of times).
+    // reserved to the known arity (this runs once per eviction, which
+    // the overcommit sweeps do millions of times).
     std::vector<mem::Mapping> mappings;
     mappings.reserve(f.refcount);
-    f.forEachMapping(
-        [&](const mem::Mapping &m) { mappings.push_back(m); });
+    frames_.forEachMapping(
+        f, [&](const mem::Mapping &m) { mappings.push_back(m); });
     jtps_assert(!mappings.empty());
     const mem::PageData data = f.data;
 
@@ -228,15 +227,8 @@ Hypervisor::swapIn(VmId vm_id, Gfn gfn)
 }
 
 void
-Hypervisor::cowBreak(VmId vm_id, Gfn gfn)
+Hypervisor::cowBreak(Vm &v, EptEntry &e, Gfn gfn, const mem::Frame &f)
 {
-    Vm &v = vm(vm_id);
-    EptEntry &e = v.ept.entry(gfn);
-    jtps_assert(e.state == PageState::Resident);
-
-    Hfn old = e.backing;
-    mem::Frame &f = frames_.frame(old);
-
     if (f.refcount == 1 && !f.ksmStable) {
         // Sole mapping of an ordinary frame: nothing to copy, just drop
         // the protection.
@@ -244,60 +236,57 @@ Hypervisor::cowBreak(VmId vm_id, Gfn gfn)
         return;
     }
 
-    const mem::Mapping m{vm_id, gfn};
+    const Hfn old = e.backing;
+    const mem::Mapping m{v.id, gfn};
     const mem::PageData copy = f.data; // copy before the frame can die
     frames_.removeMapping(old, m);
-    Hfn fresh = allocBacked(m, copy);
-    e.backing = fresh;
+    e.backing = allocBacked(m, copy);
     e.writeProtected = false;
     stat_cow_breaks_.inc();
     if (trace_)
-        trace_->record(TraceEventType::CowBreak, vm_id, gfn, old);
+        trace_->record(TraceEventType::CowBreak, v.id, gfn, old);
 }
 
-mem::PageData &
-Hypervisor::pageForWrite(VmId vm_id, Gfn gfn)
+mem::Frame &
+Hypervisor::frameForWrite(Vm &v, Gfn gfn)
 {
-    Vm &v = vm(vm_id);
     EptEntry &e = v.ept.entry(gfn);
 
     switch (e.state) {
-      case PageState::NotPresent: {
-          Hfn hfn = allocBacked(mem::Mapping{vm_id, gfn},
+      case PageState::NotPresent:
+        e.backing = allocBacked(mem::Mapping{v.id, gfn},
                                 mem::PageData::zero());
-          e.state = PageState::Resident;
-          e.backing = hfn;
-          e.writeProtected = false;
-          ++v.residentPages;
-          stat_demand_allocs_.inc();
-          break;
-      }
+        e.state = PageState::Resident;
+        e.writeProtected = false;
+        ++v.residentPages;
+        stat_demand_allocs_.inc();
+        break;
       case PageState::Swapped:
-        swapIn(vm_id, gfn);
+        swapIn(v.id, gfn);
         break;
       case PageState::Resident:
         break;
     }
 
-    if (e.writeProtected || frames_.frame(e.backing).refcount > 1 ||
-        frames_.frame(e.backing).ksmStable) {
-        cowBreak(vm_id, gfn);
+    mem::Frame *f = &frames_.frame(e.backing);
+    if (e.writeProtected || f->refcount > 1 || f->ksmStable) {
+        cowBreak(v, e, gfn, *f);
+        f = &frames_.frame(e.backing);
     }
 
-    frames_.touch(e.backing);
-    // The caller writes through the returned reference: advance the
-    // frame's generation so every cached derivation of the old content
-    // (KSM digests) stops matching. Fresh allocations above
-    // already carry a new generation; bumping again is merely
-    // conservative (a generation may only ever certify *unchanged*
-    // content).
-    frames_.bumpWriteGen(e.backing);
+    // The caller writes through the returned reference: restart the
+    // frame's LRU age and advance its generation so every cached
+    // derivation of the old content (KSM digests) stops matching.
+    // Fresh allocations above already carry a new generation; bumping
+    // again is merely conservative (a generation may only ever certify
+    // *unchanged* content).
+    const std::uint64_t gen = frames_.noteWrite(e.backing, *f);
     // Every content mutation funnels through here, so this one append
     // is what makes the PML rings a complete dirty log: once per page
     // per drain cycle (the logged bit models the hardware dirty-bit
     // transition), stamped with the generation the write produced.
-    pmlLog(v, e, gfn, frames_.writeGen(e.backing));
-    return frames_.frame(e.backing).data;
+    pmlLog(v, e, gfn, gen);
+    return *f;
 }
 
 void
@@ -305,13 +294,13 @@ Hypervisor::writeWord(VmId vm_id, Gfn gfn, unsigned sector,
                       std::uint64_t value)
 {
     jtps_assert(sector < mem::sectorsPerPage);
-    pageForWrite(vm_id, gfn).word[sector] = value;
+    frameForWrite(vm(vm_id), gfn).data.word[sector] = value;
 }
 
 void
 Hypervisor::writePage(VmId vm_id, Gfn gfn, const mem::PageData &data)
 {
-    pageForWrite(vm_id, gfn) = data;
+    frameForWrite(vm(vm_id), gfn).data = data;
 }
 
 std::uint64_t
@@ -340,11 +329,12 @@ void
 Hypervisor::touchPage(VmId vm_id, Gfn gfn)
 {
     Vm &v = vm(vm_id);
-    EptEntry &e = v.ept.entry(gfn);
+    const EptEntry &e = v.ept.entry(gfn);
     switch (e.state) {
       case PageState::NotPresent:
         return;
       case PageState::Swapped:
+        // swapIn() repoints this same entry at the restored frame.
         swapIn(vm_id, gfn);
         break;
       case PageState::Resident:
@@ -353,16 +343,15 @@ Hypervisor::touchPage(VmId vm_id, Gfn gfn)
     frames_.touch(e.backing);
 }
 
-void
-Hypervisor::discardPage(VmId vm_id, Gfn gfn)
+bool
+Hypervisor::dropPage(Vm &v, Gfn gfn)
 {
-    Vm &v = vm(vm_id);
     EptEntry &e = v.ept.entry(gfn);
-    const mem::Mapping m{vm_id, gfn};
+    const mem::Mapping m{v.id, gfn};
 
     switch (e.state) {
       case PageState::NotPresent:
-        return;
+        return false;
       case PageState::Swapped:
         swap_.dropMapping(e.backing, m);
         jtps_assert(v.swappedPages > 0);
@@ -375,8 +364,17 @@ Hypervisor::discardPage(VmId vm_id, Gfn gfn)
         break;
     }
     e = EptEntry{};
-    // The entry reset above is what used to wipe KSM's in-EPT checksum;
-    // tell subscribers so externally-held per-page state dies with it.
+    return true;
+}
+
+void
+Hypervisor::discardPage(VmId vm_id, Gfn gfn)
+{
+    if (!dropPage(vm(vm_id), gfn))
+        return;
+    // The entry reset in dropPage() is what used to wipe KSM's in-EPT
+    // checksum; tell subscribers so externally-held per-page state
+    // dies with it.
     for (PageEventListener *l : page_listeners_)
         l->pageDiscarded(vm_id, gfn);
 }
@@ -385,12 +383,15 @@ void
 Hypervisor::releaseVmMemory(VmId vm_id)
 {
     Vm &v = vm(vm_id);
-    // Guest memory through the discard path: shared frames lose one
-    // mapping (other VMs keep the content), private frames free, swap
-    // slots drop, and the page listeners invalidate their caches —
-    // the identical bookkeeping a guest-initiated free would run.
+    // Guest memory through the discard bookkeeping: shared frames lose
+    // one mapping (other VMs keep the content), private frames free
+    // and swap slots drop, as a guest-initiated free would. The page
+    // listeners are not told page by page: VM ids are never reused and
+    // the retired EPT is zero-sized, so no one can look the pages up
+    // again (the KSM scanner frees the VM's whole row on its next
+    // pass).
     for (Gfn g = 0; g < v.ept.size(); ++g)
-        discardPage(vm_id, g);
+        dropPage(v, g);
     jtps_assert(v.residentPages == 0 && v.swappedPages == 0);
     for (Hfn hfn : v.overheadFrames)
         frames_.freePinned(hfn);
@@ -515,7 +516,7 @@ Hypervisor::ksmMakeStable(VmId vm_id, Gfn gfn)
     jtps_assert(!f.pinned);
     frames_.setKsmStable(e.backing, true);
     // Write-protect every mapping of the frame so any write COWs.
-    f.forEachMapping([this](const mem::Mapping &m) {
+    frames_.forEachMapping(f, [this](const mem::Mapping &m) {
         vm(m.vm).ept.entry(m.gfn).writeProtected = true;
     });
     return e.backing;
@@ -588,7 +589,7 @@ Hypervisor::checkConsistency() const
                 jtps_assert(frames_.isAllocated(e.backing));
                 const mem::Frame &f = frames_.frame(e.backing);
                 unsigned hits = 0;
-                f.forEachMapping([&](const mem::Mapping &m) {
+                frames_.forEachMapping(f, [&](const mem::Mapping &m) {
                     if (m.vm == v.id && m.gfn == gfn)
                         ++hits;
                 });

@@ -135,9 +135,10 @@ struct Vm
 /**
  * Common hypervisor machinery: translation, faults, COW, swap, and the
  * TPS merge primitives. All guest memory accesses in the whole simulator
- * funnel through writeWord()/writePage()/readWord()/touchPage(), which is
- * what makes the sharing model sound: no content can change without the
- * COW checks running.
+ * funnel through writeWord()/writePage()/writePages()/readWord()/
+ * touchPage(), and every write among them through frameForWrite(), which
+ * is what makes the sharing model sound: no content can change without
+ * the COW checks running.
  */
 class Hypervisor
 {
@@ -179,6 +180,28 @@ class Hypervisor
     /** Write a whole page of content. */
     void writePage(VmId vm, Gfn gfn, const mem::PageData &data);
 
+    /**
+     * Write a run of @p count whole pages of @p vm: page i goes to
+     * guest frame @p gfn_of(i) and receives @p fill(i). The VM is
+     * resolved once for the run; each page then takes the same fault,
+     * COW and PML path as writePage(), in order, so the run is
+     * indistinguishable from a writePage() loop. @p gfn_of(i) is called
+     * only after page i - 1 is written: a guest that maps pages on
+     * demand may reclaim or swap out an earlier page of the run while
+     * mapping a later one.
+     */
+    template <typename GfnOf, typename Fill>
+    void
+    writePages(VmId vm_id, std::uint64_t count, GfnOf &&gfn_of,
+               Fill &&fill)
+    {
+        Vm &v = vm(vm_id);
+        for (std::uint64_t i = 0; i < count; ++i) {
+            const Gfn gfn = gfn_of(i);
+            frameForWrite(v, gfn).data = fill(i);
+        }
+    }
+
     /** Read one sector word (0 if the page was never touched). */
     std::uint64_t readWord(VmId vm, Gfn gfn, unsigned sector);
 
@@ -190,16 +213,19 @@ class Hypervisor
 
     /**
      * Discard a page (guest frees the memory, e.g. munmap): the backing
-     * frame reference is dropped and the entry returns to NotPresent.
+     * frame reference is dropped, the entry returns to NotPresent and
+     * the page listeners are told.
      */
     void discardPage(VmId vm, Gfn gfn);
 
     /**
      * Release every page of @p vm: all guest memory (resident and
-     * swapped, through the discardPage path so shared frames just
-     * lose one mapping and page listeners fire) plus the VM process's
-     * pinned overhead frames. The Vm object itself stays — VM ids are
-     * dense and stable — it merely owns no host memory afterwards.
+     * swapped, with discardPage()'s bookkeeping, so shared frames just
+     * lose one mapping) plus the VM process's pinned overhead frames.
+     * The page listeners are not told: the VM's id is never reused and
+     * its EPT becomes zero-sized, so no page of it can be looked up
+     * again. The Vm object itself stays — VM ids are dense and
+     * stable — it merely owns no host memory afterwards.
      * This is the teardown half of a live migration (or a poweroff):
      * the cluster layer retires the source copy with it and rebuilds
      * the VM on the destination host. Counted in `hv.vms_released`.
@@ -325,12 +351,23 @@ class Hypervisor
     /** Handle a major fault: swap the page back in. */
     void swapIn(VmId vm, Gfn gfn);
 
-    /** Break copy-on-write for (vm, gfn); afterwards the page is
-     *  privately writable. */
-    void cowBreak(VmId vm, Gfn gfn);
+    /** Break copy-on-write for (v, gfn), whose resident entry @p e
+     *  maps @p f; afterwards the page is privately writable. */
+    void cowBreak(Vm &v, EptEntry &e, Gfn gfn, const mem::Frame &f);
 
-    /** Make (vm, gfn) resident and writable, running faults as needed. */
-    mem::PageData &pageForWrite(VmId vm, Gfn gfn);
+    /**
+     * The write funnel: make (v, gfn) resident and privately writable,
+     * running the demand-allocation, swap-in and COW faults as needed,
+     * record the write (LRU age, write generation, PML ring) and return
+     * the backing frame for the caller to write. The frame is looked up
+     * once, and again only after a COW break moved the page.
+     */
+    mem::Frame &frameForWrite(Vm &v, Gfn gfn);
+
+    /** Drop (v, gfn)'s backing reference and reset its entry to
+     *  NotPresent, without telling the page listeners.
+     *  @return false if the page was NotPresent already. */
+    bool dropPage(Vm &v, Gfn gfn);
 
     /**
      * Log a dirtied page into @p v's PML ring (no-op when rings are

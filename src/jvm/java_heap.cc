@@ -30,15 +30,24 @@ JavaHeap::init()
 }
 
 void
-JavaHeap::writeObjectPage(std::uint64_t page, std::uint64_t salt)
+JavaHeap::writeObjectPages(std::uint64_t first, std::uint64_t count,
+                           std::uint64_t salt)
 {
     // Object content: addresses, hash codes and payload all derive from
     // the process seed, so no two processes ever produce equal pages,
     // and from the GC epoch, so content changes when objects move.
-    os_.writePage(vma_, page,
-                  mem::PageData::filled(
-                      hash3(proc_seed_, stringTag("heap-obj"), salt),
-                      page));
+    const std::uint64_t tag =
+        hash3(proc_seed_, stringTag("heap-obj"), salt);
+    os_.writePages(vma_, first, count, [tag](std::uint64_t page) {
+        return mem::PageData::filled(tag, page);
+    });
+}
+
+void
+JavaHeap::zeroPages(std::uint64_t first, std::uint64_t count)
+{
+    os_.writePages(vma_, first, count,
+                   [](std::uint64_t) { return mem::PageData::zero(); });
 }
 
 std::uint64_t
@@ -63,15 +72,21 @@ JavaHeap::allocate(Bytes bytes)
         alloc_space * cfg_.gcTriggerFraction);
 
     while (partial_ >= pageSize) {
-        partial_ -= pageSize;
         if (cursor_ >= trigger) {
             if (cfg_.policy == GcConfig::Policy::Gencon)
                 minorGc();
             else
                 globalGc();
         }
-        writeObjectPage(cursor_, gc_epoch_);
-        ++cursor_;
+        // Fill up to the trigger in one run. A collection that leaves
+        // the cursor at or past the trigger gets one page, and the
+        // next page collects again.
+        const std::uint64_t run = std::min(
+            partial_ / pageSize,
+            cursor_ < trigger ? trigger - cursor_ : std::uint64_t{1});
+        partial_ -= run * pageSize;
+        writeObjectPages(cursor_, run, gc_epoch_);
+        cursor_ += run;
     }
 }
 
@@ -92,10 +107,8 @@ JavaHeap::clearHeadroomOnce()
         static_cast<std::uint64_t>(space * cfg_.gcTriggerFraction);
     const std::uint64_t tail = static_cast<std::uint64_t>(
         heap_pages_ * cfg_.headroomZeroFraction);
-    for (std::uint64_t p = 0; p < tail && base_page + p < heap_pages_;
-         ++p) {
-        os_.writePage(vma_, base_page + p, mem::PageData::zero());
-    }
+    if (base_page < heap_pages_)
+        zeroPages(base_page, std::min(tail, heap_pages_ - base_page));
 }
 
 void
@@ -120,14 +133,12 @@ JavaHeap::globalGc()
     const auto new_live = static_cast<std::uint64_t>(
         std::min<double>(old_top, space) * cfg_.liveFraction);
 
-    for (std::uint64_t p = 0; p < new_live; ++p)
-        writeObjectPage(base + p, gc_epoch_);
+    writeObjectPages(base, new_live, gc_epoch_);
     // Eagerly zero only the allocation-adjacent prefix of the reclaimed
     // space; the rest keeps stale object bytes until reallocated.
     const auto zero_end = new_live + static_cast<std::uint64_t>(
         (old_top - new_live) * cfg_.zeroFillFraction);
-    for (std::uint64_t p = new_live; p < zero_end; ++p)
-        os_.writePage(vma_, base + p, mem::PageData::zero());
+    zeroPages(base + new_live, zero_end - new_live);
 
     if (cfg_.policy == GcConfig::Policy::Gencon) {
         tenured_cursor_ = new_live;
@@ -153,14 +164,12 @@ JavaHeap::minorGc()
     const auto promote = static_cast<std::uint64_t>(
         nursery_pages_ * cfg_.promoteFraction);
 
-    for (std::uint64_t p = 0; p < survivors && p < cursor_; ++p)
-        writeObjectPage(p, gc_epoch_);
+    writeObjectPages(0, std::min(survivors, cursor_), gc_epoch_);
     const std::uint64_t reclaimed =
         cursor_ > survivors ? cursor_ - survivors : 0;
     const auto zero_end = survivors + static_cast<std::uint64_t>(
         reclaimed * cfg_.zeroFillFraction);
-    for (std::uint64_t p = survivors; p < zero_end; ++p)
-        os_.writePage(vma_, p, mem::PageData::zero());
+    zeroPages(survivors, zero_end - survivors);
 
     const std::uint64_t tenured_space = heap_pages_ - nursery_pages_;
     for (std::uint64_t i = 0; i < promote; ++i) {
@@ -168,7 +177,7 @@ JavaHeap::minorGc()
             static_cast<std::uint64_t>(tenured_space * 0.95)) {
             globalGc(); // tenured full: global collection
         }
-        writeObjectPage(nursery_pages_ + tenured_cursor_, gc_epoch_);
+        writeObjectPages(nursery_pages_ + tenured_cursor_, 1, gc_epoch_);
         ++tenured_cursor_;
     }
 

@@ -135,7 +135,11 @@ class JavaHeap
     std::uint64_t livePages() const;
 
   private:
-    void writeObjectPage(std::uint64_t page, std::uint64_t salt);
+    /** Write object content over pages [first, first + count). */
+    void writeObjectPages(std::uint64_t first, std::uint64_t count,
+                          std::uint64_t salt);
+    /** Zero-fill pages [first, first + count). */
+    void zeroPages(std::uint64_t first, std::uint64_t count);
     void clearHeadroomOnce();
     void globalGc();
     void minorGc();

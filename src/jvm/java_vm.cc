@@ -132,8 +132,9 @@ JavaVm::start()
                 lib.name + ".data");
             const std::uint64_t tag =
                 hash3(proc_seed_, stringTag(lib.name), stringTag(".data"));
-            for (std::uint64_t p = 0; p < vma->numPages; ++p)
-                os_.writePage(vma, p, mem::PageData::filled(tag, p));
+            os_.writePages(vma, 0, vma->numPages, [tag](std::uint64_t p) {
+                return mem::PageData::filled(tag, p);
+            });
         }
     }
 
@@ -148,10 +149,11 @@ JavaVm::start()
     for (std::uint32_t t = 0; t < cfg_.threadCount; ++t) {
         const std::uint64_t tag =
             hash3(proc_seed_, stringTag("stack"), t);
-        for (std::uint64_t p = 0; p < touched; ++p) {
-            os_.writePage(stack_vma_, t * stack_pages_per_thread + p,
-                          mem::PageData::filled(tag, p));
-        }
+        const std::uint64_t base = t * stack_pages_per_thread;
+        os_.writePages(stack_vma_, base, touched,
+                       [tag, base](std::uint64_t page) {
+                           return mem::PageData::filled(tag, page - base);
+                       });
     }
 
     // --- Class metadata -------------------------------------------------
@@ -203,21 +205,24 @@ JavaVm::start()
                                "malloc-arenas");
     const std::uint64_t malloc_tag =
         hashCombine(proc_seed_, stringTag("malloc"));
-    for (std::uint64_t p = 0; p < malloc_vma_->numPages; ++p)
-        os_.writePage(malloc_vma_, p,
-                      mem::PageData::filled(malloc_tag, p));
+    os_.writePages(malloc_vma_, 0, malloc_vma_->numPages,
+                   [malloc_tag](std::uint64_t p) {
+                       return mem::PageData::filled(malloc_tag, p);
+                   });
 
     bulk_vma_ = os_.mmapAnon(pid_, cfg_.bulkZeroBytes,
                              guest::MemCategory::JvmWork,
                              "bulk-reserved");
-    for (std::uint64_t p = 0; p < bulk_vma_->numPages; ++p)
-        os_.writePage(bulk_vma_, p, mem::PageData::zero());
+    os_.writePages(bulk_vma_, 0, bulk_vma_->numPages,
+                   [](std::uint64_t) { return mem::PageData::zero(); });
 
     nio_vma_ = os_.mmapAnon(pid_, cfg_.nioBufferBytes,
                             guest::MemCategory::JvmWork, "nio-buffers");
-    for (std::uint64_t p = 0; p < nio_vma_->numPages; ++p)
-        os_.writePage(nio_vma_, p,
-                      mem::PageData::filled(cfg_.nioPayloadTag, p));
+    const std::uint64_t nio_tag = cfg_.nioPayloadTag;
+    os_.writePages(nio_vma_, 0, nio_vma_->numPages,
+                   [nio_tag](std::uint64_t p) {
+                       return mem::PageData::filled(nio_tag, p);
+                   });
 }
 
 std::uint32_t

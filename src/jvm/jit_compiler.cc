@@ -1,5 +1,7 @@
 #include "jvm/jit_compiler.hh"
 
+#include <algorithm>
+
 #include "base/hash.hh"
 #include "base/logging.hh"
 
@@ -30,16 +32,16 @@ JitCompiler::init()
     stub_pages_ = bytesToPages(cfg_.stubsBytes);
     const std::uint64_t stub_tag = hashCombine(
         stringTag("jit-stubs"), stringTag(cfg_.jvmVersion));
-    for (std::uint64_t p = 0; p < stub_pages_; ++p)
-        os_.writePage(code_vma_, p, mem::PageData::filled(stub_tag, p));
+    os_.writePages(code_vma_, 0, stub_pages_, [stub_tag](std::uint64_t p) {
+        return mem::PageData::filled(stub_tag, p);
+    });
     code_cursor_pages_ = stub_pages_;
 
     // Bulk-reserved scratch: committed but not yet used — zero pages.
     scratch_pages_ = bytesToPages(cfg_.scratchBytes);
     const std::uint64_t zero_pages = bytesToPages(cfg_.scratchZeroBytes);
-    for (std::uint64_t p = 0; p < zero_pages; ++p)
-        os_.writePage(work_vma_, scratch_pages_ + p,
-                      mem::PageData::zero());
+    os_.writePages(work_vma_, scratch_pages_, zero_pages,
+                   [](std::uint64_t) { return mem::PageData::zero(); });
 }
 
 bool
@@ -57,9 +59,11 @@ JitCompiler::emitCode(std::uint32_t method_id, std::uint64_t code_pages,
     // their own tier-1 code.
     const std::uint64_t code_tag = hash4(
         stringTag("jit-method"), method_id, profile_fingerprint_, tier);
-    for (std::uint64_t p = 0; p < code_pages; ++p)
-        os_.writePage(code_vma_, code_cursor_pages_ + p,
-                      mem::PageData::filled(code_tag, p));
+    const std::uint64_t base = code_cursor_pages_;
+    os_.writePages(code_vma_, base, code_pages,
+                   [code_tag, base](std::uint64_t page) {
+                       return mem::PageData::filled(code_tag, page - base);
+                   });
 
     records_.push_back(
         MethodRecord{method_id, code_cursor_pages_, code_pages, tier});
@@ -71,10 +75,20 @@ JitCompiler::emitCode(std::uint32_t method_id, std::uint64_t code_pages,
     const std::uint64_t scratch_tag =
         hash3(proc_seed_, stringTag("jit-scratch"), compilations_);
     const std::uint64_t scratch_use = (2 + tier) * code_pages;
-    for (std::uint64_t i = 0; i < scratch_use; ++i) {
-        os_.writePage(work_vma_, scratch_cursor_,
-                      mem::PageData::filled(scratch_tag, i));
-        scratch_cursor_ = (scratch_cursor_ + 1) % scratch_pages_;
+    // One run up to the end of the scratch region, then wrap to its
+    // start; write k of this use gets salt k.
+    jtps_assert(scratch_use == 0 || scratch_pages_ > 0);
+    for (std::uint64_t done = 0; done < scratch_use;) {
+        const std::uint64_t start = scratch_cursor_;
+        const std::uint64_t run =
+            std::min(scratch_use - done, scratch_pages_ - start);
+        os_.writePages(work_vma_, start, run,
+                       [scratch_tag, done, start](std::uint64_t page) {
+                           return mem::PageData::filled(
+                               scratch_tag, done + (page - start));
+                       });
+        done += run;
+        scratch_cursor_ = (start + run) % scratch_pages_;
     }
     return true;
 }

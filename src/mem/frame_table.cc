@@ -1,6 +1,7 @@
 #include "mem/frame_table.hh"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "base/logging.hh"
 
@@ -56,7 +57,6 @@ FrameTable::allocRaw(const PageData &initial)
     f.lastTouch = ++access_clock_;
     f.pinned = false;
     f.primary = Mapping{};
-    f.extra.clear();
     setAllocBit(hfn);
     ++resident_;
     stat_frames_allocated_.inc();
@@ -77,7 +77,9 @@ FrameTable::freeRaw(Hfn hfn)
         --ksm_stable_frames_;
         f.ksmStable = false;
     }
-    shrinkExtra(f);
+    // The last mapping to go was the primary one, so the spill slot
+    // (if the frame ever had one) went with the mapping before it.
+    jtps_assert(f.spill == 0);
     free_list_.push_back(hfn);
     --resident_;
     stat_frames_freed_.inc();
@@ -108,13 +110,40 @@ FrameTable::allocPinned(const PageData &initial)
 }
 
 void
+FrameTable::takeSpill(Frame &f)
+{
+    jtps_assert(f.spill == 0);
+    std::uint32_t s;
+    if (!free_spills_.empty()) {
+        s = free_spills_.back();
+        free_spills_.pop_back();
+    } else {
+        jtps_assert(spills_.size() <= UINT32_MAX);
+        s = static_cast<std::uint32_t>(spills_.size());
+        spills_.emplace_back();
+    }
+    spills_[s].reserve(kExtraReserve);
+    f.spill = s;
+}
+
+void
+FrameTable::releaseSpill(Frame &f)
+{
+    jtps_assert(f.spill != 0 && spills_[f.spill].empty());
+    std::vector<Mapping>().swap(spills_[f.spill]);
+    free_spills_.push_back(f.spill);
+    f.spill = 0;
+}
+
+void
 FrameTable::addMapping(Hfn hfn, const Mapping &m)
 {
     Frame &f = frame(hfn);
     jtps_assert(!f.pinned);
-    jtps_assert(f.refcount >= 1);
-    reserveExtra(f);
-    f.extra.push_back(m);
+    jtps_assert(f.refcount >= 1 && f.refcount < kMaxRefcount);
+    if (f.spill == 0)
+        takeSpill(f);
+    spills_[f.spill].push_back(m);
     ++f.refcount;
     if (f.ksmStable)
         ++ksm_sharing_mappings_;
@@ -127,28 +156,26 @@ FrameTable::removeMapping(Hfn hfn, const Mapping &m)
     Frame &f = frame(hfn);
     jtps_assert(!f.pinned);
     jtps_assert(f.refcount >= 1);
-    if (f.primary == m) {
-        if (f.extra.empty()) {
-            f.refcount = 0;
-            freeRaw(hfn);
-            return true;
-        }
-        f.primary = f.extra.back();
-        f.extra.pop_back();
-        --f.refcount;
-        if (f.ksmStable)
-            --ksm_sharing_mappings_;
-        shrinkExtra(f);
-        return false;
+    if (f.primary == m && f.spill == 0) {
+        f.refcount = 0;
+        freeRaw(hfn);
+        return true;
     }
 
-    auto it = std::find(f.extra.begin(), f.extra.end(), m);
-    jtps_assert(it != f.extra.end());
-    f.extra.erase(it);
+    std::vector<Mapping> &extra = spills_[f.spill];
+    if (f.primary == m) {
+        f.primary = extra.back();
+        extra.pop_back();
+    } else {
+        auto it = std::find(extra.begin(), extra.end(), m);
+        jtps_assert(it != extra.end());
+        extra.erase(it);
+    }
     --f.refcount;
     if (f.ksmStable)
         --ksm_sharing_mappings_;
-    shrinkExtra(f);
+    if (extra.empty())
+        releaseSpill(f);
     return false;
 }
 
@@ -242,16 +269,26 @@ FrameTable::checkConsistency() const
     std::uint64_t resident_count = 0;
     std::uint64_t stable_count = 0;
     std::uint64_t sharing_count = 0;
+    // Spill slot 0 is the shared empty list; every other slot is
+    // either owned by exactly one frame or on the free list.
+    jtps_assert(spills_[0].empty() && spills_[0].capacity() == 0);
+    std::vector<bool> slot_owned(spills_.size(), false);
     for (Hfn h = 0; h < frameCount(); ++h) {
+        const Frame &f = slot(h);
         if (!allocBit(h)) {
+            jtps_assert(f.spill == 0);
             continue;
         }
         ++resident_count;
-        const Frame &f = slot(h);
+        if (f.spill != 0) {
+            jtps_assert(f.spill < spills_.size() && !slot_owned[f.spill]);
+            jtps_assert(!spills_[f.spill].empty());
+            slot_owned[f.spill] = true;
+        }
         if (f.pinned) {
-            jtps_assert(f.refcount == 1 && f.extra.empty());
+            jtps_assert(f.refcount == 1 && f.spill == 0);
         } else {
-            jtps_assert(f.refcount == 1 + f.extra.size());
+            jtps_assert(f.refcount == 1 + spills_[f.spill].size());
         }
         if (f.ksmStable) {
             ++stable_count;
@@ -259,6 +296,15 @@ FrameTable::checkConsistency() const
         }
     }
     jtps_assert(resident_count == resident_);
+    std::vector<bool> slot_free(spills_.size(), false);
+    for (const std::uint32_t s : free_spills_) {
+        jtps_assert(s != 0 && s < spills_.size());
+        jtps_assert(!slot_owned[s] && !slot_free[s]);
+        jtps_assert(spills_[s].empty() && spills_[s].capacity() == 0);
+        slot_free[s] = true;
+    }
+    for (std::size_t s = 1; s < spills_.size(); ++s)
+        jtps_assert(slot_owned[s] || slot_free[s]);
     // The O(1) sharing counters must agree with a full recount, or the
     // incremental bookkeeping drifted somewhere.
     jtps_assert(stable_count == ksm_stable_frames_);

@@ -16,7 +16,10 @@
  *
  * Frames live in fixed slabs of kSlabFrames that never move: growing
  * the table appends in place (no element copies), and a Frame&
- * stays valid across later allocations.
+ * stays valid across later allocations. A frame holds its first
+ * reverse mapping inline; the rest of a shared frame's mappings live
+ * in a side table of spill lists, so the unshared majority of frames
+ * carries no vector.
  */
 
 #ifndef JTPS_MEM_FRAME_TABLE_HH
@@ -46,45 +49,27 @@ struct Mapping
 /**
  * One host physical frame. Fields are public within the mem module;
  * external code goes through FrameTable.
+ *
+ * 96 bytes: the content, the LRU age, one packed word of refcount and
+ * flags, the frame's spill slot and its first reverse mapping. Reverse
+ * mappings beyond the first live in the table's spill lists (see
+ * FrameTable::extraOf()), since only a KSM-shared frame has any.
  */
 struct Frame
 {
     PageData data;
     std::uint64_t lastTouch = 0; //!< logical access time (LRU age)
-    std::uint32_t refcount = 0;
-    bool ksmStable = false; //!< member of the KSM stable tree
-    bool pinned = false;    //!< never evicted (hypervisor-private)
+    std::uint32_t refcount : 30 = 0;
+    bool ksmStable : 1 = false; //!< member of the KSM stable tree
+    bool pinned : 1 = false;    //!< never evicted (hypervisor-private)
+    /** Slot of this frame's spill list in its FrameTable; 0 while
+     *  the frame has no mapping beyond the primary one. */
+    std::uint32_t spill = 0;
     /** First reverse mapping, inline: most frames have exactly one. */
     Mapping primary;
-    /** Reverse mappings beyond the first (KSM-shared frames). */
-    std::vector<Mapping> extra;
-
-    /** Call @p fn for every reverse mapping of this frame. */
-    template <typename Fn>
-    void
-    forEachMapping(Fn &&fn) const
-    {
-        if (refcount == 0)
-            return;
-        fn(primary);
-        for (const auto &m : extra)
-            fn(m);
-    }
-
-    /**
-     * Collect all reverse mappings into a vector. Allocates per call:
-     * test/debug convenience only — hot paths (eviction, forensics,
-     * KSM) iterate with forEachMapping() or reserve the vector at the
-     * call site.
-     */
-    std::vector<Mapping>
-    mappings() const
-    {
-        std::vector<Mapping> out;
-        forEachMapping([&](const Mapping &m) { out.push_back(m); });
-        return out;
-    }
 };
+
+static_assert(sizeof(Frame) == 96, "Frame layout grew");
 
 /**
  * The host frame table: allocation, refcounting, reverse mappings, and
@@ -106,6 +91,9 @@ class FrameTable
      *  of the inline mapping (16 sharers before the first regrowth),
      *  so 256-VM KSM chains do not reallocate per merge. */
     static constexpr std::size_t kExtraReserve = 15;
+
+    /** Largest refcount the packed Frame word holds. */
+    static constexpr std::uint32_t kMaxRefcount = (1u << 30) - 1;
 
     /**
      * @param capacity_frames Size of host physical memory in frames.
@@ -167,7 +155,7 @@ class FrameTable
     /**
      * Write generation of @p hfn: a value from one monotonic clock,
      * assigned on allocation and re-assigned on every content change
-     * (bumpWriteGen()) and on every stable-flag transition
+     * (noteWrite()) and on every stable-flag transition
      * (setKsmStable()), so generations are globally unique and never
      * reused; an equal generation proves
      * that a cached observation refers to *this* allocation of the
@@ -188,16 +176,18 @@ class FrameTable
     }
 
     /**
-     * Advance @p hfn's write generation (the caller is about to change,
-     * or has just changed, the frame's content). All content mutation
-     * funnels through the hypervisor's pageForWrite(), which calls
+     * Record a content write to @p f, the frame at @p hfn (the caller
+     * resolved it, so it is allocated): restart its LRU age, as
+     * touch() does, and advance its write generation. Every guest write
+     * funnels through the hypervisor's frameForWrite(), which calls
      * this; fresh allocations get a new generation from allocRaw().
+     * @return the frame's new write generation.
      */
-    void
-    bumpWriteGen(Hfn hfn)
+    std::uint64_t
+    noteWrite(Hfn hfn, Frame &f)
     {
-        jtps_assert(isAllocated(hfn));
-        write_gens_[hfn] = ++gen_clock_;
+        f.lastTouch = ++access_clock_;
+        return write_gens_[hfn] = ++gen_clock_;
     }
 
     /**
@@ -239,6 +229,38 @@ class FrameTable
 
     /** Mark the frame recently used (its LRU age restarts). */
     void touch(Hfn hfn);
+
+    /**
+     * The reverse mappings of @p f beyond its primary one, in the
+     * order they were added (a removal keeps the others in order).
+     * Empty, with no storage behind it, while @p f has no spill slot.
+     */
+    const std::vector<Mapping> &
+    extraOf(const Frame &f) const
+    {
+        return spills_[f.spill];
+    }
+
+    /** Call @p fn for every reverse mapping of @p f: the primary one,
+     *  then extraOf(@p f). */
+    template <typename Fn>
+    void
+    forEachMapping(const Frame &f, Fn &&fn) const
+    {
+        if (f.refcount == 0)
+            return;
+        fn(f.primary);
+        for (const Mapping &m : spills_[f.spill])
+            fn(m);
+    }
+
+    /** Spill slots currently owned by a frame (frames with more than
+     *  one reverse mapping). */
+    std::size_t
+    spillSlotsLive() const
+    {
+        return spills_.size() - 1 - free_spills_.size();
+    }
 
     /**
      * Pick an eviction victim by sampled LRU: draw a fixed-size random
@@ -292,7 +314,9 @@ class FrameTable
     /**
      * Verify internal consistency with one walk over every frame
      * (refcount matches rmap arity, the resident and sharing counters
-     * match a full recount). Used by tests; panics on violation.
+     * match a full recount, each live spill slot is owned by exactly
+     * one frame, and free slots are empty and unowned). Panics on
+     * violation.
      */
     void checkConsistency() const;
 
@@ -300,22 +324,13 @@ class FrameTable
     Hfn allocRaw(const PageData &initial);
     void freeRaw(Hfn hfn);
 
-    /** First spill out of the inline mapping: reserve once so KSM
-     *  chains grow without per-merge reallocation. */
-    void
-    reserveExtra(Frame &f)
-    {
-        if (f.extra.empty() && f.extra.capacity() == 0)
-            f.extra.reserve(kExtraReserve);
-    }
+    /** First spill out of the inline mapping: give @p f a slot (a
+     *  recycled one first) reserved once, so KSM chains grow without
+     *  per-merge reallocation. */
+    void takeSpill(Frame &f);
 
-    /** Last unshare: release the reverse-mapping storage. */
-    void
-    shrinkExtra(Frame &f)
-    {
-        if (f.extra.empty() && f.extra.capacity() != 0)
-            f.extra = std::vector<Mapping>{};
-    }
+    /** Last unshare: release @p f's slot and its storage. */
+    void releaseSpill(Frame &f);
 
     /** Storage of @p hfn (hfn < frameCount() required). */
     Frame &
@@ -372,6 +387,13 @@ class FrameTable
      *  wordwise. */
     std::vector<std::uint64_t> allocated_;
     std::vector<Hfn> free_list_;
+    /** Spill lists: the reverse mappings of a frame beyond its primary
+     *  one, at the frame's spill slot. Slot 0 is the permanent empty
+     *  list of every frame without one. */
+    std::vector<std::vector<Mapping>> spills_ =
+        std::vector<std::vector<Mapping>>(1);
+    /** Released spill slots (empty, no storage), reused first. */
+    std::vector<std::uint32_t> free_spills_;
     /** Where the next fallback sweep starts (see pickVictim()). */
     Hfn clock_hand_ = 0;
     std::uint64_t access_clock_ = 0; //!< logical time for LRU ages

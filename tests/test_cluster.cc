@@ -17,6 +17,7 @@
 #include "cluster/cluster.hh"
 #include "core/placement.hh"
 #include "core/scenario.hh"
+#include "ksm/ksm_scanner.hh"
 #include "workload/workload_spec.hh"
 
 using namespace jtps;
@@ -385,6 +386,50 @@ TEST(ClusterDeterminism, MigrationRunsAreThreadCountInvariant)
         EXPECT_EQ(serial.vmLocations()[l].migrations,
                   parallel.vmLocations()[l].migrations);
     }
+}
+
+TEST(ClusterMigration, SourceScannerFreesRetiredRowInOnePass)
+{
+    // A migration retires the source copy without notifying the
+    // scanner page by page; the row of per-page scan state it kept for
+    // the retired VM goes on the cursor's next pass over that VM.
+    auto cfg = smallClusterConfig(1);
+    cfg.host.host.ramBytes = 1 * GiB;
+    cfg.migrationEnabled = true;
+    cfg.faultsPerSecPerVmThreshold = 0.25;
+    Cluster fleet(cfg, smallFleet());
+    fleet.build();
+    for (int round = 0;
+         round < 8 && fleet.stats().get("migration.count") == 0; ++round)
+        fleet.run(cfg.roundMs);
+    ASSERT_EQ(fleet.stats().get("migration.count"), 1u);
+
+    // The source is the host holding the one retired VM.
+    std::size_t src = fleet.hostCount();
+    for (std::size_t h = 0; h < fleet.hostCount(); ++h) {
+        for (std::size_t i = 0; i < fleet.host(h).vmCount(); ++i) {
+            if (!fleet.host(h).vmActive(i))
+                src = h;
+        }
+    }
+    ASSERT_LT(src, fleet.hostCount());
+    core::Scenario &host = fleet.host(src);
+    ksm::KsmScanner &scanner = host.ksm();
+    Bytes live_rows = 0; // 16 B per guest page of each remaining VM
+    for (VmId v = 0; v < host.hv().vmCount(); ++v)
+        live_rows += host.hv().vm(v).ept.size() * 16;
+    EXPECT_GT(scanner.pageStateBytes(), live_rows);
+
+    // One budget-unbounded batch runs to the end of the current pass,
+    // the next is one whole pass from the first VM.
+    scanner.setPagesToScan(1u << 30);
+    const std::uint64_t passes = scanner.fullScans();
+    scanner.scanBatch();
+    scanner.scanBatch();
+    EXPECT_EQ(scanner.fullScans(), passes + 2);
+    EXPECT_EQ(scanner.pageStateBytes(), live_rows);
+    scanner.checkIndex();
+    host.hv().checkConsistency();
 }
 
 TEST(ClusterDeterminism, HostLabelsScopeStatsAndTraces)

@@ -4,6 +4,9 @@
  * TPS merge primitives, host swap.
  */
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "base/stats.hh"
@@ -188,6 +191,63 @@ TEST(Hypervisor, DiscardOfSharedFrameLeavesOtherMapping)
     EXPECT_EQ(*hv.peek(b, 0), d);
     EXPECT_EQ(hv.frames().frame(stable).refcount, 1u);
     hv.checkConsistency();
+}
+
+namespace
+{
+
+/** Page listener that records every discard notice. */
+struct DiscardLog : hv::PageEventListener
+{
+    std::vector<std::pair<VmId, Gfn>> seen;
+
+    void
+    pageDiscarded(VmId vm, Gfn gfn) override
+    {
+        seen.emplace_back(vm, gfn);
+    }
+};
+
+} // namespace
+
+TEST(Hypervisor, ReleaseVmMemorySendsNoDiscardNotices)
+{
+    // A guest discard tells the listeners; releasing a whole VM does
+    // the same frame and swap bookkeeping page by page but tells no
+    // one, since the retired VM's pages can never be looked up again.
+    StatSet stats;
+    KvmHypervisor hv(smallHost(16 * pageSize), stats);
+    DiscardLog log;
+    hv.addPageListener(&log);
+    VmId a = hv.createVm("a", 32 * pageSize, 0);
+    VmId b = hv.createVm("b", 32 * pageSize, 0);
+    // a:11 shares b:11's frame; the other pages overflow the host, so
+    // some of a's private pages end up on swap.
+    hv.writePage(b, 11, PageData::filled(2, 11));
+    hv.writePage(a, 11, PageData::filled(2, 11));
+    const Hfn stable = hv.ksmMakeStable(b, 11);
+    ASSERT_TRUE(hv.ksmMergeInto(stable, a, 11));
+    for (Gfn g = 0; g < 11; ++g) {
+        hv.writePage(a, g, PageData::filled(1, g));
+        hv.writePage(b, g, PageData::filled(2, g));
+    }
+    ASSERT_GT(hv.vm(a).swappedPages, 0u);
+    ASSERT_EQ(hv.translate(a, 11), stable);
+
+    hv.discardPage(a, 0);
+    hv.discardPage(a, 30); // never touched: no notice
+    EXPECT_EQ(log.seen, (std::vector<std::pair<VmId, Gfn>>{{a, 0}}));
+
+    hv.releaseVmMemory(a);
+    EXPECT_EQ(log.seen.size(), 1u);
+    EXPECT_EQ(hv.vm(a).residentPages, 0u);
+    EXPECT_EQ(hv.vm(a).swappedPages, 0u);
+    EXPECT_EQ(hv.vm(a).ept.size(), 0u);
+    // b keeps the frame a shared with it.
+    EXPECT_EQ(hv.translate(b, 11), stable);
+    EXPECT_EQ(*hv.peek(b, 11), PageData::filled(2, 11));
+    hv.checkConsistency();
+    hv.removePageListener(&log);
 }
 
 TEST(Hypervisor, EvictionAndMajorFault)

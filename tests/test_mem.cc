@@ -21,6 +21,22 @@ using mem::Mapping;
 using mem::PageData;
 using mem::SwapDevice;
 
+namespace
+{
+
+/** Every reverse mapping of @p hfn, primary first, in the order
+ *  FrameTable::forEachMapping() reports them. Allocates per call. */
+std::vector<Mapping>
+mappingsOf(const FrameTable &ft, Hfn hfn)
+{
+    std::vector<Mapping> out;
+    ft.forEachMapping(ft.frame(hfn),
+                      [&](const Mapping &m) { out.push_back(m); });
+    return out;
+}
+
+} // namespace
+
 TEST(PageData, ZeroProperties)
 {
     PageData z = PageData::zero();
@@ -150,7 +166,7 @@ TEST(FrameTable, SharedMappingsRefcount)
     ft.addMapping(h, {1, 9});
     ft.addMapping(h, {2, 4});
     EXPECT_EQ(ft.frame(h).refcount, 3u);
-    EXPECT_EQ(ft.frame(h).mappings().size(), 3u);
+    EXPECT_EQ(mappingsOf(ft, h).size(), 3u);
     ft.checkConsistency();
 
     // Removing the primary promotes an extra mapping.
@@ -407,8 +423,9 @@ TEST(FrameTable, WriteGenerationIsNeverZeroAndAdvancesOnBump)
     Hfn a = ft.alloc({0, 0}, PageData::zero());
     const std::uint64_t g0 = ft.writeGen(a);
     EXPECT_NE(g0, 0u); // 0 is reserved for "never observed"
-    ft.bumpWriteGen(a);
-    EXPECT_GT(ft.writeGen(a), g0);
+    const std::uint64_t g1 = ft.noteWrite(a, ft.frame(a));
+    EXPECT_EQ(ft.writeGen(a), g1);
+    EXPECT_GT(g1, g0);
     // A different frame never shares a generation: the clock is global.
     Hfn b = ft.alloc({0, 1}, PageData::zero());
     EXPECT_NE(ft.writeGen(b), ft.writeGen(a));
@@ -450,7 +467,7 @@ TEST(FrameTable, StableFlagTransitionAdvancesWriteGeneration)
 
 TEST(FrameTable, ExtraReserveOnFirstSpillShrinkOnLastUnshare)
 {
-    // The reverse-mapping spill vector reserves once at the first
+    // The reverse-mapping spill list reserves once at the first
     // spill (KSM chains grow without per-merge reallocation up to
     // kExtraReserve mappings) and gives the storage back when the last
     // extra mapping goes.
@@ -458,28 +475,154 @@ TEST(FrameTable, ExtraReserveOnFirstSpillShrinkOnLastUnshare)
     FrameTable ft(64, &stats);
     const Hfn f = ft.alloc(Mapping{0, 0}, PageData::filled(9, 9));
     ASSERT_NE(f, invalidFrame);
-    EXPECT_EQ(ft.frame(f).extra.capacity(), 0u);
+    EXPECT_EQ(ft.extraOf(ft.frame(f)).capacity(), 0u);
 
     ft.addMapping(f, Mapping{1, 0}); // first spill
-    EXPECT_EQ(ft.frame(f).extra.capacity(), FrameTable::kExtraReserve);
+    EXPECT_EQ(ft.extraOf(ft.frame(f)).capacity(),
+              FrameTable::kExtraReserve);
     for (VmId vm = 2; vm <= FrameTable::kExtraReserve; ++vm)
         ft.addMapping(f, Mapping{vm, 0});
     // Filled to the reservation: still not a single reallocation.
-    EXPECT_EQ(ft.frame(f).extra.size(), FrameTable::kExtraReserve);
-    EXPECT_EQ(ft.frame(f).extra.capacity(), FrameTable::kExtraReserve);
+    EXPECT_EQ(ft.extraOf(ft.frame(f)).size(), FrameTable::kExtraReserve);
+    EXPECT_EQ(ft.extraOf(ft.frame(f)).capacity(),
+              FrameTable::kExtraReserve);
 
     // One past the reservation grows normally...
     const VmId beyond = FrameTable::kExtraReserve + 1;
     ft.addMapping(f, Mapping{beyond, 0});
-    EXPECT_GT(ft.frame(f).extra.capacity(), FrameTable::kExtraReserve);
+    EXPECT_GT(ft.extraOf(ft.frame(f)).capacity(),
+              FrameTable::kExtraReserve);
 
     // ...and unsharing back to a sole mapping releases the storage.
+    const std::uint32_t slot = ft.frame(f).spill;
     for (VmId vm = 1; vm <= beyond; ++vm)
         ft.removeMapping(f, Mapping{vm, 0});
     EXPECT_EQ(ft.frame(f).refcount, 1u);
-    EXPECT_TRUE(ft.frame(f).extra.empty());
-    EXPECT_EQ(ft.frame(f).extra.capacity(), 0u);
+    EXPECT_EQ(ft.frame(f).spill, 0u);
+    EXPECT_TRUE(ft.extraOf(ft.frame(f)).empty());
+    EXPECT_EQ(ft.extraOf(ft.frame(f)).capacity(), 0u);
+    // The released slot has no storage either: the next spill reuses
+    // it and reserves afresh.
+    const Hfn g = ft.alloc(Mapping{0, 1}, PageData::filled(9, 8));
+    ft.addMapping(g, Mapping{1, 1});
+    EXPECT_EQ(ft.frame(g).spill, slot);
+    EXPECT_EQ(ft.extraOf(ft.frame(g)).capacity(),
+              FrameTable::kExtraReserve);
     ft.checkConsistency();
+}
+
+TEST(FrameTable, SpillSlotsAreReusedAfterLastUnshare)
+{
+    FrameTable ft(16);
+    const Hfn a = ft.alloc(Mapping{0, 0}, PageData::filled(1, 0));
+    const Hfn b = ft.alloc(Mapping{0, 1}, PageData::filled(1, 1));
+    const Hfn c = ft.alloc(Mapping{0, 2}, PageData::filled(1, 2));
+    EXPECT_EQ(ft.frame(a).spill, 0u);
+    EXPECT_EQ(ft.spillSlotsLive(), 0u);
+
+    ft.addMapping(a, Mapping{1, 0});
+    ft.addMapping(b, Mapping{1, 1});
+    const std::uint32_t slot_a = ft.frame(a).spill;
+    const std::uint32_t slot_b = ft.frame(b).spill;
+    EXPECT_NE(slot_a, 0u);
+    EXPECT_NE(slot_b, 0u);
+    EXPECT_NE(slot_a, slot_b);
+    EXPECT_EQ(ft.spillSlotsLive(), 2u);
+    ft.checkConsistency();
+
+    // Unsharing a (through its primary mapping: the spilled one moves
+    // inline) frees its slot, and c's first spill takes it back.
+    EXPECT_FALSE(ft.removeMapping(a, Mapping{0, 0}));
+    EXPECT_EQ(ft.frame(a).primary, (Mapping{1, 0}));
+    EXPECT_EQ(ft.frame(a).spill, 0u);
+    EXPECT_EQ(ft.spillSlotsLive(), 1u);
+    ft.checkConsistency();
+    ft.addMapping(c, Mapping{1, 2});
+    EXPECT_EQ(ft.frame(c).spill, slot_a);
+    EXPECT_EQ(ft.spillSlotsLive(), 2u);
+    ft.checkConsistency();
+}
+
+TEST(FrameTable, FreeingASharedFrameLeavesNoSpillSlot)
+{
+    FrameTable ft(16);
+    const Hfn h = ft.alloc(Mapping{0, 0}, PageData::filled(2, 0));
+    ft.addMapping(h, Mapping{1, 0});
+    ft.addMapping(h, Mapping{2, 0});
+    ft.setKsmStable(h, true);
+    EXPECT_EQ(ft.spillSlotsLive(), 1u);
+
+    EXPECT_FALSE(ft.removeMapping(h, Mapping{1, 0}));
+    EXPECT_FALSE(ft.removeMapping(h, Mapping{0, 0}));
+    EXPECT_TRUE(ft.removeMapping(h, Mapping{2, 0}));
+    EXPECT_FALSE(ft.isAllocated(h));
+    EXPECT_EQ(ft.spillSlotsLive(), 0u);
+    EXPECT_EQ(ft.ksmStableFrames(), 0u);
+    ft.checkConsistency();
+
+    // The recycled frame number comes back without a spill list.
+    const Hfn again = ft.alloc(Mapping{3, 0}, PageData::filled(2, 1));
+    EXPECT_EQ(again, h);
+    EXPECT_EQ(ft.frame(again).spill, 0u);
+    EXPECT_EQ(mappingsOf(ft, again), (std::vector<Mapping>{{3, 0}}));
+    ft.checkConsistency();
+}
+
+TEST(FrameTable, LongSharingChainKeepsMappingOrder)
+{
+    // A 256-sharer chain (KSM's max_page_sharing default): mappings
+    // come back in the order they were added; removing one from the
+    // middle keeps the rest in order, and removing the primary moves
+    // the newest mapping inline.
+    FrameTable ft(8);
+    const Hfn h = ft.alloc(Mapping{0, 0}, PageData::filled(4, 4));
+    std::vector<Mapping> expect = {{0, 0}};
+    for (VmId vm = 1; vm < 256; ++vm) {
+        ft.addMapping(h, Mapping{vm, vm * 3});
+        expect.push_back(Mapping{vm, vm * 3});
+    }
+    EXPECT_EQ(ft.frame(h).refcount, 256u);
+    EXPECT_EQ(mappingsOf(ft, h), expect);
+    EXPECT_EQ(ft.spillSlotsLive(), 1u);
+    ft.checkConsistency();
+
+    for (const VmId vm : {128u, 1u, 200u}) {
+        ASSERT_FALSE(ft.removeMapping(h, Mapping{vm, vm * 3}));
+        expect.erase(
+            std::find(expect.begin(), expect.end(), Mapping{vm, vm * 3}));
+    }
+    EXPECT_EQ(mappingsOf(ft, h), expect);
+
+    ASSERT_FALSE(ft.removeMapping(h, Mapping{0, 0}));
+    expect.front() = expect.back();
+    expect.pop_back();
+    EXPECT_EQ(ft.frame(h).primary, (Mapping{255, 255 * 3}));
+    EXPECT_EQ(mappingsOf(ft, h), expect);
+    EXPECT_EQ(ft.frame(h).refcount, 252u);
+    ft.checkConsistency();
+}
+
+TEST(FrameTableDeathTest, CorruptSpillSlotIsCaught)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // Two shared frames, each with its own spill slot; then b's slot
+    // index is overwritten with @p bad (a is the slot of frame a).
+    auto corrupt = [](bool alias_a, std::uint32_t bad) {
+        FrameTable ft(8);
+        const Hfn a = ft.alloc(Mapping{0, 0}, PageData::filled(5, 0));
+        const Hfn b = ft.alloc(Mapping{0, 1}, PageData::filled(5, 1));
+        ft.addMapping(a, Mapping{1, 0});
+        ft.addMapping(b, Mapping{1, 1});
+        ft.checkConsistency();
+        ft.frame(b).spill = alias_a ? ft.frame(a).spill : bad;
+        ft.checkConsistency();
+    };
+    // One slot with two owners.
+    EXPECT_DEATH(corrupt(true, 0), "assertion");
+    // A slot past the table.
+    EXPECT_DEATH(corrupt(false, 99), "assertion");
+    // b's slot neither owned nor free.
+    EXPECT_DEATH(corrupt(false, 0), "assertion");
 }
 
 TEST(FrameTable, SlabBoundary)

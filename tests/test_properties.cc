@@ -918,3 +918,205 @@ TEST_P(PmlOverflowFallbackFuzz, TinyRingsForceWalksAndStillMatch)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PmlOverflowFallbackFuzz, pmlFuzzSeeds);
+
+// ---------------------------------------------------------------------
+// Range writes are per-page writes
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Host, guest and scanner shape of one range-write twin run. */
+struct RangeWriteCase
+{
+    Bytes hostRam = 0;
+    Bytes guestMem = 0;
+    Bytes vmaBytes = 0;
+    std::uint32_t pmlRingSlots = 0;
+    bool ksm = false;
+};
+
+/** One stack of a same-seed twin pair: a host, one guest with one
+ *  user process owning one anonymous region, optionally a scanner. */
+struct RangeWriteTwin
+{
+    StatSet stats;
+    std::unique_ptr<KvmHypervisor> hv;
+    std::unique_ptr<guest::GuestOs> os;
+    std::unique_ptr<KsmScanner> ksm;
+    const guest::Vma *vma = nullptr;
+};
+
+/**
+ * Drive @p t through a seeded script of page runs over its region:
+ * through GuestOs::writePages() when @p ranged, else as a writePage()
+ * loop. Contents repeat within and across runs (few tags, small salt
+ * cycles, zero runs), so the scanner finds duplicates to merge and
+ * later runs COW-break them mid-run.
+ */
+void
+runRangeWriteScript(RangeWriteTwin &t, const RangeWriteCase &c,
+                    bool ranged, std::uint64_t seed)
+{
+    hv::HostConfig host;
+    host.ramBytes = c.hostRam;
+    host.reserveBytes = 0;
+    host.pmlRingSlots = c.pmlRingSlots;
+    t.hv = std::make_unique<KvmHypervisor>(host, t.stats);
+    const VmId vm = t.hv->createVm("vm", c.guestMem, 0);
+    t.os = std::make_unique<guest::GuestOs>(*t.hv, vm, "vm", seed);
+    const Pid pid = t.os->spawn("app", true);
+    t.vma = t.os->mmapAnon(pid, c.vmaBytes, guest::MemCategory::JavaHeap,
+                           "heap");
+    if (c.ksm) {
+        KsmConfig kcfg;
+        kcfg.pagesToScan = 1u << 20; // one batch is one full pass
+        t.ksm = std::make_unique<KsmScanner>(*t.hv, kcfg, t.stats);
+    }
+
+    Rng rng(seed);
+    const std::uint64_t n = t.vma->numPages;
+    for (int step = 0; step < 60; ++step) {
+        const std::uint64_t first = rng.nextBelow(n);
+        const std::uint64_t count = 1 + rng.nextBelow(n - first);
+        const std::uint64_t tag = rng.nextBelow(4);
+        const std::uint64_t cycle = 1 + rng.nextBelow(8);
+        auto fill = [tag, cycle](std::uint64_t p) {
+            return tag == 0 ? PageData::zero()
+                            : PageData::filled(tag, p % cycle);
+        };
+        if (ranged) {
+            t.os->writePages(t.vma, first, count, fill);
+        } else {
+            for (std::uint64_t p = first; p < first + count; ++p)
+                t.os->writePage(t.vma, p, fill(p));
+        }
+        if (t.ksm && step % 5 == 4) {
+            t.ksm->scanBatch(); // record digests
+            t.ksm->scanBatch(); // calm now: merge
+        }
+        if (c.pmlRingSlots > 0 && step % 7 == 6)
+            t.hv->pmlResetRing(vm);
+    }
+    t.hv->checkConsistency();
+}
+
+/** Every piece of state a write touches is equal in @p a and @p b. */
+void
+expectSameWriteState(const RangeWriteTwin &a, const RangeWriteTwin &b)
+{
+    EXPECT_EQ(a.stats.counters(), b.stats.counters());
+    ASSERT_EQ(a.vma->gfns, b.vma->gfns);
+    EXPECT_EQ(a.os->guestSwapOuts(), b.os->guestSwapOuts());
+    EXPECT_EQ(a.os->guestMajorFaults(), b.os->guestMajorFaults());
+
+    const hv::Vm &va = a.hv->vm(a.os->vmId());
+    const hv::Vm &vb = b.hv->vm(b.os->vmId());
+    ASSERT_EQ(va.ept.size(), vb.ept.size());
+    for (Gfn g = 0; g < va.ept.size(); ++g) {
+        const hv::EptEntry &ea = va.ept.entry(g);
+        const hv::EptEntry &eb = vb.ept.entry(g);
+        ASSERT_TRUE(ea.state == eb.state && ea.backing == eb.backing &&
+                    ea.writeProtected == eb.writeProtected &&
+                    ea.pmlLogged == eb.pmlLogged)
+            << "gfn " << g;
+    }
+    EXPECT_EQ(va.residentPages, vb.residentPages);
+    EXPECT_EQ(va.swappedPages, vb.swappedPages);
+    EXPECT_EQ(va.majorFaults, vb.majorFaults);
+    EXPECT_EQ(va.pmlAppendsTotal, vb.pmlAppendsTotal);
+    ASSERT_EQ(va.pmlRing.size(), vb.pmlRing.size());
+    for (std::size_t i = 0; i < va.pmlRing.size(); ++i) {
+        ASSERT_TRUE(va.pmlRing[i].gfn == vb.pmlRing[i].gfn &&
+                    va.pmlRing[i].gen == vb.pmlRing[i].gen)
+            << "ring entry " << i;
+    }
+
+    const mem::FrameTable &fa = a.hv->frames();
+    const mem::FrameTable &fb = b.hv->frames();
+    ASSERT_EQ(fa.frameCount(), fb.frameCount());
+    for (Hfn h = 0; h < fa.frameCount(); ++h) {
+        ASSERT_EQ(fa.isAllocated(h), fb.isAllocated(h)) << "hfn " << h;
+        if (!fa.isAllocated(h))
+            continue;
+        const mem::Frame &x = fa.frame(h);
+        const mem::Frame &y = fb.frame(h);
+        ASSERT_TRUE(x.data == y.data && x.lastTouch == y.lastTouch &&
+                    x.refcount == y.refcount &&
+                    x.ksmStable == y.ksmStable &&
+                    fa.writeGen(h) == fb.writeGen(h) &&
+                    x.primary == y.primary &&
+                    fa.extraOf(x) == fb.extraOf(y))
+            << "hfn " << h;
+    }
+}
+
+/** Run the script on a ranged and a per-page twin and compare them;
+ *  @return the ranged twin's stats for the caller's coverage checks. */
+StatSet::CounterMap
+checkRangeWriteTwins(const RangeWriteCase &c, std::uint64_t seed)
+{
+    RangeWriteTwin ranged, paged;
+    runRangeWriteScript(ranged, c, true, seed);
+    runRangeWriteScript(paged, c, false, seed);
+    expectSameWriteState(ranged, paged);
+    StatSet::CounterMap counters = ranged.stats.counters();
+    counters["guest.swapouts"] = ranged.os->guestSwapOuts();
+    counters["guest.major_faults"] = ranged.os->guestMajorFaults();
+    return counters;
+}
+
+class RangeWriteTwins : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+} // namespace
+
+TEST_P(RangeWriteTwins, AmpleHostMatchesPageLoop)
+{
+    RangeWriteCase c;
+    c.hostRam = 64 * MiB;
+    c.guestMem = 16 * MiB;
+    c.vmaBytes = 512 * pageSize;
+    auto counters = checkRangeWriteTwins(c, GetParam());
+    EXPECT_GT(counters["hv.demand_allocs"], 0u);
+}
+
+TEST_P(RangeWriteTwins, SqueezedGuestAndHostMatchPageLoop)
+{
+    // A region twice the guest's memory on a host with half of it:
+    // mapping page i + 1 of a run swaps earlier pages out of the guest
+    // (and back in), and backing it evicts host frames (which later
+    // runs fault back in), all partway through runs.
+    RangeWriteCase c;
+    c.hostRam = 128 * pageSize;
+    c.guestMem = 256 * pageSize;
+    c.vmaBytes = 512 * pageSize;
+    c.pmlRingSlots = 32;
+    auto counters = checkRangeWriteTwins(c, GetParam());
+    EXPECT_GT(counters["guest.swapouts"], 0u);
+    EXPECT_GT(counters["guest.major_faults"], 0u);
+    EXPECT_GT(counters["host.evictions"], 0u);
+    EXPECT_GT(counters["host.major_faults"], 0u);
+}
+
+TEST_P(RangeWriteTwins, RunsAcrossStablePagesMatchPageLoop)
+{
+    // The scanner merges the repeated contents between runs, so later
+    // runs COW-break KSM-stable pages mid-run, with PML rings logging
+    // every write.
+    RangeWriteCase c;
+    c.hostRam = 64 * MiB;
+    c.guestMem = 4 * MiB;
+    c.vmaBytes = 512 * pageSize;
+    c.pmlRingSlots = 64;
+    c.ksm = true;
+    auto counters = checkRangeWriteTwins(c, GetParam());
+    EXPECT_GT(counters["hv.ksm_merges"], 0u);
+    EXPECT_GT(counters["hv.cow_breaks"], 0u);
+    EXPECT_GT(counters["hv.pml_appends"], 0u);
+    EXPECT_GT(counters["hv.pml_overflows"], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RangeWriteTwins,
+                         ::testing::Values(1, 2, 3));
