@@ -21,8 +21,9 @@
  *      identical deterministic churn burst (re-merge + unique-write
  *      traffic, the steady-state diet of a dense host).
  *
- * The better of the two runs is reported. argv: [vms] [timedPasses]
- * (defaults 256 and 3; CI runs a reduced host).
+ * The better of the two runs is reported, with the process's peak
+ * resident set (`peak_rss_mib`). argv: [vms] [timedPasses] (defaults
+ * 256 and 3; CI runs a reduced host).
  */
 
 #include <algorithm>
@@ -30,6 +31,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+
+#include <sys/resource.h>
 
 #include "base/hash.hh"
 #include "bench/bench_common.hh"
@@ -253,6 +256,12 @@ main(int argc, char **argv)
     json.summaryField("host_vms", static_cast<std::uint64_t>(vms));
     json.summaryField("timed_passes", timed_passes);
     json.summaryField("registry_identical", std::uint64_t{1});
+    // The process's peak resident set over both runs: what a host of
+    // this many VMs costs the simulator in memory.
+    struct rusage ru = {};
+    getrusage(RUSAGE_SELF, &ru);
+    json.summaryField("peak_rss_mib",
+                      static_cast<double>(ru.ru_maxrss) / 1024.0);
     json.write();
     return 0;
 }

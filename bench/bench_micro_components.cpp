@@ -456,12 +456,19 @@ convergedScanPass(benchmark::State &state, bool incremental)
     ksm::KsmConfig cfg;
     cfg.pagesToScan = 1u << 30; // one batch = one pass
     cfg.incrementalScan = incremental;
-    ksm::KsmScanner scanner(scenario.hv(), cfg, stats);
-    scanner.scanBatch(); // pass 1: record digests/generations
-    scanner.scanBatch(); // pass 2: calm now; trees built
+    // A host has one page listener, the scenario's scanner; the timed
+    // scanner takes the slot while it exists (nothing is discarded
+    // meanwhile) and hands it back.
+    scenario.hv().setPageListener(nullptr);
     std::uint64_t pages = 0;
-    for (auto _ : state)
-        pages += scanner.scanBatch();
+    {
+        ksm::KsmScanner scanner(scenario.hv(), cfg, stats);
+        scanner.scanBatch(); // pass 1: record digests/generations
+        scanner.scanBatch(); // pass 2: calm now; trees built
+        for (auto _ : state)
+            pages += scanner.scanBatch();
+    }
+    scenario.hv().setPageListener(&scenario.ksm());
     state.SetItemsProcessed(static_cast<std::int64_t>(pages));
 }
 
@@ -470,14 +477,21 @@ BM_ConvergedScanPassReference(benchmark::State &state)
 {
     convergedScanPass(state, /*incremental=*/false);
 }
-BENCHMARK(BM_ConvergedScanPassReference);
+// The speedup compares the fastest of several repetitions of each
+// pass, which keeps one slow repetition on a shared runner from
+// deciding the ratio.
+constexpr int kConvergedScanRepetitions = 5;
+
+BENCHMARK(BM_ConvergedScanPassReference)
+    ->Repetitions(kConvergedScanRepetitions);
 
 void
 BM_ConvergedScanPassIncremental(benchmark::State &state)
 {
     convergedScanPass(state, /*incremental=*/true);
 }
-BENCHMARK(BM_ConvergedScanPassIncremental);
+BENCHMARK(BM_ConvergedScanPassIncremental)
+    ->Repetitions(kConvergedScanRepetitions);
 
 void
 BM_ConvergedForensicsSnapshot(benchmark::State &state)
@@ -577,7 +591,9 @@ BENCHMARK(BM_PlacementPlan)->Arg(64)->Arg(256);
 /**
  * Console reporter that additionally captures per-benchmark adjusted
  * real time, so main() can emit BENCH_micro_components.json (and the
- * incremental-scan speedup) via JTPS_BENCH_JSON.
+ * incremental-scan speedup) via JTPS_BENCH_JSON. A benchmark run with
+ * repetitions is captured as its fastest repetition; the aggregate
+ * rows are only printed.
  */
 class CapturingReporter : public benchmark::ConsoleReporter
 {
@@ -592,10 +608,14 @@ class CapturingReporter : public benchmark::ConsoleReporter
     ReportRuns(const std::vector<Run> &reports) override
     {
         for (const Run &run : reports) {
+            if (run.run_type == Run::RT_Aggregate)
+                continue;
             Row row;
             row.realTimeNs = run.GetAdjustedRealTime();
             row.iterations = static_cast<std::int64_t>(run.iterations);
-            rows_[run.benchmark_name()] = row;
+            auto [it, fresh] = rows_.emplace(run.benchmark_name(), row);
+            if (!fresh && row.realTimeNs < it->second.realTimeNs)
+                it->second = row;
         }
         ConsoleReporter::ReportRuns(reports);
     }
@@ -634,10 +654,12 @@ main(int argc, char **argv)
         json.field("iterations", row.iterations);
         json.endRow();
     }
+    const std::string repeats =
+        "/repeats:" + std::to_string(kConvergedScanRepetitions);
     const double scan_ref =
-        reporter.realTimeNs("BM_ConvergedScanPassReference");
+        reporter.realTimeNs("BM_ConvergedScanPassReference" + repeats);
     const double scan_inc =
-        reporter.realTimeNs("BM_ConvergedScanPassIncremental");
+        reporter.realTimeNs("BM_ConvergedScanPassIncremental" + repeats);
     if (scan_ref > 0 && scan_inc > 0) {
         json.summaryField("converged_scan_ns_reference", scan_ref);
         json.summaryField("converged_scan_ns_incremental", scan_inc);

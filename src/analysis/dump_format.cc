@@ -157,19 +157,28 @@ parseDump(const std::string &text)
                 line.field<std::uint64_t>(2, "bad frame line");
             if (nrefs == 0)
                 line.bad("bad frame line");
+            if (nrefs > Snapshot::maxSnapshotRefs - snap.refStart.back())
+                line.bad("frame's ref count overflows the 32-bit ref "
+                         "offsets");
             // Strictly ascending, as writeDump() emits them and as the
             // snapshot stores them.
             if (!snap.hfns.empty() && hfn <= snap.hfns.back())
                 line.bad("frame hfns not ascending");
             snap.hfns.push_back(hfn);
-            snap.refStart.push_back(snap.refStart.back() + nrefs);
+            snap.refStart.push_back(
+                snap.refStart.back() + static_cast<std::uint32_t>(nrefs));
         } else if (keyword == "ref") {
             if (snap.refs.size() == snap.refStart.back())
                 line.bad("ref outside frame");
             line.expectFields(5, "bad ref line");
             FrameRef ref;
             ref.vm = line.field<VmId>(1, "bad ref line");
-            ref.gfn = line.field<Gfn>(2, "bad ref line");
+            // Gfns are stored in 32 bits, and the all-ones one is
+            // the "no frame" sentinel, never a mapped page.
+            const auto gfn = line.field<std::uint32_t>(2, "bad ref line");
+            if (gfn >= maxGuestPages)
+                line.bad("bad ref line");
+            ref.gfn = gfn;
             ref.pid = line.field<Pid>(3, "bad ref line");
             const auto is_java = line.field<unsigned>(4, "bad ref line");
             const auto category = line.field<unsigned>(5, "bad ref line");

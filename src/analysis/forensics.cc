@@ -5,6 +5,16 @@
 namespace jtps::analysis
 {
 
+void
+checkSnapshotRefs(std::uint64_t refs)
+{
+    if (refs > Snapshot::maxSnapshotRefs)
+        fatal("snapshot of %llu references exceeds the %llu that its "
+              "32-bit offsets can index",
+              static_cast<unsigned long long>(refs),
+              static_cast<unsigned long long>(Snapshot::maxSnapshotRefs));
+}
+
 Snapshot
 captureSnapshot(const hv::Hypervisor &hv,
                 const std::vector<const guest::GuestOs *> &guests)
@@ -39,15 +49,21 @@ captureSnapshot(const hv::Hypervisor &hv,
     };
 
     // Count every frame's references, turn the counts into each
-    // frame's next free slot in refs, then fill the slots.
-    std::vector<std::uint64_t> next(hv.frames().frameCount(), 0);
-    walk([&](Hfn hfn, const FrameRef &) { ++next[hfn]; });
+    // frame's next free slot in refs, then fill the slots. The counts
+    // fit 32 bits once their total does.
+    std::vector<std::uint32_t> next(hv.frames().frameCount(), 0);
+    std::uint64_t total = 0;
+    walk([&](Hfn hfn, const FrameRef &) {
+        ++next[hfn];
+        ++total;
+    });
+    checkSnapshotRefs(total);
     snap.hfns.reserve(snap.totalResidentFrames);
     snap.refStart.reserve(snap.totalResidentFrames + 1);
     for (Hfn hfn = 0; hfn < next.size(); ++hfn) {
         if (next[hfn] == 0)
             continue;
-        const std::uint64_t start = snap.refStart.back();
+        const std::uint32_t start = snap.refStart.back();
         snap.hfns.push_back(hfn);
         snap.refStart.push_back(start + next[hfn]);
         next[hfn] = start;

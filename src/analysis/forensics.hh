@@ -22,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "base/packed_gfn.hh"
 #include "base/types.hh"
 #include "guest/guest_os.hh"
 #include "hv/hypervisor.hh"
@@ -29,11 +30,12 @@
 namespace jtps::analysis
 {
 
-/** One observed mapping of a host frame. */
+/** One observed mapping of a host frame (16 bytes; a snapshot holds
+ *  one per mapped guest page). */
 struct FrameRef
 {
     VmId vm = invalidVm;
-    Gfn gfn = invalidFrame; //!< the guest page this mapping goes through
+    PackedGfn gfn; //!< the guest page this mapping goes through
     Pid pid = invalidPid;
     bool isJava = false;
     guest::MemCategory category = guest::MemCategory::OtherProcess;
@@ -41,17 +43,23 @@ struct FrameRef
     bool operator==(const FrameRef &other) const = default;
 };
 
+static_assert(sizeof(FrameRef) == 16, "FrameRef layout grew");
+
 /**
  * A captured snapshot: every mapped resident host frame with the guest
  * references that map it, plus the hypervisor-private (VM process
  * overhead) frames per VM. Frame i is hfns[i]; its references, in walk
  * order, are refs[refStart[i], refStart[i + 1]), and there is at least
- * one.
+ * one. The offsets are 32-bit, so a snapshot holds at most
+ * maxSnapshotRefs references.
  */
 struct Snapshot
 {
+    /** Most references a snapshot's 32-bit offsets can index. */
+    static constexpr std::uint64_t maxSnapshotRefs = UINT32_MAX;
+
     std::vector<Hfn> hfns; //!< strictly ascending
-    std::vector<std::uint64_t> refStart{0}; //!< frameCount() + 1 offsets
+    std::vector<std::uint32_t> refStart{0}; //!< frameCount() + 1 offsets
     std::vector<FrameRef> refs;
     std::vector<std::uint64_t> overheadFrames; //!< pinned frames per VM
     std::uint64_t totalResidentFrames = 0; //!< on the host at capture
@@ -67,6 +75,10 @@ struct Snapshot
         return {refs.data() + refStart[i], refs.data() + refStart[i + 1]};
     }
 };
+
+/** Refuse (fatal()) a snapshot of @p refs references, more than
+ *  Snapshot::maxSnapshotRefs. */
+void checkSnapshotRefs(std::uint64_t refs);
 
 /**
  * Walk all translation layers and produce a Snapshot. Guests are

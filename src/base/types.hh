@@ -36,6 +36,13 @@ using Gfn = std::uint64_t;
 /** Host physical frame number (index into the host frame table). */
 using Hfn = std::uint64_t;
 
+/**
+ * Width of a page's backing reference as an EPT entry stores it
+ * (hv::EptEntry::backing): every host frame number and every swap
+ * slot id lies below 2^backingBits.
+ */
+constexpr unsigned backingBits = 60;
+
 /** Identifier of a guest VM on a host. */
 using VmId = std::uint32_t;
 

@@ -354,7 +354,7 @@ GuestOs::munmap(Pid pid, Vma *vma)
 Gfn
 GuestOs::ensureMapped(const Vma *vma, std::uint64_t index)
 {
-    Gfn &slot = pte(vma, index);
+    PackedGfn &slot = pte(vma, index);
     if (slot != invalidFrame)
         return slot;
 
@@ -425,7 +425,7 @@ GuestOs::touch(const Vma *vma, std::uint64_t index)
 void
 GuestOs::discard(const Vma *vma, std::uint64_t index)
 {
-    Gfn &slot = pte(vma, index);
+    PackedGfn &slot = pte(vma, index);
     if (slot == invalidFrame) {
         // A guest-swapped page has no gfn: drop its swap copy.
         if (!vma->fileBacked &&

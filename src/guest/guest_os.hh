@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/packed_gfn.hh"
 #include "base/rng.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
@@ -42,6 +43,14 @@
 
 namespace jtps::guest
 {
+
+/**
+ * A flat first-layer page table, or a file's page-cache index: slot i
+ * holds the gfn of page i, or invalidFrame while there is none. Each
+ * slot is a PackedGfn (32 bits), which reads back as a Gfn and
+ * range-checks what is written to it.
+ */
+using GfnTable = std::vector<PackedGfn>;
 
 /** One virtual memory area of a guest process. */
 struct Vma
@@ -62,7 +71,7 @@ struct Vma
      * (never touched, discarded, or swapped out by the guest). Sized
      * to numPages at mmap; only the owning GuestOs writes it.
      */
-    std::vector<Gfn> gfns;
+    GfnTable gfns;
 
     /** Virtual page number of page @p index of the region. */
     Vpn
@@ -347,7 +356,7 @@ class GuestOs
         FileImage image;
         /** Page-cache index: gfns[i] caches file page i, or
          *  invalidFrame while the page is not cached. */
-        std::vector<Gfn> gfns;
+        GfnTable gfns;
     };
 
     Gfn allocGfn();
@@ -357,11 +366,12 @@ class GuestOs
     CachedFile &registerFile(const FileImage &file);
 
     /**
-     * Writable page-table slot of page @p index of @p vma. Every Vma
-     * is owned by this guest's processes_ — callers only hold const
-     * handles to them — so writing through one is sound.
+     * Writable page-table slot of page @p index of @p vma: it reads
+     * and assigns as a Gfn. Every Vma is owned by this guest's
+     * processes_ — callers only hold const handles to them — so
+     * writing through one is sound.
      */
-    Gfn &
+    PackedGfn &
     pte(const Vma *vma, std::uint64_t index)
     {
         jtps_assert(index < vma->numPages);

@@ -31,8 +31,10 @@ enum class PageState : std::uint8_t
 };
 
 /**
- * One EPT entry. `backing` holds the hfn when Resident and the swap slot
- * when Swapped.
+ * One EPT entry, packed into one word since every guest page has one.
+ * `backing` holds the hfn when Resident and the swap slot when
+ * Swapped; both lie below 2^backingBits (mem::FrameTable and
+ * mem::SwapDevice refuse any that would not).
  *
  * The entry carries translation state only. KSM's per-page calm
  * checksum used to live here; it is scanner-owned state and now lives
@@ -41,17 +43,19 @@ enum class PageState : std::uint8_t
  */
 struct EptEntry
 {
-    std::uint64_t backing = 0;
-    PageState state = PageState::NotPresent;
-    bool writeProtected = false; //!< COW-break on next write
+    std::uint64_t backing : backingBits = 0;
+    PageState state : 2 = PageState::NotPresent;
+    bool writeProtected : 1 = false; //!< COW-break on next write
     /**
      * The page already has an entry in its VM's PML ring for the
      * current drain cycle. Mirrors hardware PML, which logs a gfn on
      * the dirty-bit *transition* and not on every store: one ring
      * entry per page per cycle, cleared when the ring is drained.
      */
-    bool pmlLogged = false;
+    bool pmlLogged : 1 = false;
 };
+
+static_assert(sizeof(EptEntry) == 8, "EptEntry layout grew");
 
 /**
  * A VM's EPT: a dense array of entries, one per guest physical frame.

@@ -6,6 +6,7 @@
 
 #include "base/hash.hh"
 #include "base/logging.hh"
+#include "base/packed_gfn.hh"
 #include "base/units.hh"
 
 namespace jtps::hv
@@ -47,6 +48,13 @@ VmId
 Hypervisor::createVm(const std::string &name, Bytes guest_mem,
                      Bytes overhead)
 {
+    // Checked before the EPT is sized: page tables, reverse mappings
+    // and the other per-page records store gfns in 32 bits.
+    const std::uint64_t guest_pages = bytesToPages(guest_mem);
+    if (guest_pages > maxGuestPages)
+        fatal("guest '%s' of %llu pages is too large: a guest has fewer "
+              "than 2^32 pages (16 TiB), since gfns are stored in 32 bits",
+              name.c_str(), static_cast<unsigned long long>(guest_pages));
     VmId id = static_cast<VmId>(vms_.size());
     std::vector<EptEntry> slab;
     if (!ept_slab_pool_.empty()) {
@@ -54,8 +62,8 @@ Hypervisor::createVm(const std::string &name, Bytes guest_mem,
         ept_slab_pool_.pop_back();
         stats_.inc("hv.ept_slabs_reused");
     }
-    vms_.push_back(std::make_unique<Vm>(
-        id, name, bytesToPages(guest_mem), std::move(slab)));
+    vms_.push_back(
+        std::make_unique<Vm>(id, name, guest_pages, std::move(slab)));
     Vm &v = *vms_.back();
     v.pmlRing.reserve(pml_ring_slots_);
 
@@ -373,10 +381,10 @@ Hypervisor::discardPage(VmId vm_id, Gfn gfn)
     if (!dropPage(vm(vm_id), gfn))
         return;
     // The entry reset in dropPage() is what used to wipe KSM's in-EPT
-    // checksum; tell subscribers so externally-held per-page state
+    // checksum; tell the listener so externally-held per-page state
     // dies with it.
-    for (PageEventListener *l : page_listeners_)
-        l->pageDiscarded(vm_id, gfn);
+    if (page_listener_)
+        page_listener_->pageDiscarded(vm_id, gfn);
 }
 
 void
@@ -386,7 +394,7 @@ Hypervisor::releaseVmMemory(VmId vm_id)
     // Guest memory through the discard bookkeeping: shared frames lose
     // one mapping (other VMs keep the content), private frames free
     // and swap slots drop, as a guest-initiated free would. The page
-    // listeners are not told page by page: VM ids are never reused and
+    // listener is not told page by page: VM ids are never reused and
     // the retired EPT is zero-sized, so no one can look the pages up
     // again (the KSM scanner frees the VM's whole row on its next
     // pass).
@@ -406,19 +414,10 @@ Hypervisor::releaseVmMemory(VmId vm_id)
 }
 
 void
-Hypervisor::addPageListener(PageEventListener *l)
+Hypervisor::setPageListener(PageEventListener *l)
 {
-    jtps_assert(l != nullptr);
-    page_listeners_.push_back(l);
-}
-
-void
-Hypervisor::removePageListener(PageEventListener *l)
-{
-    auto it =
-        std::find(page_listeners_.begin(), page_listeners_.end(), l);
-    if (it != page_listeners_.end())
-        page_listeners_.erase(it);
+    jtps_assert(l == nullptr || page_listener_ == nullptr);
+    page_listener_ = l;
 }
 
 Hfn

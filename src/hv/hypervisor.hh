@@ -71,7 +71,7 @@ struct HostConfig
 
 /**
  * Observer of per-page lifecycle events that invalidate state someone
- * else keeps about a guest page. The only subscriber today is the KSM
+ * else keeps about a guest page. The one listener is the KSM
  * scanner, whose per-page calm-filter state must be dropped exactly
  * when the EPT entry it shadowed is reset (guest discard) — the same
  * moment the old in-EPT checksum used to be wiped.
@@ -214,7 +214,7 @@ class Hypervisor
     /**
      * Discard a page (guest frees the memory, e.g. munmap): the backing
      * frame reference is dropped, the entry returns to NotPresent and
-     * the page listeners are told.
+     * the page listener is told.
      */
     void discardPage(VmId vm, Gfn gfn);
 
@@ -222,7 +222,7 @@ class Hypervisor
      * Release every page of @p vm: all guest memory (resident and
      * swapped, with discardPage()'s bookkeeping, so shared frames just
      * lose one mapping) plus the VM process's pinned overhead frames.
-     * The page listeners are not told: the VM's id is never reused and
+     * The page listener is not told: the VM's id is never reused and
      * its EPT becomes zero-sized, so no page of it can be looked up
      * again. The Vm object itself stays — VM ids are dense and
      * stable — it merely owns no host memory afterwards.
@@ -306,11 +306,12 @@ class Hypervisor
     /** The wired trace sink, or nullptr. */
     TraceBuffer *trace() const { return trace_; }
 
-    /** Subscribe @p l to page lifecycle events. */
-    void addPageListener(PageEventListener *l);
-
-    /** Unsubscribe @p l (no-op if it was never added). */
-    void removePageListener(PageEventListener *l);
+    /**
+     * Send page lifecycle events to @p l, or to no one when @p l is
+     * nullptr. A host has at most one listener (its KSM scanner): a
+     * listener may only be set while none is.
+     */
+    void setPageListener(PageEventListener *l);
 
     // ------------------------------------------------------------------
     // Page-Modification-Log rings
@@ -365,7 +366,7 @@ class Hypervisor
     mem::Frame &frameForWrite(Vm &v, Gfn gfn);
 
     /** Drop (v, gfn)'s backing reference and reset its entry to
-     *  NotPresent, without telling the page listeners.
+     *  NotPresent, without telling the page listener.
      *  @return false if the page was NotPresent already. */
     bool dropPage(Vm &v, Gfn gfn);
 
@@ -386,7 +387,7 @@ class Hypervisor
      *  VM's entry storage here and createVm() reuses it, so 256-VM
      *  churn and live migration stop hammering one allocation path. */
     std::vector<std::vector<EptEntry>> ept_slab_pool_;
-    std::vector<PageEventListener *> page_listeners_;
+    PageEventListener *page_listener_ = nullptr;
     /** Compressed-tier slot capacity (pool pages x compression). */
     std::uint64_t ram_slot_capacity_ = 0;
     /** PML ring capacity per VM (0 = logging disabled). */

@@ -24,8 +24,10 @@ slotHash(std::uint64_t digest)
 }
 
 /** Tombstone marker: non-zero (keeps probe chains intact) and never a
- *  real pass epoch (epochs count up from 1, one per full scan). */
-constexpr std::uint64_t tombstoneEpoch = ~std::uint64_t{0};
+ *  real pass epoch (epochs count up from 1, one per full scan, and
+ *  start over before reaching it). */
+constexpr std::uint32_t tombstoneEpoch =
+    (std::uint32_t{1} << KsmScanner::slotEpochBits) - 1;
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
@@ -70,12 +72,12 @@ KsmScanner::KsmScanner(hv::Hypervisor &hv, const KsmConfig &cfg,
     // Registered at zero so every registry with a scanner lists the
     // merge count, even on a run that never merges.
     hv_.stats().counter("hv.ksm_merges");
-    hv_.addPageListener(this);
+    hv_.setPageListener(this);
 }
 
 KsmScanner::~KsmScanner()
 {
-    hv_.removePageListener(this);
+    hv_.setPageListener(nullptr);
 }
 
 void
@@ -109,9 +111,15 @@ KsmScanner::pageDiscarded(VmId vm, Gfn gfn)
 KsmScanner::PageScanState *
 KsmScanner::pageStateRow(VmId vm, const hv::Vm &v)
 {
-    if (vm >= page_state_.size())
+    if (vm >= page_state_.size()) {
+        // An unstable slot stores the VM id in slotVmBits bits.
+        if (vm >= VmId{1} << slotVmBits)
+            fatal("VM id %u does not fit the %u-bit VM field of the KSM "
+                  "unstable table: a host scans at most %u VMs",
+                  vm, slotVmBits, 1u << slotVmBits);
         page_state_.resize(
             std::max<std::size_t>(hv_.vmCount(), vm + std::size_t{1}));
+    }
     auto &row = page_state_[vm];
     if (row.size() < v.ept.size())
         row.resize(v.ept.size());
@@ -532,7 +540,11 @@ KsmScanner::unstableInsert(std::size_t insert_at, std::uint64_t digest,
         }
         ++unstable_occupied_;
     }
-    unstable_[insert_at] = UnstableSlot{digest, pass_epoch_, vm, gfn};
+    UnstableSlot &u = unstable_[insert_at];
+    u.digest = digest;
+    u.gfn = gfn;
+    u.vm = vm;
+    u.epoch = pass_epoch_;
     ++unstable_live_;
 }
 
@@ -569,8 +581,14 @@ KsmScanner::passBoundary()
     stats_.set("ksm.full_scans", full_scans_);
     // Clearing the unstable tree is one epoch bump: last pass's
     // entries go stale in place and their slots are reused by the
-    // next pass's inserts.
-    ++pass_epoch_;
+    // next pass's inserts. Once the epoch field is exhausted every
+    // slot goes back to never used instead. No entry is live at a
+    // pass boundary, so no probe of the next pass can tell.
+    if (++pass_epoch_ == tombstoneEpoch) {
+        std::fill(unstable_.begin(), unstable_.end(), UnstableSlot{});
+        unstable_occupied_ = 0;
+        pass_epoch_ = 1;
+    }
     unstable_live_ = 0;
     if (TraceBuffer *t = hv_.trace())
         t->record(TraceEventType::KsmFullScan, invalidVm, full_scans_,
@@ -596,10 +614,10 @@ KsmScanner::visitLookahead(const hv::Vm &v, const PageScanState *psv,
         ft.prefetchWriteGen(pe.backing);
     const PageScanState &pps = psv[gfn + prefetchDist];
     if (pps.seen && !pps.lastStable) {
-        // Two lines: collision chains average a couple of slots, and a
-        // 32-byte slot at an odd index walks into the next line
-        // immediately. rw=1 because the common case re-inserts into
-        // the probed chain.
+        // The chain's first slot and the one two further on:
+        // collision chains average a couple of slots, and one that
+        // starts near the end of a line walks into the next. rw=1
+        // because the common case re-inserts into the probed chain.
         prefetchUnstableSlot(pps.lastDigest);
     }
 }

@@ -66,6 +66,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/packed_gfn.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "hv/hypervisor.hh"
@@ -183,6 +184,17 @@ class KsmScanner : public hv::PageEventListener
     /** PageEventListener: drop per-page calm state on guest discard. */
     void pageDiscarded(VmId vm, Gfn gfn) override;
 
+    /**
+     * Widths of the VM id and of the pass epoch in an unstable-table
+     * slot. A host's VM ids must lie below 2^slotVmBits; the scanner
+     * refuses a wider one. The epoch field holds passes 1 to
+     * 2^slotEpochBits - 2 (0 marks a never-used slot and the all-ones
+     * value a tombstone), so after that many passes every slot is
+     * reset to never used and epochs start over.
+     */
+    static constexpr unsigned slotVmBits = 20;
+    static constexpr unsigned slotEpochBits = 12;
+
     /** Occupancy of the stable index, as checked by checkIndex(). */
     struct StableIndexShape
     {
@@ -234,20 +246,23 @@ class KsmScanner : public hv::PageEventListener
     static_assert(sizeof(PageScanState) == 16);
 
     /**
-     * One slot of the flat open-addressed unstable table. A slot is
-     * *live* when `epoch == pass_epoch_`; clearing the tree at a pass
-     * boundary is one epoch bump instead of a deallocation, so a
-     * steady-state pass runs allocation-free. `epoch == 0` means the
-     * slot was never used (probe chains stop there); any other stale
-     * epoch acts as a tombstone that keeps chains intact.
+     * One slot of the flat open-addressed unstable table, 16 bytes.
+     * A slot is *live* when `epoch == pass_epoch_`; clearing the tree
+     * at a pass boundary is one epoch bump instead of a deallocation,
+     * so a steady-state pass runs allocation-free. `epoch == 0` means
+     * the slot was never used (probe chains stop there); any other
+     * stale epoch acts as a tombstone that keeps chains intact. The
+     * VM id and the epoch share one word (see slotVmBits and
+     * slotEpochBits).
      */
     struct UnstableSlot
     {
         std::uint64_t digest = 0;
-        std::uint64_t epoch = 0;
-        VmId vm = invalidVm;
-        Gfn gfn = invalidFrame;
+        PackedGfn gfn;
+        std::uint32_t vm : slotVmBits = 0;
+        std::uint32_t epoch : slotEpochBits = 0;
     };
+    static_assert(sizeof(UnstableSlot) == 16);
 
     /**
      * One slot of the flat open-addressed stable index. `ref` encodes
@@ -302,7 +317,8 @@ class KsmScanner : public hv::PageEventListener
     bool advanceCursor();
 
     /** End-of-pass bookkeeping: reset the cursor, clear the unstable
-     *  table (one pass-epoch bump), record the KsmFullScan trace
+     *  table (one pass-epoch bump, or a reset of every slot when the
+     *  epoch field is exhausted), record the KsmFullScan trace
      *  event. */
     void passBoundary();
 
@@ -326,7 +342,8 @@ class KsmScanner : public hv::PageEventListener
     /** Grow/compact the stable index (drops tombstones). */
     void stableRehash(std::size_t new_capacity);
 
-    /** The whole page-state row of @p vm, sized to its EPT. */
+    /** The whole page-state row of @p vm, sized to its EPT. Refuses
+     *  a VM id too wide for an unstable slot's VM field. */
     PageScanState *pageStateRow(VmId vm, const hv::Vm &v);
 
     /** Grow/compact the flat unstable table (drops stale slots). */
@@ -367,7 +384,7 @@ class KsmScanner : public hv::PageEventListener
     std::vector<UnstableSlot> unstable_;
     std::size_t unstable_occupied_ = 0; //!< slots with epoch != 0
     std::size_t unstable_live_ = 0;     //!< slots with epoch == current
-    std::uint64_t pass_epoch_ = 1;
+    std::uint32_t pass_epoch_ = 1;
 
     std::vector<std::vector<PageScanState>> page_state_;
 

@@ -16,6 +16,13 @@ FrameTable::FrameTable(std::uint64_t capacity_frames, StatSet *stats)
       stat_victim_fallback_sweeps_(stats, "host.victim_fallback_sweeps")
 {
     jtps_assert(capacity_frames > 0);
+    // Every hfn lies below the capacity, and an EPT entry stores it in
+    // its backing field.
+    if (capacity_frames > std::uint64_t{1} << backingBits)
+        fatal("host memory of %llu frames exceeds the %u-bit frame "
+              "numbers of an EPT entry's backing field",
+              static_cast<unsigned long long>(capacity_frames),
+              backingBits);
     // Register at zero so the counter appears in every registry even if
     // the sampled-LRU fast path never misses.
     stat_victim_fallback_sweeps_.declare();

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/packed_gfn.hh"
 #include "base/rng.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
@@ -37,20 +38,23 @@
 namespace jtps::mem
 {
 
-/** One reverse-mapping entry: a guest frame of some VM maps here. */
+/** One reverse-mapping entry: a guest frame of some VM maps here.
+ *  8 bytes: the gfn is stored in 32 bits. */
 struct Mapping
 {
     VmId vm = invalidVm;
-    Gfn gfn = invalidFrame;
+    PackedGfn gfn;
 
     bool operator==(const Mapping &other) const = default;
 };
+
+static_assert(sizeof(Mapping) == 8, "Mapping layout grew");
 
 /**
  * One host physical frame. Fields are public within the mem module;
  * external code goes through FrameTable.
  *
- * 96 bytes: the content, the LRU age, one packed word of refcount and
+ * 88 bytes: the content, the LRU age, one packed word of refcount and
  * flags, the frame's spill slot and its first reverse mapping. Reverse
  * mappings beyond the first live in the table's spill lists (see
  * FrameTable::extraOf()), since only a KSM-shared frame has any.
@@ -69,7 +73,7 @@ struct Frame
     Mapping primary;
 };
 
-static_assert(sizeof(Frame) == 96, "Frame layout grew");
+static_assert(sizeof(Frame) == 88, "Frame layout grew");
 
 /**
  * The host frame table: allocation, refcounting, reverse mappings, and

@@ -54,8 +54,13 @@ enum class SwapTier : std::uint8_t
 class SwapDevice
 {
   public:
-    explicit SwapDevice(StatSet *stats = nullptr)
-        : stat_pswpout_(stats, "host.pswpout"),
+    /**
+     * @param stats Optional stat sink ("host." prefixed).
+     * @param first_slot Id of the first slot stored; ids count up from
+     *        it and are never reused.
+     */
+    explicit SwapDevice(StatSet *stats = nullptr, SwapSlot first_slot = 0)
+        : next_slot_(first_slot), stat_pswpout_(stats, "host.pswpout"),
           stat_pswpin_(stats, "host.pswpin"),
           stat_slots_(stats, "host.swap_slots"),
           stat_slots_ram_(stats, "host.swap_slots_ram")
@@ -73,11 +78,20 @@ class SwapDevice
         SwapTier tier = SwapTier::Disk;
     };
 
-    /** Store an evicted page; returns the slot id. */
+    /**
+     * Store an evicted page; returns the slot id. An EPT entry holds
+     * the id in its backing field, so an id of 2^backingBits or more
+     * is refused.
+     */
     SwapSlot
     store(const PageData &data, std::vector<Mapping> mappings,
           SwapTier tier = SwapTier::Disk)
     {
+        if (next_slot_ >= std::uint64_t{1} << backingBits)
+            fatal("swap slot id %llu does not fit the EPT entry's "
+                  "%u-bit backing field",
+                  static_cast<unsigned long long>(next_slot_),
+                  backingBits);
         SwapSlot id = next_slot_++;
         slots_.emplace(id, Slot{data, std::move(mappings), tier});
         if (tier == SwapTier::CompressedRam)
@@ -89,7 +103,8 @@ class SwapDevice
             trace_->record(TraceEventType::SwapOut,
                            s.mappings.empty() ? invalidVm
                                               : s.mappings.front().vm,
-                           s.mappings.empty() ? 0 : s.mappings.front().gfn,
+                           s.mappings.empty() ? Gfn{0}
+                                              : Gfn{s.mappings.front().gfn},
                            tier == SwapTier::CompressedRam);
         }
         return id;
@@ -124,7 +139,8 @@ class SwapDevice
             trace_->record(TraceEventType::SwapIn,
                            s.mappings.empty() ? invalidVm
                                               : s.mappings.front().vm,
-                           s.mappings.empty() ? 0 : s.mappings.front().gfn,
+                           s.mappings.empty() ? Gfn{0}
+                                              : Gfn{s.mappings.front().gfn},
                            s.tier == SwapTier::CompressedRam);
         }
         return s;
@@ -178,7 +194,7 @@ class SwapDevice
     }
 
     std::unordered_map<SwapSlot, Slot> slots_;
-    SwapSlot next_slot_ = 0;
+    SwapSlot next_slot_;
     std::uint64_t ram_slots_ = 0;
     StatCounter stat_pswpout_;
     StatCounter stat_pswpin_;

@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include "analysis/dump_format.hh"
+#include "analysis/forensics.hh"
 #include "base/stats.hh"
 #include "guest/guest_os.hh"
 #include "hv/hypervisor.hh"
+#include "ksm/ksm_scanner.hh"
+#include "mem/frame_table.hh"
+#include "mem/swap_device.hh"
 
 using namespace jtps;
 using guest::GuestOs;
@@ -113,6 +117,9 @@ TEST(ErrorDeathTest, MalformedDumpsAreRejected)
         "frame 4 1\nref 0 1 1 1 0\nend 2\n",
         // More references than memory could hold.
         "jtpsdump 1\nvms 1\nframe 0 4000000000000000000\nend 0\n",
+        // Gfns are 32-bit and the all-ones one is no page.
+        "jtpsdump 1\nvms 1\nframe 0 1\nref 0 4294967296 1 1 0\nend 1\n",
+        "jtpsdump 1\nvms 1\nframe 0 1\nref 0 4294967295 1 1 0\nend 1\n",
         "jtpsdump 1\nvms 1\nend 0\nend 0\n",
     };
     for (const char *dump : bad_dumps) {
@@ -120,6 +127,97 @@ TEST(ErrorDeathTest, MalformedDumpsAreRejected)
         EXPECT_EXIT(analysis::parseDump(dump), ::testing::ExitedWithCode(1),
                     "malformed dump");
     }
+
+    // A frame whose ref count would carry the 32-bit running offset
+    // past its limit is refused at its own line.
+    EXPECT_EXIT(analysis::parseDump("jtpsdump 1\nvms 1\n"
+                                    "frame 0 4294967296\nend 0\n"),
+                ::testing::ExitedWithCode(1),
+                "line 3: frame's ref count overflows the 32-bit");
+    EXPECT_EXIT(analysis::parseDump("jtpsdump 1\nvms 1\n"
+                                    "frame 0 1\nref 0 0 1 1 0\n"
+                                    "frame 1 4294967295\nend 0\n"),
+                ::testing::ExitedWithCode(1),
+                "line 5: frame's ref count overflows the 32-bit");
+}
+
+// The per-page records store gfns in 32 bits and EPT backings in 60;
+// every input that would not fit them is refused by name, never
+// truncated.
+
+TEST(ErrorDeathTest, GuestOf2To32PagesIsRefused)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto run = [] {
+        StatSet stats;
+        KvmHypervisor hv(tinyHost(64 * MiB), stats);
+        // Refused before its 32 GiB EPT is allocated.
+        hv.createVm("huge", (maxGuestPages + 1) * pageSize, 0);
+    };
+    EXPECT_EXIT(run(), ::testing::ExitedWithCode(1),
+                "guest 'huge' of 4294967296 pages is too large");
+}
+
+TEST(ErrorDeathTest, FrameNumbersBeyondEptBackingAreRefused)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // The largest table allocates nothing up front.
+    mem::FrameTable largest(std::uint64_t{1} << backingBits);
+    EXPECT_EQ(largest.capacity(), std::uint64_t{1} << backingBits);
+    EXPECT_EXIT(mem::FrameTable((std::uint64_t{1} << backingBits) + 1),
+                ::testing::ExitedWithCode(1),
+                "exceeds the 60-bit frame numbers");
+}
+
+TEST(ErrorDeathTest, SwapSlotBeyondEptBackingIsRefused)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto run = [] {
+        mem::SwapDevice swap(nullptr,
+                             (std::uint64_t{1} << backingBits) - 1);
+        const mem::Mapping m{0, 7};
+        // The last id that fits is handed out; the next is refused.
+        if (swap.store(PageData::zero(), {m}) !=
+            (std::uint64_t{1} << backingBits) - 1)
+            std::exit(0);
+        swap.store(PageData::zero(), {m});
+    };
+    EXPECT_EXIT(run(), ::testing::ExitedWithCode(1),
+                "swap slot id 1152921504606846976 does not fit");
+}
+
+TEST(ErrorDeathTest, VmIdBeyondKsmSlotFieldIsRefused)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto run = [](VmId empty_vms) {
+        StatSet stats;
+        KvmHypervisor hv(tinyHost(64 * MiB), stats);
+        ksm::KsmScanner scanner(hv, ksm::KsmConfig{}, stats);
+        // Memoryless VMs take ids without a page-state row; the scan
+        // first sizes one for the VM after them.
+        for (VmId i = 0; i < empty_vms; ++i)
+            hv.createVm("", 0, 0);
+        const VmId last = hv.createVm("last", 4 * pageSize, 0);
+        hv.writePage(last, 0, PageData::filled(1, 1));
+        scanner.scanBatch();
+        std::exit(scanner.pageStateBytes() > 0 ? 3 : 4);
+    };
+    constexpr VmId cap = VmId{1} << ksm::KsmScanner::slotVmBits;
+    EXPECT_EXIT(run(cap - 1), ::testing::ExitedWithCode(3), "");
+    EXPECT_EXIT(run(cap), ::testing::ExitedWithCode(1),
+                "VM id 1048576 does not fit the 20-bit VM field");
+}
+
+TEST(ErrorDeathTest, SnapshotBeyond32BitOffsetsIsRefused)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // No test host maps 2^32 guest pages, so the limit captureSnapshot()
+    // applies to its reference count is checked directly.
+    analysis::checkSnapshotRefs(analysis::Snapshot::maxSnapshotRefs);
+    EXPECT_EXIT(
+        analysis::checkSnapshotRefs(analysis::Snapshot::maxSnapshotRefs + 1),
+        ::testing::ExitedWithCode(1),
+        "snapshot of 4294967296 references exceeds");
 }
 
 TEST(ErrorDeathTest, WriteWordSectorBoundsArePanics)

@@ -218,7 +218,7 @@ TEST(Hypervisor, ReleaseVmMemorySendsNoDiscardNotices)
     StatSet stats;
     KvmHypervisor hv(smallHost(16 * pageSize), stats);
     DiscardLog log;
-    hv.addPageListener(&log);
+    hv.setPageListener(&log);
     VmId a = hv.createVm("a", 32 * pageSize, 0);
     VmId b = hv.createVm("b", 32 * pageSize, 0);
     // a:11 shares b:11's frame; the other pages overflow the host, so
@@ -247,7 +247,22 @@ TEST(Hypervisor, ReleaseVmMemorySendsNoDiscardNotices)
     EXPECT_EQ(hv.translate(b, 11), stable);
     EXPECT_EQ(*hv.peek(b, 11), PageData::filled(2, 11));
     hv.checkConsistency();
-    hv.removePageListener(&log);
+    hv.setPageListener(nullptr);
+}
+
+TEST(HypervisorDeathTest, SecondPageListenerIsAPanic)
+{
+    // A host has one listener slot: setting it while it is taken is a
+    // bug, clearing it and setting it again is not.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    StatSet stats;
+    KvmHypervisor hv(smallHost(16 * pageSize), stats);
+    DiscardLog first, second;
+    hv.setPageListener(&first);
+    EXPECT_DEATH(hv.setPageListener(&second), "assertion");
+    hv.setPageListener(nullptr);
+    hv.setPageListener(&second);
+    hv.setPageListener(nullptr);
 }
 
 TEST(Hypervisor, EvictionAndMajorFault)

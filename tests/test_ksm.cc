@@ -168,6 +168,7 @@ TEST_F(KsmFixture, MaxPageSharingFormsChains)
     KsmConfig cfg;
     cfg.pagesToScan = 100000;
     cfg.maxPageSharing = 4;
+    scanner.reset(); // a host has one scanner: its page listener
     KsmScanner limited(*hv, cfg, stats);
 
     for (Gfn g = 0; g < 20; ++g) {
@@ -197,6 +198,7 @@ TEST_F(KsmFixture, FullChainStartsNewStableNode)
     KsmConfig cfg;
     cfg.pagesToScan = 100000;
     cfg.maxPageSharing = 3;
+    scanner.reset(); // a host has one scanner: its page listener
     KsmScanner limited(*hv, cfg, stats);
 
     VmId a = hv->createVm("a", 1 * MiB, 0);
@@ -310,8 +312,11 @@ TEST_F(KsmFixture, CpuUsageModelMatchesPaper)
     cfg.pagesToScan = 10000;
     cfg.sleepMillisecs = 100;
     cfg.scanCostUs = 2.5;
-    KsmScanner warm(*hv, cfg, stats);
-    EXPECT_NEAR(warm.cpuUsage(), 0.20, 0.05);
+    scanner.reset(); // a host has one scanner: its page listener
+    {
+        KsmScanner warm(*hv, cfg, stats);
+        EXPECT_NEAR(warm.cpuUsage(), 0.20, 0.05);
+    }
 
     cfg.pagesToScan = 1000;
     KsmScanner steady(*hv, cfg, stats);
@@ -488,6 +493,59 @@ TEST_F(KsmFixture, ReleasedVmPageStateRowIsFreedByNextPass)
     scanner->scanBatch();
     EXPECT_EQ(scanner->pageStateBytes(), 1 * MiB / pageSize * per_page);
     scanner->checkIndex();
+    hv->checkConsistency();
+}
+
+TEST_F(KsmFixture, UnstableTableResetsWhenTheEpochFieldWraps)
+{
+    // An unstable slot's epoch field holds 2^slotEpochBits - 2 passes;
+    // at the boundary after the last of them every slot goes back to
+    // never used. Drive a tiny host across that reset, auditing the
+    // index after every pass: pairs that first become calm in the two
+    // passes after the reset must still be promoted.
+    VmId a = hv->createVm("a", 16 * pageSize, 0);
+    VmId b = hv->createVm("b", 16 * pageSize, 0);
+    // Distinct calm pages keep the table populated, so the reset clears
+    // stale entries and tombstones, not just empty slots.
+    for (Gfn g = 8; g < 16; ++g) {
+        hv->writePage(a, g, PageData::filled(30, g));
+        hv->writePage(b, g, PageData::filled(31, g));
+    }
+    // Full passes completed when the reset happens.
+    constexpr std::uint64_t reset_pass =
+        (std::uint64_t{1} << KsmScanner::slotEpochBits) - 2;
+    auto pass = [&] {
+        const std::uint64_t done = scanner->fullScans();
+        scanner->scanBatch();
+        ASSERT_EQ(scanner->fullScans(), done + 1);
+        scanner->checkIndex();
+    };
+
+    while (scanner->fullScans() < reset_pass - 1)
+        pass();
+    // Pair 0 is first seen in the last pass before the reset and calm
+    // in the first one after it; pair 1 one pass later.
+    const PageData d0 = PageData::filled(40, 0);
+    const PageData d1 = PageData::filled(40, 1);
+    hv->writePage(a, 0, d0);
+    hv->writePage(b, 0, d0);
+    pass();
+    ASSERT_EQ(scanner->fullScans(), reset_pass);
+    EXPECT_NE(hv->translate(a, 0), hv->translate(b, 0));
+    hv->writePage(a, 1, d1);
+    hv->writePage(b, 1, d1);
+
+    const std::uint64_t promotions = stats.get("ksm.unstable_promotions");
+    pass();
+    EXPECT_EQ(hv->translate(a, 0), hv->translate(b, 0));
+    EXPECT_NE(hv->translate(a, 1), hv->translate(b, 1));
+    pass();
+    EXPECT_EQ(hv->translate(a, 1), hv->translate(b, 1));
+    EXPECT_EQ(stats.get("ksm.unstable_promotions"), promotions + 2);
+    EXPECT_EQ(scanner->pagesSharing(), 2u);
+    for (int i = 0; i < 4; ++i)
+        pass();
+    EXPECT_EQ(scanner->pagesSharing(), 2u);
     hv->checkConsistency();
 }
 
