@@ -111,15 +111,15 @@ KsmScanner::pageDiscarded(VmId vm, Gfn gfn)
 KsmScanner::PageScanState *
 KsmScanner::pageStateRow(VmId vm, const hv::Vm &v)
 {
-    if (vm >= page_state_.size()) {
-        // An unstable slot stores the VM id in slotVmBits bits.
-        if (vm >= VmId{1} << slotVmBits)
-            fatal("VM id %u does not fit the %u-bit VM field of the KSM "
-                  "unstable table: a host scans at most %u VMs",
-                  vm, slotVmBits, 1u << slotVmBits);
+    // An unstable slot stores the VM id in slotVmBits bits. Checked on
+    // every call: an earlier VM's resize may already cover this row.
+    if (vm >= VmId{1} << slotVmBits)
+        fatal("VM id %u does not fit the %u-bit VM field of the KSM "
+              "unstable table: a host scans at most %u VMs",
+              vm, slotVmBits, 1u << slotVmBits);
+    if (vm >= page_state_.size())
         page_state_.resize(
             std::max<std::size_t>(hv_.vmCount(), vm + std::size_t{1}));
-    }
     auto &row = page_state_[vm];
     if (row.size() < v.ept.size())
         row.resize(v.ept.size());

@@ -8,6 +8,14 @@
 namespace jtps::mem
 {
 
+void
+checkBacking(std::uint64_t value, const char *what)
+{
+    if (value >= std::uint64_t{1} << backingBits)
+        fatal("%s %llu does not fit the EPT entry's %u-bit backing field",
+              what, static_cast<unsigned long long>(value), backingBits);
+}
+
 FrameTable::FrameTable(std::uint64_t capacity_frames, StatSet *stats)
     : capacity_(capacity_frames),
       stat_frames_allocated_(stats, "host.frames_allocated"),
@@ -18,11 +26,7 @@ FrameTable::FrameTable(std::uint64_t capacity_frames, StatSet *stats)
     jtps_assert(capacity_frames > 0);
     // Every hfn lies below the capacity, and an EPT entry stores it in
     // its backing field.
-    if (capacity_frames > std::uint64_t{1} << backingBits)
-        fatal("host memory of %llu frames exceeds the %u-bit frame "
-              "numbers of an EPT entry's backing field",
-              static_cast<unsigned long long>(capacity_frames),
-              backingBits);
+    checkBacking(capacity_frames - 1, "host frame number");
     // Register at zero so the counter appears in every registry even if
     // the sampled-LRU fast path never misses.
     stat_victim_fallback_sweeps_.declare();

@@ -51,6 +51,13 @@ struct Mapping
 static_assert(sizeof(Mapping) == 8, "Mapping layout grew");
 
 /**
+ * Refuse, with a fatal() error, a host frame number or swap slot id
+ * that an EPT entry's backing field (backingBits wide) cannot hold.
+ * @param what Names the value in the message ("swap slot id").
+ */
+void checkBacking(std::uint64_t value, const char *what);
+
+/**
  * One host physical frame. Fields are public within the mem module;
  * external code goes through FrameTable.
  *

@@ -54,13 +54,9 @@ enum class SwapTier : std::uint8_t
 class SwapDevice
 {
   public:
-    /**
-     * @param stats Optional stat sink ("host." prefixed).
-     * @param first_slot Id of the first slot stored; ids count up from
-     *        it and are never reused.
-     */
-    explicit SwapDevice(StatSet *stats = nullptr, SwapSlot first_slot = 0)
-        : next_slot_(first_slot), stat_pswpout_(stats, "host.pswpout"),
+    /** @param stats Optional stat sink ("host." prefixed). */
+    explicit SwapDevice(StatSet *stats = nullptr)
+        : stat_pswpout_(stats, "host.pswpout"),
           stat_pswpin_(stats, "host.pswpin"),
           stat_slots_(stats, "host.swap_slots"),
           stat_slots_ram_(stats, "host.swap_slots_ram")
@@ -87,11 +83,7 @@ class SwapDevice
     store(const PageData &data, std::vector<Mapping> mappings,
           SwapTier tier = SwapTier::Disk)
     {
-        if (next_slot_ >= std::uint64_t{1} << backingBits)
-            fatal("swap slot id %llu does not fit the EPT entry's "
-                  "%u-bit backing field",
-                  static_cast<unsigned long long>(next_slot_),
-                  backingBits);
+        checkBacking(next_slot_, "swap slot id");
         SwapSlot id = next_slot_++;
         slots_.emplace(id, Slot{data, std::move(mappings), tier});
         if (tier == SwapTier::CompressedRam)
@@ -194,7 +186,7 @@ class SwapDevice
     }
 
     std::unordered_map<SwapSlot, Slot> slots_;
-    SwapSlot next_slot_;
+    SwapSlot next_slot_ = 0;
     std::uint64_t ram_slots_ = 0;
     StatCounter stat_pswpout_;
     StatCounter stat_pswpin_;

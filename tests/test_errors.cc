@@ -15,7 +15,6 @@
 #include "hv/hypervisor.hh"
 #include "ksm/ksm_scanner.hh"
 #include "mem/frame_table.hh"
-#include "mem/swap_device.hh"
 
 using namespace jtps;
 using guest::GuestOs;
@@ -166,45 +165,50 @@ TEST(ErrorDeathTest, FrameNumbersBeyondEptBackingAreRefused)
     EXPECT_EQ(largest.capacity(), std::uint64_t{1} << backingBits);
     EXPECT_EXIT(mem::FrameTable((std::uint64_t{1} << backingBits) + 1),
                 ::testing::ExitedWithCode(1),
-                "exceeds the 60-bit frame numbers");
+                "host frame number 1152921504606846976 does not fit the "
+                "EPT entry's 60-bit backing field");
 }
 
 TEST(ErrorDeathTest, SwapSlotBeyondEptBackingIsRefused)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    auto run = [] {
-        mem::SwapDevice swap(nullptr,
-                             (std::uint64_t{1} << backingBits) - 1);
-        const mem::Mapping m{0, 7};
-        // The last id that fits is handed out; the next is refused.
-        if (swap.store(PageData::zero(), {m}) !=
-            (std::uint64_t{1} << backingBits) - 1)
-            std::exit(0);
-        swap.store(PageData::zero(), {m});
-    };
-    EXPECT_EXIT(run(), ::testing::ExitedWithCode(1),
-                "swap slot id 1152921504606846976 does not fit");
+    // No run stores 2^60 pages, so the check SwapDevice::store() applies
+    // to each new slot id is called directly.
+    mem::checkBacking((std::uint64_t{1} << backingBits) - 1, "swap slot id");
+    EXPECT_EXIT(
+        mem::checkBacking(std::uint64_t{1} << backingBits, "swap slot id"),
+        ::testing::ExitedWithCode(1),
+        "swap slot id 1152921504606846976 does not fit");
 }
 
 TEST(ErrorDeathTest, VmIdBeyondKsmSlotFieldIsRefused)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    auto run = [](VmId empty_vms) {
+    // @p first_has_memory gives VM 0 pages, so the scan sizes its row
+    // first, and that resize already covers every later VM's row.
+    auto run = [](VmId empty_vms, bool first_has_memory) {
         StatSet stats;
         KvmHypervisor hv(tinyHost(64 * MiB), stats);
         ksm::KsmScanner scanner(hv, ksm::KsmConfig{}, stats);
-        // Memoryless VMs take ids without a page-state row; the scan
-        // first sizes one for the VM after them.
+        if (first_has_memory) {
+            const VmId first = hv.createVm("first", 4 * pageSize, 0);
+            hv.writePage(first, 0, PageData::filled(2, 2));
+            --empty_vms;
+        }
+        // Memoryless VMs take ids without a page-state row.
         for (VmId i = 0; i < empty_vms; ++i)
             hv.createVm("", 0, 0);
         const VmId last = hv.createVm("last", 4 * pageSize, 0);
         hv.writePage(last, 0, PageData::filled(1, 1));
-        scanner.scanBatch();
+        for (int pass = 0; pass < 3; ++pass)
+            scanner.scanBatch();
         std::exit(scanner.pageStateBytes() > 0 ? 3 : 4);
     };
     constexpr VmId cap = VmId{1} << ksm::KsmScanner::slotVmBits;
-    EXPECT_EXIT(run(cap - 1), ::testing::ExitedWithCode(3), "");
-    EXPECT_EXIT(run(cap), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(run(cap - 1, false), ::testing::ExitedWithCode(3), "");
+    EXPECT_EXIT(run(cap, false), ::testing::ExitedWithCode(1),
+                "VM id 1048576 does not fit the 20-bit VM field");
+    EXPECT_EXIT(run(cap, true), ::testing::ExitedWithCode(1),
                 "VM id 1048576 does not fit the 20-bit VM field");
 }
 
