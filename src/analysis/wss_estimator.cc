@@ -59,8 +59,9 @@ WssEstimator::sample()
 void
 WssEstimator::attach(sim::EventQueue &queue)
 {
+    constexpr Tick windowMs = 2000; // sampling window length
     attached_ = true;
-    queue.schedulePeriodic(cfg_.windowMs, [this]() {
+    queue.schedulePeriodic(windowMs, [this]() {
         if (!attached_)
             return false;
         sample();

@@ -37,8 +37,6 @@ namespace jtps::analysis
 /** Tuning for the windowed estimator. */
 struct WssConfig
 {
-    /** Sampling window length (simulated milliseconds). */
-    Tick windowMs = 2000;
     /**
      * Windows the per-VM estimate is the maximum over. >1 keeps the
      * estimate from collapsing on one quiet window, which would make
@@ -49,9 +47,9 @@ struct WssConfig
 };
 
 /**
- * Windowed per-VM working-set estimator. sample() it every windowMs
- * (attach() wires that to the event queue); each sample drains every
- * ring.
+ * Windowed per-VM working-set estimator. sample() it every window
+ * (attach() wires that to the event queue at a fixed 2 s period);
+ * each sample drains every ring.
  */
 class WssEstimator
 {

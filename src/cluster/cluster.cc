@@ -275,8 +275,10 @@ Cluster::reduceRound()
     }
     jtps_assert(total_capacity > 0.0);
 
+    // Sustained request rate per active user.
+    constexpr double requestsPerUserPerSec = 1.0 / 120.0;
     const double users = usersAt(now_ - cfg_.roundMs / 2);
-    const double fleet_rq = users * cfg_.requestsPerUserPerSec;
+    const double fleet_rq = users * requestsPerUserPerSec;
     const double epoch_sec =
         static_cast<double>(cfg_.host.epochMs) / 1000.0;
 
@@ -391,6 +393,14 @@ Cluster::maybeMigrate()
     // Downtime model: pre-copy rounds whose dirty rate comes from the
     // source VM's PML ring appends over the last round; without PML
     // telemetry the migration is a blind stop-and-copy.
+    // Migration link bandwidth in pages per simulated millisecond.
+    constexpr double linkPagesPerMs = 250.0;
+    // Pre-copy stops (and the VM pauses) at this many dirty pages.
+    constexpr std::uint64_t downtimeStopPages = 512;
+    // Pre-copy round cap before falling back to stop-and-copy.
+    constexpr unsigned maxPrecopyRounds = 8;
+    // Fixed switch-over cost added to every migration's downtime.
+    constexpr double switchoverMs = 2.0;
     const auto &vm = hosts_[src]->hv().vm(static_cast<VmId>(victim));
     const std::uint64_t resident = vm.residentPages;
     PrecopyEstimate est;
@@ -402,16 +412,14 @@ Cluster::maybeMigrate()
         const double dirty_per_ms =
             static_cast<double>(vm.pmlAppendsTotal - prev) /
             static_cast<double>(cfg_.roundMs);
-        est = estimatePrecopy(resident, dirty_per_ms,
-                              cfg_.linkPagesPerMs,
-                              cfg_.downtimeStopPages,
-                              cfg_.maxPrecopyRounds);
+        est = estimatePrecopy(resident, dirty_per_ms, linkPagesPerMs,
+                              downtimeStopPages, maxPrecopyRounds);
     } else {
         est.finalPages = resident;
         est.downtimeMs =
-            static_cast<double>(resident) / cfg_.linkPagesPerMs;
+            static_cast<double>(resident) / linkPagesPerMs;
     }
-    const double downtime_ms = est.downtimeMs + cfg_.switchoverMs;
+    const double downtime_ms = est.downtimeMs + switchoverMs;
 
     // Execute: retire on the source, rebuild on the destination. The
     // spec is copied out first — retireVm keeps the object alive, but

@@ -101,8 +101,6 @@ struct ClusterConfig
     // --- diurnal demand model -----------------------------------------
     /** Users at the daily peak (the paper-scale fleet serves ~1M). */
     double peakUsers = 1'000'000.0;
-    /** Sustained request rate per active user. */
-    double requestsPerUserPerSec = 1.0 / 120.0;
     /** Night-time demand floor as a fraction of peak. */
     double troughFraction = 0.35;
     /** Period of the demand curve (a compressed day by default). */
@@ -117,14 +115,6 @@ struct ClusterConfig
      * overcommitted enough to shed a VM.
      */
     double faultsPerSecPerVmThreshold = 4.0;
-    /** Migration link bandwidth in pages per simulated millisecond. */
-    double linkPagesPerMs = 250.0;
-    /** Pre-copy stops (and the VM pauses) at this many dirty pages. */
-    std::uint64_t downtimeStopPages = 512;
-    /** Pre-copy round cap before falling back to stop-and-copy. */
-    unsigned maxPrecopyRounds = 8;
-    /** Fixed switch-over cost added to every migration's downtime. */
-    double switchoverMs = 2.0;
 };
 
 /**

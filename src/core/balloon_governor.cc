@@ -121,8 +121,9 @@ BalloonGovernor::step()
 void
 BalloonGovernor::attach(sim::EventQueue &queue)
 {
+    constexpr Tick intervalMs = 2000; // control-loop period
     attached_ = true;
-    queue.schedulePeriodic(cfg_.intervalMs, [this]() {
+    queue.schedulePeriodic(intervalMs, [this]() {
         if (!attached_)
             return false;
         step();

@@ -5,9 +5,9 @@
  * The paper (§VI) notes KVM ships no balloon policy manager — "we
  * cannot use ballooning unless we install a separate manager" — so
  * its ballooning comparison uses fixed, hand-picked balloon sizes.
- * This is that missing manager: every interval it reads each guest's
- * estimated write working set (analysis::WssEstimator, which drains
- * the hypervisor's PML rings once per window and is their only
+ * This is that missing manager: every 2 s interval it reads each
+ * guest's estimated write working set (analysis::WssEstimator, which
+ * drains the hypervisor's PML rings once per window and is their only
  * consumer besides migration pre-copy) and resizes the guest's
  * balloon toward
  *
@@ -46,8 +46,6 @@ namespace jtps::core
 /** Governor tuning. */
 struct BalloonGovernorConfig
 {
-    /** Control-loop period (simulated milliseconds). */
-    Tick intervalMs = 2000;
     /**
      * Pages left to the guest on top of the estimated working set.
      * The estimate is a lower bound (read-only set and overflow

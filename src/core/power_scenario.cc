@@ -17,6 +17,9 @@ PowerScenario::~PowerScenario() = default;
 void
 PowerScenario::build()
 {
+    constexpr std::uint32_t numVms = 3; // the paper's three AIX guests
+    constexpr std::uint64_t seed = 7;
+    constexpr Tick epochMs = 2000;
     hv_ = std::make_unique<hv::PowerVmHypervisor>(cfg_.host, stats_);
 
     classes_ = std::make_unique<jvm::ClassSet>(
@@ -27,13 +30,13 @@ PowerScenario::build()
                                          spec_.sharedCacheBytes));
     }
 
-    for (std::uint32_t i = 0; i < cfg_.numVms; ++i) {
+    for (std::uint32_t i = 0; i < numVms; ++i) {
         const std::string name = "LPAR" + std::to_string(i + 1);
         const VmId vm_id = hv_->createVm(name, spec_.guestMemBytes);
         jtps_assert(vm_id == i);
         guests_.push_back(std::make_unique<guest::GuestOs>(
             *hv_, vm_id, name,
-            hash3(cfg_.seed, stringTag("aix-guest"), i)));
+            hash3(seed, stringTag("aix-guest"), i)));
         guests_.back()->bootKernel(cfg_.kernel);
 
         jvm::JavaVmConfig jcfg = workload::makeJvmConfig(
@@ -49,9 +52,9 @@ PowerScenario::build()
     // Initialize DayTrader (the paper hits the scenario page and warms
     // up before the sharing measurement).
     for (std::uint32_t e = 0; e < cfg_.warmEpochs; ++e) {
-        disk_.beginEpoch(cfg_.epochMs);
+        disk_.beginEpoch(epochMs);
         for (auto &driver : drivers_)
-            driver->runEpoch(cfg_.epochMs);
+            driver->runEpoch(epochMs);
         disk_.endEpoch();
     }
 }

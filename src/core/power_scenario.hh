@@ -35,7 +35,9 @@ namespace jtps::core
 /** Configuration of the POWER-platform experiment. */
 struct PowerScenarioConfig
 {
-    hv::HostConfig host = {"PS701-POWER7", 128ULL * 1024 * MiB, 512 * MiB};
+    /** The PS701 (POWER7) blade. */
+    hv::HostConfig host = {.ramBytes = 128ULL * 1024 * MiB,
+                           .reserveBytes = 512 * MiB};
     guest::KernelConfig kernel = {
         "AIX 6.1 TL6",
         30 * MiB,  // kernel text (identical across guests)
@@ -44,13 +46,10 @@ struct PowerScenarioConfig
         50 * MiB,  // base-image file cache (identical)
         80 * MiB,  // per-VM file cache
     };
-    std::uint32_t numVms = 3;
-    std::uint64_t seed = 7;
     /** The paper's knob: preload classes via a copied cache file. */
     bool preloadClasses = false;
     /** Warm-up epochs before measuring (loads lazy classes / JIT). */
     std::uint32_t warmEpochs = 10;
-    Tick epochMs = 2000;
 };
 
 /** Result of one PowerVM measurement (one pair of bars in Fig. 6). */

@@ -8,12 +8,15 @@
 namespace jtps::core
 {
 
+constexpr double diskIops = 120.0;    //!< host swap-disk fault capacity
+constexpr double diskLatencyMs = 5.0; //!< unloaded page-in latency
+
 Scenario::Scenario(const ScenarioConfig &cfg,
                    std::vector<workload::WorkloadSpec> per_vm_workloads)
     : cfg_(cfg),
       specs_(std::make_move_iterator(per_vm_workloads.begin()),
              std::make_move_iterator(per_vm_workloads.end())),
-      disk_(cfg.diskIops, cfg.diskLatencyMs)
+      disk_(diskIops, diskLatencyMs)
 {
     jtps_assert(!specs_.empty());
 }
@@ -88,8 +91,9 @@ Scenario::prepareVmArtifacts(std::size_t i)
                     spec.cacheName, spec.sharedCacheBytes,
                     cfg_.cacheScope)));
             if (cfg_.aotCacheBytes > 0) {
+                constexpr Bytes aotAvgMethodBytes = 18 * KiB;
                 caches_.back()->addAotSection(cfg_.aotMethodCount,
-                                              cfg_.aotAvgMethodBytes,
+                                              aotAvgMethodBytes,
                                               cfg_.aotCacheBytes);
             }
             it = cache_by_name_
@@ -113,8 +117,9 @@ Scenario::buildVm(std::size_t i)
     // Guest: create the VM, boot the kernel, start daemons, start WAS.
     const auto &spec = specs_[i];
     const std::string vm_name = "VM" + std::to_string(i + 1);
+    constexpr Bytes vmOverheadBytes = 48 * MiB; // QEMU process per VM
     const VmId vm_id = hv_->createVm(vm_name, spec.guestMemBytes,
-                                     cfg_.vmOverheadBytes);
+                                     vmOverheadBytes);
     jtps_assert(vm_id == i);
 
     guests_.push_back(std::make_unique<guest::GuestOs>(
@@ -123,12 +128,11 @@ Scenario::buildVm(std::size_t i)
     os.setThpEnabled(cfg_.guestThp);
     os.bootKernel(cfg_.kernel);
 
-    if (cfg_.spawnDaemons) {
-        os.spawnDaemon("sshd", 2 * MiB, 1536 * KiB);
-        os.spawnDaemon("syslogd", 1 * MiB, 512 * KiB);
-        os.spawnDaemon("crond", 1 * MiB, 512 * KiB);
-        os.spawnDaemon("snmpd", 2 * MiB, 1 * MiB);
-    }
+    // Small non-Java daemons booted in each guest.
+    os.spawnDaemon("sshd", 2 * MiB, 1536 * KiB);
+    os.spawnDaemon("syslogd", 1 * MiB, 512 * KiB);
+    os.spawnDaemon("crond", 1 * MiB, 512 * KiB);
+    os.spawnDaemon("snmpd", 2 * MiB, 1 * MiB);
 
     jvm::JavaVmConfig jcfg = workload::makeJvmConfig(
         spec, *class_sets_.at(spec.classSpec.programName), vm_cache_[i]);
@@ -164,10 +168,8 @@ Scenario::scheduleEpochs()
     // host has rings (whichever config set them); without it a ring
     // would fill once and log nothing more.
     if (hv_->pmlEnabled()) {
-        analysis::WssConfig wcfg;
-        wcfg.windowMs = cfg_.wssWindowMs;
-        wss_ = std::make_unique<analysis::WssEstimator>(*hv_, wcfg,
-                                                        stats_);
+        wss_ = std::make_unique<analysis::WssEstimator>(
+            *hv_, analysis::WssConfig{}, stats_);
         wss_->attach(queue_);
     }
     if (cfg_.adaptiveBalloon) {
@@ -176,10 +178,16 @@ Scenario::scheduleEpochs()
         ptrs.reserve(guests_.size());
         for (auto &g : guests_)
             ptrs.push_back(g.get());
+        // Per-interval cap on balloon resizes. Bounds the reclaim
+        // burst one governor step can ask a guest for — a cold
+        // estimator plus a big guest would otherwise request hundreds
+        // of thousands of page reclaims in one simulated instant. Kept
+        // small relative to the page-cache refill rate: a probe that
+        // bites live cache must be cheap to undo, since dropped pages
+        // come back one disk read at a time.
+        constexpr Bytes balloonMaxStepBytes = 16 * MiB;
         BalloonGovernorConfig bcfg;
-        bcfg.intervalMs = cfg_.balloonIntervalMs;
-        bcfg.slackPages = bytesToPages(cfg_.balloonSlackBytes);
-        bcfg.maxStepPages = bytesToPages(cfg_.balloonMaxStepBytes);
+        bcfg.maxStepPages = bytesToPages(balloonMaxStepBytes);
         governor_ = std::make_unique<BalloonGovernor>(
             std::move(ptrs), *wss_, bcfg, stats_);
         governor_->attach(queue_);

@@ -56,7 +56,6 @@ struct ScenarioConfig
 {
     hv::HostConfig host;               //!< Table I (6 GB RAM default)
     guest::KernelConfig kernel;        //!< guest kernel footprint
-    Bytes vmOverheadBytes = 48 * MiB;  //!< QEMU process per VM
     ksm::KsmConfig ksm;                //!< steady-state tuning
     std::uint32_t ksmWarmupPagesToScan = 10000; //!< paper's warm-up rate
 
@@ -93,14 +92,6 @@ struct ScenarioConfig
     Bytes aotCacheBytes = 0;
     /** Methods eligible for AOT storage (in hot order). */
     std::uint32_t aotMethodCount = 1500;
-    /** Average stored AOT body size. */
-    Bytes aotAvgMethodBytes = 18 * KiB;
-
-    double diskIops = 120.0;      //!< host swap-disk fault capacity
-    double diskLatencyMs = 5.0;   //!< unloaded page-in latency
-
-    /** Small non-Java daemons booted in each guest. */
-    bool spawnDaemons = true;
 
     /**
      * Guests run with transparent huge pages on anonymous process
@@ -119,30 +110,13 @@ struct ScenarioConfig
 
     /**
      * Replace the fixed, hand-sized balloons of the paper's §VI
-     * comparison with the adaptive core::BalloonGovernor: every
-     * balloonIntervalMs each guest's balloon is resized to its
-     * PML-estimated working set plus balloonSlackBytes. Requires PML
-     * rings (host.pmlRingSlots > 0): the analysis::WssEstimator, which
-     * a host with rings runs every wssWindowMs, reads them.
+     * comparison with the adaptive core::BalloonGovernor: every 2 s
+     * each guest's balloon is resized to its PML-estimated working
+     * set plus the governor's slack. Requires PML rings
+     * (host.pmlRingSlots > 0): the analysis::WssEstimator, which a
+     * host with rings runs every 2 s window, reads them.
      */
     bool adaptiveBalloon = false;
-    /** Working-set slack the governor leaves each guest. */
-    Bytes balloonSlackBytes = 32 * MiB;
-    /** Governor control-loop period. */
-    Tick balloonIntervalMs = 2000;
-    /**
-     * Per-interval cap on balloon resizes (BalloonGovernorConfig::
-     * maxStepPages). Bounds the reclaim burst one governor step can
-     * ask a guest for — a cold estimator plus a big guest would
-     * otherwise request hundreds of thousands of page reclaims in
-     * one simulated instant. Kept small relative to the page-cache
-     * refill rate: a probe that bites live cache must be cheap to
-     * undo, since dropped pages come back one disk read at a time.
-     */
-    Bytes balloonMaxStepBytes = 16 * MiB;
-    /** Working-set sampling window (analysis::WssConfig::windowMs). */
-    Tick wssWindowMs = 2000;
-
 };
 
 /**

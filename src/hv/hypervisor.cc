@@ -466,16 +466,6 @@ Hypervisor::setHugePage(VmId vm_id, Gfn gfn, bool huge)
 }
 
 bool
-Hypervisor::isHugePage(VmId vm_id, Gfn gfn) const
-{
-    const Vm &v = vm(vm_id);
-    if (v.hugePages.empty())
-        return false;
-    jtps_assert(gfn < v.ept.size());
-    return v.hugePages[gfn];
-}
-
-bool
 Hypervisor::ksmMergeInto(Hfn stable, VmId vm_id, Gfn gfn)
 {
     Vm &v = vm(vm_id);

@@ -42,7 +42,6 @@ namespace jtps::hv
 /** Static configuration of the host machine (paper Table I). */
 struct HostConfig
 {
-    std::string name = "host";
     Bytes ramBytes = 6ULL * 1024 * 1024 * 1024;
     /**
      * Frames the host keeps free for its own operation; guest allocations
@@ -240,9 +239,6 @@ class Hypervisor
 
     /** Mark/unmark a guest page as THP-backed (unmergeable by KSM). */
     void setHugePage(VmId vm, Gfn gfn, bool huge);
-
-    /** True if the guest page is THP-backed. */
-    bool isHugePage(VmId vm, Gfn gfn) const;
 
     // ------------------------------------------------------------------
     // TPS primitives (called by the KSM scanner / firmware TPS)

@@ -106,7 +106,6 @@ ClassSet::synthesize(const ClassSetSpec &spec)
         ci.startup = rng.bernoulli(spec.startupFraction);
 
         set.total_rom_ += ci.romBytes;
-        set.total_ram_ += ci.ramBytes;
         set.classes_.push_back(ci);
     }
     return set;

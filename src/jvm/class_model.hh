@@ -127,9 +127,6 @@ class ClassSet
     /** Sum of ROM bytes over all classes. */
     Bytes totalRomBytes() const { return total_rom_; }
 
-    /** Sum of RAM bytes over all classes. */
-    Bytes totalRamBytes() const { return total_ram_; }
-
     /** Program name (stable content-tag base). */
     const std::string &programName() const { return program_; }
 
@@ -137,7 +134,6 @@ class ClassSet
     std::string program_;
     std::vector<ClassInfo> classes_;
     Bytes total_rom_ = 0;
-    Bytes total_ram_ = 0;
 };
 
 } // namespace jtps::jvm

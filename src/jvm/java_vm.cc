@@ -144,8 +144,9 @@ JavaVm::start()
     stack_vma_ = os_.mmapAnon(
         pid_, cfg_.threadCount * cfg_.stackBytesPerThread,
         guest::MemCategory::Stack, "thread-stacks");
+    constexpr double stackTouchedFraction = 0.5;
     const auto touched = static_cast<std::uint64_t>(
-        stack_pages_per_thread * cfg_.stackTouchedFraction);
+        stack_pages_per_thread * stackTouchedFraction);
     for (std::uint32_t t = 0; t < cfg_.threadCount; ++t) {
         const std::uint64_t tag =
             hash3(proc_seed_, stringTag("stack"), t);
@@ -186,9 +187,12 @@ JavaVm::start()
     // Load order: canonical first-use order, perturbed by this
     // process's thread timing (the paper's layout nondeterminism).
     load_order_ = cfg_.classes->canonicalOrder();
+    // Probability of a thread-timing swap in the load order, and the
+    // max distance of such a swap.
+    constexpr double loadOrderJitter = 0.35;
+    constexpr std::uint32_t loadOrderWindow = 8;
     Rng order_rng(hashCombine(proc_seed_, stringTag("load-order")));
-    order_rng.perturbOrder(load_order_, cfg_.loadOrderJitter,
-                           cfg_.loadOrderWindow);
+    order_rng.perturbOrder(load_order_, loadOrderJitter, loadOrderWindow);
 
     for (std::uint32_t id : load_order_) {
         if (cfg_.classes->at(id).startup)

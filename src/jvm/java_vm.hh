@@ -52,7 +52,6 @@ struct LibImage
 /** Full configuration of a Java process. */
 struct JavaVmConfig
 {
-    std::string jvmVersion = "IBM J9 VM (Java 6 SR9)";
     std::vector<LibImage> libs;
     GcConfig gc;
     JitConfig jit;
@@ -67,10 +66,6 @@ struct JavaVmConfig
      * of the otherwise-unshareable JIT-code area TPS-shareable).
      */
     bool useAotCache = false;
-    /** Probability of a thread-timing swap in the load order. */
-    double loadOrderJitter = 0.35;
-    /** Max distance of a load-order swap. */
-    std::uint32_t loadOrderWindow = 8;
 
     Bytes mallocUsedBytes = 45 * MiB; //!< JVM-internal allocations
     Bytes bulkZeroBytes = 4 * MiB;    //!< reserved-but-unused (zero)
@@ -80,7 +75,6 @@ struct JavaVmConfig
 
     std::uint32_t threadCount = 90;
     Bytes stackBytesPerThread = 256 * KiB;
-    double stackTouchedFraction = 0.5;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "jvm/jit_compiler.hh"
 
 #include <algorithm>
+#include <string_view>
 
 #include "base/hash.hh"
 #include "base/logging.hh"
@@ -29,9 +30,10 @@ JitCompiler::init()
 
     // Runtime stubs: generated from the JVM version alone, identical in
     // every process running this JVM build — the only shareable piece.
+    constexpr std::string_view jvmVersion = "IBM J9 VM (Java 6 SR9)";
     stub_pages_ = bytesToPages(cfg_.stubsBytes);
     const std::uint64_t stub_tag = hashCombine(
-        stringTag("jit-stubs"), stringTag(cfg_.jvmVersion));
+        stringTag("jit-stubs"), stringTag(jvmVersion));
     os_.writePages(code_vma_, 0, stub_pages_, [stub_tag](std::uint64_t p) {
         return mem::PageData::filled(stub_tag, p);
     });

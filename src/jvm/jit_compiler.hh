@@ -36,7 +36,6 @@ namespace jtps::jvm
 /** JIT sizing configuration. */
 struct JitConfig
 {
-    std::string jvmVersion = "IBM J9 VM (Java 6 SR9)";
     Bytes codeCacheBytes = 30 * MiB; //!< generated method code
     Bytes stubsBytes = 2 * MiB;      //!< shared runtime stubs
     Bytes scratchBytes = 12 * MiB;   //!< compilation work buffers
@@ -88,9 +87,6 @@ class JitCompiler
 
     /** Code-cache VMA (category JitCode). */
     const guest::Vma *codeVma() const { return code_vma_; }
-
-    /** Work-area VMA (category JitWork). */
-    const guest::Vma *workVma() const { return work_vma_; }
 
   private:
     /** One compiled method body in the code cache. */

@@ -88,13 +88,6 @@ KsmScanner::setPagesToScan(std::uint32_t pages)
 }
 
 void
-KsmScanner::setSleepMillisecs(Tick ms)
-{
-    jtps_assert(ms > 0);
-    cfg_.sleepMillisecs = ms;
-}
-
-void
 KsmScanner::pageDiscarded(VmId vm, Gfn gfn)
 {
     // Mirror of the old `EptEntry{}` reset wiping the in-EPT checksum:
@@ -728,7 +721,9 @@ KsmScanner::pageStateBytes() const
 double
 KsmScanner::cpuUsage() const
 {
-    const double busy_us = cfg_.pagesToScan * cfg_.scanCostUs;
+    // Modelled scanner cost per visited page, microseconds.
+    constexpr double scanCostUs = 2.5;
+    const double busy_us = cfg_.pagesToScan * scanCostUs;
     const double period_us =
         static_cast<double>(cfg_.sleepMillisecs) * 1000.0;
     return busy_us / (busy_us + period_us);

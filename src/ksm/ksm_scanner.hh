@@ -83,8 +83,6 @@ struct KsmConfig
     std::uint32_t pagesToScan = 1000;
     /** Sleep between wakes in milliseconds (`sleep_millisecs`). */
     Tick sleepMillisecs = 100;
-    /** Modelled scanner cost per visited page, microseconds. */
-    double scanCostUs = 2.5;
     /**
      * Maximum mappings per stable frame (`max_page_sharing`): once a
      * stable page is shared this many times, further identical pages
@@ -122,9 +120,6 @@ class KsmScanner : public hv::PageEventListener
 
     /** Retune pages_to_scan (the paper lowers it after warm-up). */
     void setPagesToScan(std::uint32_t pages);
-
-    /** Retune the sleep interval. */
-    void setSleepMillisecs(Tick ms);
 
     /** Current configuration. */
     const KsmConfig &config() const { return cfg_; }
@@ -176,8 +171,8 @@ class KsmScanner : public hv::PageEventListener
     /**
      * Modelled ksmd CPU utilisation for the current tuning: the busy
      * share of one wake cycle, busy / (busy + sleep), with busy =
-     * pagesToScan * scanCostUs and sleep = sleepMillisecs * 1000 (both
-     * in microseconds).
+     * pagesToScan * 2.5 (the modelled cost per visited page) and
+     * sleep = sleepMillisecs * 1000 (both in microseconds).
      */
     double cpuUsage() const;
 

@@ -33,7 +33,8 @@ ClientDriver::warmupWork()
     } else {
         // Steady state still recompiles: the optimizer keeps promoting
         // methods, churning (and fragmenting) the code cache.
-        vm_.recompileHotMethods(spec_.jitRecompilesPerEpoch);
+        constexpr std::uint32_t jitRecompilesPerEpoch = 2;
+        vm_.recompileHotMethods(jitRecompilesPerEpoch);
     }
 }
 
@@ -56,6 +57,12 @@ ClientDriver::plannedRequests(Tick epoch_ms) const
 void
 ClientDriver::runRequests(std::uint64_t requests)
 {
+    // Per-request work every workload shares, before the mix's
+    // multipliers (only heap touches vary by workload).
+    constexpr std::uint32_t headerMutationsPerRequest = 2;
+    constexpr std::uint32_t touchCodePages = 4;
+    constexpr std::uint32_t touchClassPages = 6;
+    constexpr std::uint32_t touchJitPages = 4;
     for (std::uint64_t r = 0; r < requests; ++r) {
         // Sample an operation from the workload's request mix; heavy
         // operations (order placement) do proportionally more memory
@@ -77,12 +84,12 @@ ClientDriver::runRequests(std::uint64_t requests)
         vm_.allocate(static_cast<Bytes>(spec_.allocPerRequestBytes *
                                         alloc_mul));
         vm_.mutateHeaders(static_cast<std::uint32_t>(
-            spec_.headerMutationsPerRequest * header_mul));
+            headerMutationsPerRequest * header_mul));
         vm_.touchWorkingSet(
-            static_cast<std::uint32_t>(spec_.touchCodePages * touch_mul),
+            static_cast<std::uint32_t>(touchCodePages * touch_mul),
             static_cast<std::uint32_t>(spec_.touchHeapPages * touch_mul),
-            static_cast<std::uint32_t>(spec_.touchClassPages * touch_mul),
-            static_cast<std::uint32_t>(spec_.touchJitPages * touch_mul));
+            static_cast<std::uint32_t>(touchClassPages * touch_mul),
+            static_cast<std::uint32_t>(touchJitPages * touch_mul));
     }
 }
 
@@ -140,7 +147,9 @@ ClientDriver::runEpoch(Tick epoch_ms)
     // Background I/O (NIO buffers, log/file page-cache churn): its
     // faults load the shared disk but happen off the request path, so
     // they inflate fault *latency*, not the per-request fault count.
-    vm_.nioActivity(spec_.nioRewritesPerEpoch, spec_.nioTouchesPerEpoch);
+    constexpr std::uint32_t nioRewritesPerEpoch = 16;
+    constexpr std::uint32_t nioTouchesPerEpoch = 64;
+    vm_.nioActivity(nioRewritesPerEpoch, nioTouchesPerEpoch);
     const std::uint64_t misses_before = vm_.os().cacheMisses();
     vm_.os().touchFileSpace(spec_.guestCacheTouchesPerEpoch);
     // Cache misses are real disk reads competing with swap traffic.

@@ -231,8 +231,6 @@ makeJvmConfig(const WorkloadSpec &spec, const jvm::ClassSet &classes,
     cfg.nioPayloadTag = hashCombine(stringTag("nio-payload"),
                                     stringTag(spec.name + spec.version));
     cfg.threadCount = spec.threadCount;
-    cfg.stackBytesPerThread = spec.stackBytesPerThread;
-    cfg.stackTouchedFraction = spec.stackTouchedFraction;
     return cfg;
 }
 

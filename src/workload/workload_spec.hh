@@ -38,8 +38,8 @@ struct RequestOp
     std::string name;
     std::uint32_t weight = 1;  //!< relative frequency
     double allocMul = 1.0;     //!< x allocPerRequestBytes
-    double touchMul = 1.0;     //!< x touch*Pages
-    double headerMul = 1.0;    //!< x headerMutationsPerRequest
+    double touchMul = 1.0;     //!< x per-request page touches
+    double headerMul = 1.0;    //!< x per-request header mutations
 };
 
 /** Everything needed to run one Java server workload in one guest VM. */
@@ -66,8 +66,6 @@ struct WorkloadSpec
     Bytes nioBufferBytes = 4 * MiB;
 
     std::uint32_t threadCount = 90;
-    Bytes stackBytesPerThread = 256 * KiB;
-    double stackTouchedFraction = 0.5;
 
     /** Guest VM memory (Table II). */
     Bytes guestMemBytes = 1 * GiB;
@@ -78,13 +76,7 @@ struct WorkloadSpec
     double thinkMs = 300.0;   //!< client think time
     double slaMs = 250.0;     //!< response-time service level
     Bytes allocPerRequestBytes = 512 * KiB;
-    std::uint32_t headerMutationsPerRequest = 2;
-    std::uint32_t touchCodePages = 4;
     std::uint32_t touchHeapPages = 24;
-    std::uint32_t touchClassPages = 6;
-    std::uint32_t touchJitPages = 4;
-    std::uint32_t nioRewritesPerEpoch = 16;
-    std::uint32_t nioTouchesPerEpoch = 64;
     /**
      * Guest file-system activity per epoch (log appends, DB I/O, jar
      * re-reads): random page-cache touches that keep the kernel's
@@ -96,9 +88,6 @@ struct WorkloadSpec
     std::uint32_t lazyClassesPerEpoch = 400;
     /** Methods JIT-compiled per warm-up epoch. */
     std::uint32_t jitCompilesPerEpoch = 120;
-    /** Tier-up recompilations per steady-state epoch (code-cache
-     *  churn; superseded bodies become dead space). */
-    std::uint32_t jitRecompilesPerEpoch = 2;
 
     /**
      * Request mix (empty = homogeneous requests). Weights are

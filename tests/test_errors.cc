@@ -235,3 +235,145 @@ TEST(ErrorDeathTest, WriteWordSectorBoundsArePanics)
     };
     EXPECT_DEATH(run(), "assertion");
 }
+
+// Hypervisor::checkConsistency() audits the invariants that tie the
+// EPT, the frame table, the swap device and the PML rings together.
+// Each test below breaks exactly one of them through the public
+// accessors and expects the audit to panic on that invariant's check.
+
+namespace
+{
+
+/**
+ * Build a 4-frame host whose one VM wrote 6 pages (so 2 went to swap)
+ * into 8-slot PML rings, apply @p break_one to it, run the audit and
+ * expect it to panic with @p check. The intact host is audited too,
+ * and must pass.
+ */
+template <typename Break>
+void
+expectAuditPanics(Break break_one, const char *check)
+{
+    auto run = [&](bool broken) {
+        StatSet stats;
+        hv::HostConfig cfg = tinyHost(4 * pageSize);
+        cfg.pmlRingSlots = 8;
+        KvmHypervisor hv(cfg, stats);
+        const VmId vm = hv.createVm("vm", 16 * pageSize, 0);
+        for (Gfn g = 0; g < 6; ++g)
+            hv.writePage(vm, g, PageData::filled(1, g));
+        if (broken)
+            break_one(hv, hv.vm(vm));
+        hv.checkConsistency();
+        std::exit(0);
+    };
+    EXPECT_EXIT(run(false), ::testing::ExitedWithCode(0), "");
+    EXPECT_DEATH(run(true), check);
+}
+
+/** The first guest frame of @p v in state @p state. */
+Gfn
+firstIn(const hv::Vm &v, hv::PageState state)
+{
+    for (Gfn g = 0; g < v.ept.size(); ++g)
+        if (v.ept.entry(g).state == state)
+            return g;
+    std::abort();
+}
+
+/** The frame backing @p v's first resident page. */
+mem::Frame &
+firstResidentFrame(KvmHypervisor &hv, const hv::Vm &v)
+{
+    return hv.frames().frame(
+        v.ept.entry(firstIn(v, hv::PageState::Resident)).backing);
+}
+
+} // namespace
+
+TEST(ErrorDeathTest, AuditCatchesEptEntryMissingFromItsFrameMappings)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    expectAuditPanics(
+        [](KvmHypervisor &, hv::Vm &v) {
+            // Repoint the first resident page at the last one's frame,
+            // whose reverse mappings name only the last page.
+            const Gfn first = firstIn(v, hv::PageState::Resident);
+            Gfn last = first;
+            for (Gfn g = first; g < v.ept.size(); ++g)
+                if (v.ept.entry(g).state == hv::PageState::Resident)
+                    last = g;
+            ASSERT_NE(first, last);
+            v.ept.entry(first).backing = v.ept.entry(last).backing;
+        },
+        "hits == 1");
+}
+
+TEST(ErrorDeathTest, AuditCatchesResidentCounterDrift)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    expectAuditPanics([](KvmHypervisor &, hv::Vm &v) { ++v.residentPages; },
+                      "resident == v.residentPages");
+}
+
+TEST(ErrorDeathTest, AuditCatchesSwappedCounterDrift)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    expectAuditPanics([](KvmHypervisor &, hv::Vm &v) { ++v.swappedPages; },
+                      "swapped == v.swappedPages");
+}
+
+TEST(ErrorDeathTest, AuditCatchesSwappedEntryWithoutItsSlot)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    expectAuditPanics(
+        [](KvmHypervisor &hv, hv::Vm &v) {
+            mem::SwapSlot unheld = 0;
+            while (hv.swap().has(unheld))
+                ++unheld;
+            v.ept.entry(firstIn(v, hv::PageState::Swapped)).backing = unheld;
+        },
+        "swap_.has");
+}
+
+TEST(ErrorDeathTest, AuditCatchesPmlBitWithoutRingEntry)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    expectAuditPanics(
+        [](KvmHypervisor &, hv::Vm &v) {
+            v.ept.entry(firstIn(v, hv::PageState::NotPresent)).pmlLogged =
+                true;
+        },
+        "ring_gfns.count");
+}
+
+TEST(ErrorDeathTest, AuditCatchesPmlRingBeyondItsSlots)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    expectAuditPanics(
+        [](KvmHypervisor &hv, hv::Vm &v) {
+            while (v.pmlRing.size() <= hv.pmlRingSlots())
+                v.pmlRing.push_back(v.pmlRing.front());
+        },
+        "pmlRing.size.. <= pml_ring_slots_");
+}
+
+TEST(ErrorDeathTest, AuditCatchesRefcountOffItsMappingCount)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    expectAuditPanics(
+        [](KvmHypervisor &hv, hv::Vm &v) {
+            ++firstResidentFrame(hv, v).refcount;
+        },
+        "f.refcount == 1 . spills_");
+}
+
+TEST(ErrorDeathTest, AuditCatchesKsmStableFlagBehindTheCounters)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    expectAuditPanics(
+        [](KvmHypervisor &hv, hv::Vm &v) {
+            firstResidentFrame(hv, v).ksmStable = true;
+        },
+        "stable_count == ksm_stable_frames_");
+}

@@ -311,7 +311,6 @@ TEST_F(KsmFixture, CpuUsageModelMatchesPaper)
     KsmConfig cfg;
     cfg.pagesToScan = 10000;
     cfg.sleepMillisecs = 100;
-    cfg.scanCostUs = 2.5;
     scanner.reset(); // a host has one scanner: its page listener
     {
         KsmScanner warm(*hv, cfg, stats);
@@ -332,7 +331,6 @@ TEST_F(KsmFixture, AttachScansPeriodically)
     hv->writePage(b, 0, d);
 
     sim::EventQueue queue;
-    scanner->setSleepMillisecs(100);
     scanner->attach(queue);
     queue.runUntil(1000);
     EXPECT_EQ(scanner->pagesSharing(), 1u);

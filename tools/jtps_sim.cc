@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
@@ -63,6 +64,16 @@ struct Options
     unsigned fleetThreads = 1;
     bool migrate = false;
 };
+
+/** The --workload names, in the order --workload mix cycles them. */
+const struct
+{
+    const char *name;
+    workload::WorkloadSpec (*make)();
+} knownWorkloads[] = {{"daytrader", workload::dayTraderIntel},
+                      {"specj", workload::specjEnterprise2010},
+                      {"tpcw", workload::tpcwJava},
+                      {"tuscany", workload::tuscanyBigbank}};
 
 const char *const knownReports[] = {"breakdown", "java",       "sources",
                                     "smaps",     "throughput", "timeline",
@@ -232,6 +243,17 @@ parse(int argc, char **argv)
         badUsage(argv0, "unknown --placement '" + opt.placement + "'");
     if (opt.hosts == 0 && opt.migrate)
         badUsage(argv0, "--migrate requires cluster mode (--hosts H)");
+    if (opt.workload == "mix") {
+        if (opt.hosts == 0)
+            badUsage(argv0,
+                     "--workload mix requires cluster mode (--hosts H)");
+    } else {
+        bool known_workload = false;
+        for (const auto &w : knownWorkloads)
+            known_workload = known_workload || opt.workload == w.name;
+        if (!known_workload)
+            badUsage(argv0, "unknown --workload '" + opt.workload + "'");
+    }
 
     // Reject unknown report views up front instead of silently printing
     // nothing after a long run.
@@ -246,17 +268,11 @@ parse(int argc, char **argv)
 workload::WorkloadSpec
 pickWorkload(const Options &opt)
 {
+    // parse() admitted only known names.
     workload::WorkloadSpec spec;
-    if (opt.workload == "daytrader")
-        spec = workload::dayTraderIntel();
-    else if (opt.workload == "specj")
-        spec = workload::specjEnterprise2010();
-    else if (opt.workload == "tpcw")
-        spec = workload::tpcwJava();
-    else if (opt.workload == "tuscany")
-        spec = workload::tuscanyBigbank();
-    else
-        fatal("unknown workload '%s'", opt.workload.c_str());
+    for (const auto &w : knownWorkloads)
+        if (opt.workload == w.name)
+            spec = w.make();
     spec.useAotCache = opt.aotBytes > 0;
     return spec;
 }
@@ -366,11 +382,9 @@ fleetWorkloads(const Options &opt, std::size_t count)
     std::vector<workload::WorkloadSpec> specs;
     specs.reserve(count);
     if (opt.workload == "mix") {
-        const workload::WorkloadSpec cycle[] = {
-            workload::dayTraderIntel(), workload::specjEnterprise2010(),
-            workload::tpcwJava(), workload::tuscanyBigbank()};
         for (std::size_t l = 0; l < count; ++l) {
-            specs.push_back(cycle[l % 4]);
+            specs.push_back(
+                knownWorkloads[l % std::size(knownWorkloads)].make());
             specs.back().useAotCache = opt.aotBytes > 0;
         }
     } else {
