@@ -45,7 +45,7 @@ void
 BM_WriteWordResident(benchmark::State &state)
 {
     StatSet stats;
-    hv::KvmHypervisor hv(host(), stats);
+    hv::Hypervisor hv(host(), stats);
     VmId vm = hv.createVm("vm", 64 * MiB, 0);
     for (Gfn g = 0; g < 1024; ++g)
         hv.writePage(vm, g, mem::PageData::filled(1, g));
@@ -62,7 +62,7 @@ void
 BM_DemandAllocWrite(benchmark::State &state)
 {
     StatSet stats;
-    hv::KvmHypervisor hv(host(8ULL * GiB), stats);
+    hv::Hypervisor hv(host(8ULL * GiB), stats);
     constexpr Bytes guest_mem = 7ULL * GiB;
     VmId vm = hv.createVm("vm", guest_mem, 0);
     Gfn g = 0;
@@ -87,7 +87,7 @@ void
 BM_CowBreak(benchmark::State &state)
 {
     StatSet stats;
-    hv::KvmHypervisor hv(host(), stats);
+    hv::Hypervisor hv(host(), stats);
     VmId a = hv.createVm("a", 256 * MiB, 0);
     VmId b = hv.createVm("b", 256 * MiB, 0);
     constexpr Gfn n = 16384;
@@ -116,7 +116,7 @@ void
 BM_KsmScanPass(benchmark::State &state)
 {
     StatSet stats;
-    hv::KvmHypervisor hv(host(), stats);
+    hv::Hypervisor hv(host(), stats);
     VmId a = hv.createVm("a", 256 * MiB, 0);
     VmId b = hv.createVm("b", 256 * MiB, 0);
     const Gfn n = state.range(0);
@@ -140,7 +140,7 @@ BM_KsmScanPassTraceWired(benchmark::State &state)
     // left disabled — the cost of the tracing hooks when off. Guarded
     // to stay within noise (<2%) of BM_KsmScanPass.
     StatSet stats;
-    hv::KvmHypervisor hv(host(), stats);
+    hv::Hypervisor hv(host(), stats);
     TraceBuffer trace;
     hv.setTrace(&trace);
     VmId a = hv.createVm("a", 256 * MiB, 0);
@@ -220,7 +220,7 @@ BM_KsmScanDistinctPages(benchmark::State &state)
     // stable-tree miss followed by an unstable-tree insert, i.e. the
     // tree cost of a warm-up pass before any sharing exists.
     StatSet stats;
-    hv::KvmHypervisor hv(host(), stats);
+    hv::Hypervisor hv(host(), stats);
     VmId a = hv.createVm("a", 256 * MiB, 0);
     VmId b = hv.createVm("b", 256 * MiB, 0);
     const Gfn n = state.range(0);
@@ -245,7 +245,7 @@ BM_KsmScanStableMiss(benchmark::State &state)
     // merge into n stable frames; VM c's n distinct pages then probe
     // that tree (miss) and rebuild the unstable tree every pass.
     StatSet stats;
-    hv::KvmHypervisor hv(host(), stats);
+    hv::Hypervisor hv(host(), stats);
     VmId a = hv.createVm("a", 256 * MiB, 0);
     VmId b = hv.createVm("b", 256 * MiB, 0);
     VmId c = hv.createVm("c", 256 * MiB, 0);
@@ -272,7 +272,7 @@ BM_PagesSharedSharing(benchmark::State &state)
     // fixed period; with per-call frame walks this scales with host
     // size instead of O(1).
     StatSet stats;
-    hv::KvmHypervisor hv(host(), stats);
+    hv::Hypervisor hv(host(), stats);
     VmId a = hv.createVm("a", 256 * MiB, 0);
     VmId b = hv.createVm("b", 256 * MiB, 0);
     for (Gfn g = 0; g < 32768; ++g) {
@@ -298,15 +298,15 @@ BM_CollapseIdenticalPages(benchmark::State &state)
     for (auto _ : state) {
         state.PauseTiming();
         StatSet s2;
-        hv::PowerVmHypervisor hv(host(), s2);
-        VmId a = hv.createVm("a", 128 * MiB);
-        VmId b = hv.createVm("b", 128 * MiB);
+        hv::Hypervisor hv(host(), s2);
+        VmId a = hv.createVm("a", 128 * MiB, 0);
+        VmId b = hv.createVm("b", 128 * MiB, 0);
         for (Gfn g = 0; g < 16384; ++g) {
             hv.writePage(a, g, mem::PageData::filled(5, g));
             hv.writePage(b, g, mem::PageData::filled(5, g));
         }
         state.ResumeTiming();
-        benchmark::DoNotOptimize(hv.runTps());
+        benchmark::DoNotOptimize(hv.collapseIdenticalPages());
     }
     state.SetItemsProcessed(state.iterations() * 32768);
 }
@@ -344,7 +344,7 @@ void
 BM_GcCycle(benchmark::State &state)
 {
     StatSet stats;
-    hv::KvmHypervisor hv(host(), stats);
+    hv::Hypervisor hv(host(), stats);
     VmId vm = hv.createVm("vm", 256 * MiB, 0);
     guest::GuestOs os(hv, vm, "vm", 1);
     jvm::GcConfig gc;
@@ -393,7 +393,7 @@ void
 BM_ForensicsWalkAndAccount(benchmark::State &state)
 {
     StatSet stats;
-    hv::KvmHypervisor hv(host(), stats);
+    hv::Hypervisor hv(host(), stats);
     VmId vm = hv.createVm("vm", 256 * MiB, 0);
     guest::GuestOs os(hv, vm, "vm", 1);
     guest::KernelConfig k;
@@ -522,7 +522,7 @@ BM_AdaptiveBalloon(benchmark::State &state)
     StatSet stats;
     hv::HostConfig hc = host();
     hc.pmlRingSlots = 4096;
-    hv::KvmHypervisor hv(hc, stats);
+    hv::Hypervisor hv(hc, stats);
     std::vector<VmId> vms;
     std::vector<std::unique_ptr<guest::GuestOs>> owned;
     std::vector<guest::GuestOs *> guests;

@@ -20,7 +20,7 @@ PowerScenario::build()
     constexpr std::uint32_t numVms = 3; // the paper's three AIX guests
     constexpr std::uint64_t seed = 7;
     constexpr Tick epochMs = 2000;
-    hv_ = std::make_unique<hv::PowerVmHypervisor>(cfg_.host, stats_);
+    hv_ = std::make_unique<hv::Hypervisor>(cfg_.host, stats_);
 
     classes_ = std::make_unique<jvm::ClassSet>(
         jvm::ClassSet::synthesize(spec_.classSpec));
@@ -32,7 +32,7 @@ PowerScenario::build()
 
     for (std::uint32_t i = 0; i < numVms; ++i) {
         const std::string name = "LPAR" + std::to_string(i + 1);
-        const VmId vm_id = hv_->createVm(name, spec_.guestMemBytes);
+        const VmId vm_id = hv_->createVm(name, spec_.guestMemBytes, 0);
         jtps_assert(vm_id == i);
         guests_.push_back(std::make_unique<guest::GuestOs>(
             *hv_, vm_id, name,
@@ -64,7 +64,7 @@ PowerScenario::measure()
 {
     PowerResult res;
     res.usageBeforeSharing = hv_->residentBytes();
-    hv_->runTps();
+    hv_->collapseIdenticalPages();
     res.usageAfterSharing = hv_->residentBytes();
     return res;
 }

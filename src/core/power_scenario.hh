@@ -2,13 +2,23 @@
  * @file
  * The PowerVM / AIX experiment (paper §V.B, Fig. 6).
  *
- * PowerVM is a system-VM hypervisor: no per-VM host process, and TPS is
- * performed by the platform ("PowerVM has a TPS feature and shares
- * identical pages unless the guest VMs are configured to allocate
- * dedicated physical memory"). The paper measures total physical memory
- * of three 3.5 GB AIX guests running WAS+DayTrader, just after WAS
- * startup and again after page sharing completes, with and without
- * preloaded classes.
+ * The paper's Fig. 1 contrasts two kinds of hypervisor. KVM is a
+ * process-VM hypervisor: each guest VM is a host process whose guest
+ * memory is anonymous memory the process madvise()s as MERGEABLE, the
+ * process has private overhead memory of its own ("the pages allocated
+ * to the guest VM process but not used for guest memory", attributed to
+ * the VM itself in Fig. 2), and the KSM scanner finds sharing
+ * asynchronously (core/scenario.hh). PowerVM is a system-VM hypervisor:
+ * there is no VM process layer, and TPS is performed by the platform
+ * firmware ("PowerVM has a TPS feature and shares identical pages
+ * unless the guest VMs are configured to allocate dedicated physical
+ * memory"). Both run on the one hv::Hypervisor: this scenario creates
+ * its VMs without overhead memory and models the firmware TPS as the
+ * run-to-completion whole-memory merge collapseIdenticalPages().
+ *
+ * The paper measures total physical memory of three 3.5 GB AIX guests
+ * running WAS+DayTrader, just after WAS startup and again after page
+ * sharing completes, with and without preloaded classes.
  *
  * The measurement tool "cannot obtain a breakdown ... at the same level
  * of detail in AIX as in Linux", so — like the paper — this scenario
@@ -79,14 +89,14 @@ class PowerScenario
     /** Measure before/after TPS. */
     PowerResult measure();
 
-    hv::PowerVmHypervisor &hv() { return *hv_; }
+    hv::Hypervisor &hv() { return *hv_; }
     StatSet &stats() { return stats_; }
 
   private:
     PowerScenarioConfig cfg_;
     StatSet stats_;
     workload::HostDisk disk_;
-    std::unique_ptr<hv::PowerVmHypervisor> hv_;
+    std::unique_ptr<hv::Hypervisor> hv_;
     std::unique_ptr<jvm::ClassSet> classes_;
     std::unique_ptr<jvm::SharedClassCache> cache_;
     std::vector<std::unique_ptr<guest::GuestOs>> guests_;

@@ -38,7 +38,7 @@ Scenario::build()
     hv::HostConfig hcfg = cfg_.host;
     if (cfg_.pmlRingSlots > 0)
         hcfg.pmlRingSlots = cfg_.pmlRingSlots;
-    hv_ = std::make_unique<hv::KvmHypervisor>(hcfg, stats_);
+    hv_ = std::make_unique<hv::Hypervisor>(hcfg, stats_);
     // Balloon/WSS counters are registered whether or not the adaptive
     // governor runs, so every registry has the same shape.
     stats_.counter("balloon.wss_resizes");

@@ -223,8 +223,8 @@ class Scenario
     // Component access
     // ------------------------------------------------------------------
 
-    hv::KvmHypervisor &hv() { return *hv_; }
-    const hv::KvmHypervisor &hv() const { return *hv_; }
+    hv::Hypervisor &hv() { return *hv_; }
+    const hv::Hypervisor &hv() const { return *hv_; }
     ksm::KsmScanner &ksm() { return *ksm_; }
     guest::GuestOs &guest(std::size_t i) { return *guests_[i]; }
     jvm::JavaVm &javaVm(std::size_t i) { return *jvms_[i]; }
@@ -281,7 +281,7 @@ class Scenario
     workload::HostDisk disk_;
     std::unique_ptr<analysis::SharingMonitor> monitor_;
 
-    std::unique_ptr<hv::KvmHypervisor> hv_;
+    std::unique_ptr<hv::Hypervisor> hv_;
     std::unique_ptr<ksm::KsmScanner> ksm_;
     std::unique_ptr<analysis::WssEstimator> wss_;
     std::unique_ptr<BalloonGovernor> governor_;

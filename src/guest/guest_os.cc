@@ -485,18 +485,6 @@ GuestOs::dropCacheMapRef(Gfn gfn)
 }
 
 void
-GuestOs::touchPageCache(std::uint32_t pages)
-{
-    if (cache_pages_.empty())
-        return;
-    for (std::uint32_t i = 0; i < pages; ++i) {
-        const CachePage &cp =
-            cache_pages_[rng_.nextBelow(cache_pages_.size())];
-        hv_.touchPage(vm_id_, cp.gfn);
-    }
-}
-
-void
 GuestOs::touchFileSpace(std::uint32_t pages)
 {
     if (file_order_.empty())

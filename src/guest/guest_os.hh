@@ -248,13 +248,6 @@ class GuestOs
     std::uint64_t pageCachePages() const { return cache_used_; }
 
     /**
-     * Ongoing file activity (log writes, DB I/O, jar re-reads): touch
-     * @p pages random cached pages, keeping the page cache warm. Under
-     * host overcommit these touches fault like any other access.
-     */
-    void touchPageCache(std::uint32_t pages);
-
-    /**
      * File activity over the whole registered file space: cached pages
      * are touched; uncached ones are read from disk into the cache
      * (counted in cacheMisses()). After balloon/cache reclaim, this is

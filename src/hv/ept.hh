@@ -63,33 +63,8 @@ static_assert(sizeof(EptEntry) == 8, "EptEntry layout grew");
 class Ept
 {
   public:
-    /**
-     * @param guest_frames Number of guest physical frames.
-     * @param slab Optional recycled entry storage (an EPT slab from
-     *        the hypervisor's pool, see Hypervisor::createVm): its
-     *        capacity is adopted and its contents reset to NotPresent,
-     *        so rebuilding VMs — 256-VM churn, live migration — reuses
-     *        one allocation instead of thrashing the allocator.
-     */
-    explicit Ept(std::uint64_t guest_frames,
-                 std::vector<EptEntry> &&slab = {})
-        : entries_(std::move(slab))
-    {
-        entries_.assign(guest_frames, EptEntry{});
-    }
-
-    /**
-     * Surrender the entry storage to the caller (the table becomes
-     * zero-sized). Used when a VM's memory is released: the slab goes
-     * back to the hypervisor's pool for the next createVm().
-     */
-    std::vector<EptEntry>
-    releaseSlab()
-    {
-        std::vector<EptEntry> out;
-        out.swap(entries_);
-        return out;
-    }
+    /** @param guest_frames Number of guest physical frames. */
+    explicit Ept(std::uint64_t guest_frames) : entries_(guest_frames) {}
 
     /** Entry for @p gfn (bounds-checked). */
     EptEntry &

@@ -13,7 +13,7 @@ namespace jtps::hv
 {
 
 Hypervisor::Hypervisor(const HostConfig &cfg, StatSet &stats)
-    : cfg_(cfg), stats_(stats),
+    : stats_(stats),
       frames_(
           [&cfg]() {
               // The compressed swap pool carves its frames out of host
@@ -31,10 +31,9 @@ Hypervisor::Hypervisor(const HostConfig &cfg, StatSet &stats)
       stat_pml_appends_(stats.counter("hv.pml_appends")),
       stat_pml_overflows_(stats.counter("hv.pml_overflows"))
 {
-    // Registered at zero so every registry carries the counters whether
+    // Registered at zero so every registry carries the counter whether
     // or not a run ever retires a VM (docs/METRICS.md contract).
     stats_.counter("hv.vms_released");
-    stats_.counter("hv.ept_slabs_reused");
 }
 
 void
@@ -56,14 +55,7 @@ Hypervisor::createVm(const std::string &name, Bytes guest_mem,
               "than 2^32 pages (16 TiB), since gfns are stored in 32 bits",
               name.c_str(), static_cast<unsigned long long>(guest_pages));
     VmId id = static_cast<VmId>(vms_.size());
-    std::vector<EptEntry> slab;
-    if (!ept_slab_pool_.empty()) {
-        slab = std::move(ept_slab_pool_.back());
-        ept_slab_pool_.pop_back();
-        stats_.inc("hv.ept_slabs_reused");
-    }
-    vms_.push_back(
-        std::make_unique<Vm>(id, name, guest_pages, std::move(slab)));
+    vms_.push_back(std::make_unique<Vm>(id, name, guest_pages));
     Vm &v = *vms_.back();
     v.pmlRing.reserve(pml_ring_slots_);
 
@@ -159,7 +151,7 @@ Hypervisor::evictOne()
 }
 
 void
-Hypervisor::pmlLog(Vm &v, EptEntry &e, Gfn gfn, std::uint64_t gen)
+Hypervisor::pmlLog(Vm &v, EptEntry &e, Gfn gfn)
 {
     if (pml_ring_slots_ == 0 || e.pmlLogged)
         return;
@@ -171,7 +163,7 @@ Hypervisor::pmlLog(Vm &v, EptEntry &e, Gfn gfn, std::uint64_t gen)
         ++stat_pml_overflows_;
         return;
     }
-    v.pmlRing.push_back(PmlEntry{gfn, gen});
+    v.pmlRing.push_back(gfn);
     e.pmlLogged = true;
     ++v.pmlAppendsTotal;
     ++stat_pml_appends_;
@@ -181,8 +173,8 @@ void
 Hypervisor::pmlResetRing(VmId vm_id)
 {
     Vm &v = vm(vm_id);
-    for (const PmlEntry &pe : v.pmlRing)
-        v.ept.entry(pe.gfn).pmlLogged = false;
+    for (const Gfn gfn : v.pmlRing)
+        v.ept.entry(gfn).pmlLogged = false;
     v.pmlRing.clear();
     // Lost pages never got their bit set, so the entry-driven clear
     // above is complete: every set bit has a ring entry until the
@@ -218,12 +210,11 @@ Hypervisor::swapIn(VmId vm_id, Gfn gfn)
         --v.swappedPages;
         ++v.residentPages;
         // The restored page sits on a reused host frame with a fresh
-        // write generation and without its old KSM-stable flag, so any
-        // ring entry recorded before the eviction is stale (its
-        // generation no longer matches anything). Re-log the page, as
-        // the generation walk re-examines it: a new generation fails
-        // every skip proof.
-        pmlLog(v, e, m.gfn, frames_.writeGen(hfn));
+        // write generation, so the KSM generation walk re-examines it
+        // as if it had been written. Log it like a write too, so the
+        // dirty log and the append totals that the working-set
+        // estimator and migration pre-copy read count it the same way.
+        pmlLog(v, e, m.gfn);
     }
 
     ++faulting.majorFaults;
@@ -288,12 +279,12 @@ Hypervisor::frameForWrite(Vm &v, Gfn gfn)
     // Fresh allocations above already carry a new generation; bumping
     // again is merely conservative (a generation may only ever certify
     // *unchanged* content).
-    const std::uint64_t gen = frames_.noteWrite(e.backing, *f);
+    frames_.noteWrite(e.backing, *f);
     // Every content mutation funnels through here, so this one append
     // is what makes the PML rings a complete dirty log: once per page
     // per drain cycle (the logged bit models the hardware dirty-bit
-    // transition), stamped with the generation the write produced.
-    pmlLog(v, e, gfn, gen);
+    // transition).
+    pmlLog(v, e, gfn);
     return *f;
 }
 
@@ -406,10 +397,10 @@ Hypervisor::releaseVmMemory(VmId vm_id)
     v.overheadFrames.clear();
     v.hugePages.clear();
     v.pmlRing.clear();
-    // Bank the EPT slab for the next createVm(); the retired VM keeps a
-    // zero-sized EPT, which every consumer already handles (the KSM
-    // cursor skips it, walks bound themselves by ept.size()).
-    ept_slab_pool_.push_back(v.ept.releaseSlab());
+    // Free the EPT; the retired VM keeps a zero-sized one, which every
+    // consumer already handles (the KSM cursor skips it, walks bound
+    // themselves by ept.size()).
+    v.ept = Ept(0);
     stats_.inc("hv.vms_released");
 }
 
@@ -431,10 +422,9 @@ const mem::PageData *
 Hypervisor::peek(VmId vm_id, Gfn gfn) const
 {
     const Vm &v = vm(vm_id);
-    // A retired VM's EPT is zero-sized (its slab went back to the
-    // pool); before slab recycling these entries read as NotPresent,
-    // and callers holding stale coordinates — KSM's persistent
-    // unstable entries outlive VM retirement — still expect that.
+    // A retired VM's EPT is zero-sized, and callers holding stale
+    // coordinates (KSM's persistent unstable entries outlive VM
+    // retirement) expect its pages to read as NotPresent.
     if (gfn >= v.ept.size())
         return nullptr;
     const EptEntry &e = v.ept.entry(gfn);
@@ -456,12 +446,12 @@ Hypervisor::setHugePage(VmId vm_id, Gfn gfn, bool huge)
     const bool was = v.hugePages[gfn];
     v.hugePages[gfn] = huge;
     // Dropping the THP flag makes the page MERGEABLE again without any
-    // write. The generation walk re-examines it on its next pass, and
-    // the transition lands in the ring like a write.
+    // write, so KSM sees it anew. The transition lands in the ring like
+    // a write, and the append totals count it as one.
     if (was && !huge) {
         EptEntry &e = v.ept.entry(gfn);
         if (e.state == PageState::Resident)
-            pmlLog(v, e, gfn, frames_.writeGen(e.backing));
+            pmlLog(v, e, gfn);
     }
 }
 
@@ -596,8 +586,8 @@ Hypervisor::checkConsistency() const
         // and the ring respects its capacity.
         jtps_assert(v.pmlRing.size() <= pml_ring_slots_);
         std::unordered_set<Gfn> ring_gfns;
-        for (const PmlEntry &pe : v.pmlRing)
-            ring_gfns.insert(pe.gfn);
+        for (const Gfn gfn : v.pmlRing)
+            ring_gfns.insert(gfn);
         for (Gfn gfn = 0; gfn < v.ept.size(); ++gfn) {
             if (v.ept.entry(gfn).pmlLogged)
                 jtps_assert(ring_gfns.count(gfn) == 1);

@@ -2,21 +2,10 @@
  * @file
  * The hypervisor: guest VMs, the gfn→hfn translation, copy-on-write,
  * host-level paging, and the primitives Transparent Page Sharing needs.
- *
- * Two concrete hypervisors derive from the common machinery, mirroring
- * the paper's Fig. 1:
- *
- *  - KvmHypervisor: a process-VM hypervisor. Each guest VM is a host
- *    process; its guest memory is anonymous memory the VM process
- *    madvise()s as MERGEABLE, and the VM process has private overhead
- *    memory of its own ("the pages allocated to the guest VM process but
- *    not used for guest memory", attributed to the VM itself in Fig. 2).
- *    Sharing is found asynchronously by the KSM scanner (src/ksm).
- *
- *  - PowerVmHypervisor: a system-VM hypervisor. There is no VM process
- *    layer; TPS is performed by the platform firmware, modelled as a
- *    run-to-completion whole-memory merge pass (the paper measures
- *    "after finishing page sharing").
+ * One class serves both hypervisors of the paper's Fig. 1: the KVM
+ * scenario gives each VM process overhead and runs the KSM scanner
+ * (src/ksm), the PowerVM scenario (core/power_scenario.hh) gives none
+ * and runs collapseIdenticalPages().
  */
 
 #ifndef JTPS_HV_HYPERVISOR_HH
@@ -27,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "base/packed_gfn.hh"
 #include "base/rng.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
@@ -57,10 +47,12 @@ struct HostConfig
     Bytes compressedSwapPoolBytes = 0;
     /**
      * Page-Modification-Log ring slots per VM (Intel PML models a
-     * 512-entry buffer). Every write fault appends the dirtied gfn
-     * (once per drain cycle, like the hardware dirty-bit transition)
-     * together with the frame's fresh write generation. The
-     * working-set estimator drains the rings every window and
+     * 512-entry buffer). Each ring is a list of dirtied gfns: every
+     * write appends its gfn once per drain cycle, like the hardware
+     * dirty-bit transition, and so do a swap-in and a dropped THP
+     * flag. Eviction leaves the ring alone; discard clears the page's
+     * logged bit but keeps its entry, so a page written again after a
+     * discard is listed twice. The working-set estimator drains the rings every window and
      * migration pre-copy reads the append totals. When a ring fills
      * up, further dirtied pages are lost until the next drain
      * (`hv.pml_overflows`). 0 disables logging entirely.
@@ -84,26 +76,14 @@ class PageEventListener
     virtual void pageDiscarded(VmId vm, Gfn gfn) = 0;
 };
 
-/**
- * One entry of a VM's Page-Modification-Log ring: a guest frame that
- * was dirtied, stamped with the backing frame's write generation at
- * append time. The generation is the staleness proof: a recycled gfn
- * or a reused host frame carries a different generation, so no
- * verdict about live state can be derived from a stale entry.
- */
-struct PmlEntry
-{
-    Gfn gfn = invalidFrame;
-    std::uint64_t gen = 0;
-};
-
 /** One guest VM. */
 struct Vm
 {
     VmId id = invalidVm;
     std::string name;
     Ept ept;
-    /** Pinned host frames of the VM process itself (KVM only). */
+    /** Pinned host frames of the VM process itself (none for a
+     *  system-VM hypervisor). */
     std::vector<Hfn> overheadFrames;
     /** Guest pages currently resident (backed by a host frame). */
     std::uint64_t residentPages = 0;
@@ -113,27 +93,24 @@ struct Vm
     std::uint64_t majorFaults = 0;
     /** Faults served from the compressed-RAM tier (fast refaults). */
     std::uint64_t majorFaultsRam = 0;
-    /** Whether guest memory is registered mergeable (madvise). */
-    bool mergeable = true;
     /** Per-gfn transparent-huge-page backing (lazily sized). */
     std::vector<bool> hugePages;
-    /** PML ring (append order); capacity reserved to pmlRingSlots. */
-    std::vector<PmlEntry> pmlRing;
+    /** PML ring: dirtied gfns in append order; capacity reserved to
+     *  pmlRingSlots. */
+    std::vector<PackedGfn> pmlRing;
     /** Cumulative successful appends (unique dirtied pages per drain
      *  cycle) — the working-set estimator's raw signal. */
     std::uint64_t pmlAppendsTotal = 0;
 
-    Vm(VmId id, std::string name, std::uint64_t guest_frames,
-       std::vector<EptEntry> &&ept_slab = {})
-        : id(id), name(std::move(name)),
-          ept(guest_frames, std::move(ept_slab))
+    Vm(VmId id, std::string name, std::uint64_t guest_frames)
+        : id(id), name(std::move(name)), ept(guest_frames)
     {
     }
 };
 
 /**
- * Common hypervisor machinery: translation, faults, COW, swap, and the
- * TPS merge primitives. All guest memory accesses in the whole simulator
+ * The hypervisor: translation, faults, COW, swap, and the TPS merge
+ * primitives. All guest memory accesses in the whole simulator
  * funnel through writeWord()/writePage()/writePages()/readWord()/
  * touchPage(), and every write among them through frameForWrite(), which
  * is what makes the sharing model sound: no content can change without
@@ -143,15 +120,14 @@ class Hypervisor
 {
   public:
     Hypervisor(const HostConfig &cfg, StatSet &stats);
-    virtual ~Hypervisor() = default;
 
     Hypervisor(const Hypervisor &) = delete;
     Hypervisor &operator=(const Hypervisor &) = delete;
 
     /**
      * Create a guest VM with @p guest_mem bytes of guest physical memory
-     * and @p overhead bytes of VM-process-private memory (0 for
-     * system-VM hypervisors).
+     * and @p overhead bytes of VM-process-private memory (0 for a
+     * system-VM hypervisor, which has no VM process).
      */
     VmId createVm(const std::string &name, Bytes guest_mem, Bytes overhead);
 
@@ -220,10 +196,10 @@ class Hypervisor
     /**
      * Release every page of @p vm: all guest memory (resident and
      * swapped, with discardPage()'s bookkeeping, so shared frames just
-     * lose one mapping) plus the VM process's pinned overhead frames.
-     * The page listener is not told: the VM's id is never reused and
-     * its EPT becomes zero-sized, so no page of it can be looked up
-     * again. The Vm object itself stays — VM ids are dense and
+     * lose one mapping), the VM process's pinned overhead frames and
+     * the EPT itself. The page listener is not told: the VM's id is
+     * never reused and its EPT becomes zero-sized, so no page of it
+     * can be looked up again. The Vm object itself stays — VM ids are dense and
      * stable — it merely owns no host memory afterwards.
      * This is the teardown half of a live migration (or a poweroff):
      * the cluster layer retires the source copy with it and rebuilds
@@ -260,8 +236,8 @@ class Hypervisor
 
     /**
      * Run one whole-memory TPS pass immediately: merge every pair of
-     * identical resident, unpinned pages. Used by the system-VM
-     * hypervisor and by tests; KVM instead runs the incremental scanner.
+     * identical resident, unpinned pages. The system-VM scenario runs
+     * it as the firmware TPS; KVM instead runs the incremental scanner.
      * @return number of pages merged away (frames freed).
      */
     std::uint64_t collapseIdenticalPages();
@@ -319,8 +295,8 @@ class Hypervisor
     /** Configured ring capacity in entries. */
     std::uint32_t pmlRingSlots() const { return pml_ring_slots_; }
 
-    /** @p vm's undrained ring entries, in append order. */
-    const std::vector<PmlEntry> &
+    /** @p vm's undrained ring entries (gfns), in append order. */
+    const std::vector<PackedGfn> &
     pmlEntries(VmId vm) const
     {
         return this->vm(vm).pmlRing;
@@ -335,7 +311,7 @@ class Hypervisor
      */
     void pmlResetRing(VmId vm);
 
-  protected:
+  private:
     /**
      * Allocate a host frame, evicting if the host is out of memory.
      * Panics only if even eviction cannot find memory.
@@ -368,21 +344,15 @@ class Hypervisor
 
     /**
      * Log a dirtied page into @p v's PML ring (no-op when rings are
-     * disabled or the page is already logged this drain cycle). @p gen
-     * must be the backing frame's current write generation.
+     * disabled or the page is already logged this drain cycle).
      */
-    void pmlLog(Vm &v, EptEntry &e, Gfn gfn, std::uint64_t gen);
+    void pmlLog(Vm &v, EptEntry &e, Gfn gfn);
 
-    HostConfig cfg_;
     StatSet &stats_;
     TraceBuffer *trace_ = nullptr;
     mem::FrameTable frames_;
     mem::SwapDevice swap_;
     std::vector<std::unique_ptr<Vm>> vms_;
-    /** Recycled per-VM EPT slabs: releaseVmMemory() banks the retired
-     *  VM's entry storage here and createVm() reuses it, so 256-VM
-     *  churn and live migration stop hammering one allocation path. */
-    std::vector<std::vector<EptEntry>> ept_slab_pool_;
     PageEventListener *page_listener_ = nullptr;
     /** Compressed-tier slot capacity (pool pages x compression). */
     std::uint64_t ram_slot_capacity_ = 0;
@@ -398,46 +368,6 @@ class Hypervisor
     StatCounter stat_evictions_{&stats_, "host.evictions"};
     StatCounter stat_major_faults_{&stats_, "host.major_faults"};
     StatCounter stat_major_faults_ram_{&stats_, "host.major_faults_ram"};
-};
-
-/**
- * Process-VM hypervisor (KVM): VMs carry process overhead memory and
- * their guest memory is registered mergeable for the KSM scanner.
- */
-class KvmHypervisor : public Hypervisor
-{
-  public:
-    KvmHypervisor(const HostConfig &cfg, StatSet &stats)
-        : Hypervisor(cfg, stats)
-    {
-    }
-};
-
-/**
- * System-VM hypervisor (PowerVM): no VM process layer; TPS is the
- * firmware's run-to-completion merge.
- */
-class PowerVmHypervisor : public Hypervisor
-{
-  public:
-    PowerVmHypervisor(const HostConfig &cfg, StatSet &stats)
-        : Hypervisor(cfg, stats)
-    {
-    }
-
-    /** Create a VM without process overhead. */
-    VmId
-    createVm(const std::string &name, Bytes guest_mem)
-    {
-        return Hypervisor::createVm(name, guest_mem, 0);
-    }
-
-    /** Run the firmware TPS to completion. @return pages merged away. */
-    std::uint64_t
-    runTps()
-    {
-        return collapseIdenticalPages();
-    }
 };
 
 } // namespace jtps::hv

@@ -552,7 +552,7 @@ KsmScanner::advanceCursor()
             return false;
         }
         const hv::Vm &v = hv_.vm(cur_vm_);
-        if (!v.mergeable || cur_gfn_ >= v.ept.size()) {
+        if (cur_gfn_ >= v.ept.size()) {
             // A released VM keeps an empty EPT for good: its page-state
             // row (one entry per guest page) can go with it.
             if (v.ept.size() == 0 && cur_vm_ < page_state_.size())

@@ -102,16 +102,6 @@ class SwapDevice
         return id;
     }
 
-    /** Tier of an existing slot. */
-    SwapTier
-    tier(SwapSlot id) const
-    {
-        auto it = slots_.find(id);
-        if (it == slots_.end())
-            panicMissing(id);
-        return it->second.tier;
-    }
-
     /** Remove and return a slot (swap-in). */
     Slot
     take(SwapSlot id)

@@ -25,7 +25,7 @@ using guest::FileImage;
 using guest::GuestOs;
 using guest::MemCategory;
 using guest::Vma;
-using hv::KvmHypervisor;
+using hv::Hypervisor;
 using mem::PageData;
 
 namespace
@@ -35,7 +35,7 @@ struct AnalysisFixture : ::testing::Test
 {
     StatSet stats;
     hv::HostConfig host_cfg;
-    std::unique_ptr<KvmHypervisor> hv;
+    std::unique_ptr<Hypervisor> hv;
     std::vector<std::unique_ptr<GuestOs>> guests;
 
     void
@@ -43,7 +43,7 @@ struct AnalysisFixture : ::testing::Test
     {
         host_cfg.ramBytes = 512 * MiB;
         host_cfg.reserveBytes = 0;
-        hv = std::make_unique<KvmHypervisor>(host_cfg, stats);
+        hv = std::make_unique<Hypervisor>(host_cfg, stats);
     }
 
     GuestOs &
@@ -364,7 +364,7 @@ TEST_F(AnalysisFixture, SwappedPagesAreNotPhysicalUsage)
     hv::HostConfig tiny;
     tiny.ramBytes = 8 * pageSize;
     tiny.reserveBytes = 0;
-    KvmHypervisor small_hv(tiny, s2);
+    Hypervisor small_hv(tiny, s2);
     VmId id = small_hv.createVm("vm", 1 * MiB, 0);
     GuestOs os(small_hv, id, "vm", 5);
     Pid pid = os.spawn("p", false);

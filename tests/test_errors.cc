@@ -19,7 +19,7 @@
 using namespace jtps;
 using guest::GuestOs;
 using guest::MemCategory;
-using hv::KvmHypervisor;
+using hv::Hypervisor;
 using mem::PageData;
 
 namespace
@@ -43,7 +43,7 @@ TEST(ErrorDeathTest, GuestOomWithFullSwapIsFatal)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     auto run = [] {
         StatSet stats;
-        KvmHypervisor hv(tinyHost(64 * MiB), stats);
+        Hypervisor hv(tinyHost(64 * MiB), stats);
         VmId id = hv.createVm("vm", 8 * pageSize, 0);
         GuestOs os(hv, id, "vm", 1);
         os.setGuestSwapBytes(2 * pageSize); // nearly no swap
@@ -61,7 +61,7 @@ TEST(ErrorDeathTest, HostOomWithOnlyPinnedMemoryIsFatal)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     auto run = [] {
         StatSet stats;
-        KvmHypervisor hv(tinyHost(4 * pageSize), stats);
+        Hypervisor hv(tinyHost(4 * pageSize), stats);
         // Overhead is pinned; asking for more than RAM can never work.
         hv.createVm("vm", 1 * MiB, 8 * pageSize);
     };
@@ -149,7 +149,7 @@ TEST(ErrorDeathTest, GuestOf2To32PagesIsRefused)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     auto run = [] {
         StatSet stats;
-        KvmHypervisor hv(tinyHost(64 * MiB), stats);
+        Hypervisor hv(tinyHost(64 * MiB), stats);
         // Refused before its 32 GiB EPT is allocated.
         hv.createVm("huge", (maxGuestPages + 1) * pageSize, 0);
     };
@@ -188,7 +188,7 @@ TEST(ErrorDeathTest, VmIdBeyondKsmSlotFieldIsRefused)
     // first, and that resize already covers every later VM's row.
     auto run = [](VmId empty_vms, bool first_has_memory) {
         StatSet stats;
-        KvmHypervisor hv(tinyHost(64 * MiB), stats);
+        Hypervisor hv(tinyHost(64 * MiB), stats);
         ksm::KsmScanner scanner(hv, ksm::KsmConfig{}, stats);
         if (first_has_memory) {
             const VmId first = hv.createVm("first", 4 * pageSize, 0);
@@ -229,7 +229,7 @@ TEST(ErrorDeathTest, WriteWordSectorBoundsArePanics)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     auto run = [] {
         StatSet stats;
-        KvmHypervisor hv(tinyHost(1 * MiB), stats);
+        Hypervisor hv(tinyHost(1 * MiB), stats);
         VmId id = hv.createVm("vm", 64 * pageSize, 0);
         hv.writeWord(id, 0, mem::sectorsPerPage, 1); // sector too big
     };
@@ -258,7 +258,7 @@ expectAuditPanics(Break break_one, const char *check)
         StatSet stats;
         hv::HostConfig cfg = tinyHost(4 * pageSize);
         cfg.pmlRingSlots = 8;
-        KvmHypervisor hv(cfg, stats);
+        Hypervisor hv(cfg, stats);
         const VmId vm = hv.createVm("vm", 16 * pageSize, 0);
         for (Gfn g = 0; g < 6; ++g)
             hv.writePage(vm, g, PageData::filled(1, g));
@@ -283,7 +283,7 @@ firstIn(const hv::Vm &v, hv::PageState state)
 
 /** The frame backing @p v's first resident page. */
 mem::Frame &
-firstResidentFrame(KvmHypervisor &hv, const hv::Vm &v)
+firstResidentFrame(Hypervisor &hv, const hv::Vm &v)
 {
     return hv.frames().frame(
         v.ept.entry(firstIn(v, hv::PageState::Resident)).backing);
@@ -295,7 +295,7 @@ TEST(ErrorDeathTest, AuditCatchesEptEntryMissingFromItsFrameMappings)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     expectAuditPanics(
-        [](KvmHypervisor &, hv::Vm &v) {
+        [](Hypervisor &, hv::Vm &v) {
             // Repoint the first resident page at the last one's frame,
             // whose reverse mappings name only the last page.
             const Gfn first = firstIn(v, hv::PageState::Resident);
@@ -312,14 +312,14 @@ TEST(ErrorDeathTest, AuditCatchesEptEntryMissingFromItsFrameMappings)
 TEST(ErrorDeathTest, AuditCatchesResidentCounterDrift)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    expectAuditPanics([](KvmHypervisor &, hv::Vm &v) { ++v.residentPages; },
+    expectAuditPanics([](Hypervisor &, hv::Vm &v) { ++v.residentPages; },
                       "resident == v.residentPages");
 }
 
 TEST(ErrorDeathTest, AuditCatchesSwappedCounterDrift)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    expectAuditPanics([](KvmHypervisor &, hv::Vm &v) { ++v.swappedPages; },
+    expectAuditPanics([](Hypervisor &, hv::Vm &v) { ++v.swappedPages; },
                       "swapped == v.swappedPages");
 }
 
@@ -327,7 +327,7 @@ TEST(ErrorDeathTest, AuditCatchesSwappedEntryWithoutItsSlot)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     expectAuditPanics(
-        [](KvmHypervisor &hv, hv::Vm &v) {
+        [](Hypervisor &hv, hv::Vm &v) {
             mem::SwapSlot unheld = 0;
             while (hv.swap().has(unheld))
                 ++unheld;
@@ -340,7 +340,7 @@ TEST(ErrorDeathTest, AuditCatchesPmlBitWithoutRingEntry)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     expectAuditPanics(
-        [](KvmHypervisor &, hv::Vm &v) {
+        [](Hypervisor &, hv::Vm &v) {
             v.ept.entry(firstIn(v, hv::PageState::NotPresent)).pmlLogged =
                 true;
         },
@@ -351,7 +351,7 @@ TEST(ErrorDeathTest, AuditCatchesPmlRingBeyondItsSlots)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     expectAuditPanics(
-        [](KvmHypervisor &hv, hv::Vm &v) {
+        [](Hypervisor &hv, hv::Vm &v) {
             while (v.pmlRing.size() <= hv.pmlRingSlots())
                 v.pmlRing.push_back(v.pmlRing.front());
         },
@@ -362,7 +362,7 @@ TEST(ErrorDeathTest, AuditCatchesRefcountOffItsMappingCount)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     expectAuditPanics(
-        [](KvmHypervisor &hv, hv::Vm &v) {
+        [](Hypervisor &hv, hv::Vm &v) {
             ++firstResidentFrame(hv, v).refcount;
         },
         "f.refcount == 1 . spills_");
@@ -372,7 +372,7 @@ TEST(ErrorDeathTest, AuditCatchesKsmStableFlagBehindTheCounters)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     expectAuditPanics(
-        [](KvmHypervisor &hv, hv::Vm &v) {
+        [](Hypervisor &hv, hv::Vm &v) {
             firstResidentFrame(hv, v).ksmStable = true;
         },
         "stable_count == ksm_stable_frames_");

@@ -22,7 +22,7 @@ using guest::FileImage;
 using guest::GuestOs;
 using guest::MemCategory;
 using guest::Vma;
-using hv::KvmHypervisor;
+using hv::Hypervisor;
 using mem::PageData;
 
 namespace
@@ -32,7 +32,7 @@ struct ExtFixture : ::testing::Test
 {
     StatSet stats;
     hv::HostConfig host_cfg;
-    std::unique_ptr<KvmHypervisor> hv;
+    std::unique_ptr<Hypervisor> hv;
     std::unique_ptr<GuestOs> os;
 
     void
@@ -40,7 +40,7 @@ struct ExtFixture : ::testing::Test
     {
         host_cfg.ramBytes = 512 * MiB;
         host_cfg.reserveBytes = 0;
-        hv = std::make_unique<KvmHypervisor>(host_cfg, stats);
+        hv = std::make_unique<Hypervisor>(host_cfg, stats);
         VmId vm = hv->createVm("vm", 128 * MiB, 0);
         os = std::make_unique<GuestOs>(*hv, vm, "vm", 321);
     }
@@ -100,7 +100,7 @@ TEST_F(ExtFixture, SmapsReportsHostSwappedPages)
     hv::HostConfig tiny;
     tiny.ramBytes = 8 * pageSize;
     tiny.reserveBytes = 0;
-    KvmHypervisor small_hv(tiny, s2);
+    Hypervisor small_hv(tiny, s2);
     VmId id = small_hv.createVm("vm", 1 * MiB, 0);
     GuestOs small_os(small_hv, id, "vm", 5);
     Pid pid = small_os.spawn("p", false);

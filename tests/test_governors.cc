@@ -19,7 +19,7 @@
 using namespace jtps;
 using core::PlacementPlanner;
 using core::SharingFingerprint;
-using hv::KvmHypervisor;
+using hv::Hypervisor;
 using ksm::KsmConfig;
 using ksm::KsmScanner;
 using ksm::KsmTuned;
@@ -43,7 +43,7 @@ host(Bytes ram)
 TEST(KsmTuned, BoostsUnderPressureDecaysWhenSlack)
 {
     StatSet stats;
-    KvmHypervisor hv(host(100 * pageSize), stats);
+    Hypervisor hv(host(100 * pageSize), stats);
     VmId vm = hv.createVm("vm", 100 * pageSize, 0);
 
     KsmConfig kcfg;
@@ -79,7 +79,7 @@ TEST(KsmTuned, BoostsUnderPressureDecaysWhenSlack)
 TEST(KsmTuned, AttachRunsPeriodically)
 {
     StatSet stats;
-    KvmHypervisor hv(host(64 * pageSize), stats);
+    Hypervisor hv(host(64 * pageSize), stats);
     hv.createVm("vm", 16 * pageSize, 0);
     KsmConfig kcfg;
     KsmScanner scanner(hv, kcfg, stats);
@@ -99,7 +99,7 @@ TEST(KsmTuned, AttachRunsPeriodically)
 TEST(SharingMonitor, RecordsConvergence)
 {
     StatSet stats;
-    KvmHypervisor hv(host(1024 * pageSize), stats);
+    Hypervisor hv(host(1024 * pageSize), stats);
     VmId a = hv.createVm("a", 1 * MiB, 0);
     VmId b = hv.createVm("b", 1 * MiB, 0);
     KsmConfig kcfg;

@@ -20,7 +20,7 @@ using guest::GuestOs;
 using guest::KernelConfig;
 using guest::MemCategory;
 using guest::Vma;
-using hv::KvmHypervisor;
+using hv::Hypervisor;
 using mem::PageData;
 
 namespace
@@ -30,7 +30,7 @@ struct GuestFixture : ::testing::Test
 {
     StatSet stats;
     hv::HostConfig host_cfg;
-    std::unique_ptr<KvmHypervisor> hv;
+    std::unique_ptr<Hypervisor> hv;
     std::unique_ptr<GuestOs> os;
 
     void
@@ -38,7 +38,7 @@ struct GuestFixture : ::testing::Test
     {
         host_cfg.ramBytes = 512 * MiB;
         host_cfg.reserveBytes = 0;
-        hv = std::make_unique<KvmHypervisor>(host_cfg, stats);
+        hv = std::make_unique<Hypervisor>(host_cfg, stats);
         VmId vm = hv->createVm("vm", 128 * MiB, 0);
         os = std::make_unique<GuestOs>(*hv, vm, "vm", 1234);
     }
@@ -212,14 +212,14 @@ TEST_F(GuestFixture, KernelTextIdenticalAcrossGuestsDataNot)
     EXPECT_NE(*page_of(*os, "slab", 0), *page_of(os2, "slab", 0));
 }
 
-TEST_F(GuestFixture, TouchPageCacheKeepsPagesWarmAndFaultsSwapped)
+TEST_F(GuestFixture, TouchFileSpaceKeepsPagesWarmAndFaultsSwapped)
 {
-    // Fill the cache, then verify random cache touches refresh LRU
+    // Fill the cache, then verify random file touches refresh LRU
     // ages (no faults on a roomy host).
     FileImage f = FileImage::shared("/data", 64 * KiB);
     os->readFile(f);
     const std::uint64_t faults_before = hv->majorFaults(os->vmId());
-    os->touchPageCache(100);
+    os->touchFileSpace(100);
     EXPECT_EQ(hv->majorFaults(os->vmId()), faults_before);
 
     // On a tiny host, touching evicted cache pages must fault them in.
@@ -227,12 +227,12 @@ TEST_F(GuestFixture, TouchPageCacheKeepsPagesWarmAndFaultsSwapped)
     hv::HostConfig tiny;
     tiny.ramBytes = 8 * pageSize;
     tiny.reserveBytes = 0;
-    KvmHypervisor small_hv(tiny, s2);
+    Hypervisor small_hv(tiny, s2);
     VmId id = small_hv.createVm("vm", 1 * MiB, 0);
     GuestOs small_os(small_hv, id, "vm", 5);
     small_os.readFile(FileImage::shared("/data", 16 * pageSize));
     EXPECT_EQ(small_hv.vm(id).swappedPages, 8u);
-    small_os.touchPageCache(64);
+    small_os.touchFileSpace(64);
     EXPECT_GT(small_hv.majorFaults(id), 0u);
     small_hv.checkConsistency();
 }
@@ -261,7 +261,7 @@ TEST(GuestOs, PageCacheSlotsAreReusedAfterReclaim)
     hv::HostConfig cfg;
     cfg.ramBytes = 64 * MiB;
     cfg.reserveBytes = 0;
-    KvmHypervisor hv(cfg, stats);
+    Hypervisor hv(cfg, stats);
     const VmId vm = hv.createVm("vm", 2 * MiB, 0);
     GuestOs os(hv, vm, "vm", 7);
     const FileImage file = FileImage::shared("/var/log/app", 16 * pageSize);
@@ -297,7 +297,7 @@ TEST(GuestPageTableFuzz, FlatTablesMatchReferenceModel)
     hv::HostConfig cfg;
     cfg.ramBytes = 64 * MiB;
     cfg.reserveBytes = 0;
-    KvmHypervisor hv(cfg, stats);
+    Hypervisor hv(cfg, stats);
     const VmId vm = hv.createVm("vm", 2 * MiB, 0);
     GuestOs os(hv, vm, "vm", 99);
     const FileImage file = FileImage::shared("/lib/fuzz.so", 64 * pageSize);

@@ -15,9 +15,8 @@
 
 using namespace jtps;
 using hv::HostConfig;
-using hv::KvmHypervisor;
+using hv::Hypervisor;
 using hv::PageState;
-using hv::PowerVmHypervisor;
 using mem::PageData;
 
 namespace
@@ -37,7 +36,7 @@ smallHost(Bytes ram = 64 * MiB)
 TEST(Hypervisor, DemandAllocationOnWrite)
 {
     StatSet stats;
-    KvmHypervisor hv(smallHost(), stats);
+    Hypervisor hv(smallHost(), stats);
     VmId vm = hv.createVm("vm", 16 * MiB, 0);
 
     EXPECT_EQ(hv.translate(vm, 5), invalidFrame);
@@ -55,7 +54,7 @@ TEST(Hypervisor, DemandAllocationOnWrite)
 TEST(Hypervisor, WritePageThenPeek)
 {
     StatSet stats;
-    KvmHypervisor hv(smallHost(), stats);
+    Hypervisor hv(smallHost(), stats);
     VmId vm = hv.createVm("vm", 16 * MiB, 0);
 
     PageData d = PageData::filled(9, 9);
@@ -69,7 +68,7 @@ TEST(Hypervisor, WritePageThenPeek)
 TEST(Hypervisor, VmOverheadIsPinned)
 {
     StatSet stats;
-    KvmHypervisor hv(smallHost(), stats);
+    Hypervisor hv(smallHost(), stats);
     VmId vm = hv.createVm("vm", 8 * MiB, 2 * MiB);
     EXPECT_EQ(hv.vm(vm).overheadFrames.size(), bytesToPages(2 * MiB));
     EXPECT_EQ(hv.residentFrames(), bytesToPages(2 * MiB));
@@ -80,7 +79,7 @@ TEST(Hypervisor, VmOverheadIsPinned)
 TEST(Hypervisor, OverheadContentDiffersPerVm)
 {
     StatSet stats;
-    KvmHypervisor hv(smallHost(), stats);
+    Hypervisor hv(smallHost(), stats);
     VmId a = hv.createVm("a", 4 * MiB, 1 * MiB);
     VmId b = hv.createVm("b", 4 * MiB, 1 * MiB);
     Hfn ha = hv.vm(a).overheadFrames[0];
@@ -91,7 +90,7 @@ TEST(Hypervisor, OverheadContentDiffersPerVm)
 TEST(Hypervisor, KsmMergeSharesAndCowUnshares)
 {
     StatSet stats;
-    KvmHypervisor hv(smallHost(), stats);
+    Hypervisor hv(smallHost(), stats);
     VmId a = hv.createVm("a", 8 * MiB, 0);
     VmId b = hv.createVm("b", 8 * MiB, 0);
 
@@ -120,7 +119,7 @@ TEST(Hypervisor, KsmMergeSharesAndCowUnshares)
 TEST(Hypervisor, MergeRejectsDifferentContent)
 {
     StatSet stats;
-    KvmHypervisor hv(smallHost(), stats);
+    Hypervisor hv(smallHost(), stats);
     VmId a = hv.createVm("a", 8 * MiB, 0);
     VmId b = hv.createVm("b", 8 * MiB, 0);
     hv.writePage(a, 0, PageData::filled(1, 1));
@@ -133,7 +132,7 @@ TEST(Hypervisor, MergeRejectsDifferentContent)
 TEST(Hypervisor, MergeRejectsNonResidentAndSelf)
 {
     StatSet stats;
-    KvmHypervisor hv(smallHost(), stats);
+    Hypervisor hv(smallHost(), stats);
     VmId a = hv.createVm("a", 8 * MiB, 0);
     hv.writePage(a, 0, PageData::filled(1, 1));
     Hfn stable = hv.ksmMakeStable(a, 0);
@@ -144,7 +143,7 @@ TEST(Hypervisor, MergeRejectsNonResidentAndSelf)
 TEST(Hypervisor, WriteToStableFrameCowsEvenIfSoleMapping)
 {
     StatSet stats;
-    KvmHypervisor hv(smallHost(), stats);
+    Hypervisor hv(smallHost(), stats);
     VmId a = hv.createVm("a", 8 * MiB, 0);
     hv.writePage(a, 0, PageData::filled(3, 3));
     Hfn stable = hv.ksmMakeStable(a, 0);
@@ -163,7 +162,7 @@ TEST(Hypervisor, WriteToStableFrameCowsEvenIfSoleMapping)
 TEST(Hypervisor, DiscardFreesFrame)
 {
     StatSet stats;
-    KvmHypervisor hv(smallHost(), stats);
+    Hypervisor hv(smallHost(), stats);
     VmId a = hv.createVm("a", 8 * MiB, 0);
     hv.writePage(a, 7, PageData::filled(1, 1));
     EXPECT_EQ(hv.vm(a).residentPages, 1u);
@@ -177,7 +176,7 @@ TEST(Hypervisor, DiscardFreesFrame)
 TEST(Hypervisor, DiscardOfSharedFrameLeavesOtherMapping)
 {
     StatSet stats;
-    KvmHypervisor hv(smallHost(), stats);
+    Hypervisor hv(smallHost(), stats);
     VmId a = hv.createVm("a", 8 * MiB, 0);
     VmId b = hv.createVm("b", 8 * MiB, 0);
     PageData d = PageData::filled(4, 4);
@@ -216,7 +215,7 @@ TEST(Hypervisor, ReleaseVmMemorySendsNoDiscardNotices)
     // the same frame and swap bookkeeping page by page but tells no
     // one, since the retired VM's pages can never be looked up again.
     StatSet stats;
-    KvmHypervisor hv(smallHost(16 * pageSize), stats);
+    Hypervisor hv(smallHost(16 * pageSize), stats);
     DiscardLog log;
     hv.setPageListener(&log);
     VmId a = hv.createVm("a", 32 * pageSize, 0);
@@ -256,7 +255,7 @@ TEST(HypervisorDeathTest, SecondPageListenerIsAPanic)
     // bug, clearing it and setting it again is not.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     StatSet stats;
-    KvmHypervisor hv(smallHost(16 * pageSize), stats);
+    Hypervisor hv(smallHost(16 * pageSize), stats);
     DiscardLog first, second;
     hv.setPageListener(&first);
     EXPECT_DEATH(hv.setPageListener(&second), "assertion");
@@ -269,7 +268,7 @@ TEST(Hypervisor, EvictionAndMajorFault)
 {
     StatSet stats;
     // Host with room for only 8 frames.
-    KvmHypervisor hv(smallHost(8 * pageSize), stats);
+    Hypervisor hv(smallHost(8 * pageSize), stats);
     VmId a = hv.createVm("a", 1 * MiB, 0);
 
     // Fill the host, then keep writing: the host must evict.
@@ -301,7 +300,7 @@ TEST(Hypervisor, SwapInRestoresSharingStructure)
     StatSet stats;
     // 4 host frames: 1 KSM-shared frame + 3 pinned VM-overhead frames.
     // The next allocation can only evict the shared frame.
-    KvmHypervisor hv(smallHost(4 * pageSize), stats);
+    Hypervisor hv(smallHost(4 * pageSize), stats);
     VmId a = hv.createVm("a", 1 * MiB, 0);
     VmId b = hv.createVm("b", 1 * MiB, 0);
 
@@ -341,7 +340,7 @@ TEST(Hypervisor, CompressedSwapTierServesFastRefaults)
     // Pool of 2 pages -> capacity for 6 compressed slots, and only
     // 14 usable frames.
     cfg.compressedSwapPoolBytes = 2 * pageSize;
-    KvmHypervisor hv(cfg, stats);
+    Hypervisor hv(cfg, stats);
     VmId a = hv.createVm("a", 1 * MiB, 0);
 
     for (Gfn g = 0; g < 20; ++g)
@@ -368,7 +367,7 @@ TEST(Hypervisor, SwapOverflowsToDiskWhenPoolFull)
     StatSet stats;
     hv::HostConfig cfg = smallHost(16 * pageSize);
     cfg.compressedSwapPoolBytes = 1 * pageSize; // 3 compressed slots
-    KvmHypervisor hv(cfg, stats);
+    Hypervisor hv(cfg, stats);
     VmId a = hv.createVm("a", 1 * MiB, 0);
     for (Gfn g = 0; g < 25; ++g)
         hv.writePage(a, g, PageData::filled(10, g));
@@ -381,10 +380,10 @@ TEST(Hypervisor, SwapOverflowsToDiskWhenPoolFull)
 TEST(Hypervisor, CollapseMergesAllDuplicates)
 {
     StatSet stats;
-    PowerVmHypervisor hv(smallHost(), stats);
-    VmId a = hv.createVm("a", 8 * MiB);
-    VmId b = hv.createVm("b", 8 * MiB);
-    VmId c = hv.createVm("c", 8 * MiB);
+    Hypervisor hv(smallHost(), stats);
+    VmId a = hv.createVm("a", 8 * MiB, 0);
+    VmId b = hv.createVm("b", 8 * MiB, 0);
+    VmId c = hv.createVm("c", 8 * MiB, 0);
 
     PageData shared = PageData::filled(1, 1);
     for (VmId v : {a, b, c}) {
@@ -392,7 +391,7 @@ TEST(Hypervisor, CollapseMergesAllDuplicates)
         hv.writePage(v, 1, PageData::filled(100 + v, v)); // unique
     }
     EXPECT_EQ(hv.residentFrames(), 6u);
-    std::uint64_t merged = hv.runTps();
+    std::uint64_t merged = hv.collapseIdenticalPages();
     EXPECT_EQ(merged, 2u);
     EXPECT_EQ(hv.residentFrames(), 4u);
     EXPECT_EQ(hv.translate(a, 0), hv.translate(b, 0));
@@ -403,13 +402,13 @@ TEST(Hypervisor, CollapseMergesAllDuplicates)
 TEST(Hypervisor, CollapseIsTransparentToReaders)
 {
     StatSet stats;
-    PowerVmHypervisor hv(smallHost(), stats);
-    VmId a = hv.createVm("a", 8 * MiB);
-    VmId b = hv.createVm("b", 8 * MiB);
+    Hypervisor hv(smallHost(), stats);
+    VmId a = hv.createVm("a", 8 * MiB, 0);
+    VmId b = hv.createVm("b", 8 * MiB, 0);
     PageData d = PageData::filled(2, 2);
     hv.writePage(a, 5, d);
     hv.writePage(b, 9, d);
-    hv.runTps();
+    hv.collapseIdenticalPages();
     EXPECT_EQ(hv.readWord(a, 5, 4), d.word[4]);
     EXPECT_EQ(hv.readWord(b, 9, 4), d.word[4]);
     // And to writers, via COW.
@@ -421,7 +420,7 @@ TEST(Hypervisor, CollapseIsTransparentToReaders)
 TEST(Hypervisor, ConsistencyAcrossMixedOps)
 {
     StatSet stats;
-    KvmHypervisor hv(smallHost(48 * pageSize), stats);
+    Hypervisor hv(smallHost(48 * pageSize), stats);
     VmId a = hv.createVm("a", 1 * MiB, 0);
     VmId b = hv.createVm("b", 1 * MiB, 0);
 

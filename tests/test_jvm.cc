@@ -20,7 +20,7 @@
 using namespace jtps;
 using guest::GuestOs;
 using guest::MemCategory;
-using hv::KvmHypervisor;
+using hv::Hypervisor;
 using jvm::CacheScope;
 using jvm::ClassOrigin;
 using jvm::ClassSet;
@@ -55,7 +55,7 @@ struct JvmFixture : ::testing::Test
 {
     StatSet stats;
     hv::HostConfig host_cfg;
-    std::unique_ptr<KvmHypervisor> hv;
+    std::unique_ptr<Hypervisor> hv;
     std::unique_ptr<GuestOs> os;
 
     void
@@ -63,7 +63,7 @@ struct JvmFixture : ::testing::Test
     {
         host_cfg.ramBytes = 1 * GiB;
         host_cfg.reserveBytes = 0;
-        hv = std::make_unique<KvmHypervisor>(host_cfg, stats);
+        hv = std::make_unique<Hypervisor>(host_cfg, stats);
         VmId vm = hv->createVm("vm", 256 * MiB, 0);
         os = std::make_unique<GuestOs>(*hv, vm, "vm", 55);
     }

@@ -13,7 +13,7 @@
 #include "sim/event_queue.hh"
 
 using namespace jtps;
-using hv::KvmHypervisor;
+using hv::Hypervisor;
 using ksm::KsmConfig;
 using ksm::KsmScanner;
 using mem::PageData;
@@ -25,7 +25,7 @@ struct KsmFixture : ::testing::Test
 {
     StatSet stats;
     hv::HostConfig host_cfg;
-    std::unique_ptr<KvmHypervisor> hv;
+    std::unique_ptr<Hypervisor> hv;
     std::unique_ptr<KsmScanner> scanner;
 
     void
@@ -33,7 +33,7 @@ struct KsmFixture : ::testing::Test
     {
         host_cfg.ramBytes = 32 * MiB;
         host_cfg.reserveBytes = 0;
-        hv = std::make_unique<KvmHypervisor>(host_cfg, stats);
+        hv = std::make_unique<Hypervisor>(host_cfg, stats);
         KsmConfig cfg;
         cfg.pagesToScan = 100000; // whole memory per batch in tests
         scanner = std::make_unique<KsmScanner>(*hv, cfg, stats);
@@ -282,18 +282,6 @@ TEST_F(KsmFixture, StaleStableNodesArePruned)
     scanner->scanBatch();
     scanner->scanBatch();
     EXPECT_EQ(scanner->pagesSharing(), 1u);
-}
-
-TEST_F(KsmFixture, UnmergeableVmIsSkipped)
-{
-    VmId a = hv->createVm("a", 1 * MiB, 0);
-    VmId b = hv->createVm("b", 1 * MiB, 0);
-    hv->vm(b).mergeable = false;
-    PageData d = PageData::filled(6, 6);
-    hv->writePage(a, 0, d);
-    hv->writePage(b, 0, d);
-    scanner->runToQuiescence();
-    EXPECT_EQ(scanner->pagesSharing(), 0u);
 }
 
 TEST_F(KsmFixture, BatchSizeBoundsWork)
@@ -558,7 +546,7 @@ struct KsmStableIndex : ::testing::Test
 {
     StatSet stats;
     hv::HostConfig host_cfg;
-    std::unique_ptr<KvmHypervisor> hv;
+    std::unique_ptr<Hypervisor> hv;
     std::unique_ptr<KsmScanner> scanner;
     VmId a = invalidVm;
 
@@ -567,7 +555,7 @@ struct KsmStableIndex : ::testing::Test
     {
         host_cfg.ramBytes = 32 * MiB;
         host_cfg.reserveBytes = 0;
-        hv = std::make_unique<KvmHypervisor>(host_cfg, stats);
+        hv = std::make_unique<Hypervisor>(host_cfg, stats);
         KsmConfig cfg;
         cfg.pagesToScan = 100000; // one batch is one full pass
         cfg.maxPageSharing = 2;

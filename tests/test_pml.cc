@@ -19,7 +19,7 @@
 
 using namespace jtps;
 using hv::HostConfig;
-using hv::KvmHypervisor;
+using hv::Hypervisor;
 using hv::PageState;
 using mem::PageData;
 
@@ -54,7 +54,7 @@ tinyKernel()
 TEST(PmlRing, AppendsOncePerDrainCycle)
 {
     StatSet stats;
-    KvmHypervisor hv(pmlHost(16), stats);
+    Hypervisor hv(pmlHost(16), stats);
     VmId vm = hv.createVm("vm", 1 * MiB, 0);
 
     // Three writes to one page, two to another: one entry per page.
@@ -66,14 +66,8 @@ TEST(PmlRing, AppendsOncePerDrainCycle)
 
     const auto &ring = hv.pmlEntries(vm);
     ASSERT_EQ(ring.size(), 2u);
-    EXPECT_EQ(ring[0].gfn, 3u);
-    EXPECT_EQ(ring[1].gfn, 9u);
-    // The generation is stamped at append time; later writes bump the
-    // frame's writeGen without touching the entry (drain keys on gfn
-    // alone, so the field is informational).
-    EXPECT_GT(ring[0].gen, 0u);
-    EXPECT_LE(ring[0].gen,
-              hv.frames().writeGen(hv.translate(vm, 3)));
+    EXPECT_EQ(Gfn{ring[0]}, 3u);
+    EXPECT_EQ(Gfn{ring[1]}, 9u);
     EXPECT_EQ(hv.vm(vm).pmlAppendsTotal, 2u);
     EXPECT_EQ(stats.get("hv.pml_appends"), 2u);
     hv.checkConsistency();
@@ -82,7 +76,7 @@ TEST(PmlRing, AppendsOncePerDrainCycle)
 TEST(PmlRing, ResetStartsANewDrainCycle)
 {
     StatSet stats;
-    KvmHypervisor hv(pmlHost(16), stats);
+    Hypervisor hv(pmlHost(16), stats);
     VmId vm = hv.createVm("vm", 1 * MiB, 0);
 
     hv.writeWord(vm, 3, 0, 1);
@@ -93,10 +87,10 @@ TEST(PmlRing, ResetStartsANewDrainCycle)
     // Unwritten since the drain: nothing re-logs...
     EXPECT_EQ(hv.readWord(vm, 3, 0), 1u);
     EXPECT_TRUE(hv.pmlEntries(vm).empty());
-    // ...but the next write does, with the fresh generation.
+    // ...but the next write does.
     hv.writeWord(vm, 3, 0, 2);
     ASSERT_EQ(hv.pmlEntries(vm).size(), 1u);
-    EXPECT_EQ(hv.pmlEntries(vm)[0].gfn, 3u);
+    EXPECT_EQ(Gfn{hv.pmlEntries(vm)[0]}, 3u);
     EXPECT_EQ(hv.vm(vm).pmlAppendsTotal, 2u);
     hv.checkConsistency();
 }
@@ -104,7 +98,7 @@ TEST(PmlRing, ResetStartsANewDrainCycle)
 TEST(PmlRing, OverflowFlagsTheVmAndCountsDrops)
 {
     StatSet stats;
-    KvmHypervisor hv(pmlHost(2), stats);
+    Hypervisor hv(pmlHost(2), stats);
     VmId vm = hv.createVm("vm", 1 * MiB, 0);
 
     for (Gfn g = 0; g < 5; ++g)
@@ -119,14 +113,41 @@ TEST(PmlRing, OverflowFlagsTheVmAndCountsDrops)
     hv.pmlResetRing(vm);
     hv.writeWord(vm, 4, 0, 99);
     ASSERT_EQ(hv.pmlEntries(vm).size(), 1u);
-    EXPECT_EQ(hv.pmlEntries(vm)[0].gfn, 4u);
+    EXPECT_EQ(Gfn{hv.pmlEntries(vm)[0]}, 4u);
+    hv.checkConsistency();
+}
+
+TEST(PmlRing, DiscardedPageRelogsInTheSameDrainCycle)
+{
+    StatSet stats;
+    Hypervisor hv(pmlHost(16), stats);
+    VmId vm = hv.createVm("vm", 1 * MiB, 0);
+
+    // Discard resets the EPT entry, logged bit included, but leaves the
+    // ring alone: the next write to the page logs it a second time.
+    hv.writeWord(vm, 3, 0, 1);
+    hv.discardPage(vm, 3);
+    EXPECT_FALSE(hv.vm(vm).ept.entry(3).pmlLogged);
+    hv.writeWord(vm, 3, 0, 2);
+
+    const auto &ring = hv.pmlEntries(vm);
+    ASSERT_EQ(ring.size(), 2u);
+    EXPECT_EQ(Gfn{ring[0]}, 3u);
+    EXPECT_EQ(Gfn{ring[1]}, 3u);
+    EXPECT_EQ(hv.vm(vm).pmlAppendsTotal, 2u);
+    EXPECT_TRUE(hv.vm(vm).ept.entry(3).pmlLogged);
+    hv.checkConsistency();
+
+    hv.pmlResetRing(vm);
+    EXPECT_TRUE(ring.empty());
+    EXPECT_FALSE(hv.vm(vm).ept.entry(3).pmlLogged);
     hv.checkConsistency();
 }
 
 TEST(PmlRing, DisabledRingsLogNothing)
 {
     StatSet stats;
-    KvmHypervisor hv(pmlHost(0), stats);
+    Hypervisor hv(pmlHost(0), stats);
     VmId vm = hv.createVm("vm", 1 * MiB, 0);
     hv.writeWord(vm, 0, 0, 1);
     EXPECT_FALSE(hv.pmlEnabled());
@@ -142,7 +163,7 @@ TEST(PmlRing, SwapInRelogsRestoredPages)
     // the generation walk re-examines it. The dirty log says so too:
     // swapIn() re-logs every restored mapping.
     StatSet stats;
-    KvmHypervisor hv(pmlHost(4096, 48 * pageSize), stats);
+    Hypervisor hv(pmlHost(4096, 48 * pageSize), stats);
     VmId vm = hv.createVm("vm", 1 * MiB, 0);
 
     // Overcommit: 64 distinct pages through a 48-frame host forces
@@ -166,8 +187,8 @@ TEST(PmlRing, SwapInRelogsRestoredPages)
     hv.touchPage(vm, victim);
     ASSERT_EQ(hv.vm(vm).ept.entry(victim).state, PageState::Resident);
     bool logged = false;
-    for (const auto &e : hv.pmlEntries(vm))
-        logged = logged || e.gfn == victim;
+    for (const Gfn gfn : hv.pmlEntries(vm))
+        logged = logged || gfn == victim;
     EXPECT_TRUE(logged);
     hv.checkConsistency();
 }
@@ -180,14 +201,14 @@ TEST(PmlRing, RecycledGfnIsRescannedFromLiveState)
     // *new* content with its true duplicate and leave the page
     // holding the old content alone.
     StatSet stats;
-    KvmHypervisor hv(pmlHost(4096), stats);
+    Hypervisor hv(pmlHost(4096), stats);
     VmId a = hv.createVm("a", 1 * MiB, 0);
     VmId b = hv.createVm("b", 1 * MiB, 0);
 
     const PageData oldContent = PageData::filled(11, 1);
     const PageData newContent = PageData::filled(22, 2);
-    hv.writePage(a, 0, oldContent); // ring entry for (a, 0), gen G1
-    hv.writePage(b, 1, oldContent); // a would-be partner for G1 content
+    hv.writePage(a, 0, oldContent); // ring entry for (a, 0)
+    hv.writePage(b, 1, oldContent); // a would-be partner for it
     hv.discardPage(a, 0);
     hv.writePage(a, 0, newContent); // recycled gfn, different content
     hv.writePage(b, 0, newContent);
@@ -209,7 +230,7 @@ TEST(PmlRing, RecycledGfnIsRescannedFromLiveState)
 TEST(WssEstimator, CountsDirtiedPagesPerWindow)
 {
     StatSet stats;
-    KvmHypervisor hv(pmlHost(4096), stats);
+    Hypervisor hv(pmlHost(4096), stats);
     VmId vm = hv.createVm("vm", 2 * MiB, 0);
 
     analysis::WssConfig wcfg;
@@ -238,7 +259,7 @@ TEST(WssEstimator, CountsDirtiedPagesPerWindow)
 TEST(WssEstimator, WindowMaxRidesOutQuietWindows)
 {
     StatSet stats;
-    KvmHypervisor hv(pmlHost(4096), stats);
+    Hypervisor hv(pmlHost(4096), stats);
     VmId vm = hv.createVm("vm", 2 * MiB, 0);
 
     analysis::WssConfig wcfg;
@@ -260,7 +281,7 @@ TEST(WssEstimator, WindowMaxRidesOutQuietWindows)
 TEST(BalloonGovernor, ResizesTowardWorkingSet)
 {
     StatSet stats;
-    KvmHypervisor hv(pmlHost(4096), stats);
+    Hypervisor hv(pmlHost(4096), stats);
     VmId vm_id = hv.createVm("vm", 8 * MiB, 0);
     guest::GuestOs os(hv, vm_id, "vm", 1);
     os.bootKernel(tinyKernel());
@@ -298,7 +319,7 @@ TEST(BalloonGovernor, ResizesTowardWorkingSet)
 TEST(BalloonGovernor, MaxStepBoundsEachAdjustment)
 {
     StatSet stats;
-    KvmHypervisor hv(pmlHost(4096), stats);
+    Hypervisor hv(pmlHost(4096), stats);
     VmId vm_id = hv.createVm("vm", 8 * MiB, 0);
     guest::GuestOs os(hv, vm_id, "vm", 1);
     os.bootKernel(tinyKernel());
@@ -325,7 +346,7 @@ TEST(BalloonGovernor, OomPressureDeflatesTheBalloonInstead)
     // every reclaimable page must satisfy new allocations by taking
     // pages back from the balloon, never by dying.
     StatSet stats;
-    KvmHypervisor hv(pmlHost(64), stats);
+    Hypervisor hv(pmlHost(64), stats);
     VmId vm_id = hv.createVm("vm", 8 * MiB, 0);
     guest::GuestOs os(hv, vm_id, "vm", 1);
     os.bootKernel(tinyKernel());
@@ -350,7 +371,7 @@ TEST(BalloonGovernor, RefaultStormGrowsSlackAndBacksOff)
     // that guest's protected slack and deflate, then decay the slack
     // once the storm stops.
     StatSet stats;
-    KvmHypervisor hv(pmlHost(4096), stats);
+    Hypervisor hv(pmlHost(4096), stats);
     VmId vm_id = hv.createVm("vm", 8 * MiB, 0);
     guest::GuestOs os(hv, vm_id, "vm", 1);
     os.bootKernel(tinyKernel());

@@ -31,7 +31,7 @@
 #include "ksm/ksm_scanner.hh"
 
 using namespace jtps;
-using hv::KvmHypervisor;
+using hv::Hypervisor;
 using ksm::KsmConfig;
 using ksm::KsmScanner;
 using mem::PageData;
@@ -54,7 +54,7 @@ TEST_P(HvFuzz, ReadYourWritesUnderMergeCowEvict)
     hv::HostConfig host;
     host.ramBytes = 64 * pageSize; // tight: forces eviction
     host.reserveBytes = 0;
-    KvmHypervisor hv(host, stats);
+    Hypervisor hv(host, stats);
 
     constexpr int num_vms = 3;
     constexpr Gfn pages_per_vm = 40;
@@ -146,7 +146,7 @@ TEST_P(SharingCounterFuzz, CountersMatchFullRecountUnderMergeCowFree)
     hv::HostConfig host;
     host.ramBytes = 96 * pageSize; // tight: eviction hits shared frames
     host.reserveBytes = 0;
-    KvmHypervisor hv(host, stats);
+    Hypervisor hv(host, stats);
 
     constexpr int num_vms = 3;
     constexpr Gfn pages_per_vm = 48;
@@ -229,13 +229,13 @@ TEST_P(CollapseFuzz, CollapsePreservesContentAndConserves)
     hv::HostConfig host;
     host.ramBytes = 16 * MiB;
     host.reserveBytes = 0;
-    hv::PowerVmHypervisor hv(host, stats);
+    hv::Hypervisor hv(host, stats);
 
     constexpr int num_vms = 4;
     constexpr Gfn pages = 64;
     std::map<std::pair<VmId, Gfn>, PageData> shadow;
     for (int v = 0; v < num_vms; ++v) {
-        hv.createVm("vm" + std::to_string(v), pages * pageSize);
+        hv.createVm("vm" + std::to_string(v), pages * pageSize, 0);
         for (Gfn g = 0; g < pages; ++g) {
             PageData d = PageData::filled(rng.nextBelow(10), 0);
             hv.writePage(v, g, d);
@@ -244,7 +244,7 @@ TEST_P(CollapseFuzz, CollapsePreservesContentAndConserves)
     }
 
     const std::uint64_t before = hv.residentFrames();
-    const std::uint64_t merged = hv.runTps();
+    const std::uint64_t merged = hv.collapseIdenticalPages();
     EXPECT_EQ(hv.residentFrames(), before - merged);
     // At most 10 distinct contents remain.
     EXPECT_LE(hv.residentFrames(), 10u);
@@ -285,7 +285,7 @@ TEST_P(ConservationSweep, AttributionConservesResidentBytes)
     hv::HostConfig host;
     host.ramBytes = 2ULL * GiB;
     host.reserveBytes = 0;
-    KvmHypervisor hv(host, stats);
+    Hypervisor hv(host, stats);
 
     std::vector<std::unique_ptr<guest::GuestOs>> guests;
     guest::KernelConfig k;
@@ -357,7 +357,7 @@ TEST_P(GuestSwapFuzz, ContentSurvivesGuestAndHostPressure)
     hv::HostConfig host;
     host.ramBytes = 32 * pageSize; // < guest RAM: host pages too
     host.reserveBytes = 0;
-    KvmHypervisor hv(host, stats);
+    Hypervisor hv(host, stats);
     VmId id = hv.createVm("vm", 40 * pageSize, 0);
     guest::GuestOs os(hv, id, "vm", seed);
     Pid pid = os.spawn("p", false);
@@ -411,8 +411,8 @@ struct TwinStacks
     StatSet ref_stats;
     TraceBuffer inc_trace;
     TraceBuffer ref_trace;
-    KvmHypervisor inc_hv;
-    KvmHypervisor ref_hv;
+    Hypervisor inc_hv;
+    Hypervisor ref_hv;
     KsmScanner inc_scanner;
     KsmScanner ref_scanner;
 
@@ -941,7 +941,7 @@ struct RangeWriteCase
 struct RangeWriteTwin
 {
     StatSet stats;
-    std::unique_ptr<KvmHypervisor> hv;
+    std::unique_ptr<Hypervisor> hv;
     std::unique_ptr<guest::GuestOs> os;
     std::unique_ptr<KsmScanner> ksm;
     const guest::Vma *vma = nullptr;
@@ -962,7 +962,7 @@ runRangeWriteScript(RangeWriteTwin &t, const RangeWriteCase &c,
     host.ramBytes = c.hostRam;
     host.reserveBytes = 0;
     host.pmlRingSlots = c.pmlRingSlots;
-    t.hv = std::make_unique<KvmHypervisor>(host, t.stats);
+    t.hv = std::make_unique<Hypervisor>(host, t.stats);
     const VmId vm = t.hv->createVm("vm", c.guestMem, 0);
     t.os = std::make_unique<guest::GuestOs>(*t.hv, vm, "vm", seed);
     const Pid pid = t.os->spawn("app", true);
@@ -1027,8 +1027,7 @@ expectSameWriteState(const RangeWriteTwin &a, const RangeWriteTwin &b)
     EXPECT_EQ(va.pmlAppendsTotal, vb.pmlAppendsTotal);
     ASSERT_EQ(va.pmlRing.size(), vb.pmlRing.size());
     for (std::size_t i = 0; i < va.pmlRing.size(); ++i) {
-        ASSERT_TRUE(va.pmlRing[i].gfn == vb.pmlRing[i].gfn &&
-                    va.pmlRing[i].gen == vb.pmlRing[i].gen)
+        ASSERT_EQ(Gfn{va.pmlRing[i]}, Gfn{vb.pmlRing[i]})
             << "ring entry " << i;
     }
 

@@ -433,7 +433,7 @@ TEST(TraceBuffer, DisabledStaysOutOfScanHotPath)
         hv::HostConfig host;
         host.ramBytes = 2ULL * GiB;
         host.reserveBytes = 0;
-        hv::KvmHypervisor hv(host, stats);
+        hv::Hypervisor hv(host, stats);
         if (trace)
             hv.setTrace(trace);
         VmId a = hv.createVm("a", 64 * MiB, 0);

@@ -121,7 +121,7 @@ TEST(ClientDriver, ThroughputApproachesClosedLoopBound)
     hv::HostConfig host;
     host.ramBytes = 4ULL * GiB; // no memory pressure
     host.reserveBytes = 0;
-    hv::KvmHypervisor hv(host, stats);
+    hv::Hypervisor hv(host, stats);
     VmId id = hv.createVm("vm", 1 * GiB, 0);
     guest::GuestOs os(hv, id, "vm", 9);
 
@@ -155,7 +155,7 @@ TEST(ClientDriver, ThrashingServerKeepsGrinding)
     hv::HostConfig host;
     host.ramBytes = 4ULL * GiB;
     host.reserveBytes = 0;
-    hv::KvmHypervisor hv(host, stats);
+    hv::Hypervisor hv(host, stats);
     VmId id = hv.createVm("vm", 1 * GiB, 0);
     guest::GuestOs os(hv, id, "vm", 9);
 
@@ -185,7 +185,7 @@ TEST(ClientDriver, WarmupEventuallyCompletes)
     hv::HostConfig host;
     host.ramBytes = 4ULL * GiB;
     host.reserveBytes = 0;
-    hv::KvmHypervisor hv(host, stats);
+    hv::Hypervisor hv(host, stats);
     VmId id = hv.createVm("vm", 1 * GiB, 0);
     guest::GuestOs os(hv, id, "vm", 9);
 

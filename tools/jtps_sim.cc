@@ -233,7 +233,7 @@ parse(int argc, char **argv)
         opt.hosts > 0
             ? static_cast<std::uint64_t>(opt.perHost) + (opt.migrate ? 1 : 0)
             : static_cast<std::uint64_t>(opt.vms);
-    if (opt.pmlRingSlots > opt.hostRam / sizeof(hv::PmlEntry) / vms_per_host)
+    if (opt.pmlRingSlots > opt.hostRam / sizeof(PackedGfn) / vms_per_host)
         badUsage(argv0, "--pml-ring: the rings of all VMs on a host "
                         "must fit in host RAM");
     if (opt.adaptiveBalloon && opt.pmlRingSlots == 0)
