@@ -29,7 +29,6 @@
 
 #include "bench/bench_common.hh"
 #include "bench/bench_json.hh"
-#include "guest/balloon.hh"
 #include "ksm/ksm_tuned.hh"
 
 using namespace jtps;
@@ -96,15 +95,11 @@ measure(Policy policy)
     core::Scenario scenario(cfg, vms);
     scenario.build();
 
-    std::vector<std::unique_ptr<guest::BalloonDriver>> balloons;
     if (policy == Policy::Static) {
         // The balloon manager sizes every guest down right after boot
         // and never revisits the choice.
-        for (int v = 0; v < numVms; ++v) {
-            balloons.push_back(std::make_unique<guest::BalloonDriver>(
-                scenario.guest(v)));
-            balloons.back()->inflate(120 * MiB);
-        }
+        for (int v = 0; v < numVms; ++v)
+            scenario.guest(v).balloonTake(bytesToPages(120 * MiB));
     }
 
     std::unique_ptr<ksm::KsmTuned> tuned;

@@ -29,7 +29,6 @@
 #include "bench/bench_common.hh"
 #include "bench/bench_json.hh"
 #include "cluster/cluster.hh"
-#include "guest/balloon.hh"
 
 using namespace jtps;
 
@@ -132,10 +131,8 @@ measure(std::size_t hosts, std::size_t per_host,
         // guest, inflated at boot and never revisited.
         for (std::size_t h = 0; h < fleet.hostCount(); ++h) {
             core::Scenario &host = fleet.host(h);
-            for (std::size_t v = 0; v < host.vmCount(); ++v) {
-                guest::BalloonDriver balloon(host.guest(v));
-                balloon.inflate(120 * MiB);
-            }
+            for (std::size_t v = 0; v < host.vmCount(); ++v)
+                host.guest(v).balloonTake(bytesToPages(120 * MiB));
         }
     }
 

@@ -30,7 +30,8 @@ captureSnapshot(const hv::Hypervisor &hv,
     // Layers 1+2: fn(hfn, ref) for every mapped vpage of every process.
     auto walk = [&](auto &&fn) {
         for (const guest::GuestOs *os : guests) {
-            jtps_assert(os != nullptr);
+            if (os == nullptr)
+                continue; // a retired VM: nothing mapped
             for (const auto &proc : os->processes()) {
                 for (const auto &vma : proc->vmas) {
                     for (std::uint64_t i = 0; i < vma->numPages; ++i) {

@@ -85,7 +85,8 @@ void checkSnapshotRefs(std::uint64_t refs);
  * walked in VM order and each guest's pages in walk order.
  *
  * @param hv The hypervisor (host layer + EPTs).
- * @param guests One GuestOs per VM, indexed by VmId.
+ * @param guests One GuestOs per VM, indexed by VmId; a null entry (a
+ *        retired VM) is skipped.
  */
 Snapshot captureSnapshot(const hv::Hypervisor &hv,
                          const std::vector<const guest::GuestOs *> &guests);

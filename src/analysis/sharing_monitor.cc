@@ -22,10 +22,7 @@ SharingMonitor::sample(Tick now)
 void
 SharingMonitor::attach(sim::EventQueue &queue, Tick period_ms)
 {
-    attached_ = true;
     queue.schedulePeriodic(period_ms, [this, &queue]() {
-        if (!attached_)
-            return false;
         sample(queue.now());
         return true;
     });

@@ -54,9 +54,6 @@ class SharingMonitor
     /** Attach periodic sampling every @p period_ms. */
     void attach(sim::EventQueue &queue, Tick period_ms);
 
-    /** Stop sampling at the next firing. */
-    void detach() { attached_ = false; }
-
     /** All samples in time order. */
     const std::vector<SharingSample> &samples() const { return samples_; }
 
@@ -69,7 +66,6 @@ class SharingMonitor
   private:
     const hv::Hypervisor &hv_;
     const ksm::KsmScanner &scanner_;
-    bool attached_ = false;
     std::vector<SharingSample> samples_;
 };
 

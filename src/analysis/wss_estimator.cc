@@ -60,10 +60,7 @@ void
 WssEstimator::attach(sim::EventQueue &queue)
 {
     constexpr Tick windowMs = 2000; // sampling window length
-    attached_ = true;
     queue.schedulePeriodic(windowMs, [this]() {
-        if (!attached_)
-            return false;
         sample();
         return true;
     });

@@ -63,9 +63,6 @@ class WssEstimator
     /** Attach the periodic sampler to @p queue. */
     void attach(sim::EventQueue &queue);
 
-    /** Stop sampling at the next firing. */
-    void detach() { attached_ = false; }
-
     /** Current estimate for @p vm in pages (0 before two samples). */
     std::uint64_t wssPages(VmId vm) const;
 
@@ -92,7 +89,6 @@ class WssEstimator
     hv::Hypervisor &hv_;
     WssConfig cfg_;
     StatSet &stats_;
-    bool attached_ = false;
     std::uint64_t samples_ = 0;
     std::vector<VmWindowState> vms_;
 };

@@ -12,7 +12,7 @@ BalloonGovernor::BalloonGovernor(std::vector<guest::GuestOs *> guests,
                                  const BalloonGovernorConfig &cfg,
                                  StatSet &stats)
     : guests_(std::move(guests)), wss_(wss), cfg_(cfg), stats_(stats),
-      stat_resizes_(stats.counter("balloon.wss_resizes")),
+      stat_resize_actions_(stats.counter("balloon.wss_resizes")),
       stat_backoffs_(stats.counter("balloon.refault_backoffs"))
 {
     jtps_assert(!guests_.empty());
@@ -100,17 +100,14 @@ BalloonGovernor::step()
             // May saturate below `want` when the guest has nothing
             // reclaimable left; the next step retries against a fresh
             // estimate.
-            if (os.balloonTake(want) > 0) {
-                ++resizes_;
-                ++stat_resizes_;
-            }
+            if (os.balloonTake(want) > 0)
+                ++stat_resize_actions_;
         } else if (held > target) {
             // Deflation is never stepped: giving memory back to a
             // guest is free and safe, and a thrashing guest must not
             // wait maxStepPages-sized intervals for relief.
             os.balloonReturn(held - target);
-            ++resizes_;
-            ++stat_resizes_;
+            ++stat_resize_actions_;
         }
         total_held += os.balloonHeldPages();
     }
@@ -122,10 +119,7 @@ void
 BalloonGovernor::attach(sim::EventQueue &queue)
 {
     constexpr Tick intervalMs = 2000; // control-loop period
-    attached_ = true;
     queue.schedulePeriodic(intervalMs, [this]() {
-        if (!attached_)
-            return false;
         step();
         return true;
     });

@@ -94,9 +94,6 @@ class BalloonGovernor
     /** Attach the periodic control loop to @p queue. */
     void attach(sim::EventQueue &queue);
 
-    /** Stop the loop at the next firing. */
-    void detach() { attached_ = false; }
-
     /**
      * Stop managing VM @p vm (it was retired/migrated away). Its slot
      * stays so indices keep matching VM ids; step() skips it.
@@ -105,9 +102,6 @@ class BalloonGovernor
 
     /** Start managing a guest added mid-run (at the next VM id). */
     void addGuest(guest::GuestOs *guest);
-
-    /** Balloon resize actions taken so far (inflations + deflations). */
-    std::uint64_t resizes() const { return resizes_; }
 
     /** Current balloon target of @p vm in pages. */
     std::uint64_t targetPages(VmId vm) const;
@@ -130,9 +124,9 @@ class BalloonGovernor
     BalloonGovernorConfig cfg_;
     StatSet &stats_;
     std::vector<VmState> vm_state_;
-    bool attached_ = false;
-    std::uint64_t resizes_ = 0;
-    std::uint64_t &stat_resizes_;
+    /** balloon.wss_resizes: resize actions taken (inflations +
+     *  deflations). */
+    std::uint64_t &stat_resize_actions_;
     std::uint64_t &stat_backoffs_;
 };
 

@@ -193,20 +193,10 @@ Scenario::scheduleEpochs()
         governor_->attach(queue_);
     }
 
-    scheduleEpochBlock();
-}
-
-void
-Scenario::scheduleEpochBlock()
-{
     // One serial event runs every active VM's epoch straight through
-    // the hypervisor, in VM-id order. It captures the generation it
-    // was scheduled under and cancels itself when it wakes stale (see
-    // epoch_gen_); retireVm/addVm bump the generation and re-call this.
-    const std::uint64_t gen = epoch_gen_;
-    queue_.schedulePeriodic(cfg_.epochMs, [this, gen]() {
-        if (gen != epoch_gen_)
-            return false;
+    // the hypervisor, in VM-id order. It reads the VM population when
+    // it fires, so retireVm() and addVm() need not touch it.
+    queue_.schedulePeriodic(cfg_.epochMs, [this]() {
         disk_.beginEpoch(cfg_.epochMs);
         std::vector<workload::ClientDriver::EpochResult> results(
             drivers_.size());
@@ -230,10 +220,6 @@ Scenario::retireVm(std::size_t i)
     if (governor_)
         governor_->dropGuest(static_cast<VmId>(i));
     hv_->releaseVmMemory(static_cast<VmId>(i));
-    if (epochs_scheduled_) {
-        ++epoch_gen_;
-        scheduleEpochBlock();
-    }
 }
 
 std::size_t
@@ -248,10 +234,6 @@ Scenario::addVm(const workload::WorkloadSpec &spec)
     buildVm(i);
     if (governor_)
         governor_->addGuest(guests_.back().get());
-    if (epochs_scheduled_) {
-        ++epoch_gen_;
-        scheduleEpochBlock();
-    }
     return i;
 }
 
@@ -293,10 +275,12 @@ Scenario::runFor(Tick ms)
 analysis::Snapshot
 Scenario::snapshot()
 {
+    // A retired guest's page tables still hold gfns its freed EPT no
+    // longer has: walk only the active guests.
     std::vector<const guest::GuestOs *> ptrs;
     ptrs.reserve(guests_.size());
-    for (const auto &g : guests_)
-        ptrs.push_back(g.get());
+    for (std::size_t i = 0; i < guests_.size(); ++i)
+        ptrs.push_back(active_[i] ? guests_[i].get() : nullptr);
     return analysis::captureSnapshot(*hv_, ptrs);
 }
 

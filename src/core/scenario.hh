@@ -155,9 +155,12 @@ class Scenario
      * boundary and every page it owns — guest memory and VM-process
      * overhead — is released (hv::Hypervisor::releaseVmMemory). The
      * guest/JVM/driver objects stay so ids and names remain dense;
-     * vmActive(i) turns false and the VM's later epoch rows read as
-     * all-zero. Call between runFor() slices (not from inside an
-     * event). This is the source half of a migration or a poweroff.
+     * vmActive(i) turns false, the VM's later epoch rows read as
+     * all-zero and snapshot()/account() leave its guest out. Call
+     * between runFor() slices (not from inside an event). The epoch
+     * schedule keeps its phase: retiring or adding a VM off the epoch
+     * grid does not restart it. This is the source half of a
+     * migration or a poweroff.
      */
     void retireVm(std::size_t i);
 
@@ -179,7 +182,8 @@ class Scenario
     // Measurement
     // ------------------------------------------------------------------
 
-    /** Capture the three-layer translation walk. */
+    /** Capture the three-layer translation walk over the active
+     *  guests (a retired VM's slot is null). */
     analysis::Snapshot snapshot();
 
     /** Owner-oriented accounting of a fresh snapshot. */
@@ -266,7 +270,6 @@ class Scenario
 
   private:
     void scheduleEpochs();
-    void scheduleEpochBlock();
     void prepareVmArtifacts(std::size_t i);
     void buildVm(std::size_t i);
 
@@ -300,18 +303,9 @@ class Scenario
     /** Per-epoch per-VM results, appended as epochs run. */
     std::vector<std::vector<workload::ClientDriver::EpochResult>>
         epoch_history_;
-    /** Per-VM liveness (retireVm clears; epoch events skip inactive). */
+    /** Per-VM liveness (retireVm clears; the epoch event skips
+     *  inactive VMs and runs every VM addVm() appended). */
     std::vector<bool> active_;
-    /**
-     * Epoch-schedule generation. retireVm()/addVm() change the VM
-     * population while the periodic epoch event is already queued for
-     * the next tick. Instead of hunting it down, the generation is
-     * bumped and a new event scheduled: the event captured its
-     * generation at scheduling and cancels itself (returns false)
-     * when it wakes stale. The stale copy carries the lower sequence
-     * number, so within the switch-over tick it dies first.
-     */
-    std::uint64_t epoch_gen_ = 0;
     bool built_ = false;
     bool epochs_scheduled_ = false;
 };

@@ -43,7 +43,7 @@ Gfn
 GuestOs::allocGfn()
 {
     // The balloon's hold shrinks the usable guest memory.
-    while (gfns_used_ >= guestPages() - balloon_held_) {
+    while (gfnsAllocated() >= guestPages() - balloon_held_) {
         // Out of guest frames: reclaim like a kernel under pressure.
         if (reclaimOneGuestPage())
             continue;
@@ -65,11 +65,9 @@ GuestOs::allocGfn()
     if (!gfn_free_list_.empty()) {
         Gfn g = gfn_free_list_.back();
         gfn_free_list_.pop_back();
-        ++gfns_used_;
         return g;
     }
     jtps_assert(next_gfn_ < guestPages());
-    ++gfns_used_;
     return next_gfn_++;
 }
 
@@ -85,10 +83,11 @@ GuestOs::balloonTake(std::uint64_t pages)
     std::uint64_t taken = 0;
     while (taken < pages && balloon_held_ < guestPages()) {
         const std::uint64_t usable = guestPages() - balloon_held_;
-        if (gfns_used_ < usable) {
+        const std::uint64_t used = gfnsAllocated();
+        if (used < usable) {
             // Free guest frames need no reclaim: pin them in bulk.
             const std::uint64_t grab =
-                std::min(usable - gfns_used_, pages - taken);
+                std::min(usable - used, pages - taken);
             balloon_held_ += grab;
             taken += grab;
             continue;
@@ -194,8 +193,7 @@ GuestOs::guestSwapIn(GuestProcess &proc, const Vma *vma,
 void
 GuestOs::freeGfn(Gfn gfn)
 {
-    jtps_assert(gfns_used_ > 0);
-    --gfns_used_;
+    jtps_assert(gfnsAllocated() > 0);
     gfn_free_list_.push_back(gfn);
 }
 
@@ -457,23 +455,14 @@ GuestOs::pageCacheGet(const FileImage &file, std::uint64_t index)
         return cf.gfns[index];
     }
 
-    // Cache miss: "read from disk" into a fresh cache page, in a slot
-    // of the cache VMA that reclaim released, else a never-used one.
-    std::uint64_t slot;
-    if (!cache_free_slots_.empty()) {
-        slot = cache_free_slots_.back();
-        cache_free_slots_.pop_back();
-    } else {
-        jtps_assert(cache_cursor_ < cache_vma_->numPages);
-        slot = cache_cursor_++;
-    }
+    // Cache miss: "read from disk" into a fresh cache page, mapped in
+    // the cache VMA at the slot equal to its gfn.
     Gfn gfn = allocGfn();
     hv_.writePage(vm_id_, gfn, file.pageContent(index));
 
-    cache_vma_->gfns[slot] = gfn;
+    cache_vma_->gfns[gfn] = gfn;
     cf.gfns[index] = gfn;
-    cache_pages_.push_back(CachePage{&cf, index, gfn, slot});
-    ++cache_used_;
+    cache_pages_.push_back(CachePage{&cf, index});
     return gfn;
 }
 
@@ -514,17 +503,17 @@ GuestOs::reclaimPageCache(std::uint64_t pages)
     while (reclaimed < pages && attempts-- > 0 &&
            !cache_pages_.empty()) {
         const std::size_t pick = rng_.nextBelow(cache_pages_.size());
-        const CachePage cp = cache_pages_[pick];
-        if (cache_mapcount_[cp.gfn] != 0)
+        const CachePage &cp = cache_pages_[pick];
+        PackedGfn &cached = cp.file->gfns[cp.index];
+        const Gfn gfn = cached;
+        if (cache_mapcount_[gfn] != 0)
             continue; // mapped by a process: not reclaimable
-        hv_.discardPage(vm_id_, cp.gfn);
-        freeGfn(cp.gfn);
-        cache_vma_->gfns[cp.slot] = invalidFrame;
-        cache_free_slots_.push_back(cp.slot);
-        cp.file->gfns[cp.index] = invalidFrame;
+        hv_.discardPage(vm_id_, gfn);
+        freeGfn(gfn);
+        cache_vma_->gfns[gfn] = invalidFrame;
+        cached = invalidFrame;
         cache_pages_[pick] = cache_pages_.back();
         cache_pages_.pop_back();
-        --cache_used_;
         ++reclaimed;
     }
     return reclaimed;

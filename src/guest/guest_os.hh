@@ -14,7 +14,8 @@
  *  - a file page cache: file pages are read once into kernel-owned
  *    cache frames, and file-backed mmaps of user processes map the
  *    *same* gfn — intra-VM sharing, exactly as in Linux,
- *  - kernel memory (text, data, slab) populated at boot.
+ *  - kernel memory (text, data, slab) populated at boot,
+ *  - a balloon (paper §VI): one hold on guest frames, see balloonTake().
  *
  * Address-space layout randomization is modelled: each process's mmap
  * cursor starts at a seed-dependent base and regions are separated by
@@ -245,7 +246,7 @@ class GuestOs
     Gfn pageCacheGet(const FileImage &file, std::uint64_t index);
 
     /** Number of page-cache-resident pages. */
-    std::uint64_t pageCachePages() const { return cache_used_; }
+    std::uint64_t pageCachePages() const { return cache_pages_.size(); }
 
     /**
      * File activity over the whole registered file space: cached pages
@@ -292,14 +293,40 @@ class GuestOs
     /** Guest-level swap-outs performed. */
     std::uint64_t guestSwapOuts() const { return guest_swapouts_; }
 
+    // ------------------------------------------------------------------
+    // Balloon (paper §VI related work)
+    // ------------------------------------------------------------------
+    //
+    // "Ballooning is a technique to reduce paging in a hypervisor by
+    // dynamically reducing the amount of memory available to a guest
+    // OS. The guest OS may reduce its memory usage more efficiently
+    // than the hypervisor because it has more information about the
+    // usage of its memory pages. For example, it can reduce memory by
+    // shrinking its disk cache rather than by paging-out pages."
+    //
+    // The balloon is one hold on guest frames: inflating it makes the
+    // guest reclaim clean, unmapped page-cache pages, returning their
+    // host frames. The cost appears later as guest-side cache misses
+    // (disk re-reads) when the dropped files are accessed again — the
+    // trade-off the paper contrasts with TPS, which keeps shared pages
+    // readable at zero cost. The paper also notes KVM ships no balloon
+    // policy manager ("we cannot use ballooning unless we install a
+    // separate manager"), so the size is set by the caller: the
+    // experimenter's fixed --balloon, or core::BalloonGovernor.
+
     /**
-     * Balloon support: take @p pages guest frames out of circulation
-     * (reclaiming as needed) so the hypervisor can reuse the host
-     * frames. @return pages actually taken.
+     * Inflate: take @p pages guest frames out of circulation — free
+     * frames first, then clean cache, then anonymous pages to the
+     * guest's own swap — so the hypervisor can reuse the host frames.
+     * Saturates when the guest has nothing left to reclaim.
+     * @return pages actually taken.
      */
     std::uint64_t balloonTake(std::uint64_t pages);
 
-    /** Return @p pages ballooned frames to the guest's free pool. */
+    /**
+     * Deflate by up to @p pages: the frames go back to the guest's
+     * free pool; the cache refills lazily through file activity.
+     */
     void balloonReturn(std::uint64_t pages);
 
     /** Frames currently held by the balloon. */
@@ -333,8 +360,12 @@ class GuestOs
         return vma->gfns[index];
     }
 
-    /** Guest physical frames handed out so far. */
-    std::uint64_t gfnsAllocated() const { return gfns_used_; }
+    /** Guest physical frames currently handed out. */
+    std::uint64_t
+    gfnsAllocated() const
+    {
+        return next_gfn_ - gfn_free_list_.size();
+    }
 
     /** Guest physical memory size in pages. */
     std::uint64_t guestPages() const;
@@ -407,27 +438,22 @@ class GuestOs
     std::uint64_t guest_major_faults_ = 0;
     std::uint64_t guest_swapouts_ = 0;
     std::uint64_t balloon_held_ = 0;
-    Gfn next_gfn_ = 0;
+    Gfn next_gfn_ = 0; //!< first never-allocated gfn
     std::vector<Gfn> gfn_free_list_;
-    std::uint64_t gfns_used_ = 0;
 
     /** Files seen by this guest, by content tag (node-based, so the
      *  CachedFile pointers below stay valid). */
     std::unordered_map<std::uint64_t, CachedFile> files_;
-    std::uint64_t cache_used_ = 0;
-    Vma *cache_vma_ = nullptr; //!< kernel VMA holding cache pages
-    std::uint64_t cache_cursor_ = 0; //!< first never-used VMA slot
-    /** Cache VMA slots released by reclaim, reused before the cursor
-     *  advances (the cache never holds more pages than the guest). */
-    std::vector<std::uint64_t> cache_free_slots_;
+    /** Kernel VMA holding cache pages: one slot per guest page, and
+     *  each cached page sits at the slot equal to its gfn. */
+    Vma *cache_vma_ = nullptr;
 
-    /** One cached file page (for random touching and reclaim). */
+    /** One cached file page (for reclaim); its gfn is
+     *  file->gfns[index]. */
     struct CachePage
     {
         CachedFile *file = nullptr;
         std::uint64_t index = 0;
-        Gfn gfn = invalidFrame;
-        std::uint64_t slot = 0; //!< page index in the kernel cache VMA
     };
     std::vector<CachePage> cache_pages_;
     /** Process mmap references per gfn (mapped cache pages are not

@@ -394,12 +394,13 @@ Hypervisor::releaseVmMemory(VmId vm_id)
     jtps_assert(v.residentPages == 0 && v.swappedPages == 0);
     for (Hfn hfn : v.overheadFrames)
         frames_.freePinned(hfn);
-    v.overheadFrames.clear();
-    v.hugePages.clear();
-    v.pmlRing.clear();
-    // Free the EPT; the retired VM keeps a zero-sized one, which every
-    // consumer already handles (the KSM cursor skips it, walks bound
-    // themselves by ept.size()).
+    // Free the per-VM buffers, not just empty them. The EPT becomes a
+    // zero-sized one, which every consumer already handles (the KSM
+    // cursor skips it, walks bound themselves by ept.size()); nothing
+    // logs to the empty ring, since no gfn of the VM can be written.
+    v.overheadFrames = std::vector<Hfn>();
+    v.hugePages = std::vector<bool>();
+    v.pmlRing = std::vector<PackedGfn>();
     v.ept = Ept(0);
     stats_.inc("hv.vms_released");
 }

@@ -96,7 +96,7 @@ struct Vm
     /** Per-gfn transparent-huge-page backing (lazily sized). */
     std::vector<bool> hugePages;
     /** PML ring: dirtied gfns in append order; capacity reserved to
-     *  pmlRingSlots. */
+     *  pmlRingSlots until the VM is retired. */
     std::vector<PackedGfn> pmlRing;
     /** Cumulative successful appends (unique dirtied pages per drain
      *  cycle) — the working-set estimator's raw signal. */

@@ -661,10 +661,7 @@ KsmScanner::prefetchUnstableSlot(std::uint64_t digest) const
 void
 KsmScanner::attach(sim::EventQueue &queue)
 {
-    attached_ = true;
     queue.schedulePeriodic(cfg_.sleepMillisecs, [this]() {
-        if (!attached_)
-            return false;
         scanBatch();
         return true;
     });

@@ -131,13 +131,10 @@ class KsmScanner : public hv::PageEventListener
     std::uint64_t scanBatch();
 
     /**
-     * Attach to an event queue: wake every sleepMillisecs until
-     * detach() is called or the queue is drained.
+     * Attach to an event queue: wake every sleepMillisecs for as long
+     * as the queue runs (call once).
      */
     void attach(sim::EventQueue &queue);
-
-    /** Stop periodic scanning (takes effect at the next wake). */
-    void detach() { attached_ = false; }
 
     /**
      * Convenience for benches: keep scanning until two consecutive full
@@ -357,7 +354,6 @@ class KsmScanner : public hv::PageEventListener
     hv::Hypervisor &hv_;
     KsmConfig cfg_;
     StatSet &stats_;
-    bool attached_ = false;
 
     // Scan cursor.
     VmId cur_vm_ = 0;

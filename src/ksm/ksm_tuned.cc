@@ -46,10 +46,7 @@ KsmTuned::step()
 void
 KsmTuned::attach(sim::EventQueue &queue)
 {
-    attached_ = true;
     queue.schedulePeriodic(cfg_.monitorIntervalMs, [this]() {
-        if (!attached_)
-            return false;
         step();
         return true;
     });

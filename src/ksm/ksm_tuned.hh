@@ -55,9 +55,6 @@ class KsmTuned
     /** Attach the periodic control loop to @p queue. */
     void attach(sim::EventQueue &queue);
 
-    /** Stop the loop at the next firing. */
-    void detach() { attached_ = false; }
-
     /** Decisions taken so far (for tests/telemetry). */
     std::uint64_t boosts() const { return boosts_; }
     std::uint64_t decays() const { return decays_; }
@@ -67,7 +64,6 @@ class KsmTuned
     KsmScanner &scanner_;
     KsmTunedConfig cfg_;
     StatSet &stats_;
-    bool attached_ = false;
     std::uint64_t boosts_ = 0;
     std::uint64_t decays_ = 0;
 };

@@ -268,6 +268,14 @@ TEST(Lifecycle, RetireReleasesMemoryAndAddRebuilds)
     EXPECT_EQ(s.activeVmCount(), 1u);
     EXPECT_LT(s.hv().residentFrames(), resident_before);
     EXPECT_EQ(s.stats().get("hv.vms_released"), 1u);
+    // The retired guest's page tables still hold gfns; the accounting
+    // leaves it out and attributes exactly what the host holds.
+    {
+        const analysis::OwnerAccounting acct = s.account();
+        EXPECT_EQ(acct.attributedBytes(), s.hv().residentBytes());
+        EXPECT_FALSE(acct.hasProcess(0, s.javaVm(0).pid()));
+        EXPECT_TRUE(acct.hasProcess(1, s.javaVm(1).pid()));
+    }
 
     s.runFor(4'000);
     // Retired VMs read all-zero in new epoch rows.
@@ -280,6 +288,10 @@ TEST(Lifecycle, RetireReleasesMemoryAndAddRebuilds)
     EXPECT_EQ(s.activeVmCount(), 2u);
     s.runFor(4'000);
     EXPECT_GT(s.epochHistory().back()[2].requests, 0u);
+    const analysis::OwnerAccounting acct = s.account();
+    EXPECT_EQ(acct.attributedBytes(), s.hv().residentBytes());
+    EXPECT_FALSE(acct.hasProcess(0, s.javaVm(0).pid()));
+    EXPECT_TRUE(acct.hasProcess(2, s.javaVm(2).pid()));
     s.hv().checkConsistency();
 }
 

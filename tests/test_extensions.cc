@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the analysis/related-work extensions: smaps reporting, the
- * offline dump format, guest page-cache reclaim, the balloon driver,
+ * offline dump format, guest page-cache reclaim, the guest balloon,
  * and the compressed swap tier's end-to-end behaviour.
  */
 
@@ -12,12 +12,10 @@
 #include "analysis/forensics.hh"
 #include "analysis/smaps.hh"
 #include "base/stats.hh"
-#include "guest/balloon.hh"
 #include "guest/guest_os.hh"
 #include "hv/hypervisor.hh"
 
 using namespace jtps;
-using guest::BalloonDriver;
 using guest::FileImage;
 using guest::GuestOs;
 using guest::MemCategory;
@@ -232,20 +230,19 @@ TEST_F(ExtFixture, BalloonTakesFreeMemoryThenReclaimsCache)
     small.readFile(f);
     const std::uint64_t resident_before = hv->residentFrames();
 
-    BalloonDriver balloon(small);
     // 32 pages come from genuinely free guest memory: no reclaim, no
     // host frames released (they were never materialized).
-    EXPECT_EQ(balloon.inflate(32 * pageSize), 32 * pageSize);
+    EXPECT_EQ(small.balloonTake(32), 32u);
     EXPECT_EQ(hv->residentFrames(), resident_before);
 
     // Inflating past the free memory forces cache reclaim: the 64
     // cache pages' host frames come back.
-    balloon.inflate(1 * GiB);
+    small.balloonTake(bytesToPages(1 * GiB));
     EXPECT_EQ(hv->residentFrames(), resident_before - 64);
     EXPECT_EQ(small.pageCachePages(), 0u);
 
-    balloon.deflate();
-    EXPECT_EQ(balloon.inflatedBytes(), 0u);
+    small.balloonReturn(small.balloonHeldPages());
+    EXPECT_EQ(small.balloonHeldPages(), 0u);
     // The guest can use its memory again.
     small.readFile(f);
     EXPECT_EQ(small.pageCachePages(), 64u);
@@ -262,14 +259,15 @@ TEST_F(ExtFixture, BalloonPushesAnonPagesToGuestSwap)
     for (std::uint64_t i = 0; i < 64; ++i)
         small.writePage(vma, i, PageData::filled(5, i));
 
-    BalloonDriver balloon(small);
-    balloon.inflate(1 * GiB); // all free memory + everything reclaimable
+    // All free memory + everything reclaimable.
+    small.balloonTake(bytesToPages(1 * GiB));
     EXPECT_GT(small.guestSwappedPages(), 0u);
     EXPECT_GT(small.guestSwapOuts(), 0u);
 
     // Reading a swapped page faults it back in with intact content.
     const std::uint64_t faults_before = small.guestMajorFaults();
-    balloon.deflate(); // free room for the swap-ins
+    // Free room for the swap-ins.
+    small.balloonReturn(small.balloonHeldPages());
     for (std::uint64_t i = 0; i < 64; ++i) {
         ASSERT_EQ(small.readWord(vma, i, 2),
                   PageData::filled(5, i).word[2]);

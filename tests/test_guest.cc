@@ -325,6 +325,13 @@ TEST(GuestPageTableFuzz, FlatTablesMatchReferenceModel)
                                    map_region(p1, true),
                                    map_region(p2, true)};
 
+    const Vma *cache_vma = nullptr;
+    for (const auto &v : os.process(0).vmas) {
+        if (v->name == "page-cache")
+            cache_vma = v.get();
+    }
+    ASSERT_NE(cache_vma, nullptr);
+
     std::map<Pid, std::map<Vpn, Gfn>> model;
     std::map<std::pair<Pid, Vpn>, std::uint64_t> words;
     std::uint64_t swap_outs_seen = 0;
@@ -370,6 +377,17 @@ TEST(GuestPageTableFuzz, FlatTablesMatchReferenceModel)
         for (Pid pid : {p1, p2})
             swapped_pages += os.process(pid).swappedOut.size();
         ASSERT_EQ(swapped_pages, os.guestSwappedPages());
+        // The kernel page-cache VMA maps each cached page at the slot
+        // equal to its gfn, and nothing else.
+        std::uint64_t cache_slots = 0;
+        for (std::uint64_t i = 0; i < cache_vma->numPages; ++i) {
+            const Gfn g = cache_vma->gfns[i];
+            if (g == invalidFrame)
+                continue;
+            ASSERT_EQ(g, i) << "cache page off its gfn slot";
+            ++cache_slots;
+        }
+        ASSERT_EQ(cache_slots, os.pageCachePages());
     };
     // The target page of a step that maps it: it must be mapped now,
     // to the gfn the model already holds if it was mapped before.

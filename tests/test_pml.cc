@@ -227,6 +227,31 @@ TEST(PmlRing, RecycledGfnIsRescannedFromLiveState)
     hv.checkConsistency();
 }
 
+TEST(PmlRing, RetiredVmFreesItsBuffers)
+{
+    // Retiring a VM frees its ring, huge-page bits and overhead list,
+    // not just empties them; the other VM keeps its ring.
+    StatSet stats;
+    Hypervisor hv(pmlHost(4096), stats);
+    VmId a = hv.createVm("a", 1 * MiB, 64 * KiB);
+    VmId b = hv.createVm("b", 1 * MiB, 0);
+    for (Gfn g = 0; g < 8; ++g) {
+        hv.writePage(a, g, PageData::filled(1, g));
+        hv.writePage(b, g, PageData::filled(2, g));
+    }
+    hv.setHugePage(a, 3, true);
+    ASSERT_GT(hv.vm(a).pmlRing.capacity(), 0u);
+    ASSERT_GT(hv.vm(a).hugePages.capacity(), 0u);
+    ASSERT_GT(hv.vm(a).overheadFrames.capacity(), 0u);
+
+    hv.releaseVmMemory(a);
+    EXPECT_EQ(hv.vm(a).pmlRing.capacity(), 0u);
+    EXPECT_EQ(hv.vm(a).hugePages.capacity(), 0u);
+    EXPECT_EQ(hv.vm(a).overheadFrames.capacity(), 0u);
+    EXPECT_EQ(hv.pmlEntries(b).size(), 8u);
+    hv.checkConsistency();
+}
+
 TEST(WssEstimator, CountsDirtiedPagesPerWindow)
 {
     StatSet stats;
@@ -302,8 +327,7 @@ TEST(BalloonGovernor, ResizesTowardWorkingSet)
     gov.step();
     EXPECT_GT(os.balloonHeldPages(), 0u);
     EXPECT_LE(os.balloonHeldPages(), target);
-    EXPECT_GE(gov.resizes(), 1u);
-    EXPECT_EQ(stats.get("balloon.wss_resizes"), gov.resizes());
+    EXPECT_GE(stats.get("balloon.wss_resizes"), 1u);
 
     // A busy window shrinks the target; the governor deflates.
     const std::uint64_t held_before = os.balloonHeldPages();

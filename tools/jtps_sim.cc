@@ -28,7 +28,6 @@
 #include "analysis/smaps.hh"
 #include "cluster/cluster.hh"
 #include "core/scenario.hh"
-#include "guest/balloon.hh"
 #include "ksm/ksm_tuned.hh"
 
 using namespace jtps;
@@ -580,10 +579,8 @@ main(int argc, char **argv)
     }
 
     if (opt.balloonBytes > 0) {
-        for (int v = 0; v < opt.vms; ++v) {
-            guest::BalloonDriver balloon(scenario.guest(v));
-            balloon.inflate(opt.balloonBytes);
-        }
+        for (int v = 0; v < opt.vms; ++v)
+            scenario.guest(v).balloonTake(bytesToPages(opt.balloonBytes));
     }
     scenario.run();
     scenario.hv().checkConsistency();
