@@ -544,7 +544,7 @@ BM_AdaptiveBalloon(benchmark::State &state)
     analysis::WssEstimator wss(hv, analysis::WssConfig{}, stats);
     core::BalloonGovernorConfig bcfg;
     bcfg.slackPages = 1024;
-    core::BalloonGovernor governor(guests, wss, bcfg, stats);
+    core::BalloonGovernor governor(wss, bcfg, stats);
     std::uint64_t w = 0;
     for (auto _ : state) {
         // Dirty a 512-page working set across the guests (resident
@@ -556,7 +556,7 @@ BM_AdaptiveBalloon(benchmark::State &state)
                          8 + (w % 128), w % 8, w);
         }
         wss.sample();
-        governor.step();
+        governor.step(guests);
     }
     state.SetItemsProcessed(state.iterations());
 }

@@ -20,7 +20,7 @@ captureSnapshot(const hv::Hypervisor &hv,
                 const std::vector<const guest::GuestOs *> &guests)
 {
     Snapshot snap;
-    snap.vmCount = guests.size();
+    snap.vmCount = hv.vmCount();
     snap.totalResidentFrames = hv.residentFrames();
 
     // Layer 3 first: VM-process-private frames (pinned, no EPT entry).
@@ -30,8 +30,6 @@ captureSnapshot(const hv::Hypervisor &hv,
     // Layers 1+2: fn(hfn, ref) for every mapped vpage of every process.
     auto walk = [&](auto &&fn) {
         for (const guest::GuestOs *os : guests) {
-            if (os == nullptr)
-                continue; // a retired VM: nothing mapped
             for (const auto &proc : os->processes()) {
                 for (const auto &vma : proc->vmas) {
                     for (std::uint64_t i = 0; i < vma->numPages; ++i) {

@@ -63,7 +63,7 @@ struct Snapshot
     std::vector<FrameRef> refs;
     std::vector<std::uint64_t> overheadFrames; //!< pinned frames per VM
     std::uint64_t totalResidentFrames = 0; //!< on the host at capture
-    std::size_t vmCount = 0;               //!< guests walked
+    std::size_t vmCount = 0;               //!< VMs on the host
 
     /** Number of mapped frames. */
     std::size_t frameCount() const { return hfns.size(); }
@@ -82,11 +82,13 @@ void checkSnapshotRefs(std::uint64_t refs);
 
 /**
  * Walk all translation layers and produce a Snapshot. Guests are
- * walked in VM order and each guest's pages in walk order.
+ * walked in the given order and each guest's pages in walk order;
+ * every reference carries its guest's own VM id.
  *
- * @param hv The hypervisor (host layer + EPTs).
- * @param guests One GuestOs per VM, indexed by VmId; a null entry (a
- *        retired VM) is skipped.
+ * @param hv The hypervisor (host layer + EPTs); Snapshot::vmCount is
+ *        its VM count, retired VMs included.
+ * @param guests The live guests of @p hv, in VM-id order (a retired
+ *        VM has no guest and maps nothing).
  */
 Snapshot captureSnapshot(const hv::Hypervisor &hv,
                          const std::vector<const guest::GuestOs *> &guests);

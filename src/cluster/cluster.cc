@@ -422,8 +422,8 @@ Cluster::maybeMigrate()
     const double downtime_ms = est.downtimeMs + switchoverMs;
 
     // Execute: retire on the source, rebuild on the destination. The
-    // spec is copied out first — retireVm keeps the object alive, but
-    // addVm on another host must not alias it.
+    // spec is copied out first: retireVm destroys the source's slot,
+    // spec included.
     const workload::WorkloadSpec spec = hosts_[src]->workloadSpec(victim);
     const std::size_t logical = host_logical_[src][victim];
     hosts_[src]->retireVm(victim);

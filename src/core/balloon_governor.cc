@@ -7,47 +7,27 @@
 namespace jtps::core
 {
 
-BalloonGovernor::BalloonGovernor(std::vector<guest::GuestOs *> guests,
-                                 const analysis::WssEstimator &wss,
+BalloonGovernor::BalloonGovernor(const analysis::WssEstimator &wss,
                                  const BalloonGovernorConfig &cfg,
                                  StatSet &stats)
-    : guests_(std::move(guests)), wss_(wss), cfg_(cfg), stats_(stats),
+    : wss_(wss), cfg_(cfg), stats_(stats),
       stat_resize_actions_(stats.counter("balloon.wss_resizes")),
       stat_backoffs_(stats.counter("balloon.refault_backoffs"))
 {
-    jtps_assert(!guests_.empty());
-    vm_state_.resize(guests_.size());
-}
-
-void
-BalloonGovernor::dropGuest(VmId vm)
-{
-    jtps_assert(vm < guests_.size());
-    guests_[vm] = nullptr;
-    vm_state_[vm] = {};
-}
-
-void
-BalloonGovernor::addGuest(guest::GuestOs *guest)
-{
-    jtps_assert(guest != nullptr);
-    guests_.push_back(guest);
-    vm_state_.emplace_back();
 }
 
 std::uint64_t
-BalloonGovernor::targetPages(VmId vm) const
+BalloonGovernor::targetPages(const guest::GuestOs &os) const
 {
-    jtps_assert(vm < guests_.size());
-    jtps_assert(guests_[vm] != nullptr);
-    const std::uint64_t guest_pages = guests_[vm]->guestPages();
-    const std::uint64_t keep = wss_.wssPages(vm) + cfg_.slackPages +
-                               vm_state_[vm].extraSlackPages;
+    const VmId vm = os.vmId();
+    const std::uint64_t guest_pages = os.guestPages();
+    const std::uint64_t keep =
+        wss_.wssPages(vm) + cfg_.slackPages + extraSlackPages(vm);
     return guest_pages > keep ? guest_pages - keep : 0;
 }
 
 void
-BalloonGovernor::step()
+BalloonGovernor::step(const std::vector<guest::GuestOs *> &guests)
 {
     // The estimator reports 0 for every VM until its second window
     // (one sample cannot bound a window's writes). Acting on that
@@ -57,10 +37,11 @@ BalloonGovernor::step()
         return;
     std::uint64_t total_target = 0;
     std::uint64_t total_held = 0;
-    for (VmId vm = 0; vm < guests_.size(); ++vm) {
-        if (guests_[vm] == nullptr)
-            continue; // retired mid-run (dropGuest)
-        guest::GuestOs &os = *guests_[vm];
+    for (guest::GuestOs *g : guests) {
+        guest::GuestOs &os = *g;
+        const VmId vm = os.vmId();
+        if (vm >= vm_state_.size())
+            vm_state_.resize(vm + 1);
         VmState &st = vm_state_[vm];
 
         // Refault feedback: the estimator cannot see reads, so a
@@ -90,7 +71,7 @@ BalloonGovernor::step()
             }
         }
 
-        const std::uint64_t target = targetPages(vm);
+        const std::uint64_t target = targetPages(os);
         total_target += target;
         const std::uint64_t held = os.balloonHeldPages();
         if (target > held && !thrashing) {
@@ -113,16 +94,6 @@ BalloonGovernor::step()
     }
     stats_.set("balloon.target_pages", total_target);
     stats_.set("balloon.held_pages", total_held);
-}
-
-void
-BalloonGovernor::attach(sim::EventQueue &queue)
-{
-    constexpr Tick intervalMs = 2000; // control-loop period
-    queue.schedulePeriodic(intervalMs, [this]() {
-        step();
-        return true;
-    });
 }
 
 } // namespace jtps::core

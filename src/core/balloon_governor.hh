@@ -25,8 +25,9 @@
  * and may saturate early, in which case the governor simply retries
  * at the next interval with a fresh estimate.
  *
- * Follows the ksm::KsmTuned daemon shape: a config struct, a step()
- * control loop, attach() for periodic operation.
+ * A config struct and a step() control loop. The governor keeps no
+ * guest list: its owner (core::Scenario) passes the live guests to
+ * every step, every intervalMs of simulated time.
  */
 
 #ifndef JTPS_CORE_BALLOON_GOVERNOR_HH
@@ -38,7 +39,6 @@
 #include "analysis/wss_estimator.hh"
 #include "base/stats.hh"
 #include "guest/guest_os.hh"
-#include "sim/event_queue.hh"
 
 namespace jtps::core
 {
@@ -74,42 +74,33 @@ struct BalloonGovernorConfig
 };
 
 /**
- * The per-host balloon manager: one step() resizes every guest's
- * balloon toward its current target.
+ * The per-host balloon manager: one step() resizes every given
+ * guest's balloon toward its current target.
  */
 class BalloonGovernor
 {
   public:
-    /**
-     * @param guests One entry per VM, in VM-id order (the estimator
-     *        indexes its per-VM estimates the same way).
-     */
-    BalloonGovernor(std::vector<guest::GuestOs *> guests,
-                    const analysis::WssEstimator &wss,
+    /** Control-loop period in simulated milliseconds. */
+    static constexpr Tick intervalMs = 2000;
+
+    BalloonGovernor(const analysis::WssEstimator &wss,
                     const BalloonGovernorConfig &cfg, StatSet &stats);
 
-    /** Run one control-loop step (also called by the periodic event). */
-    void step();
-
-    /** Attach the periodic control loop to @p queue. */
-    void attach(sim::EventQueue &queue);
-
     /**
-     * Stop managing VM @p vm (it was retired/migrated away). Its slot
-     * stays so indices keep matching VM ids; step() skips it.
+     * Run one control-loop step over @p guests, the host's live
+     * guests in VM-id order. Per-VM state is keyed by VM id, which a
+     * host never reuses, so a guest missing from a later step (retired)
+     * leaves only its stale entry behind.
      */
-    void dropGuest(VmId vm);
+    void step(const std::vector<guest::GuestOs *> &guests);
 
-    /** Start managing a guest added mid-run (at the next VM id). */
-    void addGuest(guest::GuestOs *guest);
+    /** Current balloon target of @p os in pages. */
+    std::uint64_t targetPages(const guest::GuestOs &os) const;
 
-    /** Current balloon target of @p vm in pages. */
-    std::uint64_t targetPages(VmId vm) const;
-
-    /** Current refault-feedback slack of @p vm in pages. */
+    /** Current refault-feedback slack of VM @p vm in pages. */
     std::uint64_t extraSlackPages(VmId vm) const
     {
-        return vm_state_[vm].extraSlackPages;
+        return vm < vm_state_.size() ? vm_state_[vm].extraSlackPages : 0;
     }
 
   private:
@@ -119,10 +110,10 @@ class BalloonGovernor
         std::uint64_t extraSlackPages = 0;
     };
 
-    std::vector<guest::GuestOs *> guests_;
     const analysis::WssEstimator &wss_;
     BalloonGovernorConfig cfg_;
     StatSet &stats_;
+    /** Indexed by VmId; step() grows it to the largest id seen. */
     std::vector<VmState> vm_state_;
     /** balloon.wss_resizes: resize actions taken (inflations +
      *  deflations). */

@@ -1,6 +1,6 @@
 #include "core/scenario.hh"
 
-#include <iterator>
+#include <algorithm>
 
 #include "base/hash.hh"
 #include "base/logging.hh"
@@ -13,12 +13,11 @@ constexpr double diskLatencyMs = 5.0; //!< unloaded page-in latency
 
 Scenario::Scenario(const ScenarioConfig &cfg,
                    std::vector<workload::WorkloadSpec> per_vm_workloads)
-    : cfg_(cfg),
-      specs_(std::make_move_iterator(per_vm_workloads.begin()),
-             std::make_move_iterator(per_vm_workloads.end())),
-      disk_(diskIops, diskLatencyMs)
+    : cfg_(cfg), disk_(diskIops, diskLatencyMs)
 {
-    jtps_assert(!specs_.empty());
+    jtps_assert(!per_vm_workloads.empty());
+    for (auto &spec : per_vm_workloads)
+        slots_.push_back(std::make_unique<VmSlot>(std::move(spec)));
 }
 
 Scenario::~Scenario() = default;
@@ -50,22 +49,32 @@ Scenario::build()
     hv_->setTrace(&trace_);
     ksm_ = std::make_unique<ksm::KsmScanner>(*hv_, cfg_.ksm, stats_);
 
-    // Build every VM: class-set/cache artifacts first, then the guest
-    // stack. Artifact synthesis is pure construction (no hypervisor or
-    // queue state), so interleaving it per VM leaves the sequence of
-    // host-visible mutations identical to building in separate loops.
-    vm_cache_.assign(specs_.size(), nullptr);
-    active_.assign(specs_.size(), true);
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-        prepareVmArtifacts(i);
+    for (std::size_t i = 0; i < slots_.size(); ++i)
         buildVm(i);
-    }
 }
 
-void
+const Scenario::VmSlot &
+Scenario::slot(std::size_t i) const
+{
+    jtps_assert(i < slots_.size() && slots_[i] != nullptr);
+    return *slots_[i];
+}
+
+std::vector<guest::GuestOs *>
+Scenario::liveGuests() const
+{
+    std::vector<guest::GuestOs *> out;
+    for (const auto &s : slots_) {
+        if (s)
+            out.push_back(s->guest.get());
+    }
+    return out;
+}
+
+const jvm::SharedClassCache *
 Scenario::prepareVmArtifacts(std::size_t i)
 {
-    const auto &spec = specs_[i];
+    const auto &spec = slots_[i]->spec;
 
     // Synthesize each distinct program's class set once: the classes
     // are a property of the installed software, not of a VM.
@@ -81,7 +90,7 @@ Scenario::prepareVmArtifacts(std::size_t i)
     // copied everywhere; otherwise each VM populates its own cache with
     // a per-VM salt (identical classes, different layout).
     if (!cfg_.enableClassSharing)
-        return;
+        return nullptr;
     if (cfg_.copyCacheToAllVms) {
         auto it = cache_by_name_.find(spec.cacheName);
         if (it == cache_by_name_.end()) {
@@ -100,31 +109,34 @@ Scenario::prepareVmArtifacts(std::size_t i)
                      .emplace(spec.cacheName, caches_.back().get())
                      .first;
         }
-        vm_cache_[i] = it->second;
-    } else {
-        caches_.push_back(std::make_unique<jvm::SharedClassCache>(
-            jvm::SharedClassCache::build(
-                *class_sets_.at(spec.classSpec.programName),
-                spec.cacheName, spec.sharedCacheBytes, cfg_.cacheScope,
-                /*population_salt=*/i + 1)));
-        vm_cache_[i] = caches_.back().get();
+        return it->second;
     }
+    caches_.push_back(std::make_unique<jvm::SharedClassCache>(
+        jvm::SharedClassCache::build(
+            *class_sets_.at(spec.classSpec.programName), spec.cacheName,
+            spec.sharedCacheBytes, cfg_.cacheScope,
+            /*population_salt=*/i + 1)));
+    return caches_.back().get();
 }
 
 void
 Scenario::buildVm(std::size_t i)
 {
-    // Guest: create the VM, boot the kernel, start daemons, start WAS.
-    const auto &spec = specs_[i];
+    // Class-set/cache artifacts first (pure construction: no hypervisor
+    // or queue state), then the guest stack: create the VM, boot the
+    // kernel, start daemons, start WAS.
+    const jvm::SharedClassCache *cache = prepareVmArtifacts(i);
+    VmSlot &s = *slots_[i];
+    const auto &spec = s.spec;
     const std::string vm_name = "VM" + std::to_string(i + 1);
     constexpr Bytes vmOverheadBytes = 48 * MiB; // QEMU process per VM
     const VmId vm_id = hv_->createVm(vm_name, spec.guestMemBytes,
                                      vmOverheadBytes);
     jtps_assert(vm_id == i);
 
-    guests_.push_back(std::make_unique<guest::GuestOs>(
-        *hv_, vm_id, vm_name, hash3(cfg_.seed, stringTag("guest"), i)));
-    guest::GuestOs &os = *guests_.back();
+    s.guest = std::make_unique<guest::GuestOs>(
+        *hv_, vm_id, vm_name, hash3(cfg_.seed, stringTag("guest"), i));
+    guest::GuestOs &os = *s.guest;
     os.setThpEnabled(cfg_.guestThp);
     os.bootKernel(cfg_.kernel);
 
@@ -135,13 +147,11 @@ Scenario::buildVm(std::size_t i)
     os.spawnDaemon("snmpd", 2 * MiB, 1 * MiB);
 
     jvm::JavaVmConfig jcfg = workload::makeJvmConfig(
-        spec, *class_sets_.at(spec.classSpec.programName), vm_cache_[i]);
-    jvms_.push_back(
-        std::make_unique<jvm::JavaVm>(os, jcfg, "was-server"));
-    jvms_.back()->start();
+        spec, *class_sets_.at(spec.classSpec.programName), cache);
+    s.jvm = std::make_unique<jvm::JavaVm>(os, jcfg, "was-server");
+    s.jvm->start();
 
-    drivers_.push_back(std::make_unique<workload::ClientDriver>(
-        *jvms_.back(), specs_[i], disk_));
+    s.driver = std::make_unique<workload::ClientDriver>(*s.jvm, spec, disk_);
 }
 
 analysis::SharingMonitor &
@@ -174,10 +184,6 @@ Scenario::scheduleEpochs()
     }
     if (cfg_.adaptiveBalloon) {
         jtps_assert(wss_ != nullptr);
-        std::vector<guest::GuestOs *> ptrs;
-        ptrs.reserve(guests_.size());
-        for (auto &g : guests_)
-            ptrs.push_back(g.get());
         // Per-interval cap on balloon resizes. Bounds the reclaim
         // burst one governor step can ask a guest for — a cold
         // estimator plus a big guest would otherwise request hundreds
@@ -188,21 +194,24 @@ Scenario::scheduleEpochs()
         constexpr Bytes balloonMaxStepBytes = 16 * MiB;
         BalloonGovernorConfig bcfg;
         bcfg.maxStepPages = bytesToPages(balloonMaxStepBytes);
-        governor_ = std::make_unique<BalloonGovernor>(
-            std::move(ptrs), *wss_, bcfg, stats_);
-        governor_->attach(queue_);
+        governor_ = std::make_unique<BalloonGovernor>(*wss_, bcfg, stats_);
+        // Steps whichever guests are live when it fires.
+        queue_.schedulePeriodic(BalloonGovernor::intervalMs, [this]() {
+            governor_->step(liveGuests());
+            return true;
+        });
     }
 
-    // One serial event runs every active VM's epoch straight through
+    // One serial event runs every live VM's epoch straight through
     // the hypervisor, in VM-id order. It reads the VM population when
     // it fires, so retireVm() and addVm() need not touch it.
     queue_.schedulePeriodic(cfg_.epochMs, [this]() {
         disk_.beginEpoch(cfg_.epochMs);
         std::vector<workload::ClientDriver::EpochResult> results(
-            drivers_.size());
-        for (std::size_t i = 0; i < drivers_.size(); ++i) {
-            if (active_[i])
-                results[i] = drivers_[i]->runEpoch(cfg_.epochMs);
+            slots_.size());
+        for (std::size_t i = 0; i < slots_.size(); ++i) {
+            if (slots_[i])
+                results[i] = slots_[i]->driver->runEpoch(cfg_.epochMs);
         }
         disk_.endEpoch();
         epoch_history_.push_back(std::move(results));
@@ -214,36 +223,26 @@ void
 Scenario::retireVm(std::size_t i)
 {
     jtps_assert(built_);
-    jtps_assert(i < guests_.size());
-    jtps_assert(active_[i]);
-    active_[i] = false;
-    if (governor_)
-        governor_->dropGuest(static_cast<VmId>(i));
+    jtps_assert(i < slots_.size() && slots_[i] != nullptr);
     hv_->releaseVmMemory(static_cast<VmId>(i));
+    slots_[i].reset();
 }
 
 std::size_t
 Scenario::addVm(const workload::WorkloadSpec &spec)
 {
     jtps_assert(built_);
-    const std::size_t i = specs_.size();
-    specs_.push_back(spec);
-    vm_cache_.push_back(nullptr);
-    active_.push_back(true);
-    prepareVmArtifacts(i);
+    const std::size_t i = slots_.size();
+    slots_.push_back(std::make_unique<VmSlot>(spec));
     buildVm(i);
-    if (governor_)
-        governor_->addGuest(guests_.back().get());
     return i;
 }
 
 std::size_t
 Scenario::activeVmCount() const
 {
-    std::size_t n = 0;
-    for (bool a : active_)
-        n += a ? 1 : 0;
-    return n;
+    return slots_.size() - static_cast<std::size_t>(std::count(
+                               slots_.begin(), slots_.end(), nullptr));
 }
 
 void
@@ -275,13 +274,8 @@ Scenario::runFor(Tick ms)
 analysis::Snapshot
 Scenario::snapshot()
 {
-    // A retired guest's page tables still hold gfns its freed EPT no
-    // longer has: walk only the active guests.
-    std::vector<const guest::GuestOs *> ptrs;
-    ptrs.reserve(guests_.size());
-    for (std::size_t i = 0; i < guests_.size(); ++i)
-        ptrs.push_back(active_[i] ? guests_[i].get() : nullptr);
-    return analysis::captureSnapshot(*hv_, ptrs);
+    const std::vector<guest::GuestOs *> live = liveGuests();
+    return analysis::captureSnapshot(*hv_, {live.begin(), live.end()});
 }
 
 analysis::OwnerAccounting
@@ -294,9 +288,9 @@ std::vector<std::string>
 Scenario::vmNames() const
 {
     std::vector<std::string> names;
-    names.reserve(guests_.size());
-    for (const auto &g : guests_)
-        names.push_back(g->name());
+    names.reserve(hv_->vmCount());
+    for (VmId v = 0; v < hv_->vmCount(); ++v)
+        names.push_back(hv_->vm(v).name);
     return names;
 }
 
@@ -304,9 +298,10 @@ std::vector<analysis::JavaProcRow>
 Scenario::javaRows() const
 {
     std::vector<analysis::JavaProcRow> rows;
-    for (std::size_t i = 0; i < jvms_.size(); ++i) {
-        rows.push_back({"JVM" + std::to_string(i + 1),
-                        static_cast<VmId>(i), jvms_[i]->pid()});
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        if (slots_[i])
+            rows.push_back({"JVM" + std::to_string(i + 1),
+                            static_cast<VmId>(i), slots_[i]->jvm->pid()});
     }
     return rows;
 }
@@ -327,16 +322,18 @@ Scenario::aggregateThroughput(std::size_t epochs) const
 }
 
 std::vector<double>
-Scenario::perVmThroughput(std::size_t epochs) const
+Scenario::perVmAverage(
+    std::size_t epochs,
+    double workload::ClientDriver::EpochResult::*field) const
 {
-    std::vector<double> out(drivers_.size(), 0.0);
+    std::vector<double> out(slots_.size(), 0.0);
     if (epoch_history_.empty())
         return out;
     const std::size_t n = std::min(epochs, epoch_history_.size());
     for (std::size_t e = epoch_history_.size() - n;
          e < epoch_history_.size(); ++e) {
         for (std::size_t v = 0; v < epoch_history_[e].size(); ++v)
-            out[v] += epoch_history_[e][v].achievedPerSec;
+            out[v] += epoch_history_[e][v].*field;
     }
     for (double &v : out)
         v /= static_cast<double>(n);
@@ -344,20 +341,17 @@ Scenario::perVmThroughput(std::size_t epochs) const
 }
 
 std::vector<double>
+Scenario::perVmThroughput(std::size_t epochs) const
+{
+    return perVmAverage(
+        epochs, &workload::ClientDriver::EpochResult::achievedPerSec);
+}
+
+std::vector<double>
 Scenario::perVmResponseMs(std::size_t epochs) const
 {
-    std::vector<double> out(drivers_.size(), 0.0);
-    if (epoch_history_.empty())
-        return out;
-    const std::size_t n = std::min(epochs, epoch_history_.size());
-    for (std::size_t e = epoch_history_.size() - n;
-         e < epoch_history_.size(); ++e) {
-        for (std::size_t v = 0; v < epoch_history_[e].size(); ++v)
-            out[v] += epoch_history_[e][v].avgResponseMs;
-    }
-    for (double &v : out)
-        v /= static_cast<double>(n);
-    return out;
+    return perVmAverage(
+        epochs, &workload::ClientDriver::EpochResult::avgResponseMs);
 }
 
 } // namespace jtps::core

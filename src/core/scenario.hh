@@ -25,7 +25,6 @@
 #ifndef JTPS_CORE_SCENARIO_HH
 #define JTPS_CORE_SCENARIO_HH
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -151,15 +150,15 @@ class Scenario
     // ------------------------------------------------------------------
 
     /**
-     * Retire VM @p i mid-run: its driver stops at the next epoch
-     * boundary and every page it owns — guest memory and VM-process
-     * overhead — is released (hv::Hypervisor::releaseVmMemory). The
-     * guest/JVM/driver objects stay so ids and names remain dense;
-     * vmActive(i) turns false, the VM's later epoch rows read as
-     * all-zero and snapshot()/account() leave its guest out. Call
-     * between runFor() slices (not from inside an event). The epoch
-     * schedule keeps its phase: retiring or adding a VM off the epoch
-     * grid does not restart it. This is the source half of a
+     * Retire VM @p i mid-run: every page it owns — guest memory and
+     * VM-process overhead — is released (hv::Hypervisor::releaseVmMemory)
+     * and its slot is emptied, destroying the guest, JVM and driver.
+     * VM ids and names stay dense (the hypervisor keeps the memoryless
+     * Vm); vmActive(i) turns false, the VM's later epoch rows read as
+     * all-zero, and guest(i), javaVm(i), driver(i) and workloadSpec(i)
+     * panic. Call between runFor() slices (not from inside an event).
+     * The epoch schedule keeps its phase: retiring or adding a VM off
+     * the epoch grid does not restart it. This is the source half of a
      * migration or a poweroff.
      */
     void retireVm(std::size_t i);
@@ -172,8 +171,8 @@ class Scenario
      */
     std::size_t addVm(const workload::WorkloadSpec &spec);
 
-    /** False once retireVm(i) ran. */
-    bool vmActive(std::size_t i) const { return active_[i]; }
+    /** False once retireVm(i) emptied the slot. */
+    bool vmActive(std::size_t i) const { return slots_[i] != nullptr; }
 
     /** VMs not yet retired. */
     std::size_t activeVmCount() const;
@@ -182,8 +181,8 @@ class Scenario
     // Measurement
     // ------------------------------------------------------------------
 
-    /** Capture the three-layer translation walk over the active
-     *  guests (a retired VM's slot is null). */
+    /** Capture the three-layer translation walk over the live
+     *  guests (a retired VM has none). */
     analysis::Snapshot snapshot();
 
     /** Owner-oriented accounting of a fresh snapshot. */
@@ -192,7 +191,8 @@ class Scenario
     /** Names of all VMs in id order. */
     std::vector<std::string> vmNames() const;
 
-    /** Rows identifying each guest's Java process (for reports). */
+    /** Rows identifying each live guest's Java process (for
+     *  reports). */
     std::vector<analysis::JavaProcRow> javaRows() const;
 
     /**
@@ -216,11 +216,11 @@ class Scenario
         return epoch_history_;
     }
 
-    /** The workload spec VM @p i was built from. */
+    /** The workload spec live VM @p i was built from. */
     const workload::WorkloadSpec &
     workloadSpec(std::size_t i) const
     {
-        return specs_[i];
+        return slot(i).spec;
     }
 
     // ------------------------------------------------------------------
@@ -230,10 +230,12 @@ class Scenario
     hv::Hypervisor &hv() { return *hv_; }
     const hv::Hypervisor &hv() const { return *hv_; }
     ksm::KsmScanner &ksm() { return *ksm_; }
-    guest::GuestOs &guest(std::size_t i) { return *guests_[i]; }
-    jvm::JavaVm &javaVm(std::size_t i) { return *jvms_[i]; }
-    workload::ClientDriver &driver(std::size_t i) { return *drivers_[i]; }
-    std::size_t vmCount() const { return guests_.size(); }
+    /** Live VM @p i's parts (a retired VM has none: panics). */
+    guest::GuestOs &guest(std::size_t i) { return *slot(i).guest; }
+    jvm::JavaVm &javaVm(std::size_t i) { return *slot(i).jvm; }
+    workload::ClientDriver &driver(std::size_t i) { return *slot(i).driver; }
+    /** Every VM slot ever filled, retired ones included. */
+    std::size_t vmCount() const { return slots_.size(); }
     StatSet &stats() { return stats_; }
     sim::EventQueue &queue() { return queue_; }
     workload::HostDisk &disk() { return disk_; }
@@ -269,14 +271,36 @@ class Scenario
     BalloonGovernor *balloonGovernor() { return governor_.get(); }
 
   private:
+    /**
+     * One VM's parts. Declared so that destruction runs driver, JVM,
+     * guest: each refers to the ones declared before it (the driver to
+     * the spec and JVM, the JVM to the guest). Heap-allocated, so the
+     * spec's address survives addVm() growing slots_.
+     */
+    struct VmSlot
+    {
+        explicit VmSlot(workload::WorkloadSpec s) : spec(std::move(s)) {}
+
+        workload::WorkloadSpec spec;
+        std::unique_ptr<guest::GuestOs> guest;
+        std::unique_ptr<jvm::JavaVm> jvm;
+        std::unique_ptr<workload::ClientDriver> driver;
+    };
+
+    /** Live VM @p i's slot (panics on a retired one). */
+    const VmSlot &slot(std::size_t i) const;
+    /** Live guests in VM-id order. */
+    std::vector<guest::GuestOs *> liveGuests() const;
+    /** Per-VM average of @p field over the last @p epochs epochs. */
+    std::vector<double>
+    perVmAverage(std::size_t epochs,
+                 double workload::ClientDriver::EpochResult::*field) const;
+
     void scheduleEpochs();
-    void prepareVmArtifacts(std::size_t i);
+    const jvm::SharedClassCache *prepareVmArtifacts(std::size_t i);
     void buildVm(std::size_t i);
 
     ScenarioConfig cfg_;
-    /** Deque, not vector: ClientDriver keeps a reference to its spec,
-     *  and addVm() must not invalidate it. */
-    std::deque<workload::WorkloadSpec> specs_;
 
     StatSet stats_;
     TraceBuffer trace_;
@@ -288,24 +312,19 @@ class Scenario
     std::unique_ptr<ksm::KsmScanner> ksm_;
     std::unique_ptr<analysis::WssEstimator> wss_;
     std::unique_ptr<BalloonGovernor> governor_;
-    std::vector<std::unique_ptr<guest::GuestOs>> guests_;
-    std::vector<std::unique_ptr<jvm::JavaVm>> jvms_;
-    std::vector<std::unique_ptr<workload::ClientDriver>> drivers_;
+    /** One slot per VM id; retireVm() empties it for good. */
+    std::vector<std::unique_ptr<VmSlot>> slots_;
 
     /** One class set per distinct program. */
     std::map<std::string, std::unique_ptr<jvm::ClassSet>> class_sets_;
     /** Cache per (middleware cache name [, vm]) depending on copy mode. */
     std::vector<std::unique_ptr<jvm::SharedClassCache>> caches_;
-    std::vector<const jvm::SharedClassCache *> vm_cache_;
     /** Copy-mode cache lookup (one population per cache name). */
     std::map<std::string, const jvm::SharedClassCache *> cache_by_name_;
 
     /** Per-epoch per-VM results, appended as epochs run. */
     std::vector<std::vector<workload::ClientDriver::EpochResult>>
         epoch_history_;
-    /** Per-VM liveness (retireVm clears; the epoch event skips
-     *  inactive VMs and runs every VM addVm() appended). */
-    std::vector<bool> active_;
     bool built_ = false;
     bool epochs_scheduled_ = false;
 };

@@ -387,8 +387,8 @@ Hypervisor::releaseVmMemory(VmId vm_id)
     // and swap slots drop, as a guest-initiated free would. The page
     // listener is not told page by page: VM ids are never reused and
     // the retired EPT is zero-sized, so no one can look the pages up
-    // again (the KSM scanner frees the VM's whole row on its next
-    // pass).
+    // again. It gets one vmReleased() notice below instead (the KSM
+    // scanner frees the VM's whole per-page row there).
     for (Gfn g = 0; g < v.ept.size(); ++g)
         dropPage(v, g);
     jtps_assert(v.residentPages == 0 && v.swappedPages == 0);
@@ -402,6 +402,8 @@ Hypervisor::releaseVmMemory(VmId vm_id)
     v.hugePages = std::vector<bool>();
     v.pmlRing = std::vector<PackedGfn>();
     v.ept = Ept(0);
+    if (page_listener_)
+        page_listener_->vmReleased(vm_id);
     stats_.inc("hv.vms_released");
 }
 

@@ -74,6 +74,10 @@ class PageEventListener
 
     /** (vm, gfn) was discarded; its EPT entry returned to NotPresent. */
     virtual void pageDiscarded(VmId vm, Gfn gfn) = 0;
+
+    /** Every page of @p vm was released (releaseVmMemory()): it has no
+     *  pages, now or later. */
+    virtual void vmReleased(VmId vm) = 0;
 };
 
 /** One guest VM. */
@@ -197,10 +201,11 @@ class Hypervisor
      * Release every page of @p vm: all guest memory (resident and
      * swapped, with discardPage()'s bookkeeping, so shared frames just
      * lose one mapping), the VM process's pinned overhead frames and
-     * the EPT itself. The page listener is not told: the VM's id is
-     * never reused and its EPT becomes zero-sized, so no page of it
-     * can be looked up again. The Vm object itself stays — VM ids are dense and
-     * stable — it merely owns no host memory afterwards.
+     * the EPT itself. The page listener gets one vmReleased() notice,
+     * not a pageDiscarded() per page: the VM's id is never reused and
+     * its EPT becomes zero-sized, so no page of it can be looked up
+     * again. The Vm object itself stays — VM ids are dense and stable —
+     * it merely owns no host memory afterwards.
      * This is the teardown half of a live migration (or a poweroff):
      * the cluster layer retires the source copy with it and rebuilds
      * the VM on the destination host. Counted in `hv.vms_released`.

@@ -101,6 +101,15 @@ KsmScanner::pageDiscarded(VmId vm, Gfn gfn)
     v[gfn] = PageScanState{};
 }
 
+void
+KsmScanner::vmReleased(VmId vm)
+{
+    // The released VM keeps an empty EPT for good, so its row (one
+    // entry per guest page) is never read again.
+    if (vm < page_state_.size())
+        std::vector<PageScanState>().swap(page_state_[vm]);
+}
+
 KsmScanner::PageScanState *
 KsmScanner::pageStateRow(VmId vm, const hv::Vm &v)
 {
@@ -553,10 +562,6 @@ KsmScanner::advanceCursor()
         }
         const hv::Vm &v = hv_.vm(cur_vm_);
         if (cur_gfn_ >= v.ept.size()) {
-            // A released VM keeps an empty EPT for good: its page-state
-            // row (one entry per guest page) can go with it.
-            if (v.ept.size() == 0 && cur_vm_ < page_state_.size())
-                std::vector<PageScanState>().swap(page_state_[cur_vm_]);
             ++cur_vm_;
             cur_gfn_ = 0;
             continue;

@@ -161,7 +161,7 @@ class KsmScanner : public hv::PageEventListener
     /**
      * Heap bytes held by the per-guest-page scan state: 16 per guest
      * page of each VM the cursor has visited. A released VM's row is
-     * freed when the cursor next passes it.
+     * freed at once (vmReleased()).
      */
     Bytes pageStateBytes() const;
 
@@ -175,6 +175,9 @@ class KsmScanner : public hv::PageEventListener
 
     /** PageEventListener: drop per-page calm state on guest discard. */
     void pageDiscarded(VmId vm, Gfn gfn) override;
+
+    /** PageEventListener: free the released VM's page-state row. */
+    void vmReleased(VmId vm) override;
 
     /**
      * Widths of the VM id and of the pass epoch in an unstable-table

@@ -11,6 +11,7 @@
 #include "analysis/dump_format.hh"
 #include "analysis/forensics.hh"
 #include "base/stats.hh"
+#include "core/scenario.hh"
 #include "guest/guest_os.hh"
 #include "hv/hypervisor.hh"
 #include "ksm/ksm_scanner.hh"
@@ -376,4 +377,21 @@ TEST(ErrorDeathTest, AuditCatchesKsmStableFlagBehindTheCounters)
             firstResidentFrame(hv, v).ksmStable = true;
         },
         "stable_count == ksm_stable_frames_");
+}
+
+TEST(ErrorDeathTest, RetiredVmHasNoGuest)
+{
+    // Retiring a VM destroys its guest, JVM and driver: asking for any
+    // of them afterwards is a caller bug, caught before it can walk
+    // page tables through the retired VM's empty EPT.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto run = [] {
+        core::Scenario s(core::ScenarioConfig{},
+                         {workload::dayTraderIntel()});
+        s.build();
+        s.retireVm(0);
+        s.guest(0);
+    };
+    EXPECT_DEATH(run(), "assertion 'i < slots_.size\\(\\) && "
+                        "slots_\\[i\\] != nullptr' failed");
 }

@@ -195,16 +195,19 @@ TEST(Hypervisor, DiscardOfSharedFrameLeavesOtherMapping)
 namespace
 {
 
-/** Page listener that records every discard notice. */
+/** Page listener that records every discard and release notice. */
 struct DiscardLog : hv::PageEventListener
 {
     std::vector<std::pair<VmId, Gfn>> seen;
+    std::vector<VmId> released;
 
     void
     pageDiscarded(VmId vm, Gfn gfn) override
     {
         seen.emplace_back(vm, gfn);
     }
+
+    void vmReleased(VmId vm) override { released.push_back(vm); }
 };
 
 } // namespace
@@ -212,8 +215,9 @@ struct DiscardLog : hv::PageEventListener
 TEST(Hypervisor, ReleaseVmMemorySendsNoDiscardNotices)
 {
     // A guest discard tells the listeners; releasing a whole VM does
-    // the same frame and swap bookkeeping page by page but tells no
-    // one, since the retired VM's pages can never be looked up again.
+    // the same frame and swap bookkeeping page by page but sends one
+    // release notice instead, since the retired VM's pages can never
+    // be looked up again.
     StatSet stats;
     Hypervisor hv(smallHost(16 * pageSize), stats);
     DiscardLog log;
@@ -237,8 +241,10 @@ TEST(Hypervisor, ReleaseVmMemorySendsNoDiscardNotices)
     hv.discardPage(a, 30); // never touched: no notice
     EXPECT_EQ(log.seen, (std::vector<std::pair<VmId, Gfn>>{{a, 0}}));
 
+    EXPECT_TRUE(log.released.empty());
     hv.releaseVmMemory(a);
     EXPECT_EQ(log.seen.size(), 1u);
+    EXPECT_EQ(log.released, std::vector<VmId>{a});
     EXPECT_EQ(hv.vm(a).residentPages, 0u);
     EXPECT_EQ(hv.vm(a).swappedPages, 0u);
     EXPECT_EQ(hv.vm(a).ept.size(), 0u);

@@ -455,7 +455,7 @@ TEST_F(KsmFixture, CalmKeySurvivesStablePeriod)
     hv->checkConsistency();
 }
 
-TEST_F(KsmFixture, ReleasedVmPageStateRowIsFreedByNextPass)
+TEST_F(KsmFixture, ReleasedVmPageStateRowIsFreedAtOnce)
 {
     VmId a = hv->createVm("a", 1 * MiB, 0);
     VmId b = hv->createVm("b", 2 * MiB, 0);
@@ -468,10 +468,10 @@ TEST_F(KsmFixture, ReleasedVmPageStateRowIsFreedByNextPass)
     const Bytes per_page = 16;
     EXPECT_EQ(scanner->pageStateBytes(), 3 * MiB / pageSize * per_page);
 
-    // Releasing b drops its pages (and their scan state) but keeps the
-    // row; the next pass over b's now-empty EPT frees the row.
+    // Releasing b drops its pages and, through the release notice, its
+    // whole row at once; scanning on leaves a's row as it was.
     hv->releaseVmMemory(b);
-    EXPECT_EQ(scanner->pageStateBytes(), 3 * MiB / pageSize * per_page);
+    EXPECT_EQ(scanner->pageStateBytes(), 1 * MiB / pageSize * per_page);
     scanner->scanBatch();
     EXPECT_EQ(scanner->pageStateBytes(), 1 * MiB / pageSize * per_page);
     scanner->checkIndex();

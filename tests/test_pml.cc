@@ -318,13 +318,14 @@ TEST(BalloonGovernor, ResizesTowardWorkingSet)
 
     core::BalloonGovernorConfig bcfg;
     bcfg.slackPages = 16;
-    core::BalloonGovernor gov({&os}, wss, bcfg, stats);
+    core::BalloonGovernor gov(wss, bcfg, stats);
+    const std::vector<guest::GuestOs *> guests = {&os};
 
     // Quiet guest: the balloon inflates toward guestPages - slack.
     wss.sample();
-    const std::uint64_t target = gov.targetPages(0);
+    const std::uint64_t target = gov.targetPages(os);
     EXPECT_EQ(target, os.guestPages() - bcfg.slackPages);
-    gov.step();
+    gov.step(guests);
     EXPECT_GT(os.balloonHeldPages(), 0u);
     EXPECT_LE(os.balloonHeldPages(), target);
     EXPECT_GE(stats.get("balloon.wss_resizes"), 1u);
@@ -334,8 +335,8 @@ TEST(BalloonGovernor, ResizesTowardWorkingSet)
     for (Gfn g = 0; g < 200; ++g)
         hv.writeWord(vm_id, g, 0, g + 1);
     wss.sample();
-    EXPECT_LT(gov.targetPages(0), target);
-    gov.step();
+    EXPECT_LT(gov.targetPages(os), target);
+    gov.step(guests);
     EXPECT_LT(os.balloonHeldPages(), held_before);
     hv.checkConsistency();
 }
@@ -357,10 +358,11 @@ TEST(BalloonGovernor, MaxStepBoundsEachAdjustment)
     core::BalloonGovernorConfig bcfg;
     bcfg.slackPages = 16;
     bcfg.maxStepPages = 10;
-    core::BalloonGovernor gov({&os}, wss, bcfg, stats);
-    gov.step();
+    core::BalloonGovernor gov(wss, bcfg, stats);
+    const std::vector<guest::GuestOs *> guests = {&os};
+    gov.step(guests);
     EXPECT_LE(os.balloonHeldPages(), 10u);
-    gov.step();
+    gov.step(guests);
     EXPECT_LE(os.balloonHeldPages(), 20u);
 }
 
@@ -409,10 +411,11 @@ TEST(BalloonGovernor, RefaultStormGrowsSlackAndBacksOff)
     core::BalloonGovernorConfig bcfg;
     bcfg.slackPages = 16;
     bcfg.refaultTolerance = 8;
-    core::BalloonGovernor gov({&os}, wss, bcfg, stats);
+    core::BalloonGovernor gov(wss, bcfg, stats);
+    const std::vector<guest::GuestOs *> guests = {&os};
 
     // The quiet-looking guest gets ballooned hard.
-    gov.step();
+    gov.step(guests);
     const std::uint64_t held_inflated = os.balloonHeldPages();
     EXPECT_GT(held_inflated, 0u);
     EXPECT_EQ(gov.extraSlackPages(0), 0u);
@@ -421,7 +424,7 @@ TEST(BalloonGovernor, RefaultStormGrowsSlackAndBacksOff)
     os.touchFileSpace(512);
     EXPECT_GT(os.cacheMisses(), bcfg.refaultTolerance);
     wss.sample();
-    gov.step();
+    gov.step(guests);
     EXPECT_GT(gov.extraSlackPages(0), 0u);
     EXPECT_GT(stats.get("balloon.refault_backoffs"), 0u);
     EXPECT_LT(os.balloonHeldPages(), held_inflated);
@@ -429,7 +432,7 @@ TEST(BalloonGovernor, RefaultStormGrowsSlackAndBacksOff)
     // Calm intervals decay the extra slack back toward zero.
     const std::uint64_t slack_peak = gov.extraSlackPages(0);
     wss.sample();
-    gov.step();
+    gov.step(guests);
     EXPECT_LT(gov.extraSlackPages(0), slack_peak);
     hv.checkConsistency();
 }
