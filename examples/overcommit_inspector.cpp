@@ -47,8 +47,8 @@ main(int argc, char **argv)
         std::printf("%-6s %12.1f %12.0f %12llu %12s\n",
                     scenario.vmNames()[v].c_str(), tput[v], resp[v],
                     (unsigned long long)scenario.hv().majorFaults(v),
-                    formatMiB(pagesToBytes(
-                                  scenario.hv().vm(v).swappedPages))
+                    formatMiB(pagesToBytes(scenario.hv().pagesIn(
+                                  v, hv::PageState::Swapped)))
                         .c_str());
     }
     std::printf("\naggregate: %.1f rq/s;  host resident %s MiB;  "

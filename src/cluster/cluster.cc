@@ -402,7 +402,8 @@ Cluster::maybeMigrate()
     // Fixed switch-over cost added to every migration's downtime.
     constexpr double switchoverMs = 2.0;
     const auto &vm = hosts_[src]->hv().vm(static_cast<VmId>(victim));
-    const std::uint64_t resident = vm.residentPages;
+    const std::uint64_t resident =
+        hosts_[src]->hv().pagesIn(vm.id, hv::PageState::Resident);
     PrecopyEstimate est;
     if (hosts_[src]->hv().pmlEnabled()) {
         const std::uint64_t prev =

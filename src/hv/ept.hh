@@ -36,16 +36,24 @@ enum class PageState : std::uint8_t
  * Swapped; both lie below 2^backingBits (mem::FrameTable and
  * mem::SwapDevice refuse any that would not).
  *
- * The entry carries translation state only. KSM's per-page calm
- * checksum used to live here; it is scanner-owned state and now lives
- * in ksm::KsmScanner, which learns about entry resets through
- * hv::PageEventListener.
+ * The entry is the page's only per-mapping record. Write protection
+ * is not stored: a write copies the frame exactly when it is shared or
+ * KSM-stable (mem::Frame's refcount and ksmStable), and per-VM page
+ * counts are walks over the entries (Hypervisor::pagesIn()). KSM's
+ * per-page calm checksum is scanner-owned state in ksm::KsmScanner,
+ * which learns about entry resets through hv::PageEventListener.
  */
 struct EptEntry
 {
     std::uint64_t backing : backingBits = 0;
     PageState state : 2 = PageState::NotPresent;
-    bool writeProtected : 1 = false; //!< COW-break on next write
+    /**
+     * Backed by a transparent huge page, so not madvise-MERGEABLE:
+     * KSM skips it. Set by the guest for huge-backed anonymous memory
+     * whatever the page's state, cleared before the guest frees the
+     * gfn (and by any entry reset).
+     */
+    bool huge : 1 = false;
     /**
      * The page already has an entry in its VM's PML ring for the
      * current drain cycle. Mirrors hardware PML, which logs a gfn on

@@ -140,10 +140,6 @@ Hypervisor::evictOne()
                     e.backing == victim);
         e.state = PageState::Swapped;
         e.backing = slot;
-        e.writeProtected = false;
-        jtps_assert(v.residentPages > 0);
-        --v.residentPages;
-        ++v.swappedPages;
         frames_.removeMapping(victim, m);
     }
     stat_evictions_.inc();
@@ -198,17 +194,12 @@ Hypervisor::swapIn(VmId vm_id, Gfn gfn)
     for (std::size_t i = 1; i < slot.mappings.size(); ++i)
         frames_.addMapping(hfn, slot.mappings[i]);
 
-    const bool shared = slot.mappings.size() > 1;
     for (const auto &m : slot.mappings) {
         Vm &v = vm(m.vm);
         EptEntry &e = v.ept.entry(m.gfn);
         jtps_assert(e.state == PageState::Swapped);
         e.state = PageState::Resident;
         e.backing = hfn;
-        e.writeProtected = shared;
-        jtps_assert(v.swappedPages > 0);
-        --v.swappedPages;
-        ++v.residentPages;
         // The restored page sits on a reused host frame with a fresh
         // write generation, so the KSM generation walk re-examines it
         // as if it had been written. Log it like a write too, so the
@@ -228,19 +219,11 @@ Hypervisor::swapIn(VmId vm_id, Gfn gfn)
 void
 Hypervisor::cowBreak(Vm &v, EptEntry &e, Gfn gfn, const mem::Frame &f)
 {
-    if (f.refcount == 1 && !f.ksmStable) {
-        // Sole mapping of an ordinary frame: nothing to copy, just drop
-        // the protection.
-        e.writeProtected = false;
-        return;
-    }
-
     const Hfn old = e.backing;
     const mem::Mapping m{v.id, gfn};
     const mem::PageData copy = f.data; // copy before the frame can die
     frames_.removeMapping(old, m);
     e.backing = allocBacked(m, copy);
-    e.writeProtected = false;
     stat_cow_breaks_.inc();
     if (trace_)
         trace_->record(TraceEventType::CowBreak, v.id, gfn, old);
@@ -256,8 +239,6 @@ Hypervisor::frameForWrite(Vm &v, Gfn gfn)
         e.backing = allocBacked(mem::Mapping{v.id, gfn},
                                 mem::PageData::zero());
         e.state = PageState::Resident;
-        e.writeProtected = false;
-        ++v.residentPages;
         stat_demand_allocs_.inc();
         break;
       case PageState::Swapped:
@@ -267,8 +248,10 @@ Hypervisor::frameForWrite(Vm &v, Gfn gfn)
         break;
     }
 
+    // A shared or KSM-stable frame is write-protected in every mapping
+    // of it: the write lands on a private copy.
     mem::Frame *f = &frames_.frame(e.backing);
-    if (e.writeProtected || f->refcount > 1 || f->ksmStable) {
+    if (f->refcount > 1 || f->ksmStable) {
         cowBreak(v, e, gfn, *f);
         f = &frames_.frame(e.backing);
     }
@@ -353,13 +336,9 @@ Hypervisor::dropPage(Vm &v, Gfn gfn)
         return false;
       case PageState::Swapped:
         swap_.dropMapping(e.backing, m);
-        jtps_assert(v.swappedPages > 0);
-        --v.swappedPages;
         break;
       case PageState::Resident:
         frames_.removeMapping(e.backing, m);
-        jtps_assert(v.residentPages > 0);
-        --v.residentPages;
         break;
     }
     e = EptEntry{};
@@ -391,7 +370,6 @@ Hypervisor::releaseVmMemory(VmId vm_id)
     // scanner frees the VM's whole per-page row there).
     for (Gfn g = 0; g < v.ept.size(); ++g)
         dropPage(v, g);
-    jtps_assert(v.residentPages == 0 && v.swappedPages == 0);
     for (Hfn hfn : v.overheadFrames)
         frames_.freePinned(hfn);
     // Free the per-VM buffers, not just empty them. The EPT becomes a
@@ -399,7 +377,6 @@ Hypervisor::releaseVmMemory(VmId vm_id)
     // cursor skips it, walks bound themselves by ept.size()); nothing
     // logs to the empty ring, since no gfn of the VM can be written.
     v.overheadFrames = std::vector<Hfn>();
-    v.hugePages = std::vector<bool>();
     v.pmlRing = std::vector<PackedGfn>();
     v.ept = Ept(0);
     if (page_listener_)
@@ -440,22 +417,14 @@ void
 Hypervisor::setHugePage(VmId vm_id, Gfn gfn, bool huge)
 {
     Vm &v = vm(vm_id);
-    jtps_assert(gfn < v.ept.size());
-    if (v.hugePages.empty()) {
-        if (!huge)
-            return; // nothing was ever marked
-        v.hugePages.assign(v.ept.size(), false);
-    }
-    const bool was = v.hugePages[gfn];
-    v.hugePages[gfn] = huge;
+    EptEntry &e = v.ept.entry(gfn);
+    const bool was = e.huge;
+    e.huge = huge;
     // Dropping the THP flag makes the page MERGEABLE again without any
     // write, so KSM sees it anew. The transition lands in the ring like
     // a write, and the append totals count it as one.
-    if (was && !huge) {
-        EptEntry &e = v.ept.entry(gfn);
-        if (e.state == PageState::Resident)
-            pmlLog(v, e, gfn);
-    }
+    if (was && !huge && e.state == PageState::Resident)
+        pmlLog(v, e, gfn);
 }
 
 bool
@@ -481,7 +450,6 @@ Hypervisor::ksmMergeInto(Hfn stable, VmId vm_id, Gfn gfn)
     frames_.addMapping(stable, m);
     frames_.touch(stable);
     e.backing = stable;
-    e.writeProtected = true;
     stat_ksm_merges_.inc();
     return true;
 }
@@ -494,13 +462,10 @@ Hypervisor::ksmMakeStable(VmId vm_id, Gfn gfn)
     if (e.state != PageState::Resident)
         return invalidFrame;
 
-    mem::Frame &f = frames_.frame(e.backing);
-    jtps_assert(!f.pinned);
+    jtps_assert(!frames_.frame(e.backing).pinned);
+    // A stable frame is copied on any write (frameForWrite()), so this
+    // write-protects every mapping of it.
     frames_.setKsmStable(e.backing, true);
-    // Write-protect every mapping of the frame so any write COWs.
-    frames_.forEachMapping(f, [this](const mem::Mapping &m) {
-        vm(m.vm).ept.entry(m.gfn).writeProtected = true;
-    });
     return e.backing;
 }
 
@@ -543,6 +508,16 @@ Hypervisor::residentBytes() const
 }
 
 std::uint64_t
+Hypervisor::pagesIn(VmId vm_id, PageState state) const
+{
+    const Ept &ept = vm(vm_id).ept;
+    std::uint64_t n = 0;
+    for (Gfn gfn = 0; gfn < ept.size(); ++gfn)
+        n += ept.entry(gfn).state == state;
+    return n;
+}
+
+std::uint64_t
 Hypervisor::majorFaults(VmId vm_id) const
 {
     return vm(vm_id).majorFaults;
@@ -560,14 +535,12 @@ Hypervisor::checkConsistency() const
     frames_.checkConsistency();
 
     // Every resident EPT entry must appear exactly once in its frame's
-    // reverse mappings, and per-VM counters must match entry states.
+    // reverse mappings, and every swapped one must name a live slot.
     for (const auto &vmp : vms_) {
         const Vm &v = *vmp;
-        std::uint64_t resident = 0, swapped = 0;
         for (Gfn gfn = 0; gfn < v.ept.size(); ++gfn) {
             const EptEntry &e = v.ept.entry(gfn);
             if (e.state == PageState::Resident) {
-                ++resident;
                 jtps_assert(frames_.isAllocated(e.backing));
                 const mem::Frame &f = frames_.frame(e.backing);
                 unsigned hits = 0;
@@ -577,12 +550,9 @@ Hypervisor::checkConsistency() const
                 });
                 jtps_assert(hits == 1);
             } else if (e.state == PageState::Swapped) {
-                ++swapped;
                 jtps_assert(swap_.has(e.backing));
             }
         }
-        jtps_assert(resident == v.residentPages);
-        jtps_assert(swapped == v.swappedPages);
 
         // PML invariant: every logged bit is covered by a live ring
         // entry (pmlResetRing()'s entry-driven clear relies on it),

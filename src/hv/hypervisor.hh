@@ -80,7 +80,8 @@ class PageEventListener
     virtual void vmReleased(VmId vm) = 0;
 };
 
-/** One guest VM. */
+/** One guest VM. Its EPT is its only per-page state: counts of its
+ *  resident or swapped pages are walks over it (Hypervisor::pagesIn()). */
 struct Vm
 {
     VmId id = invalidVm;
@@ -89,16 +90,10 @@ struct Vm
     /** Pinned host frames of the VM process itself (none for a
      *  system-VM hypervisor). */
     std::vector<Hfn> overheadFrames;
-    /** Guest pages currently resident (backed by a host frame). */
-    std::uint64_t residentPages = 0;
-    /** Guest pages currently swapped out by the host. */
-    std::uint64_t swappedPages = 0;
     /** Cumulative host-level major faults taken by this VM. */
     std::uint64_t majorFaults = 0;
     /** Faults served from the compressed-RAM tier (fast refaults). */
     std::uint64_t majorFaultsRam = 0;
-    /** Per-gfn transparent-huge-page backing (lazily sized). */
-    std::vector<bool> hugePages;
     /** PML ring: dirtied gfns in append order; capacity reserved to
      *  pmlRingSlots until the VM is retired. */
     std::vector<PackedGfn> pmlRing;
@@ -218,7 +213,8 @@ class Hypervisor
     /** Page content if resident, nullptr otherwise (never faults). */
     const mem::PageData *peek(VmId vm, Gfn gfn) const;
 
-    /** Mark/unmark a guest page as THP-backed (unmergeable by KSM). */
+    /** Mark/unmark a guest page as THP-backed (unmergeable by KSM):
+     *  sets its entry's huge flag. */
     void setHugePage(VmId vm, Gfn gfn, bool huge);
 
     // ------------------------------------------------------------------
@@ -234,7 +230,8 @@ class Hypervisor
 
     /**
      * Promote the resident page under (vm, gfn) to a KSM stable frame:
-     * write-protects it and marks the frame stable.
+     * marks the frame stable, which write-protects every mapping of it
+     * (frameForWrite() copies a stable frame on any write).
      * @return the frame number, or invalidFrame if not resident.
      */
     Hfn ksmMakeStable(VmId vm, Gfn gfn);
@@ -256,6 +253,10 @@ class Hypervisor
 
     /** Resident bytes on the host. */
     Bytes residentBytes() const;
+
+    /** Guest pages of @p vm whose entry is in @p state (one EPT
+     *  walk; a retired VM has none). */
+    std::uint64_t pagesIn(VmId vm, PageState state) const;
 
     /** Major faults taken by @p vm since creation. */
     std::uint64_t majorFaults(VmId vm) const;
@@ -330,7 +331,8 @@ class Hypervisor
     void swapIn(VmId vm, Gfn gfn);
 
     /** Break copy-on-write for (v, gfn), whose resident entry @p e
-     *  maps @p f; afterwards the page is privately writable. */
+     *  maps the shared or stable frame @p f: repoint the entry at a
+     *  private copy of it. */
     void cowBreak(Vm &v, EptEntry &e, Gfn gfn, const mem::Frame &f);
 
     /**

@@ -364,7 +364,7 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
     if (e.state != hv::PageState::Resident)
         return false; // not resident: nothing to merge
 
-    if (!v.hugePages.empty() && v.hugePages[gfn]) {
+    if (e.huge) {
         // THP-backed memory is not madvise-MERGEABLE: skip.
         ++stat_skipped_huge_;
         return true;

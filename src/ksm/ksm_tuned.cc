@@ -19,7 +19,7 @@ KsmTuned::step()
     // swapped-out guest pages (what the guests want mapped).
     std::uint64_t committed_pages = hv_.residentFrames();
     for (VmId v = 0; v < hv_.vmCount(); ++v)
-        committed_pages += hv_.vm(v).swappedPages;
+        committed_pages += hv_.pagesIn(v, hv::PageState::Swapped);
 
     const std::uint64_t capacity = hv_.frames().capacity();
     const bool tight =

@@ -310,20 +310,6 @@ TEST(ErrorDeathTest, AuditCatchesEptEntryMissingFromItsFrameMappings)
         "hits == 1");
 }
 
-TEST(ErrorDeathTest, AuditCatchesResidentCounterDrift)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    expectAuditPanics([](Hypervisor &, hv::Vm &v) { ++v.residentPages; },
-                      "resident == v.residentPages");
-}
-
-TEST(ErrorDeathTest, AuditCatchesSwappedCounterDrift)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    expectAuditPanics([](Hypervisor &, hv::Vm &v) { ++v.swappedPages; },
-                      "swapped == v.swappedPages");
-}
-
 TEST(ErrorDeathTest, AuditCatchesSwappedEntryWithoutItsSlot)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

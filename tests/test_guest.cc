@@ -174,7 +174,7 @@ TEST_F(GuestFixture, BootKernelPopulatesExpectedSizes)
 
     EXPECT_EQ(os->pageCachePages(), bytesToPages(6 * MiB));
     // text+data+slab+cache all resident.
-    EXPECT_EQ(hv->vm(os->vmId()).residentPages, bytesToPages(10 * MiB));
+    EXPECT_EQ(hv->pagesIn(os->vmId(), hv::PageState::Resident), bytesToPages(10 * MiB));
 }
 
 TEST_F(GuestFixture, KernelTextIdenticalAcrossGuestsDataNot)
@@ -231,7 +231,7 @@ TEST_F(GuestFixture, TouchFileSpaceKeepsPagesWarmAndFaultsSwapped)
     VmId id = small_hv.createVm("vm", 1 * MiB, 0);
     GuestOs small_os(small_hv, id, "vm", 5);
     small_os.readFile(FileImage::shared("/data", 16 * pageSize));
-    EXPECT_EQ(small_hv.vm(id).swappedPages, 8u);
+    EXPECT_EQ(small_hv.pagesIn(id, hv::PageState::Swapped), 8u);
     small_os.touchFileSpace(64);
     EXPECT_GT(small_hv.majorFaults(id), 0u);
     small_hv.checkConsistency();

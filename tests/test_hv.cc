@@ -47,7 +47,7 @@ TEST(Hypervisor, DemandAllocationOnWrite)
     EXPECT_NE(hv.translate(vm, 5), invalidFrame);
     EXPECT_EQ(hv.readWord(vm, 5, 2), 42u);
     EXPECT_EQ(hv.readWord(vm, 5, 0), 0u); // rest of page is zero
-    EXPECT_EQ(hv.vm(vm).residentPages, 1u);
+    EXPECT_EQ(hv.pagesIn(vm, PageState::Resident), 1u);
     hv.checkConsistency();
 }
 
@@ -165,9 +165,9 @@ TEST(Hypervisor, DiscardFreesFrame)
     Hypervisor hv(smallHost(), stats);
     VmId a = hv.createVm("a", 8 * MiB, 0);
     hv.writePage(a, 7, PageData::filled(1, 1));
-    EXPECT_EQ(hv.vm(a).residentPages, 1u);
+    EXPECT_EQ(hv.pagesIn(a, PageState::Resident), 1u);
     hv.discardPage(a, 7);
-    EXPECT_EQ(hv.vm(a).residentPages, 0u);
+    EXPECT_EQ(hv.pagesIn(a, PageState::Resident), 0u);
     EXPECT_EQ(hv.residentFrames(), 0u);
     EXPECT_EQ(hv.translate(a, 7), invalidFrame);
     hv.checkConsistency();
@@ -234,7 +234,7 @@ TEST(Hypervisor, ReleaseVmMemorySendsNoDiscardNotices)
         hv.writePage(a, g, PageData::filled(1, g));
         hv.writePage(b, g, PageData::filled(2, g));
     }
-    ASSERT_GT(hv.vm(a).swappedPages, 0u);
+    ASSERT_GT(hv.pagesIn(a, PageState::Swapped), 0u);
     ASSERT_EQ(hv.translate(a, 11), stable);
 
     hv.discardPage(a, 0);
@@ -245,8 +245,8 @@ TEST(Hypervisor, ReleaseVmMemorySendsNoDiscardNotices)
     hv.releaseVmMemory(a);
     EXPECT_EQ(log.seen.size(), 1u);
     EXPECT_EQ(log.released, std::vector<VmId>{a});
-    EXPECT_EQ(hv.vm(a).residentPages, 0u);
-    EXPECT_EQ(hv.vm(a).swappedPages, 0u);
+    EXPECT_EQ(hv.pagesIn(a, PageState::Resident), 0u);
+    EXPECT_EQ(hv.pagesIn(a, PageState::Swapped), 0u);
     EXPECT_EQ(hv.vm(a).ept.size(), 0u);
     // b keeps the frame a shared with it.
     EXPECT_EQ(hv.translate(b, 11), stable);
@@ -281,7 +281,7 @@ TEST(Hypervisor, EvictionAndMajorFault)
     for (Gfn g = 0; g < 12; ++g)
         hv.writePage(a, g, PageData::filled(7, g));
     EXPECT_EQ(hv.residentFrames(), 8u);
-    EXPECT_EQ(hv.vm(a).swappedPages, 4u);
+    EXPECT_EQ(hv.pagesIn(a, PageState::Swapped), 4u);
     EXPECT_GT(stats.get("host.evictions"), 0u);
     hv.checkConsistency();
 
@@ -318,15 +318,14 @@ TEST(Hypervisor, SwapInRestoresSharingStructure)
     EXPECT_EQ(hv.residentFrames(), 1u);
 
     VmId c = hv.createVm("c", 1 * MiB, 3 * pageSize); // pinned filler
-    (void)c;
     EXPECT_EQ(hv.residentFrames(), 4u);
 
     // Fresh allocation: only the shared frame is evictable.
     hv.writePage(a, 1, PageData::filled(1, 1));
     EXPECT_EQ(hv.translate(a, 0), invalidFrame);
     EXPECT_EQ(hv.translate(b, 0), invalidFrame);
-    EXPECT_EQ(hv.vm(a).swappedPages, 1u);
-    EXPECT_EQ(hv.vm(b).swappedPages, 1u);
+    EXPECT_EQ(hv.pagesIn(a, PageState::Swapped), 1u);
+    EXPECT_EQ(hv.pagesIn(b, PageState::Swapped), 1u);
     hv.checkConsistency();
 
     // Fault the shared page back in through a: both mappings must come
@@ -336,6 +335,27 @@ TEST(Hypervisor, SwapInRestoresSharingStructure)
     EXPECT_EQ(hv.translate(a, 0), hv.translate(b, 0));
     EXPECT_EQ(hv.majorFaults(a), 1u);
     EXPECT_EQ(hv.majorFaults(b), 0u);
+    hv.checkConsistency();
+
+    // Free c's pinned frames so the writes below copy without evicting.
+    // The restored frame is shared but no longer KSM-stable: a write
+    // through b copies it, and a keeps the original content.
+    hv.releaseVmMemory(c);
+    const Hfn restored = hv.translate(a, 0);
+    ASSERT_FALSE(hv.frames().frame(restored).ksmStable);
+    const std::uint64_t cows = stats.get("hv.cow_breaks");
+    hv.writeWord(b, 0, 0, 99);
+    EXPECT_EQ(stats.get("hv.cow_breaks"), cows + 1);
+    EXPECT_NE(hv.translate(b, 0), restored);
+    EXPECT_EQ(*hv.peek(a, 0), d);
+
+    // a is now the sole mapping of a non-stable frame: its write lands
+    // in place, with no copy.
+    hv.writeWord(a, 0, 0, 7);
+    EXPECT_EQ(stats.get("hv.cow_breaks"), cows + 1);
+    EXPECT_EQ(hv.translate(a, 0), restored);
+    EXPECT_EQ(hv.readWord(a, 0, 0), 7u);
+    EXPECT_EQ(hv.readWord(b, 0, 0), 99u);
     hv.checkConsistency();
 }
 
@@ -352,7 +372,7 @@ TEST(Hypervisor, CompressedSwapTierServesFastRefaults)
     for (Gfn g = 0; g < 20; ++g)
         hv.writePage(a, g, PageData::filled(9, g));
     // 20 pages vs 14 frames: 6 swapped, all fitting the RAM tier.
-    EXPECT_EQ(hv.vm(a).swappedPages, 6u);
+    EXPECT_EQ(hv.pagesIn(a, PageState::Swapped), 6u);
     EXPECT_EQ(hv.swap().ramSlots(), 6u);
 
     // Fault one back: it must be counted as a RAM-tier fault.
@@ -378,7 +398,7 @@ TEST(Hypervisor, SwapOverflowsToDiskWhenPoolFull)
     for (Gfn g = 0; g < 25; ++g)
         hv.writePage(a, g, PageData::filled(10, g));
     // 25 pages vs 15 frames: 10 swapped; 3 in RAM, 7 on disk.
-    EXPECT_EQ(hv.vm(a).swappedPages, 10u);
+    EXPECT_EQ(hv.pagesIn(a, PageState::Swapped), 10u);
     EXPECT_EQ(hv.swap().ramSlots(), 3u);
     EXPECT_EQ(hv.swap().used(), 10u);
 }

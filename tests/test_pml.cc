@@ -170,7 +170,7 @@ TEST(PmlRing, SwapInRelogsRestoredPages)
     // evictions.
     for (Gfn g = 0; g < 64; ++g)
         hv.writePage(vm, g, PageData::filled(1, g));
-    ASSERT_GT(hv.vm(vm).swappedPages, 0u);
+    ASSERT_GT(hv.pagesIn(vm, PageState::Swapped), 0u);
 
     Gfn victim = invalidFrame;
     for (Gfn g = 0; g < 64; ++g) {
@@ -229,8 +229,8 @@ TEST(PmlRing, RecycledGfnIsRescannedFromLiveState)
 
 TEST(PmlRing, RetiredVmFreesItsBuffers)
 {
-    // Retiring a VM frees its ring, huge-page bits and overhead list,
-    // not just empties them; the other VM keeps its ring.
+    // Retiring a VM frees its ring and overhead list, not just empties
+    // them; the other VM keeps its ring.
     StatSet stats;
     Hypervisor hv(pmlHost(4096), stats);
     VmId a = hv.createVm("a", 1 * MiB, 64 * KiB);
@@ -239,14 +239,11 @@ TEST(PmlRing, RetiredVmFreesItsBuffers)
         hv.writePage(a, g, PageData::filled(1, g));
         hv.writePage(b, g, PageData::filled(2, g));
     }
-    hv.setHugePage(a, 3, true);
     ASSERT_GT(hv.vm(a).pmlRing.capacity(), 0u);
-    ASSERT_GT(hv.vm(a).hugePages.capacity(), 0u);
     ASSERT_GT(hv.vm(a).overheadFrames.capacity(), 0u);
 
     hv.releaseVmMemory(a);
     EXPECT_EQ(hv.vm(a).pmlRing.capacity(), 0u);
-    EXPECT_EQ(hv.vm(a).hugePages.capacity(), 0u);
     EXPECT_EQ(hv.vm(a).overheadFrames.capacity(), 0u);
     EXPECT_EQ(hv.pmlEntries(b).size(), 8u);
     hv.checkConsistency();

@@ -1017,12 +1017,10 @@ expectSameWriteState(const RangeWriteTwin &a, const RangeWriteTwin &b)
         const hv::EptEntry &ea = va.ept.entry(g);
         const hv::EptEntry &eb = vb.ept.entry(g);
         ASSERT_TRUE(ea.state == eb.state && ea.backing == eb.backing &&
-                    ea.writeProtected == eb.writeProtected &&
+                    ea.huge == eb.huge &&
                     ea.pmlLogged == eb.pmlLogged)
             << "gfn " << g;
     }
-    EXPECT_EQ(va.residentPages, vb.residentPages);
-    EXPECT_EQ(va.swappedPages, vb.swappedPages);
     EXPECT_EQ(va.majorFaults, vb.majorFaults);
     EXPECT_EQ(va.pmlAppendsTotal, vb.pmlAppendsTotal);
     ASSERT_EQ(va.pmlRing.size(), vb.pmlRing.size());

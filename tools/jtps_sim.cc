@@ -78,6 +78,13 @@ const char *const knownReports[] = {"breakdown", "java",       "sources",
                                     "smaps",     "throughput", "timeline",
                                     "all"};
 
+/** Flags that only one mode reads: giving one in the other mode is a
+ *  usage error, not a silent no-op. */
+const char *const singleHostFlags[] = {"--vms", "--balloon", "--ksmtuned",
+                                       "--report", "--csv"};
+const char *const clusterFlags[] = {"--per-host", "--placement",
+                                    "--fleet-threads", "--migrate"};
+
 [[noreturn]] void
 usage(const char *argv0)
 {
@@ -107,7 +114,9 @@ usage(const char *argv0)
         "  --csv           CSV output where available\n"
         "  --json FILE     write the full run document as JSON\n"
         "  --trace FILE    record a structured event trace, write JSON\n"
-        "cluster mode (fleet of independent hosts):\n"
+        "cluster mode (fleet of independent hosts; the flags after\n"
+        "--hosts need it, and --vms, --balloon, --ksmtuned, --report\n"
+        "and --csv are single-host only):\n"
         "  --hosts H       simulate H hosts (0 = single-host mode);\n"
         "                  --workload mix cycles all four workloads\n"
         "  --per-host N    VM slots per host (default 4, fleet = H*N)\n"
@@ -167,8 +176,16 @@ parse(int argc, char **argv)
                            std::min(hi, u64max / unit)) *
                unit;
     };
+    // The last flag seen of each mode, checked once --hosts is known.
+    std::string single_host_flag, cluster_flag;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        for (const char *f : singleHostFlags)
+            if (arg == f)
+                single_host_flag = arg;
+        for (const char *f : clusterFlags)
+            if (arg == f)
+                cluster_flag = arg;
         if (arg == "--workload")
             opt.workload = need(i);
         else if (arg == "--vms")
@@ -240,8 +257,10 @@ parse(int argc, char **argv)
     if (opt.placement != "rr" && opt.placement != "random" &&
         opt.placement != "dedup")
         badUsage(argv0, "unknown --placement '" + opt.placement + "'");
-    if (opt.hosts == 0 && opt.migrate)
-        badUsage(argv0, "--migrate requires cluster mode (--hosts H)");
+    if (opt.hosts == 0 && !cluster_flag.empty())
+        badUsage(argv0, cluster_flag + " requires cluster mode (--hosts H)");
+    if (opt.hosts > 0 && !single_host_flag.empty())
+        badUsage(argv0, single_host_flag + " has no effect in cluster mode");
     if (opt.workload == "mix") {
         if (opt.hosts == 0)
             badUsage(argv0,
