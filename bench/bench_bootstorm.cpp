@@ -17,8 +17,10 @@
  * The run is repeated three times and the best times are reported.
  * Identity gate BEFORE any timing is reported: the full stat registry
  * and a hash of the complete trace stream must be byte-identical in
- * every run of the same seed. argv: [vms] [arrivals] (defaults 256
- * and 8; CI runs a reduced host).
+ * every run of the same seed. The JSON document also records the
+ * process's peak resident set (`peak_rss_mib`) and the KSM scan state
+ * held at the end (`ksm_page_state_mib`). argv: [vms] [arrivals]
+ * (defaults 256 and 8; CI runs a reduced host).
  */
 
 #include <algorithm>
@@ -27,6 +29,8 @@
 #include <cstdlib>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "base/hash.hh"
 #include "bench/bench_common.hh"
@@ -44,6 +48,7 @@ struct StormResult
     double arrivalMs = 0.0; //!< migration-arrival re-convergence
     std::uint64_t pagesSharing = 0;
     std::uint64_t residentPages = 0;
+    Bytes pageStateBytes = 0; //!< KSM scan state after the arrivals
     std::string coldSig;  //!< registry+trace after cold convergence
     std::string finalSig; //!< registry+trace after the arrivals
 };
@@ -147,6 +152,7 @@ measure(std::size_t vms, std::size_t arrivals)
     sc.hv().checkConsistency();
     r.pagesSharing = sc.ksm().pagesSharing();
     r.residentPages = sc.hv().residentFrames();
+    r.pageStateBytes = sc.ksm().pageStateBytes();
     return r;
 }
 
@@ -204,6 +210,14 @@ main(int argc, char **argv)
     json.summaryField("arrival_vms",
                       static_cast<std::uint64_t>(arrivals));
     json.summaryField("registry_identical", std::uint64_t{1});
+    // What the host costs the simulator in memory: the process's peak
+    // resident set over all runs, and the KSM scan state inside it.
+    struct rusage ru = {};
+    getrusage(RUSAGE_SELF, &ru);
+    json.summaryField("peak_rss_mib",
+                      static_cast<double>(ru.ru_maxrss) / 1024.0);
+    json.summaryField("ksm_page_state_mib",
+                      static_cast<double>(best.pageStateBytes) / MiB);
     json.write();
     return 0;
 }

@@ -31,6 +31,9 @@ constexpr std::uint32_t tombstoneEpoch =
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
+/** How many pages ahead of the cursor visitLookahead() prefetches. */
+constexpr Gfn prefetchDist = 16;
+
 constexpr std::size_t initialUnstableCapacity = 1024;
 constexpr std::size_t initialStableCapacity = 1024;
 
@@ -92,25 +95,26 @@ KsmScanner::pageDiscarded(VmId vm, Gfn gfn)
 {
     // Mirror of the old `EptEntry{}` reset wiping the in-EPT checksum:
     // the next visit of a reincarnated page must run the full calm
-    // protocol from scratch. Untracked pages have no state to drop.
+    // protocol anew. A page without a chunk already reads as never
+    // seen.
     if (vm >= page_state_.size())
         return;
-    auto &v = page_state_[vm];
-    if (gfn >= v.size())
-        return;
-    v[gfn] = PageScanState{};
+    const StateRow &row = page_state_[vm];
+    const std::size_t c = gfn / stateChunkPages;
+    if (c < row.size() && row[c])
+        (*row[c])[gfn % stateChunkPages] = PageScanState{};
 }
 
 void
 KsmScanner::vmReleased(VmId vm)
 {
-    // The released VM keeps an empty EPT for good, so its row (one
-    // entry per guest page) is never read again.
+    // The released VM keeps an empty EPT for good, so its row and
+    // every chunk in it are never read again.
     if (vm < page_state_.size())
-        std::vector<PageScanState>().swap(page_state_[vm]);
+        StateRow().swap(page_state_[vm]);
 }
 
-KsmScanner::PageScanState *
+KsmScanner::StateRow &
 KsmScanner::pageStateRow(VmId vm, const hv::Vm &v)
 {
     // An unstable slot stores the VM id in slotVmBits bits. Checked on
@@ -122,10 +126,12 @@ KsmScanner::pageStateRow(VmId vm, const hv::Vm &v)
     if (vm >= page_state_.size())
         page_state_.resize(
             std::max<std::size_t>(hv_.vmCount(), vm + std::size_t{1}));
-    auto &row = page_state_[vm];
-    if (row.size() < v.ept.size())
-        row.resize(v.ept.size());
-    return row.data();
+    StateRow &row = page_state_[vm];
+    const std::size_t chunks =
+        (v.ept.size() + stateChunkPages - 1) / stateChunkPages;
+    if (row.size() < chunks)
+        row.resize(chunks);
+    return row;
 }
 
 void
@@ -358,7 +364,8 @@ KsmScanner::checkIndex() const
 
 bool
 KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
-                    mem::FrameTable &ft, PageScanState *psv)
+                    mem::FrameTable &ft,
+                    std::unique_ptr<StateChunk> &chunk)
 {
     const hv::EptEntry &e = v.ept.entry(gfn);
     if (e.state != hv::PageState::Resident)
@@ -372,10 +379,12 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
 
     const Hfn hfn = e.backing;
     const std::uint64_t gen = ft.writeGen(hfn);
-    PageScanState &ps = psv[gfn];
+    if (!chunk)
+        chunk = std::make_unique<StateChunk>();
+    PageScanState &ps = (*chunk)[gfn % stateChunkPages];
     // The page content, loaded only on the paths that need it: the
     // generation fast path below settles most visits from the dense
-    // generation array and this VM's page-state row alone.
+    // generation array and this page's state chunk alone.
     const mem::PageData *data = nullptr;
     std::uint64_t digest;
 
@@ -594,23 +603,25 @@ KsmScanner::passBoundary()
 }
 
 void
-KsmScanner::visitLookahead(const hv::Vm &v, const PageScanState *psv,
+KsmScanner::visitLookahead(const hv::Vm &v, const StateChunk *ahead,
                            Gfn gfn, Gfn gfn_end,
                            const mem::FrameTable &ft) const
 {
     // The two random-access lines of a steady-state visit — the
     // frame's write generation (indexed by hfn) and the unstable-table
     // slot (indexed by digest hash) — are prefetched a few pages ahead
-    // from the sequentially walked EPT and page-state rows, hiding
+    // from the sequentially walked EPT and page-state chunks, hiding
     // their miss latency behind the visits in between. Pure hints: the
     // scan itself never depends on them.
-    constexpr Gfn prefetchDist = 16;
     if (gfn + prefetchDist >= gfn_end)
         return;
     const hv::EptEntry &pe = v.ept.entry(gfn + prefetchDist);
     if (pe.state == hv::PageState::Resident)
         ft.prefetchWriteGen(pe.backing);
-    const PageScanState &pps = psv[gfn + prefetchDist];
+    if (!ahead)
+        return; // a missing chunk holds no digest to look ahead to
+    const PageScanState &pps =
+        (*ahead)[(gfn + prefetchDist) % stateChunkPages];
     if (pps.seen && !pps.lastStable) {
         // The chain's first slot and the one two further on:
         // collision chains average a couple of slots, and one that
@@ -635,19 +646,33 @@ KsmScanner::scanBatch()
             break;
         }
         // The VM, its page-state row and the gfn bound are hoisted out
-        // of the per-page loop; advanceCursor() leaves the cursor on a
-        // mergeable VM with cur_gfn_ in range. Like ksmd, only
-        // *present* pages consume the scan budget: the rmap walk skips
-        // holes in the address space nearly for free. The pass
-        // boundary still bounds each batch.
+        // of the per-page loop, and the chunk under the cursor and the
+        // next one (for the lookahead) out of each chunk's run;
+        // advanceCursor() leaves the cursor on a mergeable VM with
+        // cur_gfn_ in range. Like ksmd, only *present* pages consume
+        // the scan budget: the rmap walk skips holes in the address
+        // space nearly for free. The pass boundary still bounds each
+        // batch.
         const hv::Vm &v = hv_.vm(cur_vm_);
-        PageScanState *psv = pageStateRow(cur_vm_, v);
+        StateRow &row = pageStateRow(cur_vm_, v);
         const Gfn gfn_end = v.ept.size();
         while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan) {
-            visitLookahead(v, psv, cur_gfn_, gfn_end, ft);
-            if (scanOne(cur_vm_, cur_gfn_, v, ft, psv))
-                ++visited;
-            ++cur_gfn_;
+            const std::size_t c = cur_gfn_ / stateChunkPages;
+            const Gfn chunk_end =
+                std::min<Gfn>(gfn_end, (c + 1) * stateChunkPages);
+            std::unique_ptr<StateChunk> &chunk = row[c];
+            const StateChunk *next =
+                c + 1 < row.size() ? row[c + 1].get() : nullptr;
+            for (; cur_gfn_ < chunk_end && visited < cfg_.pagesToScan;
+                 ++cur_gfn_) {
+                visitLookahead(v,
+                               cur_gfn_ + prefetchDist < chunk_end
+                                   ? chunk.get()
+                                   : next,
+                               cur_gfn_, gfn_end, ft);
+                if (scanOne(cur_vm_, cur_gfn_, v, ft, chunk))
+                    ++visited;
+            }
         }
     }
     stat_pages_visited_ += visited;
@@ -715,8 +740,10 @@ Bytes
 KsmScanner::pageStateBytes() const
 {
     Bytes total = 0;
-    for (const auto &row : page_state_)
-        total += row.capacity() * sizeof(PageScanState);
+    for (const StateRow &row : page_state_) {
+        for (const auto &chunk : row)
+            total += chunk ? sizeof(StateChunk) : 0;
+    }
     return total;
 }
 

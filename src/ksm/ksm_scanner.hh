@@ -63,7 +63,9 @@
 #ifndef JTPS_KSM_KSM_SCANNER_HH
 #define JTPS_KSM_KSM_SCANNER_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "base/packed_gfn.hh"
@@ -159,11 +161,17 @@ class KsmScanner : public hv::PageEventListener
     Bytes savedBytes() const;
 
     /**
-     * Heap bytes held by the per-guest-page scan state: 16 per guest
-     * page of each VM the cursor has visited. A released VM's row is
-     * freed at once (vmReleased()).
+     * Heap bytes held by the per-guest-page scan state: stateChunkBytes
+     * per chunk of stateChunkPages guest pages in which the cursor has
+     * met a resident, non-huge page (the rows of chunk pointers, 8 B
+     * per chunk, are not counted). A released VM's chunks are freed at
+     * once (vmReleased()).
      */
     Bytes pageStateBytes() const;
+
+    /** Guest pages per chunk of scan state, and the chunk's size. */
+    static constexpr Gfn stateChunkPages = 512;
+    static constexpr Bytes stateChunkBytes = stateChunkPages * 16;
 
     /**
      * Modelled ksmd CPU utilisation for the current tuning: the busy
@@ -215,7 +223,8 @@ class KsmScanner : public hv::PageEventListener
      * Scanner-owned per-guest-page state. It replaces the calm-filter
      * fields that used to live in hv::EptEntry with identical lifetime:
      * it survives COW breaks, swap-outs and swap-ins, and dies only on
-     * discard (pageDiscarded()).
+     * discard (pageDiscarded()). A page whose chunk was never created
+     * reads as PageScanState{}: never seen.
      */
     struct PageScanState
     {
@@ -237,8 +246,20 @@ class KsmScanner : public hv::PageEventListener
          *  non-stable page reuses it as its tree key. */
         std::uint64_t lastDigest = 0;
     };
-    // One entry per guest page of every mergeable VM: two words.
+    // One entry per guest page of a chunk: two words.
     static_assert(sizeof(PageScanState) == 16);
+
+    /**
+     * A fixed run of stateChunkPages page states, created when the
+     * cursor first visits a resident, non-huge page in it and kept
+     * until its VM is released: the guest's gfn allocator reuses freed
+     * gfns first, so a chunk seldom empties.
+     */
+    using StateChunk = std::array<PageScanState, stateChunkPages>;
+    static_assert(sizeof(StateChunk) == stateChunkBytes);
+    /** One VM's scan state: a chunk pointer per stateChunkPages guest
+     *  pages, null where the cursor has met no resident page. */
+    using StateRow = std::vector<std::unique_ptr<StateChunk>>;
 
     /**
      * One slot of the flat open-addressed unstable table, 16 bytes.
@@ -286,19 +307,21 @@ class KsmScanner : public hv::PageEventListener
      * The serial walk's lookahead: prefetch the write-generation
      * and unstable-slot lines of the visit `prefetchDist` pages ahead,
      * hiding their miss latency behind the visits in between.
+     * @p ahead is the chunk holding that page, or null.
      */
-    void visitLookahead(const hv::Vm &v, const PageScanState *psv,
+    void visitLookahead(const hv::Vm &v, const StateChunk *ahead,
                         Gfn gfn, Gfn gfn_end,
                         const mem::FrameTable &ft) const;
 
     /**
-     * Visit one candidate page. @p v, @p ft and @p psv are hoisted by
-     * the caller (the VM, frame table, and this VM's page-state row)
-     * so the per-page path re-derives nothing.
+     * Visit one candidate page. @p v, @p ft and @p chunk are hoisted
+     * by the caller (the VM, frame table, and the page-state chunk
+     * holding @p gfn) so the per-page path re-derives nothing. A
+     * resident, non-huge page creates a missing chunk.
      * @return true if the page was resident.
      */
     bool scanOne(VmId vm, Gfn gfn, const hv::Vm &v, mem::FrameTable &ft,
-                 PageScanState *psv);
+                 std::unique_ptr<StateChunk> &chunk);
 
     /**
      * Stable-probe + unstable-table stage of the visit. @p data may be
@@ -337,9 +360,10 @@ class KsmScanner : public hv::PageEventListener
     /** Grow/compact the stable index (drops tombstones). */
     void stableRehash(std::size_t new_capacity);
 
-    /** The whole page-state row of @p vm, sized to its EPT. Refuses
-     *  a VM id too wide for an unstable slot's VM field. */
-    PageScanState *pageStateRow(VmId vm, const hv::Vm &v);
+    /** The page-state row of @p vm, with a chunk slot for every
+     *  stateChunkPages pages of its EPT. Refuses a VM id too wide for
+     *  an unstable slot's VM field. */
+    StateRow &pageStateRow(VmId vm, const hv::Vm &v);
 
     /** Grow/compact the flat unstable table (drops stale slots). */
     void unstableRehash(std::size_t new_capacity);
@@ -380,7 +404,7 @@ class KsmScanner : public hv::PageEventListener
     std::size_t unstable_live_ = 0;     //!< slots with epoch == current
     std::uint32_t pass_epoch_ = 1;
 
-    std::vector<std::vector<PageScanState>> page_state_;
+    std::vector<StateRow> page_state_;
 
     // Cached counter handles: scanOne() runs per visited page, so the
     // string-keyed StatSet lookups are hoisted out of the hot loop.

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "analysis/json_export.hh"
@@ -453,20 +454,40 @@ TEST(ClusterMigration, SourceScannerFreesRetiredRowInOnePass)
     ASSERT_LT(src, fleet.hostCount());
     core::Scenario &host = fleet.host(src);
     ksm::KsmScanner &scanner = host.ksm();
-    Bytes live_rows = 0; // 16 B per guest page of each remaining VM
-    for (VmId v = 0; v < host.hv().vmCount(); ++v)
-        live_rows += host.hv().vm(v).ept.size() * 16;
-    // A live VM's row is sized when the cursor first reaches it.
-    EXPECT_LE(scanner.pageStateBytes(), live_rows);
+    // Chunks of scan state the remaining VMs can hold (all of them),
+    // and the ones that hold a resident, non-huge page now: the
+    // retired VM's EPT is empty, so it counts in neither.
+    const Gfn per_chunk = ksm::KsmScanner::stateChunkPages;
+    Bytes all_chunks = 0;
+    Bytes resident_chunks = 0;
+    for (VmId v = 0; v < host.hv().vmCount(); ++v) {
+        const hv::Ept &ept = host.hv().vm(v).ept;
+        for (Gfn c = 0; c < ept.size(); c += per_chunk) {
+            all_chunks += ksm::KsmScanner::stateChunkBytes;
+            for (Gfn g = c; g < std::min<Gfn>(ept.size(), c + per_chunk);
+                 ++g) {
+                const hv::EptEntry &e = ept.entry(g);
+                if (e.state == hv::PageState::Resident && !e.huge) {
+                    resident_chunks += ksm::KsmScanner::stateChunkBytes;
+                    break;
+                }
+            }
+        }
+    }
+    // A live VM's chunk is created when the cursor first meets a
+    // resident page in it.
+    EXPECT_LE(scanner.pageStateBytes(), all_chunks);
 
     // One budget-unbounded batch runs to the end of the current pass,
-    // the next is one whole pass from the first VM.
+    // the next is one whole pass from the first VM. Chunks outlive
+    // their pages, but no chunk of this run has emptied, so after the
+    // pass the scan state is exactly the resident chunks.
     scanner.setPagesToScan(1u << 30);
     const std::uint64_t passes = scanner.fullScans();
     scanner.scanBatch();
     scanner.scanBatch();
     EXPECT_EQ(scanner.fullScans(), passes + 2);
-    EXPECT_EQ(scanner.pageStateBytes(), live_rows);
+    EXPECT_EQ(scanner.pageStateBytes(), resident_chunks);
     scanner.checkIndex();
     host.hv().checkConsistency();
 }

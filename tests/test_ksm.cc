@@ -464,16 +464,68 @@ TEST_F(KsmFixture, ReleasedVmPageStateRowIsFreedAtOnce)
         hv->writePage(b, g, PageData::filled(3, g));
     }
     scanner->scanBatch();
-    // 16 B of scan state per guest page of each visited VM.
-    const Bytes per_page = 16;
-    EXPECT_EQ(scanner->pageStateBytes(), 3 * MiB / pageSize * per_page);
+    // One chunk of scan state per VM: each holds its resident pages.
+    const Bytes chunk = KsmScanner::stateChunkBytes;
+    EXPECT_EQ(scanner->pageStateBytes(), 2 * chunk);
 
     // Releasing b drops its pages and, through the release notice, its
     // whole row at once; scanning on leaves a's row as it was.
     hv->releaseVmMemory(b);
-    EXPECT_EQ(scanner->pageStateBytes(), 1 * MiB / pageSize * per_page);
+    EXPECT_EQ(scanner->pageStateBytes(), 1 * chunk);
     scanner->scanBatch();
-    EXPECT_EQ(scanner->pageStateBytes(), 1 * MiB / pageSize * per_page);
+    EXPECT_EQ(scanner->pageStateBytes(), 1 * chunk);
+    scanner->checkIndex();
+    hv->checkConsistency();
+}
+
+TEST_F(KsmFixture, PageStateOnlyForResidentChunks)
+{
+    // 64 MiB of guest memory, resident only at the first gfn, both
+    // sides of the first chunk boundary and the last gfn: three of
+    // the VM's 32 chunks hold a resident page.
+    const Gfn per_chunk = KsmScanner::stateChunkPages;
+    const VmId a = hv->createVm("a", 64 * MiB, 0);
+    const Gfn last = 64 * MiB / pageSize - 1;
+    ASSERT_EQ(last / per_chunk, 31u);
+    const PageData twin = PageData::filled(7, 7);
+    hv->writePage(a, 0, PageData::filled(1, 0));
+    hv->writePage(a, per_chunk - 1, twin);
+    hv->writePage(a, per_chunk, twin);
+    hv->writePage(a, last, PageData::filled(1, last));
+    scanner->scanBatch();
+    EXPECT_EQ(stats.get("ksm.not_calm"), 4u);
+    EXPECT_EQ(scanner->pageStateBytes(), 3 * KsmScanner::stateChunkBytes);
+
+    // A discard notice for a gfn whose chunk was never created has no
+    // state to drop and creates none.
+    scanner->pageDiscarded(a, 9 * per_chunk + 5);
+    hv->discardPage(a, 9 * per_chunk + 6);
+    EXPECT_EQ(scanner->pageStateBytes(), 3 * KsmScanner::stateChunkBytes);
+
+    // The pair across the boundary is calm on its second visit and
+    // merges through the unstable table, each page's state in its own
+    // chunk.
+    scanner->scanBatch();
+    EXPECT_EQ(stats.get("ksm.not_calm"), 4u);
+    EXPECT_EQ(stats.get("ksm.unstable_promotions"), 1u);
+    EXPECT_EQ(scanner->pagesSharing(), 1u);
+    EXPECT_EQ(hv->translate(a, per_chunk - 1), hv->translate(a, per_chunk));
+
+    // Stop the cursor at the end of the VM, mid-pass, then make a page
+    // resident behind it in a chunk it has never met: the next pass
+    // creates the chunk and counts the page not calm exactly once.
+    scanner->setPagesToScan(4);
+    ASSERT_EQ(scanner->scanBatch(), 4u);
+    const std::uint64_t passes = scanner->fullScans();
+    const Gfn late = 5 * per_chunk + 3;
+    hv->writePage(a, late, PageData::filled(2, 2));
+    scanner->setPagesToScan(100000);
+    while (scanner->fullScans() < passes + 2)
+        scanner->scanBatch();
+    EXPECT_EQ(stats.get("ksm.not_calm"), 5u);
+    EXPECT_EQ(scanner->pageStateBytes(), 4 * KsmScanner::stateChunkBytes);
+    scanner->scanBatch();
+    EXPECT_EQ(stats.get("ksm.not_calm"), 5u);
     scanner->checkIndex();
     hv->checkConsistency();
 }

@@ -13,6 +13,7 @@
  */
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -405,7 +406,10 @@ namespace
 struct TwinStacks
 {
     static constexpr int numVms = 3;
-    static constexpr Gfn pagesPerVm = 48;
+    /** Default guest size: every VM fits in one chunk of scan state. */
+    static constexpr Gfn smallVmPages = 48;
+
+    const Gfn pagesPerVm;
 
     StatSet inc_stats;
     StatSet ref_stats;
@@ -434,16 +438,17 @@ struct TwinStacks
         return c;
     }
 
-    explicit TwinStacks(Bytes ram)
-        : TwinStacks(ram, ksmCfg(true), ksmCfg(false))
+    explicit TwinStacks(Bytes ram, Gfn pages_per_vm = smallVmPages)
+        : TwinStacks(ram, ksmCfg(true), ksmCfg(false), pages_per_vm)
     {
     }
 
     /** Generalized twins: any two scanner configurations expected to
      *  behave byte-identically. */
     TwinStacks(Bytes ram, const KsmConfig &inc_cfg,
-               const KsmConfig &ref_cfg)
-        : TwinStacks(hostCfg(ram), hostCfg(ram), inc_cfg, ref_cfg)
+               const KsmConfig &ref_cfg, Gfn pages_per_vm = smallVmPages)
+        : TwinStacks(hostCfg(ram), hostCfg(ram), inc_cfg, ref_cfg,
+                     pages_per_vm)
     {
     }
 
@@ -451,8 +456,10 @@ struct TwinStacks
      *  fuzz gives one side rings and the other none). */
     TwinStacks(const hv::HostConfig &inc_host,
                const hv::HostConfig &ref_host, const KsmConfig &inc_cfg,
-               const KsmConfig &ref_cfg)
-        : inc_hv(inc_host, inc_stats), ref_hv(ref_host, ref_stats),
+               const KsmConfig &ref_cfg,
+               Gfn pages_per_vm = smallVmPages)
+        : pagesPerVm(pages_per_vm), inc_hv(inc_host, inc_stats),
+          ref_hv(ref_host, ref_stats),
           inc_scanner(inc_hv, inc_cfg, inc_stats),
           ref_scanner(ref_hv, ref_cfg, ref_stats)
     {
@@ -560,13 +567,18 @@ struct TwinStacks
     }
 };
 
+/** Draws the gfn of one twin operation; driveTwins() defaults to a
+ *  uniform draw over the whole guest. */
+using GfnPicker = std::function<Gfn(Rng &)>;
+
 void
-driveTwins(TwinStacks &t, std::uint64_t seed, int steps)
+driveTwins(TwinStacks &t, std::uint64_t seed, int steps,
+           const GfnPicker &pick = nullptr)
 {
     Rng rng(seed);
     for (int step = 0; step < steps; ++step) {
         const VmId vm = rng.nextBelow(TwinStacks::numVms);
-        const Gfn gfn = rng.nextBelow(TwinStacks::pagesPerVm);
+        const Gfn gfn = pick ? pick(rng) : rng.nextBelow(t.pagesPerVm);
         const int op = rng.nextBelow(100);
 
         if (op < 40) {
@@ -623,6 +635,33 @@ TEST_P(IncrementalEquivalenceFuzz, MatchesReferenceScanner)
     // actually engaged — and never in the reference scanner.
     EXPECT_GT(t.inc_stats.get("ksm.pages_gen_skipped"), 0u);
     EXPECT_EQ(t.ref_stats.get("ksm.pages_gen_skipped"), 0u);
+}
+
+TEST_P(IncrementalEquivalenceFuzz, MatchesReferenceAcrossChunkEdges)
+{
+    // Guests of four full chunks of scan state and a 12-page tail,
+    // touched only in three windows: the first chunk's head and end,
+    // the head of the second (so the lookahead from its end runs into
+    // the missing third), and both sides of the last chunk boundary.
+    const std::uint64_t seed = GetParam();
+    const Gfn per_chunk = KsmScanner::stateChunkPages;
+    const Gfn pages = 4 * per_chunk + 12;
+    TwinStacks t(2 * MiB, pages);
+    const Gfn windows[][2] = {{0, 8},
+                              {per_chunk - 12, per_chunk + 12},
+                              {4 * per_chunk - 8, pages}};
+    const GfnPicker sparse = [&](Rng &rng) {
+        const auto &w = windows[rng.nextBelow(3)];
+        return w[0] + rng.nextBelow(w[1] - w[0]);
+    };
+    ASSERT_NO_FATAL_FAILURE(driveTwins(t, seed, 2500, sparse));
+    EXPECT_GT(t.inc_stats.get("ksm.pages_gen_skipped"), 0u);
+    EXPECT_GT(t.inc_stats.get("ksm.stable_merges") +
+                  t.inc_stats.get("ksm.unstable_promotions"),
+              0u);
+    // Never more than the four chunks the windows touch, of 5 per VM.
+    EXPECT_LE(t.inc_scanner.pageStateBytes(),
+              TwinStacks::numVms * 4 * KsmScanner::stateChunkBytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalenceFuzz,
@@ -799,7 +838,7 @@ void
 applyTwinMutation(TwinStacks &t, Rng &rng)
 {
     const VmId vm = rng.nextBelow(TwinStacks::numVms);
-    const Gfn gfn = rng.nextBelow(TwinStacks::pagesPerVm);
+    const Gfn gfn = rng.nextBelow(t.pagesPerVm);
     const int op = rng.nextBelow(100);
     if (op < 45) {
         PageData d = PageData::filled(rng.nextBelow(6), 0);
