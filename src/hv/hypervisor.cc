@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "base/hash.hh"
 #include "base/logging.hh"
@@ -532,40 +531,35 @@ Hypervisor::majorFaultsRam(VmId vm_id) const
 void
 Hypervisor::checkConsistency() const
 {
-    frames_.checkConsistency();
-
-    // Every resident EPT entry must appear exactly once in its frame's
-    // reverse mappings, and every swapped one must name a live slot.
+    std::uint64_t resident = 0;
+    std::vector<std::vector<bool>> claimed(vms_.size());
     for (const auto &vmp : vms_) {
         const Vm &v = *vmp;
+        jtps_assert(v.pmlRing.size() <= pml_ring_slots_);
+        std::vector<bool> ringed(v.ept.size(), false);
+        for (const Gfn gfn : v.pmlRing)
+            ringed.at(gfn) = true;
         for (Gfn gfn = 0; gfn < v.ept.size(); ++gfn) {
             const EptEntry &e = v.ept.entry(gfn);
+            jtps_assert(!e.pmlLogged || ringed[gfn]);
             if (e.state == PageState::Resident) {
                 jtps_assert(frames_.isAllocated(e.backing));
-                const mem::Frame &f = frames_.frame(e.backing);
-                unsigned hits = 0;
-                frames_.forEachMapping(f, [&](const mem::Mapping &m) {
-                    if (m.vm == v.id && m.gfn == gfn)
-                        ++hits;
-                });
-                jtps_assert(hits == 1);
+                ++resident;
             } else if (e.state == PageState::Swapped) {
                 jtps_assert(swap_.has(e.backing));
             }
         }
-
-        // PML invariant: every logged bit is covered by a live ring
-        // entry (pmlResetRing()'s entry-driven clear relies on it),
-        // and the ring respects its capacity.
-        jtps_assert(v.pmlRing.size() <= pml_ring_slots_);
-        std::unordered_set<Gfn> ring_gfns;
-        for (const Gfn gfn : v.pmlRing)
-            ring_gfns.insert(gfn);
-        for (Gfn gfn = 0; gfn < v.ept.size(); ++gfn) {
-            if (v.ept.entry(gfn).pmlLogged)
-                jtps_assert(ring_gfns.count(gfn) == 1);
-        }
+        claimed[v.id].assign(v.ept.size(), false);
     }
+    std::uint64_t mappings = 0;
+    frames_.checkConsistency([&](Hfn hfn, const mem::Mapping &m) {
+        const EptEntry &e = vm(m.vm).ept.entry(m.gfn);
+        jtps_assert(e.state == PageState::Resident && e.backing == hfn);
+        jtps_assert(!claimed[m.vm][m.gfn]);
+        claimed[m.vm][m.gfn] = true;
+        ++mappings;
+    });
+    jtps_assert(mappings == resident);
 }
 
 } // namespace jtps::hv

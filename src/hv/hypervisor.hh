@@ -267,7 +267,13 @@ class Hypervisor
     /** Compression ratio assumed for the compressed-RAM tier. */
     static constexpr unsigned swapCompressionRatio = 3;
 
-    /** Verify all cross-structure invariants; panics on violation. */
+    /**
+     * Verify all cross-structure invariants in one pass over each EPT
+     * and one over the frame table: each reverse mapping claims a
+     * distinct resident entry backed by its frame, and the totals
+     * agree; a swapped entry names a live swap slot, a logged PML bit
+     * a ring entry, and a ring fits its slots. Panics on violation.
+     */
     void checkConsistency() const;
 
     /** The stat sink. */

@@ -275,7 +275,7 @@ FrameTable::pickVictim(bool allow_shared)
 }
 
 void
-FrameTable::checkConsistency() const
+FrameTable::checkConsistency(const MappingFn &on_mapping) const
 {
     std::uint64_t resident_count = 0;
     std::uint64_t stable_count = 0;
@@ -300,6 +300,8 @@ FrameTable::checkConsistency() const
             jtps_assert(f.refcount == 1 && f.spill == 0);
         } else {
             jtps_assert(f.refcount == 1 + spills_[f.spill].size());
+            if (on_mapping)
+                forEachMapping(f, [&](const Mapping &m) { on_mapping(h, m); });
         }
         if (f.ksmStable) {
             ++stable_count;

@@ -26,6 +26,7 @@
 #define JTPS_MEM_FRAME_TABLE_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "base/logging.hh"
@@ -322,14 +323,16 @@ class FrameTable
         }
     }
 
+    using MappingFn = std::function<void(Hfn, const Mapping &)>;
+
     /**
-     * Verify internal consistency with one walk over every frame
-     * (refcount matches rmap arity, the resident and sharing counters
-     * match a full recount, each live spill slot is owned by exactly
-     * one frame, and free slots are empty and unowned). Panics on
-     * violation.
+     * Audit in one walk over every frame: each live spill slot has one
+     * owner, free slots are empty and unowned, refcount == 1 + spill
+     * size (pinned: 1, no spill), the resident and KSM counters match a
+     * recount, and each non-pinned frame's reverse mappings go to
+     * @p on_mapping(hfn, mapping). Panics on violation.
      */
-    void checkConsistency() const;
+    void checkConsistency(const MappingFn &on_mapping = {}) const;
 
   private:
     Hfn allocRaw(const PageData &initial);

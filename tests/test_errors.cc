@@ -307,7 +307,39 @@ TEST(ErrorDeathTest, AuditCatchesEptEntryMissingFromItsFrameMappings)
             ASSERT_NE(first, last);
             v.ept.entry(first).backing = v.ept.entry(last).backing;
         },
-        "hits == 1");
+        "e.backing == hfn");
+}
+
+TEST(ErrorDeathTest, AuditCatchesReverseMappingWithoutItsEptEntry)
+{
+    // Forget a resident page in its EPT only: its frame keeps the
+    // reverse mapping, and refcount still matches the mapping count.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    expectAuditPanics(
+        [](Hypervisor &, hv::Vm &v) {
+            v.ept.entry(firstIn(v, hv::PageState::Resident)) = hv::EptEntry{};
+        },
+        "e.state == PageState::Resident && e.backing == hfn");
+}
+
+TEST(ErrorDeathTest, AuditCatchesDuplicateReverseMapping)
+{
+    // Give a frame its primary mapping a second time and point one
+    // more entry at it: refcount, spill size and the totals of
+    // mappings and resident entries all still agree, so only the rule
+    // that no entry is claimed twice sees it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    expectAuditPanics(
+        [](Hypervisor &hv, hv::Vm &v) {
+            const Hfn h = v.ept.entry(firstIn(v, hv::PageState::Resident))
+                              .backing;
+            hv.frames().addMapping(h, hv.frames().frame(h).primary);
+            hv::EptEntry &spare =
+                v.ept.entry(firstIn(v, hv::PageState::NotPresent));
+            spare.state = hv::PageState::Resident;
+            spare.backing = h;
+        },
+        "!claimed.m.vm..m.gfn.");
 }
 
 TEST(ErrorDeathTest, AuditCatchesSwappedEntryWithoutItsSlot)
@@ -331,7 +363,7 @@ TEST(ErrorDeathTest, AuditCatchesPmlBitWithoutRingEntry)
             v.ept.entry(firstIn(v, hv::PageState::NotPresent)).pmlLogged =
                 true;
         },
-        "ring_gfns.count");
+        "!e.pmlLogged .. ringed.gfn.");
 }
 
 TEST(ErrorDeathTest, AuditCatchesPmlRingBeyondItsSlots)

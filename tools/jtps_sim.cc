@@ -523,8 +523,10 @@ clusterMain(const Options &opt, const core::ScenarioConfig &host_cfg)
     }
 
     fleet.run(warmup + steady);
-    for (std::size_t h = 0; h < fleet.hostCount(); ++h)
+    for (std::size_t h = 0; h < fleet.hostCount(); ++h) {
         fleet.host(h).hv().checkConsistency();
+        fleet.host(h).ksm().checkIndex();
+    }
 
     std::printf("cluster: %d hosts x %d slots, %s placement, "
                 "%s migration\n",
@@ -603,6 +605,7 @@ main(int argc, char **argv)
     }
     scenario.run();
     scenario.hv().checkConsistency();
+    scenario.ksm().checkIndex();
 
     auto acct = scenario.account();
     const bool all = opt.report == "all";
