@@ -135,7 +135,7 @@ GuestOs::reclaimOneGuestPage()
 bool
 GuestOs::swapOutOneAnonPage()
 {
-    if (guest_swapped_ >= guest_swap_limit_pages_)
+    if (guestSwappedPages() >= guest_swap_limit_pages_)
         return false;
 
     // Sampled victim search over user processes' anonymous mappings.
@@ -161,33 +161,13 @@ GuestOs::swapOutOneAnonPage()
             continue;
 
         proc.swappedOut.emplace(vma.vpnAt(index), *data);
-        hv_.setHugePage(vm_id_, gfn, false);
         hv_.discardPage(vm_id_, gfn);
         freeGfn(gfn);
         vma.gfns[index] = invalidFrame;
-        ++guest_swapped_;
         ++guest_swapouts_;
         return true;
     }
     return false;
-}
-
-Gfn
-GuestOs::guestSwapIn(GuestProcess &proc, const Vma *vma,
-                     std::uint64_t index)
-{
-    auto it = proc.swappedOut.find(vma->vpnAt(index));
-    jtps_assert(it != proc.swappedOut.end());
-    const mem::PageData data = it->second;
-    proc.swappedOut.erase(it);
-    jtps_assert(guest_swapped_ > 0);
-    --guest_swapped_;
-    ++guest_major_faults_;
-
-    const Gfn gfn = allocGfn();
-    hv_.writePage(vm_id_, gfn, data);
-    pte(vma, index) = gfn;
-    return gfn;
 }
 
 void
@@ -321,25 +301,8 @@ void
 GuestOs::munmap(Pid pid, Vma *vma)
 {
     GuestProcess &proc = process(pid);
-    for (std::uint64_t i = 0; i < vma->numPages; ++i) {
-        if (!vma->fileBacked &&
-            proc.swappedOut.erase(vma->vpnAt(i)) > 0) {
-            jtps_assert(guest_swapped_ > 0);
-            --guest_swapped_;
-            continue;
-        }
-        const Gfn gfn = vma->gfns[i];
-        if (gfn == invalidFrame)
-            continue;
-        if (!vma->fileBacked) {
-            hv_.setHugePage(vm_id_, gfn, false);
-            hv_.discardPage(vm_id_, gfn);
-            freeGfn(gfn);
-        } else {
-            dropCacheMapRef(gfn);
-        }
-        vma->gfns[i] = invalidFrame;
-    }
+    for (std::uint64_t i = 0; i < vma->numPages; ++i)
+        discard(vma, i);
     for (auto it = proc.vmas.begin(); it != proc.vmas.end(); ++it) {
         if (it->get() == vma) {
             proc.vmas.erase(it);
@@ -350,32 +313,47 @@ GuestOs::munmap(Pid pid, Vma *vma)
 }
 
 Gfn
-GuestOs::ensureMapped(const Vma *vma, std::uint64_t index)
+GuestOs::mapped(const Vma *vma, std::uint64_t index)
 {
     PackedGfn &slot = pte(vma, index);
     if (slot != invalidFrame)
         return slot;
 
-    if (!vma->fileBacked) {
-        GuestProcess &proc = process(vma->pid);
-        if (proc.swappedOut.count(vma->vpnAt(index)))
-            return guestSwapIn(proc, vma, index);
-    }
-
     // The slot reference stays valid below: a VMA's table never
     // resizes, and reclaim inside allocGfn() only unmaps mapped pages.
-    Gfn gfn;
     if (vma->fileBacked) {
         auto fit = files_.find(vma->fileTag);
         jtps_assert(fit != files_.end());
-        gfn = pageCacheGet(fit->second.image, index);
+        const Gfn gfn = pageCacheGet(fit->second.image, index);
         ++cache_mapcount_[gfn];
-    } else {
-        gfn = allocGfn();
-        if (vma->hugeBacked)
-            hv_.setHugePage(vm_id_, gfn, true);
+        slot = gfn;
+        return gfn;
     }
+
+    GuestProcess &proc = process(vma->pid);
+    auto it = proc.swappedOut.find(vma->vpnAt(index));
+    if (it == proc.swappedOut.end())
+        return invalidFrame;
+    // Guest major fault: bring the page back from the swap device.
+    const mem::PageData data = it->second;
+    proc.swappedOut.erase(it);
+    ++guest_major_faults_;
+    const Gfn gfn = allocGfn();
+    hv_.writePage(vm_id_, gfn, data);
     slot = gfn;
+    return gfn;
+}
+
+Gfn
+GuestOs::ensureMapped(const Vma *vma, std::uint64_t index)
+{
+    Gfn gfn = mapped(vma, index);
+    if (gfn != invalidFrame)
+        return gfn;
+    gfn = allocGfn();
+    if (vma->hugeBacked)
+        hv_.setHugePage(vm_id_, gfn, true);
+    pte(vma, index) = gfn;
     return gfn;
 }
 
@@ -396,28 +374,18 @@ GuestOs::writePage(const Vma *vma, std::uint64_t index,
 std::uint64_t
 GuestOs::readWord(const Vma *vma, std::uint64_t index, unsigned sector)
 {
-    if (!vma->fileBacked && gfnAt(vma, index) == invalidFrame &&
-        !process(vma->pid).swappedOut.count(vma->vpnAt(index))) {
+    const Gfn gfn = mapped(vma, index);
+    if (gfn == invalidFrame)
         return 0; // untouched anonymous memory reads as zero
-    }
-    return hv_.readWord(vm_id_, ensureMapped(vma, index), sector);
+    return hv_.readWord(vm_id_, gfn, sector);
 }
 
 void
 GuestOs::touch(const Vma *vma, std::uint64_t index)
 {
-    if (!vma->fileBacked) {
-        const Gfn gfn = gfnAt(vma, index);
-        if (gfn == invalidFrame) {
-            GuestProcess &proc = process(vma->pid);
-            if (proc.swappedOut.count(vma->vpnAt(index)))
-                hv_.touchPage(vm_id_, guestSwapIn(proc, vma, index));
-            return;
-        }
+    const Gfn gfn = mapped(vma, index);
+    if (gfn != invalidFrame)
         hv_.touchPage(vm_id_, gfn);
-        return;
-    }
-    hv_.touchPage(vm_id_, ensureMapped(vma, index));
 }
 
 void
@@ -426,11 +394,8 @@ GuestOs::discard(const Vma *vma, std::uint64_t index)
     PackedGfn &slot = pte(vma, index);
     if (slot == invalidFrame) {
         // A guest-swapped page has no gfn: drop its swap copy.
-        if (!vma->fileBacked &&
-            process(vma->pid).swappedOut.erase(vma->vpnAt(index)) > 0) {
-            jtps_assert(guest_swapped_ > 0);
-            --guest_swapped_;
-        }
+        if (!vma->fileBacked)
+            process(vma->pid).swappedOut.erase(vma->vpnAt(index));
         return;
     }
     if (vma->fileBacked) {
@@ -439,7 +404,6 @@ GuestOs::discard(const Vma *vma, std::uint64_t index)
         slot = invalidFrame;
         return;
     }
-    hv_.setHugePage(vm_id_, slot, false);
     hv_.discardPage(vm_id_, slot);
     freeGfn(slot);
     slot = invalidFrame;

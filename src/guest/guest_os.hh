@@ -229,9 +229,10 @@ class GuestOs
     void touch(const Vma *vma, std::uint64_t index);
 
     /**
-     * Release one anonymous page (GC decommit / free): the host frame
-     * and the gfn are freed; the next write starts from a zero page.
-     * No-op for file-backed pages.
+     * Release one page (GC decommit / free). An anonymous page's host
+     * frame and gfn are freed, or its guest-swap copy dropped; the
+     * next write starts from a zero page. A file page only loses this
+     * mapping's reference: its pte is cleared and it stays cached.
      */
     void discard(const Vma *vma, std::uint64_t index);
 
@@ -282,7 +283,14 @@ class GuestOs
     void setGuestSwapBytes(Bytes bytes);
 
     /** Anon pages currently in the guest swap. */
-    std::uint64_t guestSwappedPages() const { return guest_swapped_; }
+    std::uint64_t
+    guestSwappedPages() const
+    {
+        std::uint64_t pages = 0;
+        for (const auto &proc : processes_)
+            pages += proc->swappedOut.size();
+        return pages;
+    }
 
     /** Guest-level major faults (swap-ins from the guest's disk). */
     std::uint64_t guestMajorFaults() const
@@ -413,15 +421,18 @@ class GuestOs
      *  @return false if no victim was found or swap is full. */
     bool swapOutOneAnonPage();
 
-    /** Bring guest-swapped page @p index of @p vma back in (guest
-     *  major fault). */
-    Gfn guestSwapIn(GuestProcess &proc, const Vma *vma,
-                    std::uint64_t index);
-
     /** Assign a vpn range for @p pages with an ASLR-style guard gap. */
     Vpn carveVpnRange(GuestProcess &proc, std::uint64_t pages);
 
-    /** Resolve (ensure) the gfn backing page @p index of @p vma. */
+    /**
+     * The gfn of page @p index of @p vma if it has content: a mapped
+     * page as is, a file page through the page cache, a guest-swapped
+     * page swapped back in (guest major fault). invalidFrame for an
+     * anonymous page never written.
+     */
+    Gfn mapped(const Vma *vma, std::uint64_t index);
+
+    /** mapped(), allocating a never-written anonymous page. */
     Gfn ensureMapped(const Vma *vma, std::uint64_t index);
 
     hv::Hypervisor &hv_;
@@ -434,7 +445,6 @@ class GuestOs
 
     bool thp_enabled_ = false;
     std::uint64_t guest_swap_limit_pages_ = bytesToPages(1 * GiB);
-    std::uint64_t guest_swapped_ = 0;
     std::uint64_t guest_major_faults_ = 0;
     std::uint64_t guest_swapouts_ = 0;
     std::uint64_t balloon_held_ = 0;

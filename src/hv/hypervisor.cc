@@ -415,15 +415,7 @@ Hypervisor::peek(VmId vm_id, Gfn gfn) const
 void
 Hypervisor::setHugePage(VmId vm_id, Gfn gfn, bool huge)
 {
-    Vm &v = vm(vm_id);
-    EptEntry &e = v.ept.entry(gfn);
-    const bool was = e.huge;
-    e.huge = huge;
-    // Dropping the THP flag makes the page MERGEABLE again without any
-    // write, so KSM sees it anew. The transition lands in the ring like
-    // a write, and the append totals count it as one.
-    if (was && !huge && e.state == PageState::Resident)
-        pmlLog(v, e, gfn);
+    vm(vm_id).ept.entry(gfn).huge = huge;
 }
 
 bool

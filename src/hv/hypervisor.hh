@@ -49,10 +49,10 @@ struct HostConfig
      * Page-Modification-Log ring slots per VM (Intel PML models a
      * 512-entry buffer). Each ring is a list of dirtied gfns: every
      * write appends its gfn once per drain cycle, like the hardware
-     * dirty-bit transition, and so do a swap-in and a dropped THP
-     * flag. Eviction leaves the ring alone; discard clears the page's
-     * logged bit but keeps its entry, so a page written again after a
-     * discard is listed twice. The working-set estimator drains the rings every window and
+     * dirty-bit transition, and so does a swap-in. Eviction leaves the
+     * ring alone; discard clears the page's logged bit but keeps its
+     * entry, so a page written again after a discard is listed twice.
+     * The working-set estimator drains the rings every window and
      * migration pre-copy reads the append totals. When a ring fills
      * up, further dirtied pages are lost until the next drain
      * (`hv.pml_overflows`). 0 disables logging entirely.

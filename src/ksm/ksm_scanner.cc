@@ -603,32 +603,19 @@ KsmScanner::passBoundary()
 }
 
 void
-KsmScanner::visitLookahead(const hv::Vm &v, const StateChunk *ahead,
-                           Gfn gfn, Gfn gfn_end,
+KsmScanner::visitLookahead(const hv::Vm &v, Gfn gfn, Gfn gfn_end,
                            const mem::FrameTable &ft) const
 {
-    // The two random-access lines of a steady-state visit — the
-    // frame's write generation (indexed by hfn) and the unstable-table
-    // slot (indexed by digest hash) — are prefetched a few pages ahead
-    // from the sequentially walked EPT and page-state chunks, hiding
-    // their miss latency behind the visits in between. Pure hints: the
-    // scan itself never depends on them.
+    // The random-access line of a steady-state visit, the frame's
+    // write generation (indexed by hfn), is prefetched a few pages
+    // ahead from the sequentially walked EPT, hiding its miss latency
+    // behind the visits in between. A pure hint: the scan itself never
+    // depends on it.
     if (gfn + prefetchDist >= gfn_end)
         return;
     const hv::EptEntry &pe = v.ept.entry(gfn + prefetchDist);
     if (pe.state == hv::PageState::Resident)
         ft.prefetchWriteGen(pe.backing);
-    if (!ahead)
-        return; // a missing chunk holds no digest to look ahead to
-    const PageScanState &pps =
-        (*ahead)[(gfn + prefetchDist) % stateChunkPages];
-    if (pps.seen && !pps.lastStable) {
-        // The chain's first slot and the one two further on:
-        // collision chains average a couple of slots, and one that
-        // starts near the end of a line walks into the next. rw=1
-        // because the common case re-inserts into the probed chain.
-        prefetchUnstableSlot(pps.lastDigest);
-    }
 }
 
 std::uint64_t
@@ -646,46 +633,24 @@ KsmScanner::scanBatch()
             break;
         }
         // The VM, its page-state row and the gfn bound are hoisted out
-        // of the per-page loop, and the chunk under the cursor and the
-        // next one (for the lookahead) out of each chunk's run;
-        // advanceCursor() leaves the cursor on a mergeable VM with
-        // cur_gfn_ in range. Like ksmd, only *present* pages consume
-        // the scan budget: the rmap walk skips holes in the address
-        // space nearly for free. The pass boundary still bounds each
-        // batch.
+        // of the per-page loop; advanceCursor() leaves the cursor on a
+        // mergeable VM with cur_gfn_ in range. Like ksmd, only
+        // *present* pages consume the scan budget: the rmap walk skips
+        // holes in the address space nearly for free. The pass
+        // boundary still bounds each batch.
         const hv::Vm &v = hv_.vm(cur_vm_);
         StateRow &row = pageStateRow(cur_vm_, v);
         const Gfn gfn_end = v.ept.size();
-        while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan) {
-            const std::size_t c = cur_gfn_ / stateChunkPages;
-            const Gfn chunk_end =
-                std::min<Gfn>(gfn_end, (c + 1) * stateChunkPages);
-            std::unique_ptr<StateChunk> &chunk = row[c];
-            const StateChunk *next =
-                c + 1 < row.size() ? row[c + 1].get() : nullptr;
-            for (; cur_gfn_ < chunk_end && visited < cfg_.pagesToScan;
-                 ++cur_gfn_) {
-                visitLookahead(v,
-                               cur_gfn_ + prefetchDist < chunk_end
-                                   ? chunk.get()
-                                   : next,
-                               cur_gfn_, gfn_end, ft);
-                if (scanOne(cur_vm_, cur_gfn_, v, ft, chunk))
-                    ++visited;
-            }
+        for (; cur_gfn_ < gfn_end && visited < cfg_.pagesToScan;
+             ++cur_gfn_) {
+            visitLookahead(v, cur_gfn_, gfn_end, ft);
+            if (scanOne(cur_vm_, cur_gfn_, v, ft,
+                        row[cur_gfn_ / stateChunkPages]))
+                ++visited;
         }
     }
     stat_pages_visited_ += visited;
     return visited;
-}
-
-void
-KsmScanner::prefetchUnstableSlot(std::uint64_t digest) const
-{
-    const std::size_t mask = unstable_.size() - 1;
-    const std::size_t h = slotHash(digest) & mask;
-    __builtin_prefetch(unstable_.data() + h, 1);
-    __builtin_prefetch(unstable_.data() + ((h + 2) & mask), 1);
 }
 
 void

@@ -297,20 +297,11 @@ class KsmScanner : public hv::PageEventListener
     };
 
     /**
-     * Hint the unstable-table slot (two lines: chains average a couple
-     * of slots) a visit probing `digest` is about to walk. Pure hint —
-     * an earlier visit growing the table only makes it stale.
+     * The serial walk's lookahead: prefetch the write-generation line
+     * of the visit `prefetchDist` pages ahead of @p gfn, hiding its
+     * miss latency behind the visits in between.
      */
-    void prefetchUnstableSlot(std::uint64_t digest) const;
-
-    /**
-     * The serial walk's lookahead: prefetch the write-generation
-     * and unstable-slot lines of the visit `prefetchDist` pages ahead,
-     * hiding their miss latency behind the visits in between.
-     * @p ahead is the chunk holding that page, or null.
-     */
-    void visitLookahead(const hv::Vm &v, const StateChunk *ahead,
-                        Gfn gfn, Gfn gfn_end,
+    void visitLookahead(const hv::Vm &v, Gfn gfn, Gfn gfn_end,
                         const mem::FrameTable &ft) const;
 
     /**

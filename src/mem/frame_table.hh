@@ -206,8 +206,8 @@ class FrameTable
      * Hint that writeGen(@p hfn) is about to be read. The generation
      * array is indexed by host frame number while the KSM scanner
      * walks in guest frame order, so the read is effectively random;
-     * issuing it a few pages ahead hides the miss latency. Tolerates
-     * any hfn (a stale EPT snapshot may race the walk harmlessly).
+     * issuing it a few pages ahead hides the miss latency. An hfn past
+     * the table is ignored.
      */
     void
     prefetchWriteGen(Hfn hfn) const

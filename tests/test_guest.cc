@@ -417,6 +417,9 @@ TEST(GuestPageTableFuzz, FlatTablesMatchReferenceModel)
             os.touch(r.vma, i);
             if (r.vma->fileBacked || was_live) {
                 ASSERT_NO_FATAL_FAILURE(expect_mapped(r, i));
+            } else {
+                // Touching never-written anonymous memory maps nothing.
+                ASSERT_EQ(os.gfnAt(r.vma, i), invalidFrame);
             }
         } else if (op <= 4) {
             const bool was_live =
@@ -430,7 +433,9 @@ TEST(GuestPageTableFuzz, FlatTablesMatchReferenceModel)
                 auto wit = words.find({r.pid, vpn});
                 EXPECT_EQ(w, wit == words.end() ? 0 : wit->second);
             } else {
+                // It reads as zero and stays unmapped.
                 EXPECT_EQ(w, 0u);
+                ASSERT_EQ(os.gfnAt(r.vma, i), invalidFrame);
             }
         } else if (op <= 5) {
             os.discard(r.vma, i);

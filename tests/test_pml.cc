@@ -144,6 +144,33 @@ TEST(PmlRing, DiscardedPageRelogsInTheSameDrainCycle)
     hv.checkConsistency();
 }
 
+TEST(PmlRing, FreedHugePageIsNotLogged)
+{
+    // Freeing a THP-backed page clears its huge flag with the rest of
+    // the EPT entry. A free is not a write: it must not land in the
+    // ring or the append totals the estimator and pre-copy read.
+    StatSet stats;
+    Hypervisor hv(pmlHost(16), stats);
+    const VmId vm = hv.createVm("vm", 8 * MiB, 0);
+    guest::GuestOs os(hv, vm, "vm", 1);
+    os.setThpEnabled(true);
+    const Pid pid = os.spawn("p", false);
+    guest::Vma *vma =
+        os.mmapAnon(pid, 4 * pageSize, guest::MemCategory::JvmWork, "h");
+    ASSERT_TRUE(vma->hugeBacked);
+    os.writeWord(vma, 0, 0, 1);
+    const Gfn gfn = os.gfnAt(vma, 0);
+    ASSERT_TRUE(hv.vm(vm).ept.entry(gfn).huge);
+
+    hv.pmlResetRing(vm);
+    const std::uint64_t appends = hv.vm(vm).pmlAppendsTotal;
+    os.discard(vma, 0);
+    EXPECT_FALSE(hv.vm(vm).ept.entry(gfn).huge);
+    EXPECT_TRUE(hv.pmlEntries(vm).empty());
+    EXPECT_EQ(hv.vm(vm).pmlAppendsTotal, appends);
+    hv.checkConsistency();
+}
+
 TEST(PmlRing, DisabledRingsLogNothing)
 {
     StatSet stats;

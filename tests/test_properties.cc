@@ -641,8 +641,8 @@ TEST_P(IncrementalEquivalenceFuzz, MatchesReferenceAcrossChunkEdges)
 {
     // Guests of four full chunks of scan state and a 12-page tail,
     // touched only in three windows: the first chunk's head and end,
-    // the head of the second (so the lookahead from its end runs into
-    // the missing third), and both sides of the last chunk boundary.
+    // the head of the second (so the walk from its end runs into the
+    // missing third), and both sides of the last chunk boundary.
     const std::uint64_t seed = GetParam();
     const Gfn per_chunk = KsmScanner::stateChunkPages;
     const Gfn pages = 4 * per_chunk + 12;
